@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO
+from .linalg import Matrix, Vector, ZERO, _rref
 from .multilinear import (
     AlternatingTrilinearTable,
     Space,
@@ -183,8 +183,6 @@ class LinearMap:
         if self.source.dim != self.target.dim:
             return None
         n = self.source.dim
-        from .linalg import _rref  # local: reuses the selected kernel backend
-
         aug = self.matrix.hstack(Matrix.identity(n))
         rows, pivots = _rref(aug)
         if pivots != list(range(n)):

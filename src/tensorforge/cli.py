@@ -4,7 +4,8 @@ Every command reads one document, resolves the structure it needs (by
 ``--name`` when the document declares several of that kind), and either
 prints a check report or emits a derived document.  Exit statuses: 0 all
 checks passed, 1 some law failed (witnesses printed), 2 malformed input,
-3 a precondition was refused.
+3 a precondition was refused, 4 an internal error (one line on stderr, no
+traceback), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -631,6 +632,13 @@ def main(argv=None) -> int:
         if exc.report is not None:
             print(exc.report.render_text(), file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

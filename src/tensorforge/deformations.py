@@ -22,7 +22,6 @@ from .linalg import (
     ZERO,
     _rref,
     kernel_basis,
-    rank,
     solve_membership,
 )
 from .multilinear import format_matrix, format_vector
@@ -398,14 +397,10 @@ def classify(p: EmbeddingTensorProblem) -> Classification:
     _, pivots = _rref(d0)
     image = [d0.col(j) for j in pivots]
 
-    chosen: list[Vector] = []
-    base = list(image)
-    current_rank = rank(Matrix.from_cols(base, nrows=d0.nrows)) if base else 0
-    for v in kernel:
-        trial = base + chosen + [v]
-        r = rank(Matrix.from_cols(trial, nrows=d0.nrows))
-        if r > current_rank + len(chosen):
-            chosen.append(v)
+    # the image columns are independent, so a kernel vector is a new class
+    # exactly when its column is a pivot after them
+    _, pivots = _rref(Matrix.from_cols(image + kernel, nrows=d0.nrows))
+    chosen = [kernel[j - len(image)] for j in pivots if j >= len(image)]
 
     def to_map(vec: Vector) -> LinearMap:
         return complex_.linear_map_from_cochain(complex_.unvec(1, vec))

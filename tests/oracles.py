@@ -18,6 +18,7 @@ from itertools import combinations
 
 from tensorforge import (
     AlternatingTrilinearTable,
+    CochainComplex,
     CoherentActionData,
     EmbeddingTensorProblem,
     LeibnizLieAlgebra,
@@ -39,7 +40,10 @@ from tensorforge import (
     check_lie_coherent,
     check_lie_net,
     check_trace,
+    kernel_basis,
+    rank,
 )
+from tensorforge.linalg import _rref
 
 # ---------------------------------------------------------------------------
 # elimination oracle
@@ -117,6 +121,35 @@ def oracle_solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
+
+
+def oracle_class_representatives(p) -> list[Matrix]:
+    """Matrices of the first-order class representatives, chosen greedily.
+
+    The loop `classify` ran before it took the pivots of one elimination:
+    walk the cocycle basis and keep each vector that raises the rank of the
+    coboundary span plus the vectors already kept.
+    """
+    complex_ = CochainComplex(p)
+    d1 = complex_.delta_matrix(1)
+    d0 = complex_.delta_matrix(0)
+
+    kernel = kernel_basis(d1)
+    _, pivots = _rref(d0)
+    image = [d0.col(j) for j in pivots]
+
+    chosen = []
+    base = list(image)
+    current_rank = rank(Matrix.from_cols(base, nrows=d0.nrows)) if base else 0
+    for v in kernel:
+        trial = base + chosen + [v]
+        r = rank(Matrix.from_cols(trial, nrows=d0.nrows))
+        if r > current_rank + len(chosen):
+            chosen.append(v)
+    return [
+        complex_.linear_map_from_cochain(complex_.unvec(1, v)).matrix
+        for v in chosen
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: fall back to tomli in the test
     tomllib = None
 
-from tensorforge import parse_document
+from tensorforge import cli, parse_document
 from tensorforge.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -212,6 +212,27 @@ def test_refusals_exit_three(run, fixtures_dir):
         assert rc == 3, argv
         assert err.startswith("refused:"), argv
         assert "FAIL" in err  # the gate report is shown
+
+
+def test_internal_errors_exit_four(run, adjoint_file, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("kernel exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "check_3lie", boom)
+    rc, out, err = run("check-3lie", adjoint_file)
+    assert rc == 4
+    assert err.splitlines() == ["internal error: RuntimeError: kernel exploded second line"]
+    assert "Traceback" not in err and out == ""
+
+
+def test_interrupt_exits_130(run, adjoint_file, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "classify", interrupt)
+    rc, _, err = run("classify", adjoint_file)
+    assert rc == 130
+    assert err == "interrupted\n"
 
 
 def test_emit_is_canonical_and_stable(run, adjoint_file, tmp_path):

@@ -17,7 +17,15 @@ from tensorforge import (
     classify,
 )
 
-from oracles import rand_matrix, rand_vector
+from oracles import (
+    example_problem,
+    oracle_class_representatives,
+    rand_matrix,
+    rand_unimodular,
+    rand_vector,
+    random_valid_problem,
+    transport_problem,
+)
 
 
 def direction(problem, matrix) -> Deformation:
@@ -130,6 +138,27 @@ def test_classify_abelian(abelian_problem):
         Deformation(abelian_problem, first), Deformation(abelian_problem, second)
     )
     assert not same
+
+
+def test_classify_representatives_match_the_greedy_oracle():
+    rng = random.Random(20261018)
+    problems = []
+    for k in (Fraction(0), Fraction(1, 2)):
+        base = example_problem(k)
+        problems.append(base)
+        problems.append(
+            transport_problem(base, rand_unimodular(rng, 4), rand_unimodular(rng, 4))
+        )
+    problems += [random_valid_problem(random.Random(seed)) for seed in range(4)]
+    several_over_a_coboundary = False
+    for p in problems:
+        cls = classify(p)
+        got = [rep.matrix for rep in cls.representatives]
+        assert got == oracle_class_representatives(p)
+        assert len(got) == cls.class_dim
+        if cls.coboundary_dim >= 1 and len(got) >= 2:
+            several_over_a_coboundary = True
+    assert several_over_a_coboundary
 
 
 def test_equivalence_requires_the_same_problem(adjoint_doc, abelian_problem):

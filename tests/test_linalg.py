@@ -1,16 +1,20 @@
 """Exact linear algebra against the independent elimination oracle."""
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorforge import InputError, Matrix, Vector, fmt_rat, rat
-from tensorforge.linalg import KERNEL_BACKEND, kernel_basis, rank, solve_membership
-from tensorforge import _kernels_py
+from tensorforge.linalg import (
+    _bareiss_rank,
+    _rref_rows,
+    kernel_basis,
+    rank,
+    solve_membership,
+)
 
-from oracles import oracle_kernel, oracle_rank, oracle_solve, rand_matrix
+from oracles import oracle_kernel, oracle_rank, oracle_solve
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -66,31 +70,14 @@ def test_solve_membership_matches_oracle(rows, coeffs, consistent):
 
 @settings(max_examples=30, deadline=None)
 @given(matrix_rows())
-def test_pure_backend_agrees_with_active_backend(rows):
+def test_bareiss_rank_and_rref_pivot_count_agree(rows):
     m = Matrix(rows)
     scaled = [
         [int(x * 12) for x in row] for row in rows
     ]  # all strategy denominators divide 12
-    assert _kernels_py.bareiss_rank([row[:] for row in scaled]) == oracle_rank(rows)
-    pivots = _kernels_py.rref([list(map(Fraction, row)) for row in rows])
+    assert _bareiss_rank([row[:] for row in scaled]) == oracle_rank(rows)
+    pivots = _rref_rows([list(map(Fraction, row)) for row in rows])
     assert len(pivots) == rank(m)
-
-
-@pytest.mark.skipif(KERNEL_BACKEND != "compiled", reason="pure-python build")
-def test_compiled_backend_matches_pure_backend():
-    from tensorforge import _speedups
-
-    rng = random.Random(20240817)
-    for _ in range(40):
-        m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        int_rows = [[int(x * 2) for x in row] for row in m.rows]  # pool denominators divide 2
-        assert _speedups.bareiss_rank(
-            [row[:] for row in int_rows]
-        ) == _kernels_py.bareiss_rank([row[:] for row in int_rows])
-        compiled_rows = [list(row) for row in m.rows]
-        pure_rows = [list(row) for row in m.rows]
-        assert _speedups.rref(compiled_rows) == _kernels_py.rref(pure_rows)
-        assert compiled_rows == pure_rows  # identical reduced rows, not just pivots
 
 
 def test_rat_parses_ints_strings_and_fractions():
