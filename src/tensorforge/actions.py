@@ -11,15 +11,14 @@ its graph criterion are both computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, product
 
 from .algebras import (
     LinearMap,
     ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
-    _apply_first,
-    _apply_second,
-    _apply_third,
     check_3lie,
     check_3ll,
     check_3leibniz,
@@ -32,13 +31,14 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
+    _extend,
     format_matrix,
     format_vector,
 )
 from .report import Report, one_based, tuple_label
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepresentationData:
     """A 3-Lie algebra L acting on a carrier space by pair operators."""
 
@@ -56,7 +56,7 @@ class RepresentationData:
             raise InputError("action target must be the carrier space")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoherentActionData:
     """A representation whose carrier itself carries a 3-Lie bracket."""
 
@@ -83,7 +83,7 @@ class CoherentActionData:
         return self.rep.rho
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTensorProblem:
     """A coherent action together with a candidate tensor H -> L."""
 
@@ -133,7 +133,7 @@ def check_representation(r: RepresentationData, title: str | None = None) -> Rep
     if title is not None:
         return _check_representation_impl(r, title)
     if r._verified is None:
-        r._verified = _check_representation_impl(r, None)
+        object.__setattr__(r, "_verified", _check_representation_impl(r, None))
     return r._verified
 
 
@@ -148,73 +148,47 @@ def _check_representation_impl(r: RepresentationData, title: str | None) -> Repo
     dim = space.dim
     hdim = r.carrier.dim
     rho = r.rho
+    value = r.algebra.value
     zero = Matrix.zeros(hdim, hdim)
 
     def op(i: int, j: int) -> Matrix:
         mat = rho.at(i, j)
         return zero if mat is None else mat
 
-    def op_vec_basis(v: Vector | None, j: int) -> Matrix:
-        acc = zero
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            mat = rho.at(m, j)
-            if mat is not None:
-                acc = acc + mat.scale(c)
-        return acc
-
-    def op_basis_vec(i: int, v: Vector | None) -> Matrix:
-        acc = zero
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            mat = rho.at(i, m)
-            if mat is not None:
-                acc = acc + mat.scale(c)
-        return acc
-
     ops = [[op(i, j) for j in range(dim)] for i in range(dim)]
 
-    fundamental = rep.line(
-        "action fundamental law", "all ordered basis 4-tuples"
-    )
-    commutator = rep.line(
-        "action commutator law", "all ordered basis 4-tuples"
-    )
-    rng = range(dim)
-    for l1 in rng:
-        for l2 in rng:
-            for l3 in rng:
-                for l4 in rng:
-                    fundamental.checked += 1
-                    lhs = op_vec_basis(r.algebra.value(l1, l2, l3), l4)
-                    rhs = (
-                        ops[l2][l3].mul(ops[l1][l4])
-                        + ops[l3][l1].mul(ops[l2][l4])
-                        + ops[l1][l2].mul(ops[l3][l4])
-                    )
-                    if lhs != rhs:
-                        fundamental.add_failure(
-                            one_based((l1, l2, l3, l4)),
-                            tuple_label(space, (l1, l2, l3, l4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
-                    commutator.checked += 1
-                    lhs2 = ops[l1][l2].mul(ops[l3][l4])
-                    rhs2 = (
-                        ops[l3][l4].mul(ops[l1][l2])
-                        + op_vec_basis(r.algebra.value(l1, l2, l3), l4)
-                        + op_basis_vec(l3, r.algebra.value(l1, l2, l4))
-                    )
-                    if lhs2 != rhs2:
-                        commutator.add_failure(
-                            one_based((l1, l2, l3, l4)),
-                            tuple_label(space, (l1, l2, l3, l4)),
-                            format_matrix(lhs2),
-                            format_matrix(rhs2),
-                        )
+    def fundamental(t):
+        l1, l2, l3, l4 = t
+        lhs = _extend(lambda m: rho.at(m, l4), value(l1, l2, l3), zero)
+        rhs = (
+            ops[l2][l3].mul(ops[l1][l4])
+            + ops[l3][l1].mul(ops[l2][l4])
+            + ops[l1][l2].mul(ops[l3][l4])
+        )
+        return lhs, rhs
+
+    def commutator(t):
+        l1, l2, l3, l4 = t
+        lhs = ops[l1][l2].mul(ops[l3][l4])
+        rhs = (
+            ops[l3][l4].mul(ops[l1][l2])
+            + _extend(lambda m: rho.at(m, l4), value(l1, l2, l3), zero)
+            + _extend(lambda m: rho.at(l3, m), value(l1, l2, l4), zero)
+        )
+        return lhs, rhs
+
+    for name, sides in (
+        ("action fundamental law", fundamental),
+        ("action commutator law", commutator),
+    ):
+        rep.law(
+            name,
+            "all ordered basis 4-tuples",
+            product(range(dim), repeat=4),
+            sides,
+            format_matrix,
+            partial(tuple_label, space),
+        )
     return rep
 
 
@@ -228,7 +202,7 @@ def check_coherent_action(c: CoherentActionData, title: str | None = None) -> Re
     if title is not None:
         return _check_coherent_action_impl(c, title)
     if c._verified is None:
-        c._verified = _check_coherent_action_impl(c, None)
+        object.__setattr__(c, "_verified", _check_coherent_action_impl(c, None))
     return c._verified
 
 
@@ -241,67 +215,50 @@ def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Rep
 
     lspace = c.algebra.space
     hspace = c.carrier
-    hdim = hspace.dim
-    hb = c.target_bracket
+    zero = hspace.zero()
+    hb = c.target_bracket.value
     rho = c.rho
 
-    target_gate = check_3lie(ThreeLieAlgebra(hspace, hb))
+    target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
     rep.absorb(target_gate, "carrier bracket")
 
-    derivation = rep.line(
-        "derivation law", "increasing pairs x all ordered carrier triples"
-    )
-    annihilation = rep.line(
-        "annihilation law", "increasing pairs x all ordered carrier triples"
-    )
-    rng = range(hdim)
-    for i in range(lspace.dim):
-        for j in range(i + 1, lspace.dim):
-            mat = rho.at(i, j)
-            for h1 in rng:
-                for h2 in rng:
-                    for h3 in rng:
-                        derivation.checked += 1
-                        val = hb.value(h1, h2, h3)
-                        lhs = (
-                            hspace.zero()
-                            if mat is None or val is None
-                            else mat.mul_vec(val)
-                        )
-                        if mat is None:
-                            rhs = hspace.zero()
-                        else:
-                            rhs = (
-                                _apply_first(
-                                    hb, mat.col(h1), h2, h3, hdim
-                                )
-                                + _apply_second(
-                                    hb, h1, mat.col(h2), h3, hdim
-                                )
-                                + _apply_third(
-                                    hb, h1, h2, mat.col(h3), hdim
-                                )
-                            )
-                        if lhs != rhs:
-                            derivation.add_failure(
-                                one_based(((i, j), (h1, h2, h3))),
-                                f"pair {tuple_label(lspace, (i, j))}, "
-                                f"triple {tuple_label(hspace, (h1, h2, h3))}",
-                                format_vector(hspace, lhs),
-                                format_vector(hspace, rhs),
-                            )
-                        annihilation.checked += 1
-                        if mat is None:
-                            continue
-                        out = _apply_first(hb, mat.col(h1), h2, h3, hdim)
-                        if not out.is_zero():
-                            annihilation.add_failure(
-                                one_based(((i, j), (h1, h2, h3))),
-                                f"pair {tuple_label(lspace, (i, j))}, "
-                                f"triple {tuple_label(hspace, (h1, h2, h3))}",
-                                format_vector(hspace, out),
-                                "0",
-                            )
+    def derivation(t):
+        (i, j), (h1, h2, h3) = t
+        mat = rho.at(i, j)
+        if mat is None:
+            return zero, zero
+        val = hb(h1, h2, h3)
+        lhs = zero if val is None else mat.mul_vec(val)
+        rhs = (
+            _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero)
+            + _extend(lambda m: hb(h1, m, h3), mat.col(h2), zero)
+            + _extend(lambda m: hb(h1, h2, m), mat.col(h3), zero)
+        )
+        return lhs, rhs
+
+    def annihilation(t):
+        (i, j), (h1, h2, h3) = t
+        mat = rho.at(i, j)
+        if mat is None:
+            return zero, zero
+        return _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero), zero
+
+    for name, sides in (
+        ("derivation law", derivation),
+        ("annihilation law", annihilation),
+    ):
+        rep.law(
+            name,
+            "increasing pairs x all ordered carrier triples",
+            product(
+                combinations(range(lspace.dim), 2),
+                product(range(hspace.dim), repeat=3),
+            ),
+            sides,
+            partial(format_vector, hspace),
+            lambda t: f"pair {tuple_label(lspace, t[0])}, "
+            f"triple {tuple_label(hspace, t[1])}",
+        )
     return rep
 
 
@@ -384,41 +341,30 @@ def _check_net_impl(
     lam_cols = p.tensor_columns()
     lb, hb, rho = p.l_bracket, p.h_bracket, p.rho
 
-    scope = (
-        "all ordered carrier triples"
-        if mode == "all"
-        else "increasing carrier triples"
-    )
-    line = rep.line("embedding-tensor condition", scope)
     if mode == "all":
-        triples = (
-            (i, j, k)
-            for i in range(hdim)
-            for j in range(hdim)
-            for k in range(hdim)
-        )
+        scope = "all ordered carrier triples"
+        triples = product(range(hdim), repeat=3)
     else:
-        triples = (
-            (i, j, k)
-            for i in range(hdim)
-            for j in range(i + 1, hdim)
-            for k in range(j + 1, hdim)
-        )
-    for i, j, k in triples:
-        line.checked += 1
+        scope = "increasing carrier triples"
+        triples = combinations(range(hdim), 3)
+
+    def condition(t):
+        i, j, k = t
         lhs = lb.eval(lam_cols[i], lam_cols[j], lam_cols[k])
         inner = rho.apply(lam_cols[i], lam_cols[j], hspace.basis_vector(k))
         hval = hb.value(i, j, k)
         if hval is not None:
             inner = inner + hval
-        rhs = lam.apply(inner)
-        if lhs != rhs:
-            line.add_failure(
-                one_based((i, j, k)),
-                tuple_label(hspace, (i, j, k)),
-                format_vector(lspace, lhs),
-                format_vector(lspace, rhs),
-            )
+        return lhs, lam.apply(inner)
+
+    rep.law(
+        "embedding-tensor condition",
+        scope,
+        triples,
+        condition,
+        partial(format_vector, lspace),
+        partial(tuple_label, hspace),
+    )
     return rep
 
 
@@ -607,88 +553,75 @@ def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:
 
     hspace_src = src.h_space
     lspace_src = src.l_space
-    inter = rep.line("tensor intertwining", "carrier basis vectors")
-    for i in range(hspace_src.dim):
-        inter.checked += 1
-        lhs = dst.tensor.apply(h.f_h.column(i))
-        rhs = h.f_l.apply(src.tensor.column(i))
-        if lhs != rhs:
-            inter.add_failure(
-                one_based((i,)),
-                f"({hspace_src.label(i)})",
-                format_vector(dst.l_space, lhs),
-                format_vector(dst.l_space, rhs),
-            )
-
-    act = rep.line(
-        "action intertwining", "increasing algebra pairs (operator identity)"
+    inter = rep.law(
+        "tensor intertwining",
+        "carrier basis vectors",
+        ((i,) for i in range(hspace_src.dim)),
+        lambda t: (
+            dst.tensor.apply(h.f_h.column(t[0])),
+            h.f_l.apply(src.tensor.column(t[0])),
+        ),
+        partial(format_vector, dst.l_space),
+        lambda t: f"({hspace_src.label(t[0])})",
     )
-    for i in range(lspace_src.dim):
-        for j in range(i + 1, lspace_src.dim):
-            act.checked += 1
-            mat = src.rho.at(i, j)
-            lhs = (
-                h.f_h.matrix.mul(mat)
-                if mat is not None
-                else Matrix.zeros(dst.h_space.dim, hspace_src.dim)
-            )
-            rhs = dst.rho.eval(
-                h.f_l.column(i), h.f_l.column(j)
-            ).mul(h.f_h.matrix)
-            if lhs != rhs:
-                act.add_failure(
-                    one_based(((i, j),)),
-                    f"pair {tuple_label(lspace_src, (i, j))}",
-                    format_matrix(lhs),
-                    format_matrix(rhs),
-                )
+
+    def action_sides(t):
+        ((i, j),) = t
+        mat = src.rho.at(i, j)
+        lhs = (
+            h.f_h.matrix.mul(mat)
+            if mat is not None
+            else Matrix.zeros(dst.h_space.dim, hspace_src.dim)
+        )
+        rhs = dst.rho.eval(h.f_l.column(i), h.f_l.column(j)).mul(h.f_h.matrix)
+        return lhs, rhs
+
+    act = rep.law(
+        "action intertwining",
+        "increasing algebra pairs (operator identity)",
+        ((pair,) for pair in combinations(range(lspace_src.dim), 2)),
+        action_sides,
+        format_matrix,
+        lambda t: f"pair {tuple_label(lspace_src, t[0])}",
+    )
 
     if inter.passed and act.passed:
         desc_src = _descendent_table(src)
         desc_dst = _descendent_table(dst)
-        desc_line = rep.line(
-            "descendent bracket preserved", "all ordered carrier triples"
-        )
-        brace_line = rep.line(
-            "induced braces preserved", "all ordered carrier triples"
-        )
         fh_cols = [h.f_h.column(i) for i in range(hspace_src.dim)]
         lam_cols_src = src.tensor_columns()
-        lam_cols_dst = dst.tensor_columns()
-        rng = range(hspace_src.dim)
         zero_h = hspace_src.zero()
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    desc_line.checked += 1
-                    val = desc_src.value(i, j, k)
-                    lhs = h.f_h.apply(val if val is not None else zero_h)
-                    rhs = desc_dst.eval(fh_cols[i], fh_cols[j], fh_cols[k])
-                    if lhs != rhs:
-                        desc_line.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(hspace_src, (i, j, k)),
-                            format_vector(dst.h_space, lhs),
-                            format_vector(dst.h_space, rhs),
-                        )
-                    brace_line.checked += 1
-                    blhs = h.f_h.apply(
-                        src.rho.apply(
-                            lam_cols_src[i],
-                            lam_cols_src[j],
-                            hspace_src.basis_vector(k),
-                        )
-                    )
-                    brhs = dst.rho.apply(
-                        dst.tensor.apply(fh_cols[i]),
-                        dst.tensor.apply(fh_cols[j]),
-                        fh_cols[k],
-                    )
-                    if blhs != brhs:
-                        brace_line.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(hspace_src, (i, j, k)),
-                            format_vector(dst.h_space, blhs),
-                            format_vector(dst.h_space, brhs),
-                        )
+
+        def descendent_sides(t):
+            i, j, k = t
+            val = desc_src.value(i, j, k)
+            lhs = h.f_h.apply(val if val is not None else zero_h)
+            return lhs, desc_dst.eval(fh_cols[i], fh_cols[j], fh_cols[k])
+
+        def brace_sides(t):
+            i, j, k = t
+            lhs = h.f_h.apply(
+                src.rho.apply(
+                    lam_cols_src[i], lam_cols_src[j], hspace_src.basis_vector(k)
+                )
+            )
+            rhs = dst.rho.apply(
+                dst.tensor.apply(fh_cols[i]),
+                dst.tensor.apply(fh_cols[j]),
+                fh_cols[k],
+            )
+            return lhs, rhs
+
+        for name, sides in (
+            ("descendent bracket preserved", descendent_sides),
+            ("induced braces preserved", brace_sides),
+        ):
+            rep.law(
+                name,
+                "all ordered carrier triples",
+                product(range(hspace_src.dim), repeat=3),
+                sides,
+                partial(format_vector, dst.h_space),
+                partial(tuple_label, hspace_src),
+            )
     return rep

@@ -18,6 +18,8 @@ stored symmetry make that sound; everything else runs over all ordered tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations, product
 
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, _rref
@@ -25,9 +27,10 @@ from .multilinear import (
     AlternatingTrilinearTable,
     Space,
     TrilinearTable,
+    _extend,
     format_vector,
 )
-from .report import Report, one_based, tuple_label
+from .report import Report, tuple_label
 
 
 class ThreeLieAlgebra:
@@ -198,38 +201,17 @@ def _vec_or_zero(space: Space, v: Vector | None) -> Vector:
     return space.zero() if v is None else v
 
 
-def _apply_first(table, v: Vector | None, j: int, k: int, dim: int) -> Vector:
-    """Linear extension of the bracket in its first slot: [v, e_j, e_k]."""
-    acc = Vector.zero(dim)
-    if v is None:
-        return acc
-    for m, c in v.iter_nonzero():
-        val = table.value(m, j, k)
-        if val is not None:
-            acc = acc + val.scale(c)
-    return acc
-
-
-def _apply_second(table, i: int, v: Vector | None, k: int, dim: int) -> Vector:
-    acc = Vector.zero(dim)
-    if v is None:
-        return acc
-    for m, c in v.iter_nonzero():
-        val = table.value(i, m, k)
-        if val is not None:
-            acc = acc + val.scale(c)
-    return acc
-
-
-def _apply_third(table, i: int, j: int, v: Vector | None, dim: int) -> Vector:
-    acc = Vector.zero(dim)
-    if v is None:
-        return acc
-    for m, c in v.iter_nonzero():
-        val = table.value(i, j, m)
-        if val is not None:
-            acc = acc + val.scale(c)
-    return acc
+def _fundamental_sides(table, b1, b2, c, d, e, zero):
+    """Both sides of [b1, b2, [c, d, e]] = [[b1, b2, c], d, e]
+    + [c, [b1, b2, d], e] + [c, d, [b1, b2, e]] on basis vectors."""
+    value = table.value
+    lhs = _extend(lambda m: value(b1, b2, m), value(c, d, e), zero)
+    rhs = (
+        _extend(lambda m: value(m, d, e), value(b1, b2, c), zero)
+        + _extend(lambda m: value(c, m, e), value(b1, b2, d), zero)
+        + _extend(lambda m: value(c, d, m), value(b1, b2, e), zero)
+    )
+    return lhs, rhs
 
 
 def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
@@ -239,183 +221,103 @@ def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     checking increasing pairs against increasing triples is exhaustive.
     """
     space = a.space
-    dim = space.dim
+    rng = range(space.dim)
+    zero = space.zero()
     rep = Report(title or f"3-Lie axioms on {space.name}")
-    line = rep.line(
-        "fundamental identity", "increasing pairs x increasing triples"
+    rep.law(
+        "fundamental identity",
+        "increasing pairs x increasing triples",
+        product(combinations(rng, 2), combinations(rng, 3)),
+        lambda t: _fundamental_sides(a.bracket, *t[0], *t[1], zero),
+        partial(format_vector, space),
+        lambda t: f"pair {tuple_label(space, t[0])}, "
+        f"triple {tuple_label(space, t[1])}",
     )
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    triples = [
-        (p, q, r)
-        for p in range(dim)
-        for q in range(p + 1, dim)
-        for r in range(q + 1, dim)
-    ]
-    for i, j in pairs:
-        for p, q, r in triples:
-            line.checked += 1
-            lhs = _apply_third(a.bracket, i, j, a.value(p, q, r), dim)
-            rhs = (
-                _apply_first(a.bracket, a.value(i, j, p), q, r, dim)
-                + _apply_second(a.bracket, p, a.value(i, j, q), r, dim)
-                + _apply_third(a.bracket, p, q, a.value(i, j, r), dim)
-            )
-            if lhs != rhs:
-                line.add_failure(
-                    one_based(((i, j), (p, q, r))),
-                    f"pair {tuple_label(space, (i, j))}, "
-                    f"triple {tuple_label(space, (p, q, r))}",
-                    format_vector(space, lhs),
-                    format_vector(space, rhs),
-                )
     return rep
 
 
 def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
     """Verify the derivation identity with no symmetry: all ordered 5-tuples."""
     space = a.space
-    dim = space.dim
+    zero = space.zero()
     rep = Report(title or f"ternary Leibniz axioms on {space.name}")
-    line = rep.line("fundamental identity", "all ordered basis 5-tuples")
-    table = a.bracket
-    rng = range(dim)
-    for b1 in rng:
-        for b2 in rng:
-            for c in rng:
-                for d in rng:
-                    for e in rng:
-                        line.checked += 1
-                        lhs = _apply_third(
-                            table, b1, b2, table.value(c, d, e), dim
-                        )
-                        rhs = (
-                            _apply_first(table, table.value(b1, b2, c), d, e, dim)
-                            + _apply_second(table, c, table.value(b1, b2, d), e, dim)
-                            + _apply_third(table, c, d, table.value(b1, b2, e), dim)
-                        )
-                        if lhs != rhs:
-                            line.add_failure(
-                                one_based((b1, b2, c, d, e)),
-                                tuple_label(space, (b1, b2, c, d, e)),
-                                format_vector(space, lhs),
-                                format_vector(space, rhs),
-                            )
+    rep.law(
+        "fundamental identity",
+        "all ordered basis 5-tuples",
+        product(range(space.dim), repeat=5),
+        lambda t: _fundamental_sides(a.bracket, *t, zero),
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
     return rep
 
 
 def check_lie(a: LieAlgebra, title: str | None = None) -> Report:
     """Jacobi identity on increasing basis triples."""
     space = a.space
-    dim = space.dim
+    zero = space.zero()
+    value = a.value
     rep = Report(title or f"Lie axioms on {space.name}")
-    line = rep.line("Jacobi identity", "increasing basis triples")
 
-    def bracket_with_basis(v: Vector | None, k: int) -> Vector:
-        acc = Vector.zero(dim)
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            val = a.value(m, k)
-            if val is not None:
-                acc = acc + val.scale(c)
-        return acc
+    def jacobi(t):
+        i, j, k = t
+        jac = (
+            _extend(lambda m: value(m, k), value(i, j), zero)
+            + _extend(lambda m: value(m, i), value(j, k), zero)
+            + _extend(lambda m: value(m, j), value(k, i), zero)
+        )
+        return jac, zero
 
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                line.checked += 1
-                jac = (
-                    bracket_with_basis(a.value(i, j), k)
-                    + bracket_with_basis(a.value(j, k), i)
-                    + bracket_with_basis(a.value(k, i), j)
-                )
-                if not jac.is_zero():
-                    line.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(space, (i, j, k)),
-                        format_vector(space, jac),
-                        "0",
-                    )
+    rep.law(
+        "Jacobi identity",
+        "increasing basis triples",
+        combinations(range(space.dim), 3),
+        jacobi,
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
     return rep
 
 
 def check_leibniz_lie(a: LeibnizLieAlgebra, title: str | None = None) -> Report:
     """Verify the product laws of a Lie algebra with a compatible product."""
     space = a.space
-    dim = space.dim
+    zero = space.zero()
+    prod, lie = a.product, a.lie.value
     rep = Report(title or f"Leibniz-Lie axioms on {space.name}")
     jac = check_lie(a.lie)
     rep.absorb(jac, "underlying Lie algebra")
 
-    def prod_first(v: Vector | None, k: int) -> Vector:
-        acc = Vector.zero(dim)
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            val = a.product(m, k)
-            if val is not None:
-                acc = acc + val.scale(c)
-        return acc
+    def left_multiplication(t):
+        i, j, k = t
+        lhs = _extend(lambda m: prod(i, m), prod(j, k), zero)
+        rhs = (
+            _extend(lambda m: prod(m, k), prod(i, j), zero)
+            + _extend(lambda m: prod(j, m), prod(i, k), zero)
+            + _extend(lambda m: prod(m, k), lie(i, j), zero)
+        )
+        return lhs, rhs
 
-    def prod_second(i: int, v: Vector | None) -> Vector:
-        acc = Vector.zero(dim)
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            val = a.product(i, m)
-            if val is not None:
-                acc = acc + val.scale(c)
-        return acc
-
-    def lie_first(v: Vector | None, k: int) -> Vector:
-        acc = Vector.zero(dim)
-        if v is None:
-            return acc
-        for m, c in v.iter_nonzero():
-            val = a.lie.value(m, k)
-            if val is not None:
-                acc = acc + val.scale(c)
-        return acc
-
-    rng = range(dim)
-    law = rep.line("left multiplication law", "all ordered basis triples")
-    vanish1 = rep.line("product kills brackets", "all ordered basis triples")
-    vanish2 = rep.line("bracket kills products", "all ordered basis triples")
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                law.checked += 1
-                lhs = prod_second(i, a.product(j, k))
-                rhs = (
-                    prod_first(a.product(i, j), k)
-                    + prod_second(j, a.product(i, k))
-                    + prod_first(a.lie.value(i, j), k)
-                )
-                if lhs != rhs:
-                    law.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(space, (i, j, k)),
-                        format_vector(space, lhs),
-                        format_vector(space, rhs),
-                    )
-                vanish1.checked += 1
-                v1 = prod_second(i, a.lie.value(j, k))
-                if not v1.is_zero():
-                    vanish1.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(space, (i, j, k)),
-                        format_vector(space, v1),
-                        "0",
-                    )
-                vanish2.checked += 1
-                v2 = lie_first(a.product(i, j), k)
-                if not v2.is_zero():
-                    vanish2.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(space, (i, j, k)),
-                        format_vector(space, v2),
-                        "0",
-                    )
+    laws = (
+        ("left multiplication law", left_multiplication),
+        (
+            "product kills brackets",
+            lambda t: (_extend(lambda m: prod(t[0], m), lie(t[1], t[2]), zero), zero),
+        ),
+        (
+            "bracket kills products",
+            lambda t: (_extend(lambda m: lie(m, t[2]), prod(t[0], t[1]), zero), zero),
+        ),
+    )
+    for name, sides in laws:
+        rep.law(
+            name,
+            "all ordered basis triples",
+            product(range(space.dim), repeat=3),
+            sides,
+            partial(format_vector, space),
+            partial(tuple_label, space),
+        )
     return rep
 
 
@@ -426,80 +328,52 @@ def check_3ll(a: ThreeLeibnizLieAlgebra, title: str | None = None) -> Report:
     that bracket, so their verdict would be meaningless.
     """
     space = a.space
-    dim = space.dim
+    zero = space.zero()
     rep = Report(title or f"ternary brace axioms on {space.name}")
     gate = check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
     if not gate.ok:
         rep.absorb(gate, "underlying bracket")
         return rep.refuse("underlying bracket fails the fundamental identity")
 
-    braces = a.braces
-    bracket = a.lie3.bracket
-    law = rep.line(
-        "brace compatibility law", "all ordered basis 5-tuples"
+    brace = a.braces.value
+    bracket = a.lie3.bracket.value
+
+    def compatibility(t):
+        h1, h2, h3, h4, h5 = t
+        lhs, rhs = _fundamental_sides(a.braces, *t, zero)
+        rhs = (
+            rhs
+            + _extend(lambda m: brace(m, h4, h5), bracket(h1, h2, h3), zero)
+            + _extend(lambda m: brace(h3, m, h5), bracket(h1, h2, h4), zero)
+        )
+        return lhs, rhs
+
+    laws = (
+        ("brace compatibility law", compatibility),
+        (
+            "braces kill bracket outputs",
+            lambda t: (
+                _extend(lambda m: brace(t[0], t[1], m), bracket(*t[2:]), zero),
+                zero,
+            ),
+        ),
+        (
+            "bracket kills brace outputs",
+            lambda t: (
+                _extend(lambda m: bracket(m, t[3], t[4]), brace(*t[:3]), zero),
+                zero,
+            ),
+        ),
     )
-    vanish_inner = rep.line(
-        "braces kill bracket outputs", "all ordered basis 5-tuples"
-    )
-    vanish_outer = rep.line(
-        "bracket kills brace outputs", "all ordered basis 5-tuples"
-    )
-    rng = range(dim)
-    for h1 in rng:
-        for h2 in rng:
-            for h3 in rng:
-                for h4 in rng:
-                    for h5 in rng:
-                        law.checked += 1
-                        lhs = _apply_third(
-                            braces, h1, h2, braces.value(h3, h4, h5), dim
-                        )
-                        rhs = (
-                            _apply_first(
-                                braces, braces.value(h1, h2, h3), h4, h5, dim
-                            )
-                            + _apply_second(
-                                braces, h3, braces.value(h1, h2, h4), h5, dim
-                            )
-                            + _apply_third(
-                                braces, h3, h4, braces.value(h1, h2, h5), dim
-                            )
-                            + _apply_first(
-                                braces, bracket.value(h1, h2, h3), h4, h5, dim
-                            )
-                            + _apply_second(
-                                braces, h3, bracket.value(h1, h2, h4), h5, dim
-                            )
-                        )
-                        if lhs != rhs:
-                            law.add_failure(
-                                one_based((h1, h2, h3, h4, h5)),
-                                tuple_label(space, (h1, h2, h3, h4, h5)),
-                                format_vector(space, lhs),
-                                format_vector(space, rhs),
-                            )
-                        vanish_inner.checked += 1
-                        v1 = _apply_third(
-                            braces, h1, h2, bracket.value(h3, h4, h5), dim
-                        )
-                        if not v1.is_zero():
-                            vanish_inner.add_failure(
-                                one_based((h1, h2, h3, h4, h5)),
-                                tuple_label(space, (h1, h2, h3, h4, h5)),
-                                format_vector(space, v1),
-                                "0",
-                            )
-                        vanish_outer.checked += 1
-                        v2 = _apply_first(
-                            bracket, braces.value(h1, h2, h3), h4, h5, dim
-                        )
-                        if not v2.is_zero():
-                            vanish_outer.add_failure(
-                                one_based((h1, h2, h3, h4, h5)),
-                                tuple_label(space, (h1, h2, h3, h4, h5)),
-                                format_vector(space, v2),
-                                "0",
-                            )
+    for name, sides in laws:
+        rep.law(
+            name,
+            "all ordered basis 5-tuples",
+            product(range(space.dim), repeat=5),
+            sides,
+            partial(format_vector, space),
+            partial(tuple_label, space),
+        )
     return rep
 
 
@@ -529,6 +403,23 @@ def subadjacent(a: ThreeLeibnizLieAlgebra) -> ThreeLeibnizAlgebra:
     )
 
 
+# per kind: (line, scope, the part of the structure it compares or None)
+_HOM_LAWS = {
+    "lie": (("binary bracket preserved", "increasing basis pairs", None),),
+    "3lie": (("ternary bracket preserved", "increasing basis triples", None),),
+    "3leibniz": (("ternary bracket preserved", "all ordered basis triples", None),),
+    "3ll": (
+        ("ternary bracket preserved", "increasing basis triples", "lie3"),
+        ("braces preserved", "all ordered basis triples", "braces"),
+    ),
+}
+_HOM_TUPLES = {
+    "increasing basis pairs": lambda rng: combinations(rng, 2),
+    "increasing basis triples": lambda rng: combinations(rng, 3),
+    "all ordered basis triples": lambda rng: product(rng, repeat=3),
+}
+
+
 def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Report:
     """Verify that f carries the source structure constants to the target.
 
@@ -538,6 +429,9 @@ def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Re
     rep = Report(title or f"structure map check ({kind})")
     if f.source.dim != src.space.dim or f.target.dim != dst.space.dim:
         raise InputError("map endpoints do not match the given structures")
+    laws = _HOM_LAWS.get(kind)
+    if laws is None:
+        raise InputError(f"unknown structure kind {kind!r}")
     space = src.space
     dim = space.dim
     out_space = dst.space
@@ -546,82 +440,18 @@ def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Re
         return f.apply(_vec_or_zero(space, v))
 
     images = [f.column(i) for i in range(dim)]
-
-    if kind == "lie":
-        line = rep.line("binary bracket preserved", "increasing basis pairs")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                line.checked += 1
-                lhs = push(src.value(i, j))
-                rhs = dst.eval(images[i], images[j])
-                if lhs != rhs:
-                    line.add_failure(
-                        one_based((i, j)),
-                        tuple_label(space, (i, j)),
-                        format_vector(out_space, lhs),
-                        format_vector(out_space, rhs),
-                    )
-    elif kind == "3lie":
-        line = rep.line("ternary bracket preserved", "increasing basis triples")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    line.checked += 1
-                    lhs = push(src.value(i, j, k))
-                    rhs = dst.eval(images[i], images[j], images[k])
-                    if lhs != rhs:
-                        line.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(space, (i, j, k)),
-                            format_vector(out_space, lhs),
-                            format_vector(out_space, rhs),
-                        )
-    elif kind == "3leibniz":
-        line = rep.line("ternary bracket preserved", "all ordered basis triples")
-        rng = range(dim)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    line.checked += 1
-                    lhs = push(src.value(i, j, k))
-                    rhs = dst.eval(images[i], images[j], images[k])
-                    if lhs != rhs:
-                        line.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(space, (i, j, k)),
-                            format_vector(out_space, lhs),
-                            format_vector(out_space, rhs),
-                        )
-    elif kind == "3ll":
-        bline = rep.line("ternary bracket preserved", "increasing basis triples")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    bline.checked += 1
-                    lhs = push(src.lie3.value(i, j, k))
-                    rhs = dst.lie3.eval(images[i], images[j], images[k])
-                    if lhs != rhs:
-                        bline.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(space, (i, j, k)),
-                            format_vector(out_space, lhs),
-                            format_vector(out_space, rhs),
-                        )
-        gline = rep.line("braces preserved", "all ordered basis triples")
-        rng = range(dim)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    gline.checked += 1
-                    lhs = push(src.braces.value(i, j, k))
-                    rhs = dst.braces.eval(images[i], images[j], images[k])
-                    if lhs != rhs:
-                        gline.add_failure(
-                            one_based((i, j, k)),
-                            tuple_label(space, (i, j, k)),
-                            format_vector(out_space, lhs),
-                            format_vector(out_space, rhs),
-                        )
-    else:
-        raise InputError(f"unknown structure kind {kind!r}")
+    for name, scope, part in laws:
+        source = src if part is None else getattr(src, part)
+        target = dst if part is None else getattr(dst, part)
+        rep.law(
+            name,
+            scope,
+            _HOM_TUPLES[scope](range(dim)),
+            lambda t: (
+                push(source.value(*t)),
+                target.eval(*(images[x] for x in t)),
+            ),
+            partial(format_vector, out_space),
+            partial(tuple_label, space),
+        )
     return rep

@@ -74,6 +74,10 @@ def _load(args) -> Document:
 def _witness_cap(args):
     if getattr(args, "all_witnesses", False):
         return None
+    if args.max_witnesses < 0:
+        raise InputError(
+            f"--max-witnesses must be at least 0, got {args.max_witnesses}"
+        )
     return args.max_witnesses
 
 
@@ -623,6 +627,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "max_witnesses"):
+            _witness_cap(args)  # reject a bad cap before any work
         return args.handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

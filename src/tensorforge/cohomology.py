@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .actions import (
@@ -27,8 +28,14 @@ from .actions import (
 from .algebras import LinearMap, ThreeLeibnizAlgebra, check_3leibniz
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
-from .multilinear import Space, TrilinearTable, WedgePairBasis, format_matrix
-from .report import Report, one_based, tuple_label
+from .multilinear import (
+    Space,
+    TrilinearTable,
+    WedgePairBasis,
+    _extend,
+    format_matrix,
+)
+from .report import Report, tuple_label
 
 DEFAULT_DEGREE_CAP = 3
 
@@ -100,24 +107,6 @@ class ThreeLeibnizRep:
         return self.r_act.get((i, j))
 
 
-def _op_mix(table: dict, vdim: int, first, second) -> Matrix:
-    """Bilinear extension of an operator family over (vector|index) slots."""
-    acc = Matrix.zeros(vdim, vdim)
-    if isinstance(first, Vector) and isinstance(second, int):
-        for m, c in first.iter_nonzero():
-            mat = table.get((m, second))
-            if mat is not None:
-                acc = acc + mat.scale(c)
-    elif isinstance(first, int) and isinstance(second, Vector):
-        for m, c in second.iter_nonzero():
-            mat = table.get((first, m))
-            if mat is not None:
-                acc = acc + mat.scale(c)
-    else:
-        raise TypeError("one slot must be an index and the other a vector")
-    return acc
-
-
 def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
     """Verify the five compatibility laws of the three operator families.
 
@@ -130,111 +119,56 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
         return rep.refuse("underlying algebra fails the fundamental identity")
 
     space = r.algebra.space
-    dim = space.dim
     vdim = r.carrier.dim
     zero = Matrix.zeros(vdim, vdim)
-    alg = r.algebra
+    value = r.algebra.value
+    l_act, m_act, r_act = r.l_act, r.m_act, r.r_act
 
-    def lm(i, j):
-        return r.l_act.get((i, j), zero)
+    def composition(act):
+        """Laws 1-3: the left operator against the family act."""
 
-    def mm(i, j):
-        return r.m_act.get((i, j), zero)
+        def sides(t):
+            a1, a2, a3, a4 = t
+            left, op = l_act.get((a1, a2), zero), act.get((a3, a4), zero)
+            rhs = (
+                op.mul(left)
+                + _extend(lambda m: act.get((m, a4)), value(a1, a2, a3), zero)
+                + _extend(lambda m: act.get((a3, m)), value(a1, a2, a4), zero)
+            )
+            return left.mul(op), rhs
 
-    def rm(i, j):
-        return r.r_act.get((i, j), zero)
+        return sides
 
-    def bval(i, j, k) -> Vector:
-        v = alg.value(i, j, k)
-        return v if v is not None else space.zero()
+    def expansion(act):
+        """Laws 4-5: the family act on a bracket in its second slot."""
 
-    lines = [
-        rep.line("left-left composition law", "all ordered basis 4-tuples"),
-        rep.line("left-middle composition law", "all ordered basis 4-tuples"),
-        rep.line("left-right composition law", "all ordered basis 4-tuples"),
-        rep.line("middle bracket-expansion law", "all ordered basis 4-tuples"),
-        rep.line("right bracket-expansion law", "all ordered basis 4-tuples"),
-    ]
-    rng = range(dim)
-    for a1 in rng:
-        for a2 in rng:
-            for a3 in rng:
-                for a4 in rng:
-                    # law 1 over (a1, a2, a3, a4)
-                    lines[0].checked += 1
-                    lhs = lm(a1, a2).mul(lm(a3, a4))
-                    rhs = (
-                        _op_mix(r.l_act, vdim, bval(a1, a2, a3), a4)
-                        + _op_mix(r.l_act, vdim, a3, bval(a1, a2, a4))
-                        + lm(a3, a4).mul(lm(a1, a2))
-                    )
-                    if lhs != rhs:
-                        lines[0].add_failure(
-                            one_based((a1, a2, a3, a4)),
-                            tuple_label(space, (a1, a2, a3, a4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
-                    # law 2 over (a1, a2, a3, a5 := a4)
-                    lines[1].checked += 1
-                    lhs = lm(a1, a2).mul(mm(a3, a4))
-                    rhs = (
-                        _op_mix(r.m_act, vdim, bval(a1, a2, a3), a4)
-                        + mm(a3, a4).mul(lm(a1, a2))
-                        + _op_mix(r.m_act, vdim, a3, bval(a1, a2, a4))
-                    )
-                    if lhs != rhs:
-                        lines[1].add_failure(
-                            one_based((a1, a2, a3, a4)),
-                            tuple_label(space, (a1, a2, a3, a4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
-                    # law 3 over (a1, a2, a4 := a3, a5 := a4)
-                    lines[2].checked += 1
-                    lhs = lm(a1, a2).mul(rm(a3, a4))
-                    rhs = (
-                        rm(a3, a4).mul(lm(a1, a2))
-                        + _op_mix(r.r_act, vdim, bval(a1, a2, a3), a4)
-                        + _op_mix(r.r_act, vdim, a3, bval(a1, a2, a4))
-                    )
-                    if lhs != rhs:
-                        lines[2].add_failure(
-                            one_based((a1, a2, a3, a4)),
-                            tuple_label(space, (a1, a2, a3, a4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
-                    # law 4 over (a1, a3 := a2, a4 := a3, a5 := a4)
-                    lines[3].checked += 1
-                    lhs = _op_mix(r.m_act, vdim, a1, bval(a2, a3, a4))
-                    rhs = (
-                        rm(a3, a4).mul(mm(a1, a2))
-                        + mm(a2, a4).mul(mm(a1, a3))
-                        + lm(a2, a3).mul(mm(a1, a4))
-                    )
-                    if lhs != rhs:
-                        lines[3].add_failure(
-                            one_based((a1, a2, a3, a4)),
-                            tuple_label(space, (a1, a2, a3, a4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
-                    # law 5 over (a2 := a1, a3 := a2, a4 := a3, a5 := a4)
-                    lines[4].checked += 1
-                    lhs = _op_mix(r.r_act, vdim, a1, bval(a2, a3, a4))
-                    rhs = (
-                        rm(a3, a4).mul(rm(a1, a2))
-                        + mm(a2, a4).mul(rm(a1, a3))
-                        + lm(a2, a3).mul(rm(a1, a4))
-                    )
-                    if lhs != rhs:
-                        lines[4].add_failure(
-                            one_based((a1, a2, a3, a4)),
-                            tuple_label(space, (a1, a2, a3, a4)),
-                            format_matrix(lhs),
-                            format_matrix(rhs),
-                        )
+        def sides(t):
+            a1, a2, a3, a4 = t
+            lhs = _extend(lambda m: act.get((a1, m)), value(a2, a3, a4), zero)
+            rhs = (
+                r_act.get((a3, a4), zero).mul(act.get((a1, a2), zero))
+                + m_act.get((a2, a4), zero).mul(act.get((a1, a3), zero))
+                + l_act.get((a2, a3), zero).mul(act.get((a1, a4), zero))
+            )
+            return lhs, rhs
+
+        return sides
+
+    for name, sides in (
+        ("left-left composition law", composition(l_act)),
+        ("left-middle composition law", composition(m_act)),
+        ("left-right composition law", composition(r_act)),
+        ("middle bracket-expansion law", expansion(m_act)),
+        ("right bracket-expansion law", expansion(r_act)),
+    ):
+        rep.law(
+            name,
+            "all ordered basis 4-tuples",
+            product(range(space.dim), repeat=4),
+            sides,
+            format_matrix,
+            partial(tuple_label, space),
+        )
     return rep
 
 

@@ -11,6 +11,8 @@ classifies directions modulo trivial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, product
 
 from .actions import EmbeddingTensorProblem, check_net
 from .algebras import LinearMap
@@ -25,7 +27,7 @@ from .linalg import (
     solve_membership,
 )
 from .multilinear import format_matrix, format_vector
-from .report import Report, one_based, tuple_label
+from .report import Report, tuple_label
 
 
 @dataclass
@@ -68,20 +70,25 @@ def _same_problem(p1: EmbeddingTensorProblem, p2: EmbeddingTensorProblem) -> boo
     )
 
 
-def _first_order_residual(d: Deformation, i: int, j: int, k: int) -> Vector:
-    """Degree-one part of the tensor condition for basis triple (i, j, k)."""
+def _first_order_residual(d: Deformation, L, M, t) -> Vector:
+    """Degree-one part of the tensor condition on the basis triple t.
+
+    L and M are the columns of the tensor and of the direction.
+    """
     p = d.problem
     lam, lam1 = p.tensor, d.direction
-    lb, rho, hb = p.l_bracket, p.rho, p.h_bracket
-    hspace = p.h_space
-    ei, ej, ek = (hspace.basis_vector(t) for t in (i, j, k))
-    Li, Lj, Lk = lam.apply(ei), lam.apply(ej), lam.apply(ek)
-    Mi, Mj, Mk = lam1.apply(ei), lam1.apply(ej), lam1.apply(ek)
-    res = lb.eval(Mi, Lj, Lk) + lb.eval(Li, Mj, Lk) + lb.eval(Li, Lj, Mk)
-    res = res - lam1.apply(rho.apply(Li, Lj, ek))
-    res = res - lam.apply(rho.apply(Mi, Lj, ek))
-    res = res - lam.apply(rho.apply(Li, Mj, ek))
-    hv = hb.value(i, j, k)
+    lb, rho = p.l_bracket, p.rho
+    i, j, k = t
+    ek = p.h_space.basis_vector(k)
+    res = (
+        lb.eval(M[i], L[j], L[k])
+        + lb.eval(L[i], M[j], L[k])
+        + lb.eval(L[i], L[j], M[k])
+    )
+    res = res - lam1.apply(rho.apply(L[i], L[j], ek))
+    res = res - lam.apply(rho.apply(M[i], L[j], ek))
+    res = res - lam.apply(rho.apply(L[i], M[j], ek))
+    hv = p.h_bracket.value(i, j, k)
     if hv is not None:
         res = res - lam1.apply(hv)
     return res
@@ -101,20 +108,17 @@ def check_infinitesimal(d: Deformation) -> Report:
 
     p = d.problem
     hspace = p.h_space
-    hdim = hspace.dim
-    line = rep.line("first-order tensor condition", "all ordered basis triples")
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                line.checked += 1
-                res = _first_order_residual(d, i, j, k)
-                if not res.is_zero():
-                    line.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(hspace, (i, j, k)),
-                        format_vector(p.l_space, res),
-                        "0",
-                    )
+    L = p.tensor_columns()
+    M = [d.direction.column(i) for i in range(hspace.dim)]
+    zero = p.l_space.zero()
+    line = rep.law(
+        "first-order tensor condition",
+        "all ordered basis triples",
+        product(range(hspace.dim), repeat=3),
+        lambda t: (_first_order_residual(d, L, M, t), zero),
+        partial(format_vector, p.l_space),
+        partial(tuple_label, hspace),
+    )
 
     complex_ = CochainComplex(p)
     phi = complex_.cochain_from_linear_map(d.direction)
@@ -157,45 +161,41 @@ def check_higher_order(d: Deformation) -> Report:
     p = d.problem
     lam, lam1 = p.tensor, d.direction
     lb, rho, hspace = p.l_bracket, p.rho, p.h_space
-    hdim = hspace.dim
-    second = rep.line("second-order condition", "all ordered basis triples")
-    third = rep.line("third-order condition", "all ordered basis triples")
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                ei, ej, ek = (hspace.basis_vector(t) for t in (i, j, k))
-                Li, Lj, Lk = lam.apply(ei), lam.apply(ej), lam.apply(ek)
-                Mi, Mj, Mk = lam1.apply(ei), lam1.apply(ej), lam1.apply(ek)
+    L = p.tensor_columns()
+    M = [lam1.column(i) for i in range(hspace.dim)]
 
-                second.checked += 1
-                lhs = (
-                    lb.eval(Mi, Mj, Lk)
-                    + lb.eval(Mi, Lj, Mk)
-                    + lb.eval(Li, Mj, Mk)
-                )
-                rhs = (
-                    lam1.apply(rho.apply(Mi, Lj, ek))
-                    + lam1.apply(rho.apply(Li, Mj, ek))
-                    + lam.apply(rho.apply(Mi, Mj, ek))
-                )
-                if lhs != rhs:
-                    second.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(hspace, (i, j, k)),
-                        format_vector(p.l_space, lhs),
-                        format_vector(p.l_space, rhs),
-                    )
+    def second(t):
+        i, j, k = t
+        ek = hspace.basis_vector(k)
+        lhs = (
+            lb.eval(M[i], M[j], L[k])
+            + lb.eval(M[i], L[j], M[k])
+            + lb.eval(L[i], M[j], M[k])
+        )
+        rhs = (
+            lam1.apply(rho.apply(M[i], L[j], ek))
+            + lam1.apply(rho.apply(L[i], M[j], ek))
+            + lam.apply(rho.apply(M[i], M[j], ek))
+        )
+        return lhs, rhs
 
-                third.checked += 1
-                lhs = lb.eval(Mi, Mj, Mk)
-                rhs = lam1.apply(rho.apply(Mi, Mj, ek))
-                if lhs != rhs:
-                    third.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(hspace, (i, j, k)),
-                        format_vector(p.l_space, lhs),
-                        format_vector(p.l_space, rhs),
-                    )
+    def third(t):
+        i, j, k = t
+        lhs = lb.eval(M[i], M[j], M[k])
+        return lhs, lam1.apply(rho.apply(M[i], M[j], hspace.basis_vector(k)))
+
+    for name, sides in (
+        ("second-order condition", second),
+        ("third-order condition", third),
+    ):
+        rep.law(
+            name,
+            "all ordered basis triples",
+            product(range(hspace.dim), repeat=3),
+            sides,
+            partial(format_vector, p.l_space),
+            partial(tuple_label, hspace),
+        )
     return rep
 
 
@@ -224,28 +224,29 @@ def _decompose_wedge(x_entries: list, dim: int) -> list:
                 X[r][s] -= a1[r] * a2[s] - a2[r] * a1[s]
 
 
-def _is_bracket_derivation(bracket, op: Matrix, rep_line) -> None:
-    """Record failures of the derivation law for op against one bracket."""
+def _is_bracket_derivation(rep: Report, name: str, bracket, op: Matrix) -> None:
+    """Check the derivation law for op against one bracket, as a line of rep."""
     space = bracket.domain
-    dim = space.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                rep_line.checked += 1
-                ei, ej, ek = (space.basis_vector(t) for t in (i, j, k))
-                lhs = op.mul_vec(bracket.eval(ei, ej, ek))
-                rhs = (
-                    bracket.eval(op.mul_vec(ei), ej, ek)
-                    + bracket.eval(ei, op.mul_vec(ej), ek)
-                    + bracket.eval(ei, ej, op.mul_vec(ek))
-                )
-                if lhs != rhs:
-                    rep_line.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(space, (i, j, k)),
-                        format_vector(space, lhs),
-                        format_vector(space, rhs),
-                    )
+    basis = [space.basis_vector(t) for t in range(space.dim)]
+
+    def sides(t):
+        ei, ej, ek = (basis[x] for x in t)
+        lhs = op.mul_vec(bracket.eval(ei, ej, ek))
+        rhs = (
+            bracket.eval(op.mul_vec(ei), ej, ek)
+            + bracket.eval(ei, op.mul_vec(ej), ek)
+            + bracket.eval(ei, ej, op.mul_vec(ek))
+        )
+        return lhs, rhs
+
+    rep.law(
+        name,
+        "increasing basis triples",
+        combinations(range(space.dim), 3),
+        sides,
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
 
 
 def are_equivalent(d1: Deformation, d2: Deformation):
@@ -334,33 +335,30 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
 
     side = Report("witness side conditions")
     _is_bracket_derivation(
-        p.l_bracket,
-        d_l,
-        side.line("derivation on the outer bracket", "increasing basis triples"),
+        side, "derivation on the outer bracket", p.l_bracket, d_l
     )
     _is_bracket_derivation(
-        p.h_bracket,
-        d_h,
-        side.line("derivation on the carrier bracket", "increasing basis triples"),
+        side, "derivation on the carrier bracket", p.h_bracket, d_h
     )
-    compat = side.line("action compatibility", "increasing basis pairs")
-    for a in range(ldim):
-        for b in range(a + 1, ldim):
-            compat.checked += 1
-            ea, eb = p.l_space.basis_vector(a), p.l_space.basis_vector(b)
-            lhs = d_h.mul(p.rho.eval(ea, eb))
-            rhs = (
-                p.rho.eval(d_l.mul_vec(ea), eb)
-                + p.rho.eval(ea, d_l.mul_vec(eb))
-                + p.rho.eval(ea, eb).mul(d_h)
-            )
-            if lhs != rhs:
-                compat.add_failure(
-                    one_based((a, b)),
-                    tuple_label(p.l_space, (a, b)),
-                    format_matrix(lhs),
-                    format_matrix(rhs),
-                )
+
+    def compatibility(t):
+        ea, eb = (p.l_space.basis_vector(x) for x in t)
+        lhs = d_h.mul(p.rho.eval(ea, eb))
+        rhs = (
+            p.rho.eval(d_l.mul_vec(ea), eb)
+            + p.rho.eval(ea, d_l.mul_vec(eb))
+            + p.rho.eval(ea, eb).mul(d_h)
+        )
+        return lhs, rhs
+
+    side.law(
+        "action compatibility",
+        "increasing basis pairs",
+        combinations(range(ldim), 2),
+        compatibility,
+        format_matrix,
+        partial(tuple_label, p.l_space),
+    )
     for ln in side.checks:
         status = "holds" if ln.passed else "fails"
         detail = ""

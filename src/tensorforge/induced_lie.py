@@ -10,6 +10,8 @@ algebra lifts the same way to ternary braces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, product
 
 from .actions import (
     CoherentActionData,
@@ -35,7 +37,7 @@ from .multilinear import (
     format_matrix,
     format_vector,
 )
-from .report import Report, one_based, tuple_label
+from .report import Report, tuple_label
 
 
 @dataclass(frozen=True)
@@ -75,34 +77,31 @@ def check_trace(t: TraceMap, algebra) -> Report:
 
     rep = Report("trace check")
     space = lie.space
-    dim = space.dim
-    line = rep.line("vanishes on brackets", "increasing basis pairs")
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            line.checked += 1
-            v = lie.value(i, j)
-            val = t.apply(v) if v is not None else ZERO
-            if val != 0:
-                line.add_failure(
-                    one_based((i, j)),
-                    tuple_label(space, (i, j)),
-                    str(val),
-                    "0",
-                )
+    rng = range(space.dim)
+    laws = [
+        (
+            "vanishes on brackets",
+            "increasing basis pairs",
+            lie.value,
+            combinations(rng, 2),
+        )
+    ]
     if products is not None:
-        pline = rep.line("vanishes on products", "all ordered basis pairs")
-        for i in range(dim):
-            for j in range(dim):
-                pline.checked += 1
-                v = products.product(i, j)
-                val = t.apply(v) if v is not None else ZERO
-                if val != 0:
-                    pline.add_failure(
-                        one_based((i, j)),
-                        tuple_label(space, (i, j)),
-                        str(val),
-                        "0",
-                    )
+        laws.append(
+            (
+                "vanishes on products",
+                "all ordered basis pairs",
+                products.product,
+                product(rng, repeat=2),
+            )
+        )
+    for name, scope, value, pairs in laws:
+
+        def sides(pair):
+            v = value(*pair)
+            return (t.apply(v) if v is not None else ZERO), ZERO
+
+        rep.law(name, scope, pairs, sides, str, partial(tuple_label, space))
     return rep
 
 
@@ -203,54 +202,57 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     lspace = a.lie.space
     hspace = a.carrier.space
     ldim, hdim = lspace.dim, hspace.dim
+    ops = [a.operator(i) for i in range(ldim)]
+    basis = [hspace.basis_vector(h) for h in range(hdim)]
+    bracket = a.carrier.eval
 
-    hom = rep.line("commutator law", "increasing acting pairs")
-    for i in range(ldim):
-        for j in range(i + 1, ldim):
-            hom.checked += 1
-            v = a.lie.value(i, j)
-            lhs = a.eval(v) if v is not None else Matrix.zeros(hdim, hdim)
-            oi, oj = a.operator(i), a.operator(j)
-            rhs = oi.mul(oj) - oj.mul(oi)
-            if lhs != rhs:
-                hom.add_failure(
-                    one_based((i, j)),
-                    tuple_label(lspace, (i, j)),
-                    format_matrix(lhs),
-                    format_matrix(rhs),
-                )
+    def commutator(t):
+        i, j = t
+        v = a.lie.value(i, j)
+        lhs = a.eval(v) if v is not None else Matrix.zeros(hdim, hdim)
+        return lhs, ops[i].mul(ops[j]) - ops[j].mul(ops[i])
 
-    deriv = rep.line("derivation law", "basis operators x increasing carrier pairs")
-    kill = rep.line("annihilation law", "basis operators x all ordered carrier pairs")
-    for i in range(ldim):
-        op = a.operator(i)
-        for h1 in range(hdim):
-            e1 = hspace.basis_vector(h1)
-            for h2 in range(hdim):
-                e2 = hspace.basis_vector(h2)
-                if h1 < h2:
-                    deriv.checked += 1
-                    lhs = op.mul_vec(a.carrier.eval(e1, e2))
-                    rhs = a.carrier.eval(op.mul_vec(e1), e2) + a.carrier.eval(
-                        e1, op.mul_vec(e2)
-                    )
-                    if lhs != rhs:
-                        deriv.add_failure(
-                            one_based((i, (h1, h2))),
-                            f"{lspace.label(i)} on "
-                            f"{tuple_label(hspace, (h1, h2))}",
-                            format_vector(hspace, lhs),
-                            format_vector(hspace, rhs),
-                        )
-                kill.checked += 1
-                out = a.carrier.eval(op.mul_vec(e1), e2)
-                if not out.is_zero():
-                    kill.add_failure(
-                        one_based((i, (h1, h2))),
-                        f"{lspace.label(i)} on {tuple_label(hspace, (h1, h2))}",
-                        format_vector(hspace, out),
-                        "0",
-                    )
+    def derivation(t):
+        i, (h1, h2) = t
+        op, e1, e2 = ops[i], basis[h1], basis[h2]
+        lhs = op.mul_vec(bracket(e1, e2))
+        rhs = bracket(op.mul_vec(e1), e2) + bracket(e1, op.mul_vec(e2))
+        return lhs, rhs
+
+    def annihilation(t):
+        i, (h1, h2) = t
+        return bracket(ops[i].mul_vec(basis[h1]), basis[h2]), hspace.zero()
+
+    rep.law(
+        "commutator law",
+        "increasing acting pairs",
+        combinations(range(ldim), 2),
+        commutator,
+        format_matrix,
+        partial(tuple_label, lspace),
+    )
+    for name, scope, pairs, sides in (
+        (
+            "derivation law",
+            "basis operators x increasing carrier pairs",
+            combinations(range(hdim), 2),
+            derivation,
+        ),
+        (
+            "annihilation law",
+            "basis operators x all ordered carrier pairs",
+            product(range(hdim), repeat=2),
+            annihilation,
+        ),
+    ):
+        rep.law(
+            name,
+            scope,
+            product(range(ldim), pairs),
+            sides,
+            partial(format_vector, hspace),
+            lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
+        )
     return rep
 
 
@@ -297,25 +299,23 @@ def check_lie_net(n: LieNet) -> Report:
 
     a = n.action
     hspace = a.carrier.space
-    hdim = hspace.dim
-    line = rep.line("embedding-tensor condition", "all ordered carrier pairs")
-    for i in range(hdim):
-        ei = hspace.basis_vector(i)
-        li = n.tensor.apply(ei)
-        for j in range(hdim):
-            line.checked += 1
-            ej = hspace.basis_vector(j)
-            lj = n.tensor.apply(ej)
-            lhs = a.lie.eval(li, lj)
-            inner = a.eval(li).mul_vec(ej) + a.carrier.eval(ei, ej)
-            rhs = n.tensor.apply(inner)
-            if lhs != rhs:
-                line.add_failure(
-                    one_based((i, j)),
-                    tuple_label(hspace, (i, j)),
-                    format_vector(a.lie.space, lhs),
-                    format_vector(a.lie.space, rhs),
-                )
+    basis = [hspace.basis_vector(h) for h in range(hspace.dim)]
+    cols = [n.tensor.apply(e) for e in basis]
+
+    def condition(t):
+        i, j = t
+        lhs = a.lie.eval(cols[i], cols[j])
+        inner = a.eval(cols[i]).mul_vec(basis[j]) + a.carrier.eval(basis[i], basis[j])
+        return lhs, n.tensor.apply(inner)
+
+    rep.law(
+        "embedding-tensor condition",
+        "all ordered carrier pairs",
+        product(range(hspace.dim), repeat=2),
+        condition,
+        partial(format_vector, a.lie.space),
+        partial(tuple_label, hspace),
+    )
     return rep
 
 
@@ -343,17 +343,18 @@ def lift_net(
         )
 
     compat = Report("trace compatibility check")
-    line = compat.line("traces agree through the tensor", "carrier basis vectors")
     hspace = n.action.carrier.space
-    for u in range(hspace.dim):
-        line.checked += 1
-        eu = hspace.basis_vector(u)
-        lhs = sigma_l.apply(n.tensor.apply(eu))
-        rhs = sigma_h.at(u)
-        if lhs != rhs:
-            line.add_failure(
-                one_based((u,)), hspace.label(u), str(lhs), str(rhs)
-            )
+    compat.law(
+        "traces agree through the tensor",
+        "carrier basis vectors",
+        ((u,) for u in range(hspace.dim)),
+        lambda t: (
+            sigma_l.apply(n.tensor.apply(hspace.basis_vector(t[0]))),
+            sigma_h.at(t[0]),
+        ),
+        str,
+        lambda t: hspace.label(t[0]),
+    )
     if not compat.ok:
         raise PreconditionError(
             "the traces disagree through the tensor", compat

@@ -77,6 +77,22 @@ def format_matrix(m: Matrix) -> str:
     return ", ".join(parts) if parts else "0"
 
 
+def _extend(lookup, v: Vector | None, zero):
+    """Linear extension in one slot: the sum of v_m * lookup(m) over m.
+
+    lookup(m) is a table's value with basis vector e_m in that slot (None
+    means zero); a None v is the zero vector, and the sum starts at zero.
+    """
+    acc = zero
+    if v is None:
+        return acc
+    for m, c in v.iter_nonzero():
+        val = lookup(m)
+        if val is not None:
+            acc = acc + val.scale(c)
+    return acc
+
+
 def _check_index(space: Space, i: int, what: str):
     if not 0 <= i < space.dim:
         raise InputError(

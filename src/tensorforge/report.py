@@ -56,12 +56,14 @@ class CheckLine:
     def add_failure(self, indices, where, lhs, rhs):
         self.failures.append(Failure(indices, where, lhs, rhs))
 
+    def capped(self, max_witnesses: int | None) -> tuple[list[Failure], int]:
+        """The witnesses shown under a cap (None shows all), and how many are not."""
+        if max_witnesses is None or len(self.failures) <= max_witnesses:
+            return self.failures, 0
+        return self.failures[:max_witnesses], len(self.failures) - max_witnesses
+
     def to_json(self, max_witnesses: int | None) -> dict:
-        shown = self.failures
-        omitted = 0
-        if max_witnesses is not None and len(shown) > max_witnesses:
-            omitted = len(shown) - max_witnesses
-            shown = shown[:max_witnesses]
+        shown, omitted = self.capped(max_witnesses)
         return {
             "name": self.name,
             "scope": self.scope,
@@ -101,6 +103,22 @@ class Report:
         self.checks.append(check)
         return check
 
+    def law(self, name: str, scope: str, tuples, sides, show, where) -> CheckLine:
+        """Check one law on every basis tuple, in the order given.
+
+        sides(t) returns (lhs, rhs); a vanishing law returns a zero as rhs.
+        A tuple fails when the two differ, and its witness records
+        one_based(t), where(t), show(lhs) and show(rhs). show and where run
+        only on failing tuples.
+        """
+        line = self.line(name, scope)
+        for t in tuples:
+            line.checked += 1
+            lhs, rhs = sides(t)
+            if lhs != rhs:
+                line.add_failure(one_based(t), where(t), show(lhs), show(rhs))
+        return line
+
     def refuse(self, reason: str) -> "Report":
         self.refused = True
         self.refusal_reason = reason
@@ -131,11 +149,7 @@ class Report:
             out.append(
                 f"  {line.name} [{line.scope}]: {line.checked} checked, {status}"
             )
-            shown = line.failures
-            omitted = 0
-            if max_witnesses is not None and len(shown) > max_witnesses:
-                omitted = len(shown) - max_witnesses
-                shown = shown[:max_witnesses]
+            shown, omitted = line.capped(max_witnesses)
             for f in shown:
                 out.append(f"    witness {f.where}: LHS = {f.lhs}, RHS = {f.rhs}")
             if omitted:

@@ -1,5 +1,6 @@
 """Pair representations, coherent actions, embedding tensors, graphs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -205,3 +206,21 @@ def test_random_valid_problems_pass_everything():
         assert check_net(p).ok
         assert graph_check(p).ok
         assert check_3leibniz(descendent(p)).ok
+
+
+def test_gate_data_is_frozen_and_memoizes_its_reports():
+    p = example_problem(Fraction(1, 2))
+    for obj, name in (
+        (p.action.rep, "carrier"),
+        (p.action, "target_bracket"),
+        (p, "tensor"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    rep_gate = check_representation(p.action.rep)
+    assert rep_gate.ok and check_representation(p.action.rep) is rep_gate
+    assert check_representation(p.action.rep, "titled") is not rep_gate
+    action_gate = check_coherent_action(p.action)
+    assert check_coherent_action(p.action) is action_gate
+    assert check_net(p) is check_net(p, mode="all")
+    assert check_net(p, mode="increasing") is not check_net(p)

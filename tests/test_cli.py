@@ -127,6 +127,18 @@ def test_witness_caps(run, adjoint_file):
     assert len(line["witnesses"]) == 1 and line["omitted_witnesses"] == 3
 
 
+def test_negative_witness_cap_exits_two(run, fixtures_dir, adjoint_file):
+    broken = fixtures_dir / "broken_3lie.json"
+    for command, path in (("check-3lie", broken), ("cohomology", adjoint_file)):
+        rc, out, err = run(command, path, "--max-witnesses", "-1")
+        assert (rc, out) == (2, "")
+        assert err == "input error: --max-witnesses must be at least 0, got -1\n"
+
+    rc, out, _ = run("check-3lie", broken, "--max-witnesses", "0")
+    assert rc == 1 and "witness (" not in out
+    assert "... 6 more witnesses omitted" in out
+
+
 def test_cohomology_table_and_json(run, adjoint_file):
     rc, out, _ = run("cohomology", adjoint_file)
     assert rc == 0

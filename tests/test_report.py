@@ -1,0 +1,72 @@
+"""The law runner: tuple counts, witness order and lazy formatting."""
+
+from tensorforge import Report
+
+
+def test_witnesses_follow_the_tuple_order():
+    rep = Report("order")
+    tuples = [(3,), (0,), (2,), (1,)]
+    line = rep.law(
+        "odd", "four tuples", tuples, lambda t: (t[0] % 2, 0), str, str
+    )
+    assert rep.checks == [line]
+    assert [f.indices for f in line.failures] == [(4,), (2,)]
+    assert [f.where for f in line.failures] == ["(3,)", "(1,)"]
+    assert [(f.lhs, f.rhs) for f in line.failures] == [("1", "0"), ("1", "0")]
+
+
+def test_formatters_run_only_on_failing_tuples():
+    calls = {"show": 0, "where": 0}
+
+    def show(x):
+        calls["show"] += 1
+        return str(x)
+
+    def where(t):
+        calls["where"] += 1
+        return str(t)
+
+    rep = Report("lazy")
+    line = rep.law(
+        "one fails", "ten tuples", ((i,) for i in range(10)),
+        lambda t: (t[0] == 7, False), show, where,
+    )
+    assert line.checked == 10 and len(line.failures) == 1
+    assert calls == {"show": 2, "where": 1}
+
+
+def test_checked_counts_every_tuple_even_none():
+    rep = Report("counts")
+    empty = rep.law("empty", "no tuples", [], lambda t: (1, 2), str, str)
+    assert (empty.checked, empty.failures, empty.passed) == (0, [], True)
+    full = rep.law(
+        "all pass", "five", [(i,) for i in range(5)], lambda t: (0, 0), str, str
+    )
+    assert (full.checked, full.passed) == (5, True)
+    assert rep.ok
+
+
+def test_nested_tuples_come_out_one_based():
+    rep = Report("nested")
+    line = rep.law(
+        "fails", "pair x triple", [((0, 1), (0, 2, 3))],
+        lambda t: (1, 0), str, lambda t: "w",
+    )
+    assert line.failures[0].indices == ((1, 2), (1, 3, 4))
+    assert rep.to_json(None)["checks"][0]["witnesses"][0]["tuple"] == [
+        [1, 2], [1, 3, 4]
+    ]
+
+
+def test_witness_cap_split_is_shared_by_text_and_json():
+    rep = Report("cap")
+    rep.law("fails", "six", [(i,) for i in range(6)], lambda t: (1, 0), str, str)
+    line = rep.checks[0]
+    assert line.capped(None) == (line.failures, 0)
+    assert line.capped(6) == (line.failures, 0)
+    assert line.capped(2) == (line.failures[:2], 4)
+    assert line.capped(0) == ([], 6)
+    text = rep.render_text(0)
+    assert "witness (" not in text and "... 6 more witnesses omitted" in text
+    doc = rep.to_json(2)["checks"][0]
+    assert len(doc["witnesses"]) == 2 and doc["omitted_witnesses"] == 4
