@@ -20,8 +20,6 @@ from .algebras import (
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
     check_3lie,
-    check_3ll,
-    check_3leibniz,
     check_hom,
 )
 from .errors import InputError, PreconditionError

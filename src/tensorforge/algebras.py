@@ -22,7 +22,7 @@ from functools import partial
 from itertools import combinations, product
 
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO, _rref
+from .linalg import Matrix, Vector, _rref
 from .multilinear import (
     AlternatingTrilinearTable,
     Space,

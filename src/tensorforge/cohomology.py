@@ -30,7 +30,6 @@ from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
 from .multilinear import (
     Space,
-    TrilinearTable,
     WedgePairBasis,
     _extend,
     format_matrix,
@@ -347,6 +346,7 @@ class CochainComplex:
         self.rep = _induced_rep_unchecked(p)
         self._omega = self._build_omega()
         self._matrices: dict[int, Matrix] = {}
+        self._ranks: dict[int, int] = {}
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -566,9 +566,15 @@ class CochainComplex:
             raise PreconditionError(
                 f"degree {n} exceeds the degree cap {self.degree_cap}"
             )
-        z = self.cochain_dim(n) - rank(self.delta_matrix(n))
-        b = rank(self.delta_matrix(n - 1))
+        z = self.cochain_dim(n) - self._rank(n)
+        b = self._rank(n - 1)
         return z, b, z - b
+
+    def _rank(self, n: int) -> int:
+        # degree n's rank is both dim B^(n+1) and cochain dim - dim Z^n
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.delta_matrix(n))
+        return self._ranks[n]
 
     def kernel_cochains(self, n: int) -> list[Cochain]:
         return [

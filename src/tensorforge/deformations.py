@@ -17,7 +17,7 @@ from itertools import combinations, product
 from .actions import EmbeddingTensorProblem, check_net
 from .algebras import LinearMap
 from .cohomology import CochainComplex
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import (
     Matrix,
     Vector,

@@ -1,22 +1,21 @@
 """Exact rational scalars, vectors, matrices, and elimination.
 
 Every number in the package is a `fractions.Fraction`; nothing here ever
-rounds. Two elimination kernels sit behind the public functions, both with
-first-nonzero pivoting on rows mutated in place:
-
-- `_bareiss_rank`: fraction-free (Bareiss) elimination over integers, after
-  each row's denominators are cleared. `rank` needs only the pivot count,
-  and plain integer steps skip the gcd that every Fraction operation pays.
-  On the dense-basis 576x96 degree-2 differential of `example_2_8` it takes
-  0.4 s where `_rref_rows` takes 2 s (CPython 3.11, 2-vCPU Xeon VM).
-- `_rref_rows`: reduced row echelon form over Fraction. `kernel_basis`,
-  `solve_membership` and `_rref` need the reduced rows themselves, which
-  Bareiss does not give.
+rounds. One sparse elimination kernel, `_eliminate`, sits behind `rank`,
+`kernel_basis`, `solve_membership` and `_rref`. Each row is a
+`{column: value}` dict of its nonzeros, and a column -> rows index finds
+the rows a pivot must clear. Pivots are taken in column order; in each
+column the pivot is the candidate row with the fewest nonzeros (lowest
+index on ties), which keeps fill-in low on the very sparse cochain
+differentials (the 2500x250 degree-2 differential of a dim-5 nilpotent
+problem has a density of 0.003). `rank` stops after the forward pass; the
+others also clear each pivot column above its pivot. The reduced row
+echelon form of a matrix is unique, so the pivot rule changes the work but
+not the kernel bases, solutions or pivot columns these functions return.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -285,103 +284,83 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    # clear denominators row by row; row scaling cannot change the rank
+def _eliminate(rows, ncols: int, reduce: bool):
+    """Sparse exact elimination; returns (pivot rows, pivot columns).
+
+    `rows` is an iterable of dense rows. Each is copied into a dict that
+    holds only its nonzeros, and `where[c]` is the set of unpivoted rows
+    that are nonzero in column c. Columns are taken in order; the pivot is
+    the candidate row with the fewest nonzeros, lowest index on ties. Each
+    pivot row is divided by its pivot, so the returned rows are in echelon
+    form with leading ones, in pivot-column order. With `reduce`, a
+    backward pass also clears each pivot column above its pivot, which
+    gives the reduced row echelon form.
+    """
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    where = [set() for _ in range(ncols)]
+    for i, row in enumerate(sparse):
+        for j in row:
+            where[j].add(i)
     out = []
-    for row in m.rows:
-        lcm = 1
-        for a in row:
-            if a.denominator != 1:
-                lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
-        out.append([int(a * lcm) for a in row])
-    return out
-
-
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = -1
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            x = row_i[c]
-            if x:
-                for j in range(c + 1, n):
-                    # exact by the Bareiss divisibility invariant
-                    row_i[j] = (p * row_i[j] - x * row_r[j]) // prev
-            else:
-                for j in range(c + 1, n):
-                    row_i[j] = (p * row_i[j]) // prev
-            row_i[c] = 0
-        prev = p
-        r += 1
-    return r
-
-
-def _rref_rows(rows):
-    """Reduced row echelon form over Fraction; returns the pivot column list."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
     pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = -1
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
+    for c in range(ncols):
+        below = where[c]
+        if not below:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
+        piv = min(below, key=lambda i: (len(sparse[i]), i))
+        prow = sparse[piv]
+        for j in prow:
+            where[j].discard(piv)
+        p = prow.pop(c)
         if p != 1:
             inv = ONE / p
-            rows[r] = [x * inv for x in rows[r]]
-        row_r = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row_i = rows[i]
-                rows[i] = [a - f * b for a, b in zip(row_i, row_r)]
+            for j in prow:
+                prow[j] *= inv
+        for i in below:
+            row = sparse[i]
+            f = row.pop(c)
+            for j, b in prow.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -f * b
+                    where[j].add(i)
+                else:
+                    a -= f * b
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+        below.clear()
+        prow[c] = ONE
+        out.append(prow)
         pivots.append(c)
-        r += 1
-    return pivots
+    if reduce:
+        for k in range(len(pivots) - 1, 0, -1):
+            c, prow = pivots[k], out[k]
+            for row in out[:k]:
+                f = row.pop(c, None)
+                if f is not None:
+                    for j, b in prow.items():
+                        if j != c:
+                            a = row.get(j, ZERO) - f * b
+                            if a:
+                                row[j] = a
+                            else:
+                                del row[j]
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction-free integer elimination."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    return _bareiss_rank(_integer_rows(m))
+    """Exact rank by sparse elimination (forward pass only)."""
+    return len(_eliminate(m.rows, m.ncols, False)[1])
 
 
 def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(rows)
+    """Reduced row echelon form as dense rows (zero rows last), and its pivots."""
+    reduced, pivots = _eliminate(m.rows, m.ncols, True)
+    rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in reduced]
+    rows.extend([ZERO] * m.ncols for _ in range(m.nrows - len(rows)))
     return rows, pivots
 
 
@@ -396,7 +375,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         return []
     if m.nrows == 0:
         return [Vector.unit(n, j) for j in range(n)]
-    rows, pivots = _rref(m)
+    rows, pivots = _eliminate(m.rows, n, True)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -404,8 +383,8 @@ def kernel_basis(m: Matrix) -> list[Vector]:
             continue
         coords = [ZERO] * n
         coords[free] = ONE
-        for r, pc in enumerate(pivots):
-            coords[pc] = -rows[r][free]
+        for row, pc in zip(rows, pivots):
+            coords[pc] = -row.get(free, ZERO)
         basis.append(Vector(coords))
     return basis
 
@@ -423,11 +402,11 @@ def solve_membership(m: Matrix, target: Vector) -> Vector | None:
     n = m.ncols
     if m.nrows == 0:
         return Vector.zero(n)
-    aug = m.hstack(Matrix.from_cols([target]))
-    rows, pivots = _rref(aug)
+    aug = ((*row, t) for row, t in zip(m.rows, target.entries))
+    rows, pivots = _eliminate(aug, n + 1, True)
     if n in pivots:
         return None
     coords = [ZERO] * n
-    for r, pc in enumerate(pivots):
-        coords[pc] = rows[r][n]
+    for row, pc in zip(rows, pivots):
+        coords[pc] = row.get(n, ZERO)
     return Vector(coords)

@@ -1,10 +1,10 @@
 """Independent oracles and random instance generators for the test suite.
 
 The elimination oracle is a deliberately separate implementation — partial
-pivoting by largest absolute value, Gauss-Jordan over plain lists of
-Fractions — so the package's exact kernels (first-nonzero-pivot reduction
-and fraction-free integer elimination) are checked against code that shares
-none of their pivoting choices or data structures.
+pivoting by largest absolute value, dense Gauss-Jordan over plain lists of
+Fractions — so the package's sparse kernel (dict rows, column-order pivots
+chosen by fewest nonzeros, then back substitution) is checked against code
+that shares none of its pivoting choices or data structures.
 
 The generators build random structured instances from families whose
 validity is provable, then conjugate by random invertible maps for

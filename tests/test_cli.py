@@ -154,6 +154,14 @@ def test_cohomology_table_and_json(run, adjoint_file):
     assert json.loads(blob)["cohomology"] == GOLDEN_COHOMOLOGY
 
 
+def test_cohomology_degree_three(run, adjoint_file):
+    rc, blob, _ = run("cohomology", adjoint_file, "--degrees", "3", "--json")
+    assert rc == 0
+    assert json.loads(blob)["cohomology"] == [
+        {"degree": 3, "cochains": 576, "cocycles": 108, "coboundaries": 75, "classes": 33}
+    ]
+
+
 def test_classify_reports_the_single_class(run, adjoint_file):
     rc, out, _ = run("classify", adjoint_file)
     assert rc == 0

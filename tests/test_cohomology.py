@@ -24,6 +24,7 @@ from tensorforge import (
     load_document,
     pushforward,
     pushforward_matrix,
+    rank,
 )
 
 from oracles import oracle_rank, rand_vector
@@ -38,6 +39,14 @@ def test_golden_dimensions(adjoint_complex):
         assert adjoint_complex.cochain_dim(n) == want
     for n, want in GOLDEN_DIMS.items():
         assert adjoint_complex.cohomology_dims(n) == want
+
+
+def test_golden_degree_three(adjoint_complex):
+    # 3456x576 with 4062 nonzeros: too big for the dense oracle in tier-1
+    d3 = adjoint_complex.delta_matrix(3)
+    assert (d3.nrows, d3.ncols) == (3456, 576)
+    assert rank(d3) == 468
+    assert adjoint_complex.cohomology_dims(3) == (108, 75, 33)
 
 
 def test_golden_dimensions_abelian(abelian_problem):

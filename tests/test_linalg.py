@@ -3,18 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensorforge import InputError, Matrix, Vector, fmt_rat, rat
-from tensorforge.linalg import (
-    _bareiss_rank,
-    _rref_rows,
-    kernel_basis,
-    rank,
-    solve_membership,
-)
+from tensorforge.linalg import _rref, kernel_basis, rank, solve_membership
 
-from oracles import oracle_kernel, oracle_rank, oracle_solve
+from oracles import oracle_kernel, oracle_rank, oracle_rref, oracle_solve
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -68,16 +62,40 @@ def test_solve_membership_matches_oracle(rows, coeffs, consistent):
         assert m.mul_vec(got) == target
 
 
-@settings(max_examples=30, deadline=None)
-@given(matrix_rows())
-def test_bareiss_rank_and_rref_pivot_count_agree(rows):
+@st.composite
+def sparse_rows(draw):
+    """Mostly-zero rows with whole zero rows and columns and repeated rows."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i, j in draw(st.sets(cells, max_size=nrows * ncols)):
+        rows[i][j] = draw(fracs)
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        rows[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[j] = Fraction(0)
+    for src, dst, c in draw(
+        st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, nrows - 1), fracs))
+    ):
+        rows[dst] = [c * x for x in rows[src]]
+    return rows
+
+
+TALL = [[Fraction(i * j % 5 - 2, 1 + i % 3) for j in range(4)] for i in range(12)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+@example(TALL)
+@example(TALL[:6] * 2)
+@example([[Fraction(0)] * 4 for _ in range(12)])
+@example([[Fraction(0), Fraction(1), Fraction(0)]] * 3 + [[Fraction(2), Fraction(0), Fraction(0)]])
+def test_sparse_kernel_matches_oracle_rank_and_rref(rows):
     m = Matrix(rows)
-    scaled = [
-        [int(x * 12) for x in row] for row in rows
-    ]  # all strategy denominators divide 12
-    assert _bareiss_rank([row[:] for row in scaled]) == oracle_rank(rows)
-    pivots = _rref_rows([list(map(Fraction, row)) for row in rows])
-    assert len(pivots) == rank(m)
+    assert rank(m) == oracle_rank(rows)
+    assert _rref(m) == oracle_rref(rows)
 
 
 def test_rat_parses_ints_strings_and_fractions():
