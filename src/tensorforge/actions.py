@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
+from math import comb
 
 from .algebras import (
     LinearMap,
@@ -29,7 +30,10 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
+    _Columns,
     _extend,
+    _feeds,
+    _products,
     format_matrix,
     format_vector,
 )
@@ -90,6 +94,9 @@ class EmbeddingTensorProblem:
     _net_reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _complexes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.tensor.source.dim != self.action.carrier.dim:
@@ -135,6 +142,38 @@ def check_representation(r: RepresentationData, title: str | None = None) -> Rep
     return r._verified
 
 
+def _operators(rho: PairAction, both: bool) -> dict:
+    """The nonzero operators of rho as _Columns, on increasing pairs or,
+    with both, on every ordered pair."""
+    zero = rho.target.zero()
+    ops = {}
+    for (i, j), mat in rho.coords.items():
+        ops[(i, j)] = op = _Columns.of(mat, zero)
+        if both:
+            ops[(j, i)] = op.scale(-1)
+    return ops
+
+
+def _representation_supports(r: RepresentationData, ops: dict) -> tuple:
+    """Ordered 4-tuples where a term of the fundamental law, and of the
+    commutator law, can be nonzero: joins of the bracket into the operator
+    keys, and pairs of operators whose product can be nonzero."""
+    bracket = r.algebra.bracket.expand_ordered()
+    # rho([l1, l2, l3], l4)
+    into_first = {v + rest for v, rest in _feeds(bracket, ops, 0)}
+    products = _products(ops, ops)
+    # rho(l2, l3) rho(l1, l4), rho(l3, l1) rho(l2, l4), rho(l1, l2) rho(l3, l4)
+    fundamental = into_first | {
+        t
+        for a, b in products
+        for t in (b[:1] + a + b[1:], (a[1], b[0], a[0], b[1]), a + b)
+    }
+    # rho(l1, l2) rho(l3, l4), rho(l3, l4) rho(l1, l2), rho(l3, [l1, l2, l4])
+    commutator = into_first | {t for a, b in products for t in (a + b, b + a)}
+    commutator.update(v[:2] + rest + v[2:] for v, rest in _feeds(bracket, ops, 1))
+    return fundamental, commutator
+
+
 def _check_representation_impl(r: RepresentationData, title: str | None) -> Report:
     rep = Report(title or "pair-action representation check")
     gate = check_3lie(r.algebra)
@@ -144,48 +183,48 @@ def _check_representation_impl(r: RepresentationData, title: str | None) -> Repo
 
     space = r.algebra.space
     dim = space.dim
-    hdim = r.carrier.dim
-    rho = r.rho
     value = r.algebra.value
-    zero = Matrix.zeros(hdim, hdim)
+    ops = _operators(r.rho, both=True)
+    zero = _Columns(r.carrier.zero())
 
-    def op(i: int, j: int) -> Matrix:
-        mat = rho.at(i, j)
-        return zero if mat is None else mat
-
-    ops = [[op(i, j) for j in range(dim)] for i in range(dim)]
+    def op(i: int, j: int) -> _Columns:
+        return ops.get((i, j), zero)
 
     def fundamental(t):
         l1, l2, l3, l4 = t
-        lhs = _extend(lambda m: rho.at(m, l4), value(l1, l2, l3), zero)
+        lhs = _extend(lambda m: ops.get((m, l4)), value(l1, l2, l3), zero)
         rhs = (
-            ops[l2][l3].mul(ops[l1][l4])
-            + ops[l3][l1].mul(ops[l2][l4])
-            + ops[l1][l2].mul(ops[l3][l4])
+            op(l2, l3).mul(op(l1, l4))
+            + op(l3, l1).mul(op(l2, l4))
+            + op(l1, l2).mul(op(l3, l4))
         )
         return lhs, rhs
 
     def commutator(t):
         l1, l2, l3, l4 = t
-        lhs = ops[l1][l2].mul(ops[l3][l4])
+        lhs = op(l1, l2).mul(op(l3, l4))
         rhs = (
-            ops[l3][l4].mul(ops[l1][l2])
-            + _extend(lambda m: rho.at(m, l4), value(l1, l2, l3), zero)
-            + _extend(lambda m: rho.at(l3, m), value(l1, l2, l4), zero)
+            op(l3, l4).mul(op(l1, l2))
+            + _extend(lambda m: ops.get((m, l4)), value(l1, l2, l3), zero)
+            + _extend(lambda m: ops.get((l3, m)), value(l1, l2, l4), zero)
         )
         return lhs, rhs
 
-    for name, sides in (
-        ("action fundamental law", fundamental),
-        ("action commutator law", commutator),
+    for (name, sides), support in zip(
+        (
+            ("action fundamental law", fundamental),
+            ("action commutator law", commutator),
+        ),
+        _representation_supports(r, ops),
     ):
         rep.law(
             name,
             "all ordered basis 4-tuples",
-            product(range(dim), repeat=4),
+            sorted(support),
             sides,
-            format_matrix,
+            lambda cols: format_matrix(cols.dense()),
             partial(tuple_label, space),
+            dim**4,
         )
     return rep
 
@@ -215,49 +254,70 @@ def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Rep
     hspace = c.carrier
     zero = hspace.zero()
     hb = c.target_bracket.value
-    rho = c.rho
+    ops = _operators(c.rho, both=False)
+    no_op = _Columns(zero)
 
     target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
     rep.absorb(target_gate, "carrier bracket")
 
     def derivation(t):
         (i, j), (h1, h2, h3) = t
-        mat = rho.at(i, j)
-        if mat is None:
-            return zero, zero
-        val = hb(h1, h2, h3)
-        lhs = zero if val is None else mat.mul_vec(val)
+        mat = ops.get((i, j), no_op)
+        lhs = mat.mul_vec(hb(h1, h2, h3))
         rhs = (
-            _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero)
-            + _extend(lambda m: hb(h1, m, h3), mat.col(h2), zero)
-            + _extend(lambda m: hb(h1, h2, m), mat.col(h3), zero)
+            _extend(lambda m: hb(m, h2, h3), mat.get(h1), zero)
+            + _extend(lambda m: hb(h1, m, h3), mat.get(h2), zero)
+            + _extend(lambda m: hb(h1, h2, m), mat.get(h3), zero)
         )
         return lhs, rhs
 
     def annihilation(t):
         (i, j), (h1, h2, h3) = t
-        mat = rho.at(i, j)
-        if mat is None:
-            return zero, zero
-        return _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero), zero
+        mat = ops.get((i, j), no_op)
+        return _extend(lambda m: hb(m, h2, h3), mat.get(h1), zero), zero
 
-    for name, sides in (
-        ("derivation law", derivation),
-        ("annihilation law", annihilation),
+    for (name, sides), support in zip(
+        (
+            ("derivation law", derivation),
+            ("annihilation law", annihilation),
+        ),
+        _coherence_supports(c, ops),
     ):
         rep.law(
             name,
             "increasing pairs x all ordered carrier triples",
-            product(
-                combinations(range(lspace.dim), 2),
-                product(range(hspace.dim), repeat=3),
-            ),
+            sorted(support),
             sides,
             partial(format_vector, hspace),
             lambda t: f"pair {tuple_label(lspace, t[0])}, "
             f"triple {tuple_label(hspace, t[1])}",
+            comb(lspace.dim, 2) * hspace.dim**3,
         )
     return rep
+
+
+def _coherence_supports(c: CoherentActionData, ops: dict) -> tuple:
+    """Increasing pairs x ordered carrier triples where a term of the
+    derivation law, and of the annihilation law, can be nonzero: joins of
+    the carrier bracket into the operators' columns and back."""
+    bracket = c.target_bracket.expand_ordered()
+    columns = {pair + (h,): v for pair, op in ops.items() for h, v in op.items()}
+    # [rho(i, j) h1, h2, h3]
+    annihilation = {
+        (v[:2], v[2:] + rest) for v, rest in _feeds(columns, bracket, 0)
+    }
+    # [h1, rho(i, j) h2, h3], [h1, h2, rho(i, j) h3]
+    derivation = annihilation | {
+        (v[:2], rest[:1] + v[2:] + rest[1:])
+        for v, rest in _feeds(columns, bracket, 1)
+    }
+    derivation.update(
+        (v[:2], rest + v[2:]) for v, rest in _feeds(columns, bracket, 2)
+    )
+    # rho(i, j) [h1, h2, h3]
+    by_column = [(h,) + pair for pair, op in ops.items() for h in op]
+    derivation.update((pair, t) for t, pair in _feeds(bracket, by_column, 0))
+    return derivation, annihilation
 
 
 def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
@@ -339,12 +399,12 @@ def _check_net_impl(
     lam_cols = p.tensor_columns()
     lb, hb, rho = p.l_bracket, p.h_bracket, p.rho
 
+    support = _tensor_support(p, [(lam_cols,) * 3], [(lam_cols,) * 2], True)
     if mode == "all":
-        scope = "all ordered carrier triples"
-        triples = product(range(hdim), repeat=3)
+        scope, count = "all ordered carrier triples", hdim**3
     else:
-        scope = "increasing carrier triples"
-        triples = combinations(range(hdim), 3)
+        scope, count = "increasing carrier triples", comb(hdim, 3)
+        support = {t for t in support if t[0] < t[1] < t[2]}
 
     def condition(t):
         i, j, k = t
@@ -358,12 +418,51 @@ def _check_net_impl(
     rep.law(
         "embedding-tensor condition",
         scope,
-        triples,
+        sorted(support),
         condition,
         partial(format_vector, lspace),
         partial(tuple_label, hspace),
+        count,
     )
     return rep
+
+
+def _tensor_support(
+    p: EmbeddingTensorProblem, brackets, actions, carrier: bool
+) -> set:
+    """Ordered carrier triples (i, j, k) where a term of a tensor-condition
+    law can be nonzero.
+
+    Each entry of brackets is three column families (X, Y, Z), lists of
+    L-vectors indexed by the basis of H, for a term [X_i, Y_j, Z_k] of the
+    L-bracket; each entry of actions is (X, Y) for a term
+    rho(X_i, Y_j) e_k; carrier adds the terms [e_i, e_j, e_k] of the
+    H-bracket. A family's column i can feed a key's index a only when its
+    entry a is nonzero, so each term's support is a product of the
+    columns hit by each index of a nonzero key.
+    """
+
+    def hits(family):
+        rows = [[] for _ in range(p.l_space.dim)]
+        for i, col in enumerate(family):
+            for a, _ in col.iter_nonzero():
+                rows[a].append(i)
+        return rows
+
+    out = set()
+    keys = p.l_bracket.expand_ordered()
+    for term in brackets:
+        x, y, z = map(hits, term)
+        for a, b, c in keys:
+            out.update(product(x[a], y[b], z[c]))
+    ops = _operators(p.rho, both=True)
+    for term in actions:
+        x, y = map(hits, term)
+        for (a, b), op in ops.items():
+            out.update(product(x[a], y[b], op))
+    if carrier:
+        out.update(p.h_bracket.expand_ordered())
+    return out
 
 
 def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
+from math import comb
 
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, _rref
@@ -28,6 +29,7 @@ from .multilinear import (
     Space,
     TrilinearTable,
     _extend,
+    _feeds,
     format_vector,
 )
 from .report import Report, tuple_label
@@ -126,14 +128,6 @@ class LeibnizLieAlgebra:
     def product(self, i: int, j: int) -> Vector | None:
         return self.triangle.get((i, j))
 
-    def product_eval(self, x: Vector, y: Vector) -> Vector:
-        acc = Vector.zero(self.space.dim)
-        for (i, j), vec in self.triangle.items():
-            c = x[i] * y[j]
-            if c:
-                acc = acc + vec.scale(c)
-        return acc
-
     def items(self):
         return sorted(self.triangle.items())
 
@@ -214,6 +208,42 @@ def _fundamental_sides(table, b1, b2, c, d, e, zero):
     return lhs, rhs
 
 
+def _fundamental_support(table) -> set:
+    """Ordered 5-tuples (b1, b2, c, d, e) where a term of the fundamental
+    identity of table can be nonzero: a join of its nonzero values into
+    each slot of its keys, one join per term."""
+    coords = table.expand_ordered()
+    keys = coords.keys()
+    out = {rest + v for v, rest in _feeds(coords, keys, 2)}  # [b1, b2, [c, d, e]]
+    out.update(v + rest for v, rest in _feeds(coords, keys, 0))
+    out.update(
+        v[:2] + rest[:1] + v[2:] + rest[1:] for v, rest in _feeds(coords, keys, 1)
+    )
+    out.update(v[:2] + rest + v[2:] for v, rest in _feeds(coords, keys, 2))
+    return out
+
+
+def _alternating_support(table: AlternatingTrilinearTable) -> set:
+    """Pairs x triples ((b1, b2), (c, d, e)), both increasing, where a term
+    of the fundamental identity of an alternating table can be nonzero.
+
+    A term nests one stored key t inside another key through a coordinate
+    m of its value; the other key less m is a pair p. [p, t] is the left
+    side, and [[b1, b2, c], d, e] and its two cyclic mates read t as
+    {b1, b2, c} and p as the rest of the triple, for each c in t.
+    """
+    coords = table.coords
+    out = set()
+    for slot in range(3):
+        for t, pair in _feeds(coords, coords.keys(), slot):
+            out.add((pair, t))
+            for c in t:
+                if c not in pair:
+                    rest = tuple(x for x in t if x != c)
+                    out.add((rest, tuple(sorted(pair + (c,)))))
+    return out
+
+
 def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     """Verify the fundamental identity of an alternating ternary bracket.
 
@@ -221,17 +251,18 @@ def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     checking increasing pairs against increasing triples is exhaustive.
     """
     space = a.space
-    rng = range(space.dim)
+    n = space.dim
     zero = space.zero()
     rep = Report(title or f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "increasing pairs x increasing triples",
-        product(combinations(rng, 2), combinations(rng, 3)),
+        sorted(_alternating_support(a.bracket)),
         lambda t: _fundamental_sides(a.bracket, *t[0], *t[1], zero),
         partial(format_vector, space),
         lambda t: f"pair {tuple_label(space, t[0])}, "
         f"triple {tuple_label(space, t[1])}",
+        comb(n, 2) * comb(n, 3),
     )
     return rep
 
@@ -244,10 +275,11 @@ def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
     rep.law(
         "fundamental identity",
         "all ordered basis 5-tuples",
-        product(range(space.dim), repeat=5),
+        sorted(_fundamental_support(a.bracket)),
         lambda t: _fundamental_sides(a.bracket, *t, zero),
         partial(format_vector, space),
         partial(tuple_label, space),
+        space.dim**5,
     )
     return rep
 

@@ -33,7 +33,7 @@ from .algebras import (
     check_leibniz_lie,
     check_lie,
 )
-from .cohomology import CochainComplex, check_3leibniz_rep, induced_rep
+from .cohomology import _complex_of, check_3leibniz_rep, induced_rep
 from .deformations import (
     are_equivalent,
     check_higher_order,
@@ -72,7 +72,7 @@ def _load(args) -> Document:
 
 
 def _witness_cap(args):
-    if getattr(args, "all_witnesses", False):
+    if args.all_witnesses:
         return None
     if args.max_witnesses < 0:
         raise InputError(
@@ -295,7 +295,7 @@ def _cmd_cohomology(args) -> int:
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     degrees = _parse_degrees(args.degrees)
-    complex_ = CochainComplex(problem)
+    complex_ = _complex_of(problem)
     rows = []
     for n in degrees:
         z, b, h = complex_.cohomology_dims(n)
@@ -495,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, emits=False):
+    def common(p, output="report"):
+        """The input options, then the output options of one kind of
+        command: a law "report" with witnesses, a "table" of numbers, or a
+        "document"."""
         p.add_argument("file", help="input document (JSON)")
         p.add_argument(
             "--param",
@@ -504,12 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a document parameter (repeatable)",
         )
         p.add_argument("--name", help="which entry to use, when several exist")
-        if emits:
+        if output == "document":
             p.add_argument("--out", help="write the document here instead of stdout")
-        else:
-            p.add_argument(
-                "--json", action="store_true", help="machine-readable report"
-            )
+            return p
+        p.add_argument(
+            "--json", action="store_true", help="machine-readable report"
+        )
+        if output == "report":
             p.add_argument(
                 "--max-witnesses",
                 type=int,
@@ -564,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser(
         "cohomology", help="dimensions of cocycles, coboundaries, and classes"
-    ))
+    ), output="table")
     p.add_argument(
         "--degrees",
         default="1,2",
@@ -575,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser(
         "classify", help="count and exhibit first-order deformation classes"
-    ))
+    ), output="table")
     p.set_defaults(handler=_cmd_classify)
 
     builders = [
@@ -591,32 +595,32 @@ def build_parser() -> argparse.ArgumentParser:
          "re-serialize a document in canonical form"),
     ]
     for name, handler, help_text in builders:
-        p = common(sub.add_parser(name, help=help_text), emits=True)
+        p = common(sub.add_parser(name, help=help_text), output="document")
         p.set_defaults(handler=handler)
 
     p = common(sub.add_parser(
         "lie-to-3lie", help="ternary bracket induced by a trace"
-    ), emits=True)
+    ), output="document")
     p.add_argument("--trace", help="which trace to use")
     p.set_defaults(handler=_cmd_lie_to_3lie)
 
     p = common(sub.add_parser(
         "rho-sigma", help="ternary pair action induced by traces"
-    ), emits=True)
+    ), output="document")
     p.add_argument("--trace-l", help="trace on the acting algebra")
     p.add_argument("--trace-h", help="trace on the carrier algebra")
     p.set_defaults(handler=_cmd_rho_sigma)
 
     p = common(sub.add_parser(
         "lift-net", help="lift a binary embedding tensor to a ternary one"
-    ), emits=True)
+    ), output="document")
     p.add_argument("--trace-l", help="trace on the acting algebra")
     p.add_argument("--trace-h", help="trace on the carrier algebra")
     p.set_defaults(handler=_cmd_lift_net)
 
     p = common(sub.add_parser(
         "leibnizlie-to-3ll", help="ternary bracket-and-braces from a trace"
-    ), emits=True)
+    ), output="document")
     p.add_argument("--trace", help="which trace to use")
     p.set_defaults(handler=_cmd_leibnizlie_to_3ll)
 

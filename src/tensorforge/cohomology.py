@@ -31,7 +31,10 @@ from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
 from .multilinear import (
     Space,
     WedgePairBasis,
+    _Columns,
     _extend,
+    _feeds,
+    _products,
     format_matrix,
 )
 from .report import Report, tuple_label
@@ -96,15 +99,6 @@ class ThreeLeibnizRep:
         self.m_act = clean(m_act, "middle action")
         self.r_act = clean(r_act, "right action")
 
-    def l_mat(self, i: int, j: int) -> Matrix | None:
-        return self.l_act.get((i, j))
-
-    def m_mat(self, i: int, j: int) -> Matrix | None:
-        return self.m_act.get((i, j))
-
-    def r_mat(self, i: int, j: int) -> Matrix | None:
-        return self.r_act.get((i, j))
-
 
 def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
     """Verify the five compatibility laws of the three operator families.
@@ -118,10 +112,12 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
         return rep.refuse("underlying algebra fails the fundamental identity")
 
     space = r.algebra.space
-    vdim = r.carrier.dim
-    zero = Matrix.zeros(vdim, vdim)
+    zero = _Columns(r.carrier.zero())
     value = r.algebra.value
-    l_act, m_act, r_act = r.l_act, r.m_act, r.r_act
+    l_act, m_act, r_act = (
+        {key: _Columns.of(mat, r.carrier.zero()) for key, mat in family.items()}
+        for family in (r.l_act, r.m_act, r.r_act)
+    )
 
     def composition(act):
         """Laws 1-3: the left operator against the family act."""
@@ -153,22 +149,51 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
 
         return sides
 
-    for name, sides in (
-        ("left-left composition law", composition(l_act)),
-        ("left-middle composition law", composition(m_act)),
-        ("left-right composition law", composition(r_act)),
-        ("middle bracket-expansion law", expansion(m_act)),
-        ("right bracket-expansion law", expansion(r_act)),
+    for (name, sides), support in zip(
+        (
+            ("left-left composition law", composition(l_act)),
+            ("left-middle composition law", composition(m_act)),
+            ("left-right composition law", composition(r_act)),
+            ("middle bracket-expansion law", expansion(m_act)),
+            ("right bracket-expansion law", expansion(r_act)),
+        ),
+        _rep3_supports(r, l_act, m_act, r_act),
     ):
         rep.law(
             name,
             "all ordered basis 4-tuples",
-            product(range(space.dim), repeat=4),
+            sorted(support),
             sides,
-            format_matrix,
+            lambda cols: format_matrix(cols.dense()),
             partial(tuple_label, space),
+            space.dim**4,
         )
     return rep
+
+
+def _rep3_supports(r: ThreeLeibnizRep, l_act, m_act, r_act) -> list:
+    """Ordered 4-tuples where a term of each of the five laws can be
+    nonzero: joins of the bracket into the family keys, and pairs of
+    operators whose product can be nonzero."""
+    bracket = r.algebra.bracket.expand_ordered()
+    out = []
+    for act in (l_act, m_act, r_act):
+        # l(a1, a2) act(a3, a4), act(a3, a4) l(a1, a2),
+        # act([a1, a2, a3], a4), act(a3, [a1, a2, a4])
+        support = {a + b for a, b in _products(l_act, act)}
+        support.update(b + a for a, b in _products(act, l_act))
+        support.update(v + rest for v, rest in _feeds(bracket, act, 0))
+        support.update(v[:2] + rest + v[2:] for v, rest in _feeds(bracket, act, 1))
+        out.append(support)
+    for act in (m_act, r_act):
+        # act(a1, [a2, a3, a4]), r(a3, a4) act(a1, a2),
+        # m(a2, a4) act(a1, a3), l(a2, a3) act(a1, a4)
+        support = {rest + v for v, rest in _feeds(bracket, act, 1)}
+        support.update(y + x for x, y in _products(r_act, act))
+        support.update((y[0], x[0], y[1], x[1]) for x, y in _products(m_act, act))
+        support.update((y[0],) + x + y[1:] for x, y in _products(l_act, act))
+        out.append(support)
+    return out
 
 
 def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
@@ -585,20 +610,33 @@ class CochainComplex:
 # -- module-level operation entry points -----------------------------------
 
 
+def _complex_of(p: EmbeddingTensorProblem) -> CochainComplex:
+    """The cochain complex of p, built once per problem and degree cap.
+
+    Like the gate reports, it is memoized on the (immutable) problem, so
+    its descendent table, induced representation and differentials are
+    shared by every caller; callers must not mutate it.
+    """
+    key = os.environ.get("TENSORFORGE_DEGREE_CAP")
+    if key not in p._complexes:
+        p._complexes[key] = CochainComplex(p)
+    return p._complexes[key]
+
+
 def delta0(p: EmbeddingTensorProblem, a1: Vector, a2: Vector) -> Cochain:
-    return CochainComplex(p).delta0_cochain(a1, a2)
+    return _complex_of(p).delta0_cochain(a1, a2)
 
 
 def delta(p: EmbeddingTensorProblem, phi: Cochain) -> Cochain:
-    return CochainComplex(p).apply_delta(phi)
+    return _complex_of(p).apply_delta(phi)
 
 
 def delta_matrix(p: EmbeddingTensorProblem, n: int) -> Matrix:
-    return CochainComplex(p).delta_matrix(n)
+    return _complex_of(p).delta_matrix(n)
 
 
 def cohomology_dims(p: EmbeddingTensorProblem, n: int) -> tuple[int, int, int]:
-    return CochainComplex(p).cohomology_dims(n)
+    return _complex_of(p).cohomology_dims(n)
 
 
 def pushforward(h: NetHomomorphism, phi: Cochain) -> Cochain:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 
-from .actions import EmbeddingTensorProblem, check_net
+from .actions import EmbeddingTensorProblem, _tensor_support, check_net
 from .algebras import LinearMap
-from .cohomology import CochainComplex
+from .cohomology import _complex_of
 from .errors import InputError
 from .linalg import (
     Matrix,
@@ -111,16 +111,20 @@ def check_infinitesimal(d: Deformation) -> Report:
     L = p.tensor_columns()
     M = [d.direction.column(i) for i in range(hspace.dim)]
     zero = p.l_space.zero()
+    support = _tensor_support(
+        p, [(M, L, L), (L, M, L), (L, L, M)], [(L, L), (M, L), (L, M)], True
+    )
     line = rep.law(
         "first-order tensor condition",
         "all ordered basis triples",
-        product(range(hspace.dim), repeat=3),
+        sorted(support),
         lambda t: (_first_order_residual(d, L, M, t), zero),
         partial(format_vector, p.l_space),
         partial(tuple_label, hspace),
+        hspace.dim**3,
     )
 
-    complex_ = CochainComplex(p)
+    complex_ = _complex_of(p)
     phi = complex_.cochain_from_linear_map(d.direction)
     cocycle = rep.line("cocycle condition", "degree-1 differential")
     cocycle.checked += 1
@@ -184,17 +188,28 @@ def check_higher_order(d: Deformation) -> Report:
         lhs = lb.eval(M[i], M[j], M[k])
         return lhs, lam1.apply(rho.apply(M[i], M[j], hspace.basis_vector(k)))
 
-    for name, sides in (
-        ("second-order condition", second),
-        ("third-order condition", third),
+    for name, sides, support in (
+        (
+            "second-order condition",
+            second,
+            _tensor_support(
+                p, [(M, M, L), (M, L, M), (L, M, M)], [(M, L), (L, M), (M, M)], False
+            ),
+        ),
+        (
+            "third-order condition",
+            third,
+            _tensor_support(p, [(M, M, M)], [(M, M)], False),
+        ),
     ):
         rep.law(
             name,
             "all ordered basis triples",
-            product(range(hspace.dim), repeat=3),
+            sorted(support),
             sides,
             partial(format_vector, p.l_space),
             partial(tuple_label, hspace),
+            hspace.dim**3,
         )
     return rep
 
@@ -268,7 +283,7 @@ def are_equivalent(d1: Deformation, d2: Deformation):
         return False, None, rep.refuse("second direction is not first-order")
 
     p = d1.problem
-    complex_ = CochainComplex(p)
+    complex_ = _complex_of(p)
     diff_map = LinearMap(
         p.h_space, p.l_space, d1.direction.matrix - d2.direction.matrix
     )
@@ -387,7 +402,7 @@ def classify(p: EmbeddingTensorProblem) -> Classification:
     trivial ones; representatives extend the trivial span to the full
     cocycle space, one per independent class.
     """
-    complex_ = CochainComplex(p)
+    complex_ = _complex_of(p)
     d1 = complex_.delta_matrix(1)
     d0 = complex_.delta_matrix(0)
 

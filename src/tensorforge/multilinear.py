@@ -93,6 +93,75 @@ def _extend(lookup, v: Vector | None, zero):
     return acc
 
 
+class _Columns(dict):
+    """A square matrix as its nonzero columns, {col: Vector}.
+
+    The operator laws compose and add these instead of dense Matrix values:
+    a product touches only the nonzero columns of its right factor, and a
+    zero column is never stored, so equal operators are equal dicts.
+    `zero` is the zero column; `dense` rebuilds the Matrix for printing.
+    """
+
+    def __init__(self, zero: Vector, cols=()):
+        super().__init__((j, v) for j, v in cols if not v.is_zero())
+        self.zero = zero
+
+    @classmethod
+    def of(cls, mat: Matrix, zero: Vector) -> "_Columns":
+        return cls(zero, ((j, mat.col(j)) for j in range(mat.ncols)))
+
+    def __add__(self, other: "_Columns") -> "_Columns":
+        out = dict(self)
+        for j, v in other.items():
+            w = out.get(j)
+            out[j] = v if w is None else w + v
+        return _Columns(self.zero, out.items())
+
+    def scale(self, c) -> "_Columns":
+        return _Columns(self.zero, ((j, v.scale(c)) for j, v in self.items()))
+
+    def mul_vec(self, v: Vector | None) -> Vector:
+        return _extend(self.get, v, self.zero)
+
+    def mul(self, other: "_Columns") -> "_Columns":
+        return _Columns(self.zero, ((j, self.mul_vec(v)) for j, v in other.items()))
+
+    def dense(self) -> Matrix:
+        return Matrix.from_cols(
+            [self.get(j, self.zero) for j in range(self.zero.dim)],
+            nrows=self.zero.dim,
+        )
+
+
+def _feeds(values: dict, keys, slot: int):
+    """Join a table's values into one slot of another table's keys.
+
+    Yields (vkey, rest) for every value values[vkey] with a nonzero
+    coordinate m and every key in keys that has m in position slot; rest is
+    that key with the slot removed. These are the only places where the
+    composite "keys-table applied to values[vkey] in that slot" can be
+    nonzero.
+    """
+    index = {}
+    for key in keys:
+        index.setdefault(key[slot], []).append(key[:slot] + key[slot + 1 :])
+    for vkey, vec in values.items():
+        for m, _ in vec.iter_nonzero():
+            for rest in index.get(m, ()):
+                yield vkey, rest
+
+
+def _products(left: dict, right: dict) -> set:
+    """Key pairs (a, b) where left[a] @ right[b] can be nonzero.
+
+    left and right map keys to _Columns: the product is zero unless a
+    column of right[b] is nonzero in a row where left[a] has a column.
+    """
+    cols = {b + (j,): v for b, op in right.items() for j, v in op.items()}
+    keys = [(j,) + a for a, op in left.items() for j in op]
+    return {(a, b[:-1]) for b, a in _feeds(cols, keys, 0)}
+
+
 def _check_index(space: Space, i: int, what: str):
     if not 0 <= i < space.dim:
         raise InputError(
@@ -334,37 +403,3 @@ class WedgePairBasis:
     def label(self, pos: int) -> str:
         i, j = self.pairs[pos]
         return f"{self.space.label(i)}^{self.space.label(j)}"
-
-    def format_element(self, v: Vector) -> str:
-        if v.dim != self.dim:
-            raise InputError("wedge element dimension mismatch")
-        parts = []
-        for p, c in v.iter_nonzero():
-            label = self.label(p)
-            if c == 1:
-                parts.append(label)
-            elif c == -1:
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"{fmt_rat(c)}*{label}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
-
-
-def eval_trilinear(table: TrilinearTable, x: Vector, y: Vector, z: Vector) -> Vector:
-    """Evaluate a stored trilinear table on arbitrary coordinate vectors."""
-    for v in (x, y, z):
-        if v.dim != table.domain.dim:
-            raise InputError(
-                f"eval_trilinear: vector dimension {v.dim} does not match "
-                f"space {table.domain.name!r} of dimension {table.domain.dim}"
-            )
-    return table.eval(x, y, z)
-
-
-def wedge_expand(basis: WedgePairBasis, u: Vector, v: Vector) -> Vector:
-    return basis.wedge_expand(u, v)

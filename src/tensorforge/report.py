@@ -103,8 +103,22 @@ class Report:
         self.checks.append(check)
         return check
 
-    def law(self, name: str, scope: str, tuples, sides, show, where) -> CheckLine:
-        """Check one law on every basis tuple, in the order given.
+    def law(
+        self, name: str, scope: str, tuples, sides, show, where, count=None
+    ) -> CheckLine:
+        """Check one law on the tuples of its support, in the order given.
+
+        The scope of a law is every basis tuple it quantifies over, `count`
+        of them (default: as many as `tuples` yields), and that count is
+        what `checked` reports. `tuples` is the support: the tuples of the
+        scope where some term of the law can be nonzero, in the order of a
+        scan of the whole scope. A law built by joining the nonzero keys of
+        its tables passes that join, sorted: every scope in use is scanned
+        in lexicographic order, so the sorted join is in scan order. A law
+        with no join passes its whole scope. Skipping a tuple off the
+        support is sound because there every term is zero, so both sides
+        are zero and equal; and since the support keeps the scan order, the
+        witnesses come out as a full scan would give them.
 
         sides(t) returns (lhs, rhs); a vanishing law returns a zero as rhs.
         A tuple fails when the two differ, and its witness records
@@ -112,11 +126,13 @@ class Report:
         only on failing tuples.
         """
         line = self.line(name, scope)
+        evaluated = 0
         for t in tuples:
-            line.checked += 1
+            evaluated += 1
             lhs, rhs = sides(t)
             if lhs != rhs:
                 line.add_failure(one_based(t), where(t), show(lhs), show(rhs))
+        line.checked = evaluated if count is None else count
         return line
 
     def refuse(self, reason: str) -> "Report":
@@ -126,9 +142,6 @@ class Report:
 
     def note(self, text: str):
         self.notes.append(text)
-
-    def all_failures(self) -> list[Failure]:
-        return [f for line in self.checks for f in line.failures]
 
     def absorb(self, other: "Report", prefix: str):
         """Inline another report's lines under a prefixed name."""

@@ -127,12 +127,19 @@ def test_witness_caps(run, adjoint_file):
     assert len(line["witnesses"]) == 1 and line["omitted_witnesses"] == 3
 
 
-def test_negative_witness_cap_exits_two(run, fixtures_dir, adjoint_file):
+def test_negative_witness_cap_exits_two(run, fixtures_dir, adjoint_file, capsys):
     broken = fixtures_dir / "broken_3lie.json"
-    for command, path in (("check-3lie", broken), ("cohomology", adjoint_file)):
-        rc, out, err = run(command, path, "--max-witnesses", "-1")
-        assert (rc, out) == (2, "")
-        assert err == "input error: --max-witnesses must be at least 0, got -1\n"
+    rc, out, err = run("check-3lie", broken, "--max-witnesses", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "input error: --max-witnesses must be at least 0, got -1\n"
+    # cohomology prints no witnesses, so it has no such option at all
+    with pytest.raises(SystemExit) as exc:
+        run("cohomology", adjoint_file, "--max-witnesses", "-1")
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        "tensorforge: error: unrecognized arguments: --max-witnesses -1\n"
+    )
 
     rc, out, _ = run("check-3lie", broken, "--max-witnesses", "0")
     assert rc == 1 and "witness (" not in out

@@ -1,6 +1,9 @@
-"""Lint: every module of the package uses each name it imports."""
+"""Lint: every module of the package uses each name it imports, and every
+function it defines is referenced somewhere."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,49 @@ def test_module_uses_every_name_it_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+ROOT = PACKAGE.parent.parent
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _references(tree):
+    """Every name a file mentions outside a definition: names, attributes,
+    imported names and identifiers inside string constants (`getattr`
+    arguments, the dotted names the benchmark tracer wraps)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
+def test_every_function_is_referenced():
+    counts = Counter()
+    own = Counter()
+    defs = []
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            counts.update(_references(tree))
+            if PACKAGE not in path.parents:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.name.startswith("__") and node.name.endswith("__"):
+                        continue
+                    defs.append((path.name, node))
+                    # a recursive call is not a use
+                    own[node.name] += sum(
+                        1 for r in _references(node) if r == node.name
+                    )
+    unused = sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defs
+        if counts[node.name] - own[node.name] <= 0
+    )
+    assert not unused, "functions referenced nowhere: " + ", ".join(unused)
