@@ -10,6 +10,7 @@ its graph criterion are both computed exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
@@ -37,7 +38,7 @@ from .multilinear import (
     format_matrix,
     format_vector,
 )
-from .report import Report, one_based, tuple_label
+from .report import Report, tuple_label
 
 
 @dataclass(frozen=True)
@@ -465,6 +466,11 @@ def _tensor_support(
     return out
 
 
+# The point of the tensor's graph over an H-part; it equals any (L-part,
+# H-part) pair that lies on the graph.
+_OnGraph = namedtuple("_OnGraph", "l_part h_part")
+
+
 def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     """Closure of the tensor's graph inside the hemisemidirect product.
 
@@ -483,29 +489,34 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     lspace, hspace = p.l_space, p.h_space
     ldim, hdim = lspace.dim, hspace.dim
     lam = p.tensor
+    lam_cols = p.tensor_columns()
     graph_basis = [
-        Vector(lam.column(i).entries + hspace.basis_vector(i).entries)
+        Vector(lam_cols[i].entries + hspace.basis_vector(i).entries)
         for i in range(hdim)
     ]
 
-    line = rep.line("graph closure", "all ordered graph-basis triples")
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                line.checked += 1
-                out = combined.eval(
-                    graph_basis[i], graph_basis[j], graph_basis[k]
-                )
-                l_part = Vector(out.entries[:ldim])
-                h_part = Vector(out.entries[ldim:])
-                if l_part != lam.apply(h_part):
-                    line.add_failure(
-                        one_based((i, j, k)),
-                        tuple_label(hspace, (i, j, k)),
-                        f"({format_vector(lspace, l_part)} ; "
-                        f"{format_vector(hspace, h_part)})",
-                        f"graph element over {format_vector(hspace, h_part)}",
-                    )
+    def closure(t):
+        out = combined.eval(*(graph_basis[i] for i in t))
+        h_part = Vector(out.entries[ldim:])
+        return (Vector(out.entries[:ldim]), h_part), _OnGraph(lam.apply(h_part), h_part)
+
+    def show(side):
+        if isinstance(side, _OnGraph):
+            return f"graph element over {format_vector(hspace, side.h_part)}"
+        l_part, h_part = side
+        return f"({format_vector(lspace, l_part)} ; {format_vector(hspace, h_part)})"
+
+    # the graph condition has the terms of the tensor condition, so the same support
+    support = _tensor_support(p, [(lam_cols,) * 3], [(lam_cols,) * 2], True)
+    rep.law(
+        "graph closure",
+        "all ordered graph-basis triples",
+        sorted(support),
+        closure,
+        show,
+        partial(tuple_label, hspace),
+        hdim**3,
+    )
     agreement = check_net(p, mode="all")
     rep.note(
         "tensor-condition cross-check: "

@@ -11,6 +11,10 @@ Sparse tables use 1-based string keys (``"1,2,3"``) mapping to sparse
 vectors (``{"4": 1}``); operators and tensors are dense row-major arrays.
 Emission is canonical — fixed field order, entries and keys sorted, and
 parameters materialized — so a second emission is byte-identical.
+
+Each structure kind is declared once, in ``_KINDS``: its fields in order,
+each with a codec that reads and writes it, a constructor and a reader.
+Parsing, emission and the emitted list of spaces all follow that table.
 """
 
 from __future__ import annotations
@@ -45,23 +49,6 @@ from .multilinear import (
 )
 
 FORMAT = "tensorforge/1"
-
-KIND_ORDER = (
-    "lie",
-    "three_lie",
-    "three_leibniz",
-    "leibniz_lie",
-    "three_leibniz_lie",
-    "representations",
-    "actions",
-    "nets",
-    "three_leibniz_reps",
-    "lie_actions",
-    "lie_nets",
-    "traces",
-    "maps",
-    "deformations",
-)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _SCALAR_RE = re.compile(
@@ -233,6 +220,7 @@ def _parse_key(raw: str, arity: int, path: str) -> tuple:
 def _parse_sparse_vector(raw, space: Space, scalars, path: str) -> Vector:
     _expect(raw, dict, path, "a sparse vector object")
     entries = [Fraction(0)] * space.dim
+    seen = set()
     for key, value in raw.items():
         key_text = key.strip()
         if not key_text.isdecimal() or int(key_text) < 1:
@@ -245,6 +233,12 @@ def _parse_sparse_vector(raw, space: Space, scalars, path: str) -> Vector:
                 f"{path}: component {key!r} exceeds the dimension "
                 f"of space {space.name!r} ({space.dim})"
             )
+        if index in seen:
+            raise InputError(
+                f"{path}: duplicate component key {key!r}: an earlier key "
+                "names the same index"
+            )
+        seen.add(index)
         entries[index] = scalars.parse(value, f"{path}.{key}")
     return Vector(entries)
 
@@ -275,8 +269,9 @@ def _parse_matrix(raw, nrows: int, ncols: int, scalars, path: str) -> Matrix:
     return Matrix(rows) if rows else Matrix.zeros(0, ncols)
 
 
-def _parse_vector_table(raw, arity: int, space: Space, codomain: Space,
-                        scalars, path: str) -> dict:
+def _parse_table(raw, arity: int, space: Space, parse_value, path: str) -> dict:
+    """A table keyed by basis tuples of `space`; a unary key is stored as
+    its one index."""
     _expect(raw, dict, path, "a table object")
     out = {}
     for key, value in raw.items():
@@ -287,28 +282,14 @@ def _parse_vector_table(raw, arity: int, space: Space, codomain: Space,
                     f"{path}: key {key!r} exceeds the dimension "
                     f"of space {space.name!r} ({space.dim})"
                 )
-        out[indices] = _parse_sparse_vector(
-            value, codomain, scalars, f"{path}.{key}"
-        )
-    return out
-
-
-def _parse_matrix_table(raw, arity: int, source: Space, target: Space,
-                        scalars, path: str) -> dict:
-    _expect(raw, dict, path, "a table object")
-    out = {}
-    for key, value in raw.items():
-        indices = _parse_key(key, arity, path)
-        for index in indices:
-            if index >= source.dim:
-                raise InputError(
-                    f"{path}: key {key!r} exceeds the dimension "
-                    f"of space {source.name!r} ({source.dim})"
-                )
-        mat = _parse_matrix(
-            value, target.dim, target.dim, scalars, f"{path}.{key}"
-        )
-        out[indices if arity > 1 else indices[0]] = mat
+        if arity == 1:
+            indices = indices[0]
+        if indices in out:
+            raise InputError(
+                f"{path}: duplicate key {key!r}: an earlier key names "
+                "the same indices"
+            )
+        out[indices] = parse_value(value, f"{path}.{key}")
     return out
 
 
@@ -336,235 +317,270 @@ _LIST = (list, "a list")
 _STR = (str, "a string")
 
 
-def _parse_lie(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "space": _STR},
-        {"brackets": (*_TABLE, {})},
-    )
-    space = _space_ref(doc, fields["space"], f"{path}.space")
-    coords = _parse_vector_table(
-        fields["brackets"], 2, space, space, scalars, f"{path}.brackets"
-    )
-    return fields["name"], LieAlgebra(space, coords)
+# --- emission ---------------------------------------------------------------
 
 
-def _parse_three_lie(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "space": _STR},
-        {"brackets": (*_TABLE, {})},
-    )
-    space = _space_ref(doc, fields["space"], f"{path}.space")
-    coords = _parse_vector_table(
-        fields["brackets"], 3, space, space, scalars, f"{path}.brackets"
-    )
-    table = AlternatingTrilinearTable(space, space, coords)
-    return fields["name"], ThreeLieAlgebra(space, table)
+def _emit_scalar(q: Fraction):
+    return int(q) if q.denominator == 1 else str(q)
 
 
-def _parse_three_leibniz(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "space": _STR},
-        {"brackets": (*_TABLE, {})},
-    )
-    space = _space_ref(doc, fields["space"], f"{path}.space")
-    coords = _parse_vector_table(
-        fields["brackets"], 3, space, space, scalars, f"{path}.brackets"
-    )
-    table = TrilinearTable(space, space, coords)
-    return fields["name"], ThreeLeibnizAlgebra(space, table)
+def _emit_sparse_vector(v: Vector) -> dict:
+    return {str(i + 1): _emit_scalar(c) for i, c in v.iter_nonzero()}
 
 
-def _parse_leibniz_lie(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "lie": _STR},
-        {"products": (*_TABLE, {})},
-    )
-    lie = _entry_ref(doc, "lie", fields["lie"], f"{path}.lie")
-    coords = _parse_vector_table(
-        fields["products"], 2, lie.space, lie.space, scalars, f"{path}.products"
-    )
-    return fields["name"], LeibnizLieAlgebra(lie, coords)
+def _emit_dense_vector(v: Vector) -> list:
+    return [_emit_scalar(c) for c in v.entries]
 
 
-def _parse_three_leibniz_lie(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "three_lie": _STR},
-        {"braces": (*_TABLE, {})},
-    )
-    lie3 = _entry_ref(doc, "three_lie", fields["three_lie"], f"{path}.three_lie")
-    coords = _parse_vector_table(
-        fields["braces"], 3, lie3.space, lie3.space, scalars, f"{path}.braces"
-    )
-    braces = TrilinearTable(lie3.space, lie3.space, coords)
-    return fields["name"], ThreeLeibnizLieAlgebra(lie3, braces)
+def _emit_matrix(m: Matrix) -> list:
+    return [[_emit_scalar(c) for c in row] for row in m.rows]
 
 
-def _parse_representation(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "algebra": _STR, "carrier": _STR},
-        {"operators": (*_TABLE, {})},
-    )
-    algebra = _entry_ref(doc, "three_lie", fields["algebra"], f"{path}.algebra")
-    carrier = _space_ref(doc, fields["carrier"], f"{path}.carrier")
-    coords = _parse_matrix_table(
-        fields["operators"], 2, algebra.space, carrier, scalars,
-        f"{path}.operators",
-    )
-    rho = PairAction(algebra.space, carrier, coords)
-    return fields["name"], RepresentationData(algebra, carrier, rho)
-
-
-def _parse_action(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "representation": _STR},
-        {"carrier_brackets": (*_TABLE, {})},
-    )
-    rep = _entry_ref(
-        doc, "representations", fields["representation"], f"{path}.representation"
-    )
-    coords = _parse_vector_table(
-        fields["carrier_brackets"], 3, rep.carrier, rep.carrier, scalars,
-        f"{path}.carrier_brackets",
-    )
-    bracket = AlternatingTrilinearTable(rep.carrier, rep.carrier, coords)
-    return fields["name"], CoherentActionData(rep, bracket)
-
-
-def _parse_net(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "action": _STR, "tensor": _LIST},
-        {},
-    )
-    action = _entry_ref(doc, "actions", fields["action"], f"{path}.action")
-    lspace = action.algebra.space
-    hspace = action.carrier
-    matrix = _parse_matrix(
-        fields["tensor"], lspace.dim, hspace.dim, scalars, f"{path}.tensor"
-    )
-    tensor = LinearMap(hspace, lspace, matrix)
-    return fields["name"], EmbeddingTensorProblem(action, tensor)
-
-
-def _parse_three_leibniz_rep(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "algebra": _STR, "carrier": _STR},
-        {
-            "left": (*_TABLE, {}),
-            "middle": (*_TABLE, {}),
-            "right": (*_TABLE, {}),
-        },
-    )
-    algebra = _entry_ref(doc, "three_leibniz", fields["algebra"], f"{path}.algebra")
-    carrier = _space_ref(doc, fields["carrier"], f"{path}.carrier")
-    tables = {
-        slot: _parse_matrix_table(
-            fields[slot], 2, algebra.space, carrier, scalars, f"{path}.{slot}"
-        )
-        for slot in ("left", "middle", "right")
+def _emit_vector_table(items) -> dict:
+    return {
+        ",".join(str(x + 1) for x in key): _emit_sparse_vector(vec)
+        for key, vec in sorted(items)
     }
-    rep = ThreeLeibnizRep(
-        algebra, carrier, tables["left"], tables["middle"], tables["right"]
+
+
+def _emit_matrix_table(items) -> dict:
+    out = {}
+    for key, mat in sorted(items):
+        if isinstance(key, int):
+            key = (key,)
+        out[",".join(str(x + 1) for x in key)] = _emit_matrix(mat)
+    return out
+
+
+def _space_entry(space: Space) -> dict:
+    return {
+        "name": space.name,
+        "dim": space.dim,
+        "labels": list(space.basis_labels),
+    }
+
+
+# --- one declaration per structure kind --------------------------------------
+
+
+class _Codec:
+    """How one field of an entry is typed, read and written.
+
+    `spec` is what `_take` checks: the JSON type and its name, plus the
+    default of an optional field.  `parse(raw, doc, scalars, prior, path)`
+    reads the field given the values of the entry's fields before it;
+    `emit(value, doc, note)` writes it, passing each space to `note`.
+    """
+
+    def __init__(self, spec, parse, emit):
+        self.spec = spec
+        self.parse = parse
+        self.emit = emit
+
+
+def _emit_space(space: Space, doc, note) -> str:
+    note(space)
+    return space.name
+
+
+_SPACE = _Codec(
+    _STR,
+    lambda raw, doc, scalars, prior, path: _space_ref(doc, raw, path),
+    _emit_space,
+)
+
+
+def _entry(kind: str) -> _Codec:
+    """A reference by name to an entry of `kind` parsed before this one."""
+    return _Codec(
+        _STR,
+        lambda raw, doc, scalars, prior, path: _entry_ref(doc, kind, raw, path),
+        lambda obj, doc, note: doc.name_of(kind, obj),
     )
-    return fields["name"], rep
 
 
-def _parse_lie_action(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "algebra": _STR, "carrier": _STR},
-        {"operators": (*_TABLE, {})},
+def _vectors(arity: int, space_of, table=None) -> _Codec:
+    """Sparse vectors keyed by `arity`-tuples, on the space `space_of(*prior)`;
+    `table(space, space, coords)` wraps the coordinates when given."""
+
+    def parse(raw, doc, scalars, prior, path):
+        space = space_of(*prior)
+        coords = _parse_table(
+            raw, arity, space,
+            lambda value, at: _parse_sparse_vector(value, space, scalars, at),
+            path,
+        )
+        return coords if table is None else table(space, space, coords)
+
+    return _Codec(
+        (*_TABLE, {}), parse,
+        lambda value, doc, note: _emit_vector_table(value.items()),
     )
-    lie = _entry_ref(doc, "lie", fields["algebra"], f"{path}.algebra")
-    carrier = _entry_ref(doc, "lie", fields["carrier"], f"{path}.carrier")
-    rho = _parse_matrix_table(
-        fields["operators"], 1, lie.space, carrier.space, scalars,
-        f"{path}.operators",
+
+
+def _operators(arity: int, spaces_of) -> _Codec:
+    """Square matrices on a target space keyed by `arity`-tuples of a source
+    space, where `spaces_of(*prior)` is (source, target)."""
+
+    def parse(raw, doc, scalars, prior, path):
+        source, target = spaces_of(*prior)
+        return _parse_table(
+            raw, arity, source,
+            lambda value, at: _parse_matrix(
+                value, target.dim, target.dim, scalars, at
+            ),
+            path,
+        )
+
+    return _Codec(
+        (*_TABLE, {}), parse,
+        lambda value, doc, note: _emit_matrix_table(value.items()),
     )
-    return fields["name"], LieCoherentAction(lie, carrier, rho)
 
 
-def _parse_lie_net(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "action": _STR, "tensor": _LIST},
-        {},
+def _linear_map(spaces_of) -> _Codec:
+    """A dense dim target x dim source matrix, where `spaces_of(*prior)` is
+    (source, target); it reads as a LinearMap."""
+
+    def parse(raw, doc, scalars, prior, path):
+        source, target = spaces_of(*prior)
+        matrix = _parse_matrix(raw, target.dim, source.dim, scalars, path)
+        return LinearMap(source, target, matrix)
+
+    return _Codec(
+        _LIST, parse, lambda value, doc, note: _emit_matrix(value.matrix)
     )
-    action = _entry_ref(doc, "lie_actions", fields["action"], f"{path}.action")
-    lspace = action.lie.space
-    hspace = action.carrier.space
-    matrix = _parse_matrix(
-        fields["tensor"], lspace.dim, hspace.dim, scalars, f"{path}.tensor"
-    )
-    return fields["name"], LieNet(action, LinearMap(hspace, lspace, matrix))
 
 
-def _parse_trace(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "space": _STR, "covector": _LIST},
-        {},
-    )
-    space = _space_ref(doc, fields["space"], f"{path}.space")
-    covector = _parse_dense_vector(
-        fields["covector"], space.dim, scalars, f"{path}.covector"
-    )
-    return fields["name"], TraceMap(space, covector)
+# a dense vector on the space of the field before it
+_COVECTOR = _Codec(
+    _LIST,
+    lambda raw, doc, scalars, prior, path: _parse_dense_vector(
+        raw, prior[0].dim, scalars, path
+    ),
+    lambda value, doc, note: _emit_dense_vector(value),
+)
 
 
-def _parse_map(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "source": _STR, "target": _STR, "matrix": _LIST},
-        {},
-    )
-    source = _space_ref(doc, fields["source"], f"{path}.source")
-    target = _space_ref(doc, fields["target"], f"{path}.target")
-    matrix = _parse_matrix(
-        fields["matrix"], target.dim, source.dim, scalars, f"{path}.matrix"
-    )
-    return fields["name"], LinearMap(source, target, matrix)
+class _Kind:
+    """One structure kind: its fields in emission order, a constructor that
+    takes their values in that order, and a reader that returns them."""
+
+    def __init__(self, build, read, **fields):
+        self.build, self.read, self.fields = build, read, fields
+        self.required = {"name": _STR}
+        self.optional = {}
+        for field, codec in fields.items():
+            if len(codec.spec) == 3:  # (types, what, default)
+                self.optional[field] = codec.spec
+            else:
+                self.required[field] = codec.spec
+
+    def parse(self, doc: Document, body: dict, scalars, path: str):
+        fields = _take(body, path, self.required, self.optional)
+        values = []
+        for field, codec in self.fields.items():
+            values.append(
+                codec.parse(fields[field], doc, scalars, values, f"{path}.{field}")
+            )
+        return fields["name"], self.build(*values)
+
+    def emit(self, doc: Document, name: str, obj, note) -> dict:
+        out = {"name": name}
+        for (field, codec), value in zip(self.fields.items(), self.read(obj)):
+            out[field] = codec.emit(value, doc, note)
+        return out
 
 
-def _parse_deformation(doc, body, scalars, path):
-    fields = _take(
-        body, path,
-        {"name": _STR, "net": _STR, "direction": _LIST},
-        {},
-    )
-    problem = _entry_ref(doc, "nets", fields["net"], f"{path}.net")
-    lspace, hspace = problem.l_space, problem.h_space
-    matrix = _parse_matrix(
-        fields["direction"], lspace.dim, hspace.dim, scalars, f"{path}.direction"
-    )
-    direction = LinearMap(hspace, lspace, matrix)
-    return fields["name"], Deformation(problem, direction)
+def _acting_on_carrier(algebra, carrier, *tables):
+    return algebra.space, carrier
 
 
-_KIND_PARSERS = {
-    "lie": _parse_lie,
-    "three_lie": _parse_three_lie,
-    "three_leibniz": _parse_three_leibniz,
-    "leibniz_lie": _parse_leibniz_lie,
-    "three_leibniz_lie": _parse_three_leibniz_lie,
-    "representations": _parse_representation,
-    "actions": _parse_action,
-    "nets": _parse_net,
-    "three_leibniz_reps": _parse_three_leibniz_rep,
-    "lie_actions": _parse_lie_action,
-    "lie_nets": _parse_lie_net,
-    "traces": _parse_trace,
-    "maps": _parse_map,
-    "deformations": _parse_deformation,
+# Kinds are parsed and emitted in this order, so an entry may refer only to
+# kinds above its own.
+_KINDS = {
+    "lie": _Kind(
+        LieAlgebra, lambda o: (o.space, o.coords),
+        space=_SPACE, brackets=_vectors(2, lambda space: space),
+    ),
+    "three_lie": _Kind(
+        ThreeLieAlgebra, lambda o: (o.space, o.bracket),
+        space=_SPACE,
+        brackets=_vectors(3, lambda space: space, AlternatingTrilinearTable),
+    ),
+    "three_leibniz": _Kind(
+        ThreeLeibnizAlgebra, lambda o: (o.space, o.bracket),
+        space=_SPACE, brackets=_vectors(3, lambda space: space, TrilinearTable),
+    ),
+    "leibniz_lie": _Kind(
+        LeibnizLieAlgebra, lambda o: (o.lie, o.triangle),
+        lie=_entry("lie"), products=_vectors(2, lambda lie: lie.space),
+    ),
+    "three_leibniz_lie": _Kind(
+        ThreeLeibnizLieAlgebra, lambda o: (o.lie3, o.braces),
+        three_lie=_entry("three_lie"),
+        braces=_vectors(3, lambda lie3: lie3.space, TrilinearTable),
+    ),
+    "representations": _Kind(
+        lambda algebra, carrier, coords: RepresentationData(
+            algebra, carrier, PairAction(algebra.space, carrier, coords)
+        ),
+        lambda o: (o.algebra, o.carrier, o.rho),
+        algebra=_entry("three_lie"), carrier=_SPACE,
+        operators=_operators(2, _acting_on_carrier),
+    ),
+    "actions": _Kind(
+        CoherentActionData, lambda o: (o.rep, o.target_bracket),
+        representation=_entry("representations"),
+        carrier_brackets=_vectors(
+            3, lambda rep: rep.carrier, AlternatingTrilinearTable
+        ),
+    ),
+    "nets": _Kind(
+        EmbeddingTensorProblem, lambda o: (o.action, o.tensor),
+        action=_entry("actions"),
+        tensor=_linear_map(lambda action: (action.carrier, action.algebra.space)),
+    ),
+    "three_leibniz_reps": _Kind(
+        ThreeLeibnizRep,
+        lambda o: (o.algebra, o.carrier, o.l_act, o.m_act, o.r_act),
+        algebra=_entry("three_leibniz"), carrier=_SPACE,
+        left=_operators(2, _acting_on_carrier),
+        middle=_operators(2, _acting_on_carrier),
+        right=_operators(2, _acting_on_carrier),
+    ),
+    "lie_actions": _Kind(
+        LieCoherentAction, lambda o: (o.lie, o.carrier, o.rho),
+        algebra=_entry("lie"), carrier=_entry("lie"),
+        operators=_operators(1, lambda lie, carrier: (lie.space, carrier.space)),
+    ),
+    "lie_nets": _Kind(
+        LieNet, lambda o: (o.action, o.tensor),
+        action=_entry("lie_actions"),
+        tensor=_linear_map(
+            lambda action: (action.carrier.space, action.lie.space)
+        ),
+    ),
+    "traces": _Kind(
+        TraceMap, lambda o: (o.space, o.covector),
+        space=_SPACE, covector=_COVECTOR,
+    ),
+    "maps": _Kind(
+        lambda source, target, linear: linear,
+        lambda o: (o.source, o.target, o),
+        source=_SPACE, target=_SPACE, matrix=_linear_map(lambda s, t: (s, t)),
+    ),
+    "deformations": _Kind(
+        Deformation, lambda o: (o.problem, o.direction),
+        net=_entry("nets"),
+        direction=_linear_map(lambda net: (net.h_space, net.l_space)),
+    ),
 }
+
+KIND_ORDER = tuple(_KINDS)
+
+
+# --- documents --------------------------------------------------------------
 
 
 def parse_document(text: str, overrides: dict | None = None) -> Document:
@@ -631,12 +647,12 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
 
     structures = top["structures"]
     for kind in structures:
-        if kind not in _KIND_PARSERS:
+        if kind not in _KINDS:
             raise InputError(
                 f"document.structures: unknown kind {kind!r} "
                 f"(known: {', '.join(KIND_ORDER)})"
             )
-    for kind in KIND_ORDER:
+    for kind, spec in _KINDS.items():
         if kind not in structures:
             continue
         bodies = _expect(
@@ -645,7 +661,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
         for index, body in enumerate(bodies):
             path = f"document.structures.{kind}[{index}]"
             _expect(body, dict, path, "an entry object")
-            name, obj = _KIND_PARSERS[kind](doc, body, scalars, path)
+            name, obj = spec.parse(doc, body, scalars, path)
             name = _parse_name(name, f"{path}.name")
             if name in doc.entries[kind]:
                 raise InputError(f"{path}: duplicate {kind} name {name!r}")
@@ -660,168 +676,6 @@ def load_document(path: str, overrides: dict | None = None) -> Document:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     return parse_document(text, overrides)
-
-
-# --- emission ---------------------------------------------------------------
-
-
-def _emit_scalar(q: Fraction):
-    return int(q) if q.denominator == 1 else str(q)
-
-
-def _emit_sparse_vector(v: Vector) -> dict:
-    return {str(i + 1): _emit_scalar(c) for i, c in v.iter_nonzero()}
-
-
-def _emit_dense_vector(v: Vector) -> list:
-    return [_emit_scalar(c) for c in v.entries]
-
-
-def _emit_matrix(m: Matrix) -> list:
-    return [[_emit_scalar(c) for c in row] for row in m.rows]
-
-
-def _emit_vector_table(items) -> dict:
-    return {
-        ",".join(str(x + 1) for x in key): _emit_sparse_vector(vec)
-        for key, vec in sorted(items)
-    }
-
-
-def _emit_matrix_table(items) -> dict:
-    out = {}
-    for key, mat in sorted(items):
-        if isinstance(key, int):
-            key = (key,)
-        out[",".join(str(x + 1) for x in key)] = _emit_matrix(mat)
-    return out
-
-
-def _space_entry(space: Space) -> dict:
-    return {
-        "name": space.name,
-        "dim": space.dim,
-        "labels": list(space.basis_labels),
-    }
-
-
-def _spaces_of(kind: str, obj) -> list:
-    if kind in ("lie", "three_lie", "three_leibniz", "leibniz_lie",
-                "three_leibniz_lie"):
-        return [obj.space]
-    if kind == "representations":
-        return [obj.algebra.space, obj.carrier]
-    if kind == "actions":
-        return [obj.algebra.space, obj.carrier]
-    if kind == "nets":
-        return [obj.l_space, obj.h_space]
-    if kind == "three_leibniz_reps":
-        return [obj.algebra.space, obj.carrier]
-    if kind == "lie_actions":
-        return [obj.lie.space, obj.carrier.space]
-    if kind == "lie_nets":
-        return [obj.action.lie.space, obj.action.carrier.space]
-    if kind == "traces":
-        return [obj.space]
-    if kind == "maps":
-        return [obj.source, obj.target]
-    if kind == "deformations":
-        return [obj.problem.l_space, obj.problem.h_space]
-    raise InputError(f"unknown structure kind {kind!r}")
-
-
-def _entry_dict(doc: Document, kind: str, name: str, obj) -> dict:
-    if kind == "lie":
-        return {
-            "name": name,
-            "space": obj.space.name,
-            "brackets": _emit_vector_table(obj.items()),
-        }
-    if kind == "three_lie":
-        return {
-            "name": name,
-            "space": obj.space.name,
-            "brackets": _emit_vector_table(obj.bracket.items()),
-        }
-    if kind == "three_leibniz":
-        return {
-            "name": name,
-            "space": obj.space.name,
-            "brackets": _emit_vector_table(obj.bracket.items()),
-        }
-    if kind == "leibniz_lie":
-        return {
-            "name": name,
-            "lie": doc.name_of("lie", obj.lie),
-            "products": _emit_vector_table(obj.items()),
-        }
-    if kind == "three_leibniz_lie":
-        return {
-            "name": name,
-            "three_lie": doc.name_of("three_lie", obj.lie3),
-            "braces": _emit_vector_table(obj.braces.items()),
-        }
-    if kind == "representations":
-        return {
-            "name": name,
-            "algebra": doc.name_of("three_lie", obj.algebra),
-            "carrier": obj.carrier.name,
-            "operators": _emit_matrix_table(obj.rho.items()),
-        }
-    if kind == "actions":
-        return {
-            "name": name,
-            "representation": doc.name_of("representations", obj.rep),
-            "carrier_brackets": _emit_vector_table(obj.target_bracket.items()),
-        }
-    if kind == "nets":
-        return {
-            "name": name,
-            "action": doc.name_of("actions", obj.action),
-            "tensor": _emit_matrix(obj.tensor.matrix),
-        }
-    if kind == "three_leibniz_reps":
-        return {
-            "name": name,
-            "algebra": doc.name_of("three_leibniz", obj.algebra),
-            "carrier": obj.carrier.name,
-            "left": _emit_matrix_table(obj.l_act.items()),
-            "middle": _emit_matrix_table(obj.m_act.items()),
-            "right": _emit_matrix_table(obj.r_act.items()),
-        }
-    if kind == "lie_actions":
-        return {
-            "name": name,
-            "algebra": doc.name_of("lie", obj.lie),
-            "carrier": doc.name_of("lie", obj.carrier),
-            "operators": _emit_matrix_table(obj.rho.items()),
-        }
-    if kind == "lie_nets":
-        return {
-            "name": name,
-            "action": doc.name_of("lie_actions", obj.action),
-            "tensor": _emit_matrix(obj.tensor.matrix),
-        }
-    if kind == "traces":
-        return {
-            "name": name,
-            "space": obj.space.name,
-            "covector": _emit_dense_vector(obj.covector),
-        }
-    if kind == "maps":
-        return {
-            "name": name,
-            "source": obj.source.name,
-            "target": obj.target.name,
-            "matrix": _emit_matrix(obj.matrix),
-        }
-    if kind == "deformations":
-        return {
-            "name": name,
-            "net": doc.name_of("nets", obj.problem),
-            "direction": _emit_matrix(obj.direction.matrix),
-        }
-    raise InputError(f"unknown structure kind {kind!r}")
 
 
 def emit_document(doc: Document) -> str:
@@ -839,25 +693,18 @@ def emit_document(doc: Document) -> str:
 
     for space in doc.spaces.values():
         note_space(space)
-    for kind in KIND_ORDER:
-        for obj in doc.entries[kind].values():
-            for space in _spaces_of(kind, obj):
-                note_space(space)
+    structures: dict = {}
+    for kind, spec in _KINDS.items():
+        registry = doc.entries[kind]
+        if registry:
+            structures[kind] = [
+                spec.emit(doc, name, registry[name], note_space)
+                for name in sorted(registry)
+            ]
 
     out: dict = {"format": FORMAT}
     if doc.title is not None:
         out["title"] = doc.title
-    out["spaces"] = [
-        _space_entry(pool[name]) for name in sorted(pool)
-    ]
-    structures: dict = {}
-    for kind in KIND_ORDER:
-        registry = doc.entries[kind]
-        if not registry:
-            continue
-        structures[kind] = [
-            _entry_dict(doc, kind, name, registry[name])
-            for name in sorted(registry)
-        ]
+    out["spaces"] = [_space_entry(pool[name]) for name in sorted(pool)]
     out["structures"] = structures
     return json.dumps(out, indent=2) + "\n"

@@ -299,6 +299,9 @@ def test_builders_feed_their_checkers(
     rc, out, err = run(checker, out_file)
     assert rc == 0, err
     assert "PASS" in out
+    # the built document, its spaces pooled from entries made in memory,
+    # reads back to the same bytes
+    assert run("emit", out_file) == (0, out_file.read_text(), "")
 
 
 def test_hemisemidirect_labels_the_sum_space(run, adjoint_file):

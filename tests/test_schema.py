@@ -1,7 +1,9 @@
 """Document parsing, canonical emission, and input validation."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,9 @@ from tensorforge import (
     load_document,
     parse_document,
 )
+from tensorforge.schema import KIND_ORDER, _KINDS
+
+FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "format.md"
 
 FIXTURE_NAMES = [
     "abelian.json",
@@ -223,3 +228,42 @@ def test_emission_rejects_conflicting_space_names():
 def test_booleans_are_not_scalars():
     with pytest.raises(InputError, match="got a boolean"):
         parse_document(_lie_doc({"1,2": {"3": True}}))
+
+
+def test_keys_that_normalize_alike_are_duplicates(fixtures_dir):
+    with pytest.raises(
+        InputError,
+        match=r"document\.structures\.lie\[0\]\.brackets: duplicate key ' 1,2'",
+    ):
+        parse_document(_lie_doc({"1,2": {"3": 1}, " 1,2": {"3": 2}}))
+    with pytest.raises(
+        InputError,
+        match=r"brackets\.1,2: duplicate component key ' 3'",
+    ):
+        parse_document(_lie_doc({"1,2": {"3": 1, " 3": 5}}))
+    body = json.loads((fixtures_dir / "example_2_8.json").read_text())
+    operators = body["structures"]["representations"][0]["operators"]
+    key = next(iter(operators))
+    operators[key.replace(",", " ,")] = operators[key]
+    with pytest.raises(
+        InputError,
+        match=r"representations\[0\]\.operators: duplicate key",
+    ):
+        parse_document(json.dumps(body))
+
+
+def test_format_doc_lists_every_kind_with_its_fields():
+    """The kind table of docs/format.md names exactly the parsed kinds, in
+    parse order, each with its required and optional fields in order."""
+    text = FORMAT_DOC.read_text().split("## Structure kinds")[1].split("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in text.splitlines()
+        if line.startswith("| `")
+    ]
+    assert tuple(row[0].strip("`") for row in rows) == KIND_ORDER
+    for kind, required, optional in rows:
+        spec = _KINDS[kind.strip("`")]
+        assert re.findall(r"`(\w+)`", required) == list(spec.required)[1:], kind
+        assert re.findall(r"`(\w+)`", optional) == list(spec.optional), kind
+        assert [*spec.required][1:] + [*spec.optional] == list(spec.fields), kind

@@ -41,6 +41,7 @@ from tensorforge import (
     check_infinitesimal,
     check_net,
     check_representation,
+    graph_check,
     load_document,
 )
 from tensorforge import actions, algebras, cohomology, deformations
@@ -126,6 +127,7 @@ def _fixture_reports(path):
     reports += [check_coherent_action(c, "action") for c in entries["actions"].values()]
     for p in entries["nets"].values():
         reports += [check_net(p, mode, "net") for mode in ("all", "increasing")]
+        reports.append(graph_check(p))
         reports.append(check_3leibniz_rep(_induced_rep_unchecked(p)))
         descendent = ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
         reports.append(check_3leibniz(descendent))
@@ -199,6 +201,7 @@ def _problem_reports(seed, kind):
         check_coherent_action(p.action),
         check_net(p, "all"),
         check_net(p, "increasing"),
+        graph_check(p),
         check_3leibniz_rep(_induced_rep_unchecked(p)),
         check_infinitesimal(d),
         check_higher_order(d),
@@ -225,6 +228,7 @@ def test_perturbations_reach_failing_laws():
         "action fundamental law",
         "derivation law",
         "embedding-tensor condition",
+        "graph closure",
         "left-left composition law",
         "first-order tensor condition",
         "second-order condition",
@@ -275,6 +279,7 @@ SCOPES = {
     "all ordered basis 4-tuples": lambda m, n: product(range(n), repeat=4),
     "all ordered basis triples": lambda m, n: product(range(n), repeat=3),
     "all ordered carrier triples": lambda m, n: product(range(n), repeat=3),
+    "all ordered graph-basis triples": lambda m, n: product(range(n), repeat=3),
     "increasing carrier triples": lambda m, n: combinations(range(n), 3),
 }
 
