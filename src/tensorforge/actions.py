@@ -31,7 +31,6 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
-    _Columns,
     _extend,
     _feeds,
     _products,
@@ -143,15 +142,10 @@ def check_representation(r: RepresentationData, title: str | None = None) -> Rep
     return r._verified
 
 
-def _operators(rho: PairAction, both: bool) -> dict:
-    """The nonzero operators of rho as _Columns, on increasing pairs or,
-    with both, on every ordered pair."""
-    zero = rho.target.zero()
-    ops = {}
-    for (i, j), mat in rho.coords.items():
-        ops[(i, j)] = op = _Columns.of(mat, zero)
-        if both:
-            ops[(j, i)] = op.scale(-1)
+def _operators(rho: PairAction) -> dict:
+    """The nonzero operators of rho on every ordered pair."""
+    ops = dict(rho.coords)
+    ops.update(((j, i), -mat) for (i, j), mat in rho.coords.items())
     return ops
 
 
@@ -185,10 +179,10 @@ def _check_representation_impl(r: RepresentationData, title: str | None) -> Repo
     space = r.algebra.space
     dim = space.dim
     value = r.algebra.value
-    ops = _operators(r.rho, both=True)
-    zero = _Columns(r.carrier.zero())
+    ops = _operators(r.rho)
+    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
 
-    def op(i: int, j: int) -> _Columns:
+    def op(i: int, j: int) -> Matrix:
         return ops.get((i, j), zero)
 
     def fundamental(t):
@@ -223,7 +217,7 @@ def _check_representation_impl(r: RepresentationData, title: str | None) -> Repo
             "all ordered basis 4-tuples",
             sorted(support),
             sides,
-            lambda cols: format_matrix(cols.dense()),
+            format_matrix,
             partial(tuple_label, space),
             dim**4,
         )
@@ -255,8 +249,8 @@ def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Rep
     hspace = c.carrier
     zero = hspace.zero()
     hb = c.target_bracket.value
-    ops = _operators(c.rho, both=False)
-    no_op = _Columns(zero)
+    ops = c.rho.coords
+    no_op = Matrix.zeros(hspace.dim, hspace.dim)
 
     target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
     rep.absorb(target_gate, "carrier bracket")
@@ -264,18 +258,19 @@ def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Rep
     def derivation(t):
         (i, j), (h1, h2, h3) = t
         mat = ops.get((i, j), no_op)
-        lhs = mat.mul_vec(hb(h1, h2, h3))
+        hval = hb(h1, h2, h3)
+        lhs = zero if hval is None else mat.mul_vec(hval)
         rhs = (
-            _extend(lambda m: hb(m, h2, h3), mat.get(h1), zero)
-            + _extend(lambda m: hb(h1, m, h3), mat.get(h2), zero)
-            + _extend(lambda m: hb(h1, h2, m), mat.get(h3), zero)
+            _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero)
+            + _extend(lambda m: hb(h1, m, h3), mat.col(h2), zero)
+            + _extend(lambda m: hb(h1, h2, m), mat.col(h3), zero)
         )
         return lhs, rhs
 
     def annihilation(t):
         (i, j), (h1, h2, h3) = t
         mat = ops.get((i, j), no_op)
-        return _extend(lambda m: hb(m, h2, h3), mat.get(h1), zero), zero
+        return _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero), zero
 
     for (name, sides), support in zip(
         (
@@ -302,7 +297,10 @@ def _coherence_supports(c: CoherentActionData, ops: dict) -> tuple:
     derivation law, and of the annihilation law, can be nonzero: joins of
     the carrier bracket into the operators' columns and back."""
     bracket = c.target_bracket.expand_ordered()
-    columns = {pair + (h,): v for pair, op in ops.items() for h, v in op.items()}
+    # the nonzero columns rho(i, j) e_h, keyed (i, j, h)
+    columns = {
+        pair + (h,): op.col(h) for pair, op in ops.items() for (_, h), _ in op.items()
+    }
     # [rho(i, j) h1, h2, h3]
     annihilation = {
         (v[:2], v[2:] + rest) for v, rest in _feeds(columns, bracket, 0)
@@ -316,7 +314,7 @@ def _coherence_supports(c: CoherentActionData, ops: dict) -> tuple:
         (v[:2], rest + v[2:]) for v, rest in _feeds(columns, bracket, 2)
     )
     # rho(i, j) [h1, h2, h3]
-    by_column = [(h,) + pair for pair, op in ops.items() for h in op]
+    by_column = [key[2:] + key[:2] for key in columns]
     derivation.update((pair, t) for t, pair in _feeds(bracket, by_column, 0))
     return derivation, annihilation
 
@@ -345,11 +343,8 @@ def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
         coords[key] = embed_l(vec)
     for (i, j), mat in c.rho.items():
         for k in range(hdim):
-            col = mat.col(k)
-            if col.is_zero():
-                continue
-            coords[(i, j, ldim + k)] = embed_h(col)
-            coords[(j, i, ldim + k)] = embed_h(-col)
+            coords[(i, j, ldim + k)] = embed_h(mat.col(k))
+            coords[(j, i, ldim + k)] = embed_h(-mat.col(k))
     for (i, j, k), vec in c.target_bracket.expand_ordered().items():
         coords[(ldim + i, ldim + j, ldim + k)] = embed_h(vec)
     return ThreeLeibnizAlgebra(total, TrilinearTable(total, total, coords))
@@ -456,11 +451,11 @@ def _tensor_support(
         x, y, z = map(hits, term)
         for a, b, c in keys:
             out.update(product(x[a], y[b], z[c]))
-    ops = _operators(p.rho, both=True)
+    ops = _operators(p.rho)
     for term in actions:
         x, y = map(hits, term)
         for (a, b), op in ops.items():
-            out.update(product(x[a], y[b], op))
+            out.update(product(x[a], y[b], {h for (_, h), _ in op.items()}))
     if carrier:
         out.update(p.h_bracket.expand_ordered())
     return out
@@ -525,23 +520,23 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     return rep
 
 
-def _descendent_table(p: EmbeddingTensorProblem) -> TrilinearTable:
-    hspace = p.h_space
-    hdim = hspace.dim
+def _braces(p: EmbeddingTensorProblem) -> dict:
+    """The nonzero braces rho(tensor e_i, tensor e_j) e_k, keyed (i, j, k)."""
     lam_cols = p.tensor_columns()
     coords = {}
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                vec = p.rho.apply(
-                    lam_cols[i], lam_cols[j], hspace.basis_vector(k)
-                )
-                hval = p.h_bracket.value(i, j, k)
-                if hval is not None:
-                    vec = vec + hval
-                if not vec.is_zero():
-                    coords[(i, j, k)] = vec
-    return TrilinearTable(hspace, hspace, coords)
+    for i, j in product(range(p.h_space.dim), repeat=2):
+        op = p.rho.eval(lam_cols[i], lam_cols[j])
+        for k in sorted({k for (_, k), _ in op.items()}):
+            coords[(i, j, k)] = op.col(k)
+    return coords
+
+
+def _descendent_table(p: EmbeddingTensorProblem) -> TrilinearTable:
+    """The descendent bracket on H: the braces plus the carrier bracket."""
+    coords = _braces(p)
+    for key, hval in p.h_bracket.expand_ordered().items():
+        coords[key] = coords[key] + hval if key in coords else hval
+    return TrilinearTable(p.h_space, p.h_space, dict(sorted(coords.items())))
 
 
 def _require_net(p: EmbeddingTensorProblem, what: str) -> None:
@@ -561,26 +556,16 @@ def descendent(p: EmbeddingTensorProblem) -> ThreeLeibnizAlgebra:
     """
     _require_net(p, "the descendent bracket")
     table = _descendent_table(p)
-    alg = ThreeLeibnizAlgebra(p.h_space, table)
     lam_cols = p.tensor_columns()
-    hdim = p.h_space.dim
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                left = p.tensor.apply(
-                    table.eval(
-                        p.h_space.basis_vector(i),
-                        p.h_space.basis_vector(j),
-                        p.h_space.basis_vector(k),
-                    )
-                )
-                right = p.l_bracket.eval(lam_cols[i], lam_cols[j], lam_cols[k])
-                if left != right:
-                    raise PreconditionError(
-                        "descendent bracket is not intertwined by the tensor; "
-                        "the tensor condition must have been violated"
-                    )
-    return alg
+    for i, j, k in product(range(p.h_space.dim), repeat=3):
+        val = table.value(i, j, k)
+        left = p.l_space.zero() if val is None else p.tensor.apply(val)
+        if left != p.l_bracket.eval(lam_cols[i], lam_cols[j], lam_cols[k]):
+            raise PreconditionError(
+                "descendent bracket is not intertwined by the tensor; "
+                "the tensor condition must have been violated"
+            )
+    return ThreeLeibnizAlgebra(p.h_space, table)
 
 
 def induced_3ll(p: EmbeddingTensorProblem) -> ThreeLeibnizLieAlgebra:
@@ -590,20 +575,8 @@ def induced_3ll(p: EmbeddingTensorProblem) -> ThreeLeibnizLieAlgebra:
     satisfy the brace laws, and bracket + braces equals the descendent bracket.
     """
     _require_net(p, "the induced brace structure")
-    hspace = p.h_space
-    hdim = hspace.dim
-    lam_cols = p.tensor_columns()
-    coords = {}
-    for i in range(hdim):
-        for j in range(hdim):
-            for k in range(hdim):
-                vec = p.rho.apply(
-                    lam_cols[i], lam_cols[j], hspace.basis_vector(k)
-                )
-                if not vec.is_zero():
-                    coords[(i, j, k)] = vec
-    braces = TrilinearTable(hspace, hspace, coords)
-    lie3 = ThreeLieAlgebra(hspace, p.h_bracket)
+    braces = TrilinearTable(p.h_space, p.h_space, _braces(p))
+    lie3 = ThreeLieAlgebra(p.h_space, p.h_bracket)
     return ThreeLeibnizLieAlgebra(lie3, braces)
 
 
@@ -675,12 +648,8 @@ def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:
 
     def action_sides(t):
         ((i, j),) = t
-        mat = src.rho.at(i, j)
-        lhs = (
-            h.f_h.matrix.mul(mat)
-            if mat is not None
-            else Matrix.zeros(dst.h_space.dim, hspace_src.dim)
-        )
+        e_i, e_j = lspace_src.basis_vector(i), lspace_src.basis_vector(j)
+        lhs = h.f_h.matrix.mul(src.rho.eval(e_i, e_j))
         rhs = dst.rho.eval(h.f_l.column(i), h.f_l.column(j)).mul(h.f_h.matrix)
         return lhs, rhs
 

@@ -4,9 +4,10 @@ A valid tensor induces a ternary-Leibniz bracket on its source H and a
 three-operator representation of that bracket on L. Degree-n cochains are
 maps (wedge^2 H)^(n-1) x H -> L; the differential combines bracket
 substitutions in the pair slots, a bracket substitution in the final slot,
-and the three induced operators. Everything is assembled sparsely per
-cochain coordinate, so the big matrices are built column by column without
-any generic multilinear evaluation in the inner loop.
+and the three induced operators. The differential is applied sparsely to
+each unit cochain, and the nonzero coordinates of the image, placed in the
+basis order that `vec_cochain` uses, are one column of a sparse `Matrix`:
+no dense cochain vector is built on the way to elimination.
 
 Degrees are capped (default 3, env TENSORFORGE_DEGREE_CAP); asking beyond
 the cap refuses rather than silently grinding.
@@ -31,7 +32,6 @@ from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
 from .multilinear import (
     Space,
     WedgePairBasis,
-    _Columns,
     _extend,
     _feeds,
     _products,
@@ -112,12 +112,9 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
         return rep.refuse("underlying algebra fails the fundamental identity")
 
     space = r.algebra.space
-    zero = _Columns(r.carrier.zero())
+    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
     value = r.algebra.value
-    l_act, m_act, r_act = (
-        {key: _Columns.of(mat, r.carrier.zero()) for key, mat in family.items()}
-        for family in (r.l_act, r.m_act, r.r_act)
-    )
+    l_act, m_act, r_act = r.l_act, r.m_act, r.r_act
 
     def composition(act):
         """Laws 1-3: the left operator against the family act."""
@@ -164,7 +161,7 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
             "all ordered basis 4-tuples",
             sorted(support),
             sides,
-            lambda cols: format_matrix(cols.dense()),
+            format_matrix,
             partial(tuple_label, space),
             space.dim**4,
         )
@@ -260,6 +257,10 @@ class Cochain:
                     f"cochain key has {len(pairs)} pair slots, "
                     f"expected {self.degree - 1}"
                 )
+            if not 0 <= last < self.in_dim or not all(
+                0 <= q < self.pair_dim for q in pairs
+            ):
+                raise InputError(f"cochain key {(pairs, last)} is out of range")
             if not isinstance(vec, Vector):
                 vec = Vector(vec)
             if vec.dim != self.out_dim:
@@ -319,12 +320,25 @@ def iter_cochain_keys(n: int, pair_dim: int, in_dim: int):
             yield pairs, last
 
 
+def _coordinates(phi: Cochain) -> dict:
+    """The nonzero coordinates of phi, {position: value}, in the basis
+    order of `iter_cochain_keys`: pair slots lexicographic, then the final
+    index, then the coordinate of the value."""
+    out = {}
+    for (pairs, last), val in phi.coords.items():
+        pos = 0
+        for q in pairs:
+            pos = pos * phi.pair_dim + q
+        pos = (pos * phi.in_dim + last) * phi.out_dim
+        for t, a in val.iter_nonzero():
+            out[pos + t] = a
+    return out
+
+
 def vec_cochain(phi: Cochain) -> Vector:
-    entries = []
-    zero_row = (ZERO,) * phi.out_dim
-    for key in iter_cochain_keys(phi.degree, phi.pair_dim, phi.in_dim):
-        val = phi.coords.get(key)
-        entries.extend(val.entries if val is not None else zero_row)
+    entries = [ZERO] * (phi.pair_dim ** (phi.degree - 1) * phi.in_dim * phi.out_dim)
+    for pos, a in _coordinates(phi).items():
+        entries[pos] = a
     return Vector(entries)
 
 
@@ -392,11 +406,7 @@ class CochainComplex:
     def cochain_from_linear_map(self, lm: LinearMap) -> Cochain:
         if lm.source.dim != self.hdim or lm.target.dim != self.ldim:
             raise InputError("expected a linear map from H to L")
-        coords = {
-            ((), u): lm.column(u)
-            for u in range(self.hdim)
-            if not lm.column(u).is_zero()
-        }
+        coords = {((), u): lm.column(u) for u in range(self.hdim)}
         return Cochain(1, self.pair_dim, self.hdim, self.ldim, coords)
 
     def linear_map_from_cochain(self, phi: Cochain) -> LinearMap:
@@ -449,8 +459,7 @@ class CochainComplex:
             vec = p.tensor.apply(p.rho.apply(a1, a2, e_u)) - p.l_bracket.eval(
                 a1, a2, p.tensor.apply(e_u)
             )
-            if not vec.is_zero():
-                coords[((), u)] = vec
+            coords[((), u)] = vec
         return Cochain(1, self.pair_dim, self.hdim, self.ldim, coords)
 
     def apply_delta(self, phi: Cochain) -> Cochain:
@@ -492,36 +501,22 @@ class CochainComplex:
                     if lmat is not None:
                         contrib = lmat.mul_vec(val)
                         if not contrib.is_zero():
-                            add(
-                                (newpairs, m),
-                                contrib if sign2 < 0 else -contrib,
-                            )
+                            add((newpairs, m), contrib if sign2 < 0 else -contrib)
             # double-slot substitution: delete one pair slot, feed the
             # bracket of the deleted pair into a later slot
-            if n >= 2:
-                for kk in range(1, n):
-                    rk = rpairs[kk - 1]
-                    rest = rpairs[: kk - 1] + rpairs[kk:]
-                    for jj in range(kk):
-                        sign1 = -1 if jj % 2 == 0 else 1
-                        for qpos in range(P):
-                            row = self._omega[qpos]
-                            for spos in range(P):
-                                weight = row[spos].get(rk)
-                                if not weight:
-                                    continue
-                                tmp = rest
-                                q_tuple = (
-                                    tmp[:jj]
-                                    + (qpos,)
-                                    + tmp[jj : kk - 1]
-                                    + (spos,)
-                                    + tmp[kk - 1 :]
-                                )
-                                add(
-                                    (q_tuple, m),
-                                    val.scale(sign1 * weight),
-                                )
+            for kk in range(1, n):
+                rk = rpairs[kk - 1]
+                rest = rpairs[: kk - 1] + rpairs[kk:]
+                for jj in range(kk):
+                    sign1 = -1 if jj % 2 == 0 else 1
+                    for qpos in range(P):
+                        row = self._omega[qpos]
+                        for spos in range(P):
+                            weight = row[spos].get(rk)
+                            if weight:
+                                q_tuple = rest[:jj] + (qpos,) + rest[jj : kk - 1]
+                                q_tuple += (spos,) + rest[kk - 1 :]
+                                add((q_tuple, m), val.scale(sign1 * weight))
             # final-pair term through the middle and right operators
             for qpos in range(P):
                 qu, qv = pairs_basis[qpos]
@@ -540,10 +535,7 @@ class CochainComplex:
                             rv = rm_.mul_vec(val)
                             acc = rv if acc is None else acc + rv
                     if acc is not None and not acc.is_zero():
-                        add(
-                            (newpairs, w),
-                            acc if sign4 > 0 else -acc,
-                        )
+                        add((newpairs, w), acc if sign4 > 0 else -acc)
         return Cochain(n + 1, P, hdim, self.ldim, out)
 
     def delta_matrix(self, n: int) -> Matrix:
@@ -558,28 +550,29 @@ class CochainComplex:
         if cached is not None:
             return cached
         if n == 0:
-            cols = [
-                self.vec(
-                    self.delta0_cochain(
-                        self.lspace.basis_vector(a), self.lspace.basis_vector(b)
-                    )
+            images = (
+                self.delta0_cochain(
+                    self.lspace.basis_vector(a), self.lspace.basis_vector(b)
                 )
                 for a, b in self.lwedge.pairs
-            ]
-            mat = Matrix.from_cols(cols, nrows=self.cochain_dim(1))
+            )
         else:
-            cols = []
-            for key in self.iter_keys(n):
-                for c in range(self.ldim):
-                    unit = Cochain(
+            images = (
+                self.apply_delta(
+                    Cochain(
                         n,
                         self.pair_dim,
                         self.hdim,
                         self.ldim,
                         {key: self.lspace.basis_vector(c)},
                     )
-                    cols.append(self.vec(self.apply_delta(unit)))
-            mat = Matrix.from_cols(cols, nrows=self.cochain_dim(n + 1))
+                )
+                for key in self.iter_keys(n)
+                for c in range(self.ldim)
+            )
+        mat = Matrix.from_cols(
+            map(_coordinates, images), nrows=self.cochain_dim(n + 1)
+        )
         self._matrices[n] = mat
         return mat
 
@@ -697,20 +690,16 @@ def pushforward_matrix(h: NetHomomorphism, n: int) -> Matrix:
     src_wedge = WedgePairBasis(h.source.h_space)
     hdim = h.source.h_space.dim
     ldim = h.source.l_space.dim
-    cols = []
-    for key in iter_cochain_keys(n, src_wedge.dim, hdim):
-        for c in range(ldim):
-            unit = Cochain(
-                n,
-                src_wedge.dim,
-                hdim,
-                ldim,
-                {key: Vector.unit(ldim, c)},
-            )
-            cols.append(vec_cochain(pushforward(h, unit)))
+    images = (
+        pushforward(
+            h, Cochain(n, src_wedge.dim, hdim, ldim, {key: Vector.unit(ldim, c)})
+        )
+        for key in iter_cochain_keys(n, src_wedge.dim, hdim)
+        for c in range(ldim)
+    )
     out_dim = (
         WedgePairBasis(h.target.h_space).dim ** (n - 1)
         * h.target.h_space.dim
         * h.target.l_space.dim
     )
-    return Matrix.from_cols(cols, nrows=out_dim)
+    return Matrix.from_cols(map(_coordinates, images), nrows=out_dim)

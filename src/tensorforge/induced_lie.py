@@ -34,6 +34,7 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
+    _extend,
     format_matrix,
     format_vector,
 )
@@ -178,12 +179,7 @@ class LieCoherentAction:
 
     def eval(self, x: Vector) -> Matrix:
         vdim = self.carrier.space.dim
-        acc = Matrix.zeros(vdim, vdim)
-        for i, c in x.iter_nonzero():
-            mat = self.rho.get(i)
-            if mat is not None:
-                acc = acc + mat.scale(c)
-        return acc
+        return _extend(self.rho.get, x, Matrix.zeros(vdim, vdim))
 
 
 def check_lie_coherent(a: LieCoherentAction) -> Report:
@@ -261,17 +257,10 @@ def rho_sigma(a: LieCoherentAction, t: TraceMap) -> PairAction:
     if t.space != a.lie.space:
         raise InputError("trace must live on the acting algebra")
     lspace = a.lie.space
-    hdim = a.carrier.space.dim
-    coords = {}
-    for i in range(lspace.dim):
-        for j in range(i + 1, lspace.dim):
-            mat = Matrix.zeros(hdim, hdim)
-            if t.at(i) != 0:
-                mat = mat + a.operator(j).scale(t.at(i))
-            if t.at(j) != 0:
-                mat = mat - a.operator(i).scale(t.at(j))
-            if not mat.is_zero():
-                coords[(i, j)] = mat
+    coords = {
+        (i, j): a.operator(j).scale(t.at(i)) - a.operator(i).scale(t.at(j))
+        for i, j in combinations(range(lspace.dim), 2)
+    }
     return PairAction(lspace, a.carrier.space, coords)
 
 

@@ -1,17 +1,22 @@
-"""Exact rational scalars, vectors, matrices, and elimination.
+"""Exact rational scalars, vectors, sparse matrices, and elimination.
 
 Every number in the package is a `fractions.Fraction`; nothing here ever
-rounds. One sparse elimination kernel, `_eliminate`, sits behind `rank`,
-`kernel_basis`, `solve_membership` and `_rref`. Each row is a
-`{column: value}` dict of its nonzeros, and a column -> rows index finds
-the rows a pivot must clear. Pivots are taken in column order; in each
-column the pivot is the candidate row with the fewest nonzeros (lowest
-index on ties), which keeps fill-in low on the very sparse cochain
-differentials (the 2500x250 degree-2 differential of a dim-5 nilpotent
-problem has a density of 0.003). `rank` stops after the forward pass; the
-others also clear each pivot column above its pivot. The reduced row
-echelon form of a matrix is unique, so the pivot rule changes the work but
-not the kernel bases, solutions or pivot columns these functions return.
+rounds. A `Matrix` stores only its nonzero entries, as nonzero columns
+`{col: {row: value}}`: the cochain differentials are built one column per
+unit cochain and are very sparse (the 2500x250 degree-2 differential of a
+dim-5 nilpotent problem has a density of 0.003), and the operator laws
+multiply small, mostly sparse operators.
+
+One sparse elimination kernel, `_eliminate`, sits behind `rank`,
+`kernel_basis`, `solve_membership` and `_rref`. It takes one
+`{column: value}` dict of nonzeros per row, built from the matrix's
+nonzeros, and a column -> rows index finds the rows a pivot must clear.
+Pivots are taken in column order; in each column the pivot is the
+candidate row with the fewest nonzeros (lowest index on ties), which keeps
+fill-in low. `rank` stops after the forward pass; the others also clear
+each pivot column above its pivot. The reduced row echelon form of a
+matrix is unique, so the pivot rule changes the work but not the kernel
+bases, solutions or pivot columns these functions return.
 """
 
 from __future__ import annotations
@@ -123,19 +128,27 @@ class Vector:
         return f"Vector([{', '.join(fmt_rat(a) for a in self.entries)}])"
 
 
-class Matrix:
-    """Immutable matrix of Fractions, stored as a tuple of row tuples."""
+# the column of a matrix where it stores none: all zeros
+_EMPTY: dict = {}
 
-    __slots__ = ("nrows", "ncols", "rows")
+
+class Matrix:
+    """Immutable matrix of Fractions that stores only its nonzero entries.
+
+    The storage is a dict of nonzero columns, `{col: {row: value}}`. No zero
+    entry and no empty column is ever stored, so equal matrices have equal
+    storage; a stored column is never mutated, so matrices share them.
+    `rows` is a dense view, built on demand. Only this module reads the
+    storage.
+    """
+
+    __slots__ = ("nrows", "ncols", "_cols")
 
     def __init__(self, rows, ncols: int | None = None):
-        self.rows = tuple(
-            tuple(e if type(e) is Fraction else rat(e) for e in row)
-            for row in rows
-        )
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
+        rows = [Vector(row).entries for row in rows]
+        self.nrows = len(rows)
+        if rows:
+            widths = {len(r) for r in rows}
             if len(widths) != 1:
                 raise InputError("ragged rows in matrix")
             self.ncols = widths.pop()
@@ -143,45 +156,86 @@ class Matrix:
                 raise InputError("matrix width disagrees with declared ncols")
         else:
             self.ncols = 0 if ncols is None else ncols
+        cols = {}
+        for i, row in enumerate(rows):
+            for j, a in enumerate(row):
+                if a:
+                    cols.setdefault(j, {})[i] = a
+        self._cols = cols
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, cols: dict) -> "Matrix":
+        """A matrix on nonzero columns that hold no zero (not checked)."""
+        m = object.__new__(cls)
+        m.nrows, m.ncols, m._cols = nrows, ncols, cols
+        return m
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls(((ZERO,) * n for _ in range(m)), ncols=n)
+        return cls._of(m, n, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            (tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
-            ncols=n,
-        )
+        return cls._of(n, n, {j: {j: ONE} for j in range(n)})
 
     @classmethod
     def from_cols(cls, cols, nrows: int | None = None) -> "Matrix":
-        cols = [c.entries if isinstance(c, Vector) else tuple(c) for c in cols]
-        if not cols:
-            return cls.zeros(nrows or 0, 0)
-        return cls(zip(*cols))
+        """A matrix from its columns, left to right.
+
+        A column is a Vector, a sequence of scalars, or a `{row: value}`
+        dict of its entries; without a Vector or sequence column to take
+        the height from, `nrows` gives it.
+        """
+        cols = list(cols)
+        out = {}
+        for j, c in enumerate(cols):
+            if isinstance(c, dict):
+                col = {i: a for i, a in c.items() if a}
+            else:
+                entries = (c if isinstance(c, Vector) else Vector(c)).entries
+                if nrows is None:
+                    nrows = len(entries)
+                elif len(entries) != nrows:
+                    raise InputError("ragged columns in matrix")
+                col = {i: a for i, a in enumerate(entries) if a}
+            if col:
+                out[j] = col
+        return cls._of(nrows or 0, len(cols), out)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
         entries = [rat(e) for e in entries]
         n = len(entries)
-        return cls(
-            (
-                tuple(entries[i] if i == j else ZERO for j in range(n))
-                for i in range(n)
-            ),
-            ncols=n,
+        return cls._of(n, n, {j: {j: a} for j, a in enumerate(entries) if a})
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view: a tuple of row tuples."""
+        dense = [[ZERO] * self.ncols for _ in range(self.nrows)]
+        for j, col in self._cols.items():
+            for i, a in col.items():
+                dense[i][j] = a
+        return tuple(map(tuple, dense))
+
+    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
+        """The nonzero entries as ((row, col), value), in row-major order."""
+        return sorted(
+            ((i, j), a) for j, col in self._cols.items() for i, a in col.items()
         )
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        i, j = range(self.nrows)[i], range(self.ncols)[j]  # IndexError if outside
+        return self._cols.get(j, _EMPTY).get(i, ZERO)
 
     def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
+        return Vector(tuple(self.at(i, j) for j in range(self.ncols)))
 
     def col(self, j: int) -> Vector:
-        return Vector(tuple(r[j] for r in self.rows))
+        j = range(self.ncols)[j]  # IndexError if outside
+        entries = [ZERO] * self.nrows
+        for i, a in self._cols.get(j, _EMPTY).items():
+            entries[i] = a
+        return Vector(entries)
 
     def mul_vec(self, v: Vector) -> Vector:
         if v.dim != self.ncols:
@@ -190,12 +244,13 @@ class Matrix:
                 f"applied to vector of dimension {v.dim}"
             )
         ve = v.entries
-        return Vector(
-            tuple(
-                sum((a * b for a, b in zip(row, ve) if b), start=ZERO)
-                for row in self.rows
-            )
-        )
+        acc = [ZERO] * self.nrows
+        for j, col in self._cols.items():
+            b = ve[j]
+            if b:
+                for i, a in col.items():
+                    acc[i] += a * b
+        return Vector(acc)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -203,79 +258,89 @@ class Matrix:
                 f"dimension mismatch in matrix product: "
                 f"{self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = [other.col(j).entries for j in range(other.ncols)]
-        return Matrix(
-            (
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if a), start=ZERO)
-                    for col in cols
-                )
-                for row in self.rows
-            ),
-            ncols=other.ncols,
-        )
+        left = self._cols
+        out = {}
+        for j, ocol in other._cols.items():
+            acc = {}
+            for m, b in ocol.items():
+                for i, a in left.get(m, _EMPTY).items():
+                    acc[i] = acc.get(i, ZERO) + a * b
+            col = {i: a for i, a in acc.items() if a}
+            if col:
+                out[j] = col
+        return Matrix._of(self.nrows, other.ncols, out)
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
             return self.mul_vec(other)
         return self.mul(other)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        """self + sign * other; the columns other leaves alone are shared."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("matrix dimension mismatch in addition")
-        return Matrix(
-            (
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-            ncols=self.ncols,
-        )
+            raise InputError(f"matrix dimension mismatch in {what}")
+        out = dict(self._cols)
+        for j, ocol in other._cols.items():
+            col = dict(out.get(j, _EMPTY))
+            for i, b in ocol.items():
+                a = col.get(i, ZERO)
+                a = a + b if sign > 0 else a - b
+                if a:
+                    col[i] = a
+                else:
+                    del col[i]
+            if col:
+                out[j] = col
+            else:
+                out.pop(j, None)
+        return Matrix._of(self.nrows, self.ncols, out)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("matrix dimension mismatch in subtraction")
-        return Matrix(
-            (
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-            ncols=self.ncols,
-        )
+        return self._plus(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix((tuple(-a for a in r) for r in self.rows), ncols=self.ncols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(
-            (tuple(c * a for a in r) for r in self.rows), ncols=self.ncols
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        return Matrix._of(
+            self.nrows,
+            self.ncols,
+            {j: {i: c * a for i, a in col.items()} for j, col in self._cols.items()},
         )
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0:
-            return Matrix.zeros(self.ncols, 0)
-        return Matrix(zip(*self.rows), ncols=self.nrows)
+        out = {}
+        for j, col in self._cols.items():
+            for i, a in col.items():
+                out.setdefault(i, {})[j] = a
+        return Matrix._of(self.ncols, self.nrows, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise InputError("row count mismatch in hstack")
-        return Matrix(
-            (r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
-            ncols=self.ncols + other.ncols,
-        )
+        out = dict(self._cols)
+        out.update((self.ncols + j, col) for j, col in other._cols.items())
+        return Matrix._of(self.nrows, self.ncols + other.ncols, out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
+        return not self._cols
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
+            and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, frozenset(self.items())))
 
     def __repr__(self):
         body = "; ".join(
@@ -284,19 +349,27 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _eliminate(rows, ncols: int, reduce: bool):
+def _row_dicts(m: Matrix) -> list[dict]:
+    """One fresh `{col: value}` dict of nonzeros per row of m."""
+    rows = [{} for _ in range(m.nrows)]
+    for j, col in m._cols.items():
+        for i, a in col.items():
+            rows[i][j] = a
+    return rows
+
+
+def _eliminate(sparse: list[dict], ncols: int, reduce: bool):
     """Sparse exact elimination; returns (pivot rows, pivot columns).
 
-    `rows` is an iterable of dense rows. Each is copied into a dict that
-    holds only its nonzeros, and `where[c]` is the set of unpivoted rows
-    that are nonzero in column c. Columns are taken in order; the pivot is
-    the candidate row with the fewest nonzeros, lowest index on ties. Each
+    `sparse` holds one `{column: value}` dict of nonzeros per row, and the
+    kernel consumes it. `where[c]` is the set of unpivoted rows that are
+    nonzero in column c. Columns are taken in order; the pivot is the
+    candidate row with the fewest nonzeros, lowest index on ties. Each
     pivot row is divided by its pivot, so the returned rows are in echelon
     form with leading ones, in pivot-column order. With `reduce`, a
     backward pass also clears each pivot column above its pivot, which
     gives the reduced row echelon form.
     """
-    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
     where = [set() for _ in range(ncols)]
     for i, row in enumerate(sparse):
         for j in row:
@@ -353,12 +426,12 @@ def _eliminate(rows, ncols: int, reduce: bool):
 
 def rank(m: Matrix) -> int:
     """Exact rank by sparse elimination (forward pass only)."""
-    return len(_eliminate(m.rows, m.ncols, False)[1])
+    return len(_eliminate(_row_dicts(m), m.ncols, False)[1])
 
 
 def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form as dense rows (zero rows last), and its pivots."""
-    reduced, pivots = _eliminate(m.rows, m.ncols, True)
+    reduced, pivots = _eliminate(_row_dicts(m), m.ncols, True)
     rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in reduced]
     rows.extend([ZERO] * m.ncols for _ in range(m.nrows - len(rows)))
     return rows, pivots
@@ -371,11 +444,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     coordinate is 1 and the pivot coordinates are read off the reduced rows.
     """
     n = m.ncols
-    if n == 0:
-        return []
-    if m.nrows == 0:
-        return [Vector.unit(n, j) for j in range(n)]
-    rows, pivots = _eliminate(m.rows, n, True)
+    rows, pivots = _eliminate(_row_dicts(m), n, True)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -400,9 +469,9 @@ def solve_membership(m: Matrix, target: Vector) -> Vector | None:
             f"matrix has {m.nrows} rows"
         )
     n = m.ncols
-    if m.nrows == 0:
-        return Vector.zero(n)
-    aug = ((*row, t) for row, t in zip(m.rows, target.entries))
+    aug = _row_dicts(m)
+    for i, t in target.iter_nonzero():
+        aug[i][n] = t
     rows, pivots = _eliminate(aug, n + 1, True)
     if n in pivots:
         return None

@@ -3,7 +3,9 @@
 Tables store structure constants sparsely (absent key = zero value) with
 0-based indices internally; the file format and all reports use 1-based
 indices. Alternating tables keep only increasing keys and recover every
-other slot order through permutation signs.
+other slot order through permutation signs. Operators are sparse `Matrix`
+values, and the support joins (`_feeds`, `_products`) read only their
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -68,12 +70,7 @@ def format_vector(space: Space, v: Vector | None) -> str:
 
 def format_matrix(m: Matrix) -> str:
     """Sparse human form of a matrix: `[row,col]=value` terms, 1-based."""
-    parts = [
-        f"[{i + 1},{j + 1}]={fmt_rat(a)}"
-        for i, row in enumerate(m.rows)
-        for j, a in enumerate(row)
-        if a != 0
-    ]
+    parts = [f"[{i + 1},{j + 1}]={fmt_rat(a)}" for (i, j), a in m.items()]
     return ", ".join(parts) if parts else "0"
 
 
@@ -91,46 +88,6 @@ def _extend(lookup, v: Vector | None, zero):
         if val is not None:
             acc = acc + val.scale(c)
     return acc
-
-
-class _Columns(dict):
-    """A square matrix as its nonzero columns, {col: Vector}.
-
-    The operator laws compose and add these instead of dense Matrix values:
-    a product touches only the nonzero columns of its right factor, and a
-    zero column is never stored, so equal operators are equal dicts.
-    `zero` is the zero column; `dense` rebuilds the Matrix for printing.
-    """
-
-    def __init__(self, zero: Vector, cols=()):
-        super().__init__((j, v) for j, v in cols if not v.is_zero())
-        self.zero = zero
-
-    @classmethod
-    def of(cls, mat: Matrix, zero: Vector) -> "_Columns":
-        return cls(zero, ((j, mat.col(j)) for j in range(mat.ncols)))
-
-    def __add__(self, other: "_Columns") -> "_Columns":
-        out = dict(self)
-        for j, v in other.items():
-            w = out.get(j)
-            out[j] = v if w is None else w + v
-        return _Columns(self.zero, out.items())
-
-    def scale(self, c) -> "_Columns":
-        return _Columns(self.zero, ((j, v.scale(c)) for j, v in self.items()))
-
-    def mul_vec(self, v: Vector | None) -> Vector:
-        return _extend(self.get, v, self.zero)
-
-    def mul(self, other: "_Columns") -> "_Columns":
-        return _Columns(self.zero, ((j, self.mul_vec(v)) for j, v in other.items()))
-
-    def dense(self) -> Matrix:
-        return Matrix.from_cols(
-            [self.get(j, self.zero) for j in range(self.zero.dim)],
-            nrows=self.zero.dim,
-        )
 
 
 def _feeds(values: dict, keys, slot: int):
@@ -154,12 +111,20 @@ def _feeds(values: dict, keys, slot: int):
 def _products(left: dict, right: dict) -> set:
     """Key pairs (a, b) where left[a] @ right[b] can be nonzero.
 
-    left and right map keys to _Columns: the product is zero unless a
-    column of right[b] is nonzero in a row where left[a] has a column.
+    left and right map keys to Matrices: the product is zero unless
+    right[b] has a nonzero entry in a row m where left[a] has a nonzero
+    column m.
     """
-    cols = {b + (j,): v for b, op in right.items() for j, v in op.items()}
-    keys = [(j,) + a for a, op in left.items() for j in op]
-    return {(a, b[:-1]) for b, a in _feeds(cols, keys, 0)}
+    by_column = {}
+    for a, op in left.items():
+        for (_, m), _ in op.items():
+            by_column.setdefault(m, set()).add(a)
+    return {
+        (a, b)
+        for b, op in right.items()
+        for (m, _), _ in op.items()
+        for a in by_column.get(m, ())
+    }
 
 
 def _check_index(space: Space, i: int, what: str):

@@ -63,6 +63,19 @@ def _reject_float(text: str):
     )
 
 
+def _object(pairs) -> dict:
+    """A JSON object, refusing a key written twice in it, which the JSON
+    reader would otherwise merge by keeping the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(
+                f"duplicate key {key!r}: it is written twice in one JSON object"
+            )
+        out[key] = value
+    return out
+
+
 class _ScalarParser:
     """Resolves document scalars against the active parameter values."""
 
@@ -590,6 +603,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
             text,
             parse_float=lambda s: _reject_float(s),
             parse_constant=lambda s: _reject_float(s),
+            object_pairs_hook=_object,
         )
     except json.JSONDecodeError as exc:
         raise InputError(f"document is not valid JSON: {exc}") from None

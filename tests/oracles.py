@@ -123,6 +123,34 @@ def oracle_solve(rows, rhs):
     return x
 
 
+# ---------------------------------------------------------------------------
+# matrix arithmetic oracle: dense lists of rows of Fractions, no sparsity
+
+
+def oracle_matmul(a, b, ncols):
+    """a @ b for a (m x k) and b (k x ncols), each a list of rows."""
+    return [
+        [
+            sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0))
+            for j in range(ncols)
+        ]
+        for row in a
+    ]
+
+
+def oracle_matvec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def oracle_combine(a, b, sign):
+    """a + sign * b, entry by entry."""
+    return [[x + sign * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def oracle_transpose(a, ncols):
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
 def oracle_class_representatives(p) -> list[Matrix]:
     """Matrices of the first-order class representatives, chosen greedily.
 

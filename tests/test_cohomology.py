@@ -10,6 +10,7 @@ import random
 import pytest
 
 from tensorforge import (
+    Cochain,
     CochainComplex,
     InputError,
     LinearMap,
@@ -47,6 +48,12 @@ def test_golden_degree_three(adjoint_complex):
     assert (d3.nrows, d3.ncols) == (3456, 576)
     assert rank(d3) == 468
     assert adjoint_complex.cohomology_dims(3) == (108, 75, 33)
+
+
+def test_golden_degree_four(adjoint_problem):
+    # (cochains, cocycles, coboundaries, classes); delta_4 is 20736x3456
+    cx = CochainComplex(adjoint_problem, degree_cap=4)
+    assert (cx.cochain_dim(4), *cx.cohomology_dims(4)) == (3456, 603, 468, 135)
 
 
 def test_golden_dimensions_abelian(abelian_problem):
@@ -146,6 +153,13 @@ def test_induced_representation_refuses_broken_tensors(fixtures_dir):
         induced_rep(broken)
     with pytest.raises(PreconditionError):
         CochainComplex(broken)
+
+
+@pytest.mark.parametrize("key", [((6,), 0), ((0,), 4), ((-1,), 0), ((0,), -1)])
+def test_cochain_keys_outside_the_basis_are_rejected(key):
+    # a key past the basis would alias another coordinate of the vector
+    with pytest.raises(InputError, match="out of range"):
+        Cochain(2, 6, 4, 4, {key: Vector((1, 0, 0, 0))})
 
 
 def test_degree_cap_guards_expensive_degrees(adjoint_problem, monkeypatch):

@@ -8,7 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from tensorforge import InputError, Matrix, Vector, fmt_rat, rat
 from tensorforge.linalg import _rref, kernel_basis, rank, solve_membership
 
-from oracles import oracle_kernel, oracle_rank, oracle_rref, oracle_solve
+from oracles import (
+    oracle_combine,
+    oracle_kernel,
+    oracle_matmul,
+    oracle_matvec,
+    oracle_rank,
+    oracle_rref,
+    oracle_solve,
+    oracle_transpose,
+)
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -144,3 +153,102 @@ def test_rank_of_known_matrices():
     assert rank(Matrix.zeros(3, 5)) == 0
     assert rank(Matrix([[1, 2], [2, 4]])) == 1
     assert rank(Matrix([[Fraction(1, 2), 1], [1, 3]])) == 2
+
+
+
+# mostly zeros, so that sums and products often cancel or vanish
+sparse_fracs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fracs)
+dims = st.integers(0, 4)
+
+
+def _draw_rows(draw, nrows, ncols):
+    return [[draw(sparse_fracs) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _dense(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_arithmetic_matches_list_arithmetic(data):
+    """Every Matrix operation against plain list-of-lists arithmetic, with
+    0 x n and n x 0 shapes and mostly-zero entries."""
+    m, k, n, w = (data.draw(dims) for _ in range(4))
+    a = _draw_rows(data.draw, m, k)
+    b = _draw_rows(data.draw, k, n)
+    c = _draw_rows(data.draw, m, k)
+    d = _draw_rows(data.draw, m, w)
+    v = [data.draw(sparse_fracs) for _ in range(k)]
+    s = data.draw(sparse_fracs)
+    ma, mb, mc, md = (
+        Matrix(rows, ncols=cols) for rows, cols in ((a, k), (b, n), (c, k), (d, w))
+    )
+
+    assert (ma.nrows, ma.ncols) == (m, k)
+    assert ma.rows == _dense(a)
+    assert Matrix(ma.rows, ncols=k) == ma
+    assert ma.mul(mb).rows == _dense(oracle_matmul(a, b, n))
+    assert (ma @ mb) == ma.mul(mb)
+    assert ma.mul_vec(Vector(v)).entries == tuple(oracle_matvec(a, v))
+    assert (ma + mc).rows == _dense(oracle_combine(a, c, 1))
+    assert (ma - mc).rows == _dense(oracle_combine(a, c, -1))
+    assert (-ma).rows == _dense([[-x for x in row] for row in a])
+    assert ma.scale(s).rows == _dense([[s * x for x in row] for row in a])
+    assert ma.transpose().rows == _dense(oracle_transpose(a, k))
+    assert (ma.transpose().nrows, ma.transpose().ncols) == (k, m)
+    assert ma.hstack(md).rows == _dense([r + q for r, q in zip(a, d)])
+    assert ma.hstack(md).ncols == k + w
+    for i in range(m):
+        assert ma.row(i).entries == tuple(a[i])
+        for j in range(k):
+            assert ma.at(i, j) == a[i][j]
+    for j in range(k):
+        assert ma.col(j).entries == tuple(row[j] for row in a)
+    assert ma.items() == [
+        ((i, j), x) for i, row in enumerate(a) for j, x in enumerate(row) if x
+    ]
+    assert ma.is_zero() == all(x == 0 for row in a for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cancelled_sums_and_products_are_the_zero_matrix(data):
+    """A result whose entries cancel stores no zero: it equals, and hashes
+    like, the zero matrix of its shape."""
+    m, k = data.draw(dims), data.draw(dims)
+    ma = Matrix(_draw_rows(data.draw, m, k), ncols=k)
+    zero = Matrix.zeros(m, k)
+    for cancelled in (ma - ma, ma + (-ma), ma.scale(0), ma.scale(2) - ma - ma):
+        assert cancelled == zero and hash(cancelled) == hash(zero)
+        assert cancelled.is_zero() and cancelled.items() == []
+    # x @ y has the entries 1 * 1 + 1 * (-1) = 0
+    x = Matrix([[1, 1]] * m, ncols=2)
+    y = Matrix([[1] * k, [-1] * k], ncols=k)
+    assert x.mul(y) == zero and hash(x.mul(y)) == hash(zero)
+    assert ma.mul(Matrix.zeros(k, 3)) == Matrix.zeros(m, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equal_matrices_built_differently_are_equal_and_hash_alike(data):
+    m, k = data.draw(dims), data.draw(dims)
+    rows = _draw_rows(data.draw, m, k)
+    built = [
+        Matrix(rows, ncols=k),
+        Matrix.from_cols([Vector(col) for col in oracle_transpose(rows, k)], nrows=m),
+        Matrix.from_cols(
+            [{i: row[j] for i, row in enumerate(rows)} for j in range(k)], nrows=m
+        ),
+        Matrix(oracle_transpose(rows, k), ncols=m).transpose(),
+        Matrix(rows, ncols=k) + Matrix.zeros(m, k),
+        Matrix.identity(m).mul(Matrix(rows, ncols=k)),
+        Matrix.zeros(m, 0).hstack(Matrix(rows, ncols=k)),
+    ]
+    for other in built[1:]:
+        assert other == built[0] and hash(other) == hash(built[0])
+    assert Matrix.identity(m) == Matrix.diagonal([1] * m)
+    assert hash(Matrix.identity(m)) == hash(Matrix.diagonal([1] * m))
+    assert Matrix.zeros(m, k) == Matrix.diagonal([0] * m).mul(Matrix(rows, ncols=k))
+    if m != k:
+        assert Matrix.zeros(m, k) != Matrix.zeros(k, m)

@@ -74,3 +74,20 @@ def test_every_function_is_referenced():
         if counts[node.name] - own[node.name] <= 0
     )
     assert not unused, "functions referenced nowhere: " + ", ".join(unused)
+
+
+def test_only_linalg_reads_matrix_storage():
+    """A Matrix's storage format stays behind linalg: no other module of the
+    package reads its private slots; they use the Matrix methods."""
+    from tensorforge.linalg import Matrix
+
+    storage = {name for name in Matrix.__slots__ if name.startswith("_")}
+    assert storage, "Matrix keeps its storage in a private slot"
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in storage
+    ]
+    assert not readers, "Matrix storage read outside linalg: " + ", ".join(readers)

@@ -252,6 +252,35 @@ def test_keys_that_normalize_alike_are_duplicates(fixtures_dir):
         parse_document(json.dumps(body))
 
 
+def _lie_text(brackets_json, params_json=None):
+    """A lie document written as text, so a key can appear twice verbatim."""
+    params = "" if params_json is None else f'"parameters": {params_json}, '
+    return (
+        '{"format": "tensorforge/1", ' + params
+        + '"spaces": [{"name": "V", "dim": 3}], '
+        + '"structures": {"lie": [{"name": "g", "space": "V", '
+        + brackets_json + "}]}}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (_lie_text('"brackets": {"1,2": {"3": 1}, "1,2": {"3": 2}}'), "'1,2'"),
+        (_lie_text('"brackets": {"1,2": {"3": 1}}, "brackets": {}'), "'brackets'"),
+        (
+            _lie_text('"brackets": {"1,2": {"3": "k"}}', '{"k": "1", "k": "2"}'),
+            "'k'",
+        ),
+    ],
+    ids=["table key", "entry field", "parameter name"],
+)
+def test_keys_written_twice_verbatim_are_duplicates(text, key):
+    json.loads(text)  # valid JSON: the plain reader keeps the last value
+    with pytest.raises(InputError, match=f"duplicate key {key}"):
+        parse_document(text)
+
+
 def test_format_doc_lists_every_kind_with_its_fields():
     """The kind table of docs/format.md names exactly the parsed kinds, in
     parse order, each with its required and optional fields in order."""
