@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
 from math import comb
 
 from .algebras import (
@@ -21,6 +20,7 @@ from .algebras import (
     ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
+    _increasing,
     check_3lie,
     check_hom,
 )
@@ -31,9 +31,14 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
-    _extend,
-    _feeds,
-    _products,
+    _basis,
+    _columns,
+    _compose,
+    _family,
+    _feed,
+    _ordered_pairs,
+    _relabel,
+    _substitute,
     format_matrix,
     format_vector,
 )
@@ -142,33 +147,6 @@ def check_representation(r: RepresentationData, title: str | None = None) -> Rep
     return r._verified
 
 
-def _operators(rho: PairAction) -> dict:
-    """The nonzero operators of rho on every ordered pair."""
-    ops = dict(rho.coords)
-    ops.update(((j, i), -mat) for (i, j), mat in rho.coords.items())
-    return ops
-
-
-def _representation_supports(r: RepresentationData, ops: dict) -> tuple:
-    """Ordered 4-tuples where a term of the fundamental law, and of the
-    commutator law, can be nonzero: joins of the bracket into the operator
-    keys, and pairs of operators whose product can be nonzero."""
-    bracket = r.algebra.bracket.expand_ordered()
-    # rho([l1, l2, l3], l4)
-    into_first = {v + rest for v, rest in _feeds(bracket, ops, 0)}
-    products = _products(ops, ops)
-    # rho(l2, l3) rho(l1, l4), rho(l3, l1) rho(l2, l4), rho(l1, l2) rho(l3, l4)
-    fundamental = into_first | {
-        t
-        for a, b in products
-        for t in (b[:1] + a + b[1:], (a[1], b[0], a[0], b[1]), a + b)
-    }
-    # rho(l1, l2) rho(l3, l4), rho(l3, l4) rho(l1, l2), rho(l3, [l1, l2, l4])
-    commutator = into_first | {t for a, b in products for t in (a + b, b + a)}
-    commutator.update(v[:2] + rest + v[2:] for v, rest in _feeds(bracket, ops, 1))
-    return fundamental, commutator
-
-
 def _check_representation_impl(r: RepresentationData, title: str | None) -> Report:
     rep = Report(title or "pair-action representation check")
     gate = check_3lie(r.algebra)
@@ -177,49 +155,42 @@ def _check_representation_impl(r: RepresentationData, title: str | None) -> Repo
         return rep.refuse("acting algebra fails the fundamental identity")
 
     space = r.algebra.space
-    dim = space.dim
-    value = r.algebra.value
-    ops = _operators(r.rho)
-    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
-
-    def op(i: int, j: int) -> Matrix:
-        return ops.get((i, j), zero)
-
-    def fundamental(t):
-        l1, l2, l3, l4 = t
-        lhs = _extend(lambda m: ops.get((m, l4)), value(l1, l2, l3), zero)
-        rhs = (
-            op(l2, l3).mul(op(l1, l4))
-            + op(l3, l1).mul(op(l2, l4))
-            + op(l1, l2).mul(op(l3, l4))
-        )
-        return lhs, rhs
-
-    def commutator(t):
-        l1, l2, l3, l4 = t
-        lhs = op(l1, l2).mul(op(l3, l4))
-        rhs = (
-            op(l3, l4).mul(op(l1, l2))
-            + _extend(lambda m: ops.get((m, l4)), value(l1, l2, l3), zero)
-            + _extend(lambda m: ops.get((l3, m)), value(l1, l2, l4), zero)
-        )
-        return lhs, rhs
-
-    for (name, sides), support in zip(
+    ops = _ordered_pairs(r.rho.coords)
+    bracket = r.algebra.bracket.expand_ordered()
+    into_first = _feed(ops, 0, bracket)  # rho([l1, l2, l3], l4)
+    products = _compose(ops, ops)  # rho(l1, l2) rho(l3, l4)
+    laws = (
         (
-            ("action fundamental law", fundamental),
-            ("action commutator law", commutator),
+            "action fundamental law",
+            [into_first],
+            [
+                _relabel(products, lambda l2, l3, l1, l4: (l1, l2, l3, l4)),
+                _relabel(products, lambda l3, l1, l2, l4: (l1, l2, l3, l4)),
+                products,
+            ],
         ),
-        _representation_supports(r, ops),
-    ):
+        (
+            "action commutator law",
+            [products],
+            [
+                _relabel(products, lambda l3, l4, l1, l2: (l1, l2, l3, l4)),
+                into_first,
+                _relabel(  # rho(l3, [l1, l2, l4])
+                    _feed(ops, 1, bracket), lambda l1, l2, l4, l3: (l1, l2, l3, l4)
+                ),
+            ],
+        ),
+    )
+    for name, lhs, rhs in laws:
         rep.law(
             name,
             "all ordered basis 4-tuples",
-            sorted(support),
-            sides,
+            space.dim**4,
+            lhs,
+            rhs,
+            Matrix.zeros(r.carrier.dim, r.carrier.dim),
             format_matrix,
             partial(tuple_label, space),
-            dim**4,
         )
     return rep
 
@@ -247,76 +218,50 @@ def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Rep
 
     lspace = c.algebra.space
     hspace = c.carrier
-    zero = hspace.zero()
-    hb = c.target_bracket.value
-    ops = c.rho.coords
-    no_op = Matrix.zeros(hspace.dim, hspace.dim)
-
     target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
     rep.absorb(target_gate, "carrier bracket")
 
-    def derivation(t):
-        (i, j), (h1, h2, h3) = t
-        mat = ops.get((i, j), no_op)
-        hval = hb(h1, h2, h3)
-        lhs = zero if hval is None else mat.mul_vec(hval)
-        rhs = (
-            _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero)
-            + _extend(lambda m: hb(h1, m, h3), mat.col(h2), zero)
-            + _extend(lambda m: hb(h1, h2, m), mat.col(h3), zero)
-        )
-        return lhs, rhs
-
-    def annihilation(t):
-        (i, j), (h1, h2, h3) = t
-        mat = ops.get((i, j), no_op)
-        return _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero), zero
-
-    for (name, sides), support in zip(
+    hb = c.target_bracket.expand_ordered()
+    columns = _columns(c.rho.coords)  # rho(i, j) e_h, keyed (i, j, h)
+    moved = _relabel(  # [rho(i, j) h1, h2, h3]
+        _feed(hb, 0, columns), lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))
+    )
+    laws = (
         (
-            ("derivation law", derivation),
-            ("annihilation law", annihilation),
+            "derivation law",
+            [
+                _relabel(
+                    _feed(columns, 2, hb),
+                    lambda h1, h2, h3, i, j: ((i, j), (h1, h2, h3)),
+                )
+            ],
+            [
+                moved,
+                _relabel(
+                    _feed(hb, 1, columns),
+                    lambda i, j, h2, h1, h3: ((i, j), (h1, h2, h3)),
+                ),
+                _relabel(
+                    _feed(hb, 2, columns),
+                    lambda i, j, h3, h1, h2: ((i, j), (h1, h2, h3)),
+                ),
+            ],
         ),
-        _coherence_supports(c, ops),
-    ):
+        ("annihilation law", [moved], []),
+    )
+    for name, lhs, rhs in laws:
         rep.law(
             name,
             "increasing pairs x all ordered carrier triples",
-            sorted(support),
-            sides,
+            comb(lspace.dim, 2) * hspace.dim**3,
+            lhs,
+            rhs,
+            hspace.zero(),
             partial(format_vector, hspace),
             lambda t: f"pair {tuple_label(lspace, t[0])}, "
             f"triple {tuple_label(hspace, t[1])}",
-            comb(lspace.dim, 2) * hspace.dim**3,
         )
     return rep
-
-
-def _coherence_supports(c: CoherentActionData, ops: dict) -> tuple:
-    """Increasing pairs x ordered carrier triples where a term of the
-    derivation law, and of the annihilation law, can be nonzero: joins of
-    the carrier bracket into the operators' columns and back."""
-    bracket = c.target_bracket.expand_ordered()
-    # the nonzero columns rho(i, j) e_h, keyed (i, j, h)
-    columns = {
-        pair + (h,): op.col(h) for pair, op in ops.items() for (_, h), _ in op.items()
-    }
-    # [rho(i, j) h1, h2, h3]
-    annihilation = {
-        (v[:2], v[2:] + rest) for v, rest in _feeds(columns, bracket, 0)
-    }
-    # [h1, rho(i, j) h2, h3], [h1, h2, rho(i, j) h3]
-    derivation = annihilation | {
-        (v[:2], rest[:1] + v[2:] + rest[1:])
-        for v, rest in _feeds(columns, bracket, 1)
-    }
-    derivation.update(
-        (v[:2], rest + v[2:]) for v, rest in _feeds(columns, bracket, 2)
-    )
-    # rho(i, j) [h1, h2, h3]
-    by_column = [key[2:] + key[:2] for key in columns]
-    derivation.update((pair, t) for t, pair in _feeds(bracket, by_column, 0))
-    return derivation, annihilation
 
 
 def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
@@ -389,76 +334,38 @@ def _check_net_impl(
         rep.absorb(gate, "coherent action")
         return rep.refuse("the action is not coherent")
 
-    lspace, hspace = p.l_space, p.h_space
-    hdim = hspace.dim
-    lam = p.tensor
+    hspace = p.h_space
     lam_cols = p.tensor_columns()
-    lb, hb, rho = p.l_bracket, p.h_bracket, p.rho
-
-    support = _tensor_support(p, [(lam_cols,) * 3], [(lam_cols,) * 2], True)
     if mode == "all":
-        scope, count = "all ordered carrier triples", hdim**3
+        scope, count, keep = "all ordered carrier triples", hspace.dim**3, None
     else:
-        scope, count = "increasing carrier triples", comb(hdim, 3)
-        support = {t for t in support if t[0] < t[1] < t[2]}
-
-    def condition(t):
-        i, j, k = t
-        lhs = lb.eval(lam_cols[i], lam_cols[j], lam_cols[k])
-        inner = rho.apply(lam_cols[i], lam_cols[j], hspace.basis_vector(k))
-        hval = hb.value(i, j, k)
-        if hval is not None:
-            inner = inner + hval
-        return lhs, lam.apply(inner)
-
+        scope, count = "increasing carrier triples", comb(hspace.dim, 3)
+        keep = _increasing
     rep.law(
         "embedding-tensor condition",
         scope,
-        sorted(support),
-        condition,
-        partial(format_vector, lspace),
-        partial(tuple_label, hspace),
         count,
+        [_bracket_of(p, lam_cols, lam_cols, lam_cols)],
+        [_feed(_family(lam_cols), 0, _descendent(p))],
+        p.l_space.zero(),
+        partial(format_vector, p.l_space),
+        partial(tuple_label, hspace),
+        keep=keep,
     )
     return rep
 
 
-def _tensor_support(
-    p: EmbeddingTensorProblem, brackets, actions, carrier: bool
-) -> set:
-    """Ordered carrier triples (i, j, k) where a term of a tensor-condition
-    law can be nonzero.
+def _bracket_of(p: EmbeddingTensorProblem, x, y, z) -> dict:
+    """{(i, j, k): [X_i, Y_j, Z_k]} of the L-bracket, for three lists of
+    L-vectors indexed by a basis."""
+    return _substitute(p.l_bracket.expand_ordered(), [x, y, z])
 
-    Each entry of brackets is three column families (X, Y, Z), lists of
-    L-vectors indexed by the basis of H, for a term [X_i, Y_j, Z_k] of the
-    L-bracket; each entry of actions is (X, Y) for a term
-    rho(X_i, Y_j) e_k; carrier adds the terms [e_i, e_j, e_k] of the
-    H-bracket. A family's column i can feed a key's index a only when its
-    entry a is nonzero, so each term's support is a product of the
-    columns hit by each index of a nonzero key.
-    """
 
-    def hits(family):
-        rows = [[] for _ in range(p.l_space.dim)]
-        for i, col in enumerate(family):
-            for a, _ in col.iter_nonzero():
-                rows[a].append(i)
-        return rows
-
-    out = set()
-    keys = p.l_bracket.expand_ordered()
-    for term in brackets:
-        x, y, z = map(hits, term)
-        for a, b, c in keys:
-            out.update(product(x[a], y[b], z[c]))
-    ops = _operators(p.rho)
-    for term in actions:
-        x, y = map(hits, term)
-        for (a, b), op in ops.items():
-            out.update(product(x[a], y[b], {h for (_, h), _ in op.items()}))
-    if carrier:
-        out.update(p.h_bracket.expand_ordered())
-    return out
+def _action_of(p: EmbeddingTensorProblem, x, y) -> dict:
+    """{(i, j, k): rho(X_i, Y_j) e_k}, for two lists of L-vectors indexed by
+    a basis; k runs over the basis of H."""
+    columns = _columns(_ordered_pairs(p.rho.coords))
+    return _substitute(columns, [x, y, _basis(p.h_space)])
 
 
 # The point of the tensor's graph over an H-part; it equals any (L-part,
@@ -469,8 +376,10 @@ _OnGraph = namedtuple("_OnGraph", "l_part h_part")
 def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     """Closure of the tensor's graph inside the hemisemidirect product.
 
-    The graph of the tensor is spanned by (tensor(h), h); a combined-bracket
-    value (x, y) lies on it exactly when x = tensor(y). The verdict always
+    The graph of the tensor is spanned by (tensor(h), h). The combined
+    bracket of three of those basis vectors is ([tensor e_i, tensor e_j,
+    tensor e_k], d(i, j, k)), with d the descendent bracket; it lies on the
+    graph exactly when its L-part is tensor(d(i, j, k)). The verdict always
     coincides with the full ordered-triple tensor condition; the report
     records that cross-check.
     """
@@ -480,20 +389,15 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
         rep.absorb(gate, "coherent action")
         return rep.refuse("the action is not coherent")
 
-    combined = hemisemidirect_table(p.action)
     lspace, hspace = p.l_space, p.h_space
-    ldim, hdim = lspace.dim, hspace.dim
-    lam = p.tensor
     lam_cols = p.tensor_columns()
-    graph_basis = [
-        Vector(lam_cols[i].entries + hspace.basis_vector(i).entries)
-        for i in range(hdim)
-    ]
-
-    def closure(t):
-        out = combined.eval(*(graph_basis[i] for i in t))
-        h_part = Vector(out.entries[ldim:])
-        return (Vector(out.entries[:ldim]), h_part), _OnGraph(lam.apply(h_part), h_part)
+    l_parts = _bracket_of(p, lam_cols, lam_cols, lam_cols)
+    h_parts = _descendent(p)
+    zero = (lspace.zero(), hspace.zero())
+    points = {
+        t: (l_parts.get(t, zero[0]), h_parts.get(t, zero[1]))
+        for t in l_parts.keys() | h_parts.keys()
+    }
 
     def show(side):
         if isinstance(side, _OnGraph):
@@ -501,16 +405,15 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
         l_part, h_part = side
         return f"({format_vector(lspace, l_part)} ; {format_vector(hspace, h_part)})"
 
-    # the graph condition has the terms of the tensor condition, so the same support
-    support = _tensor_support(p, [(lam_cols,) * 3], [(lam_cols,) * 2], True)
     rep.law(
         "graph closure",
         "all ordered graph-basis triples",
-        sorted(support),
-        closure,
+        hspace.dim**3,
+        [points],
+        [{t: _OnGraph(p.tensor.apply(h), h) for t, (_, h) in points.items()}],
+        zero,
         show,
         partial(tuple_label, hspace),
-        hdim**3,
     )
     agreement = check_net(p, mode="all")
     rep.note(
@@ -520,23 +423,26 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     return rep
 
 
+def _descendent(p: EmbeddingTensorProblem) -> dict:
+    """The descendent bracket's term tables summed: rho(tensor e_i,
+    tensor e_j) e_k + [e_i, e_j, e_k], keyed (i, j, k)."""
+    lam_cols = p.tensor_columns()
+    coords = _action_of(p, lam_cols, lam_cols)
+    for key, hval in p.h_bracket.expand_ordered().items():
+        coords[key] = coords[key] + hval if key in coords else hval
+    return coords
+
+
 def _braces(p: EmbeddingTensorProblem) -> dict:
     """The nonzero braces rho(tensor e_i, tensor e_j) e_k, keyed (i, j, k)."""
     lam_cols = p.tensor_columns()
-    coords = {}
-    for i, j in product(range(p.h_space.dim), repeat=2):
-        op = p.rho.eval(lam_cols[i], lam_cols[j])
-        for k in sorted({k for (_, k), _ in op.items()}):
-            coords[(i, j, k)] = op.col(k)
-    return coords
+    braces = _action_of(p, lam_cols, lam_cols)
+    return {key: v for key, v in sorted(braces.items()) if not v.is_zero()}
 
 
 def _descendent_table(p: EmbeddingTensorProblem) -> TrilinearTable:
     """The descendent bracket on H: the braces plus the carrier bracket."""
-    coords = _braces(p)
-    for key, hval in p.h_bracket.expand_ordered().items():
-        coords[key] = coords[key] + hval if key in coords else hval
-    return TrilinearTable(p.h_space, p.h_space, dict(sorted(coords.items())))
+    return TrilinearTable(p.h_space, p.h_space, dict(sorted(_descendent(p).items())))
 
 
 def _require_net(p: EmbeddingTensorProblem, what: str) -> None:
@@ -548,24 +454,9 @@ def _require_net(p: EmbeddingTensorProblem, what: str) -> None:
 
 
 def descendent(p: EmbeddingTensorProblem) -> ThreeLeibnizAlgebra:
-    """The bracket induced on H by a valid tensor; refuses otherwise.
-
-    Also certifies that the tensor is a structure map from the new bracket
-    to the L-bracket; that certification cannot fail for a valid tensor, and
-    a violation raises instead of returning a wrong structure.
-    """
+    """The bracket induced on H by a valid tensor; refuses otherwise."""
     _require_net(p, "the descendent bracket")
-    table = _descendent_table(p)
-    lam_cols = p.tensor_columns()
-    for i, j, k in product(range(p.h_space.dim), repeat=3):
-        val = table.value(i, j, k)
-        left = p.l_space.zero() if val is None else p.tensor.apply(val)
-        if left != p.l_bracket.eval(lam_cols[i], lam_cols[j], lam_cols[k]):
-            raise PreconditionError(
-                "descendent bracket is not intertwined by the tensor; "
-                "the tensor condition must have been violated"
-            )
-    return ThreeLeibnizAlgebra(p.h_space, table)
+    return ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
 
 
 def induced_3ll(p: EmbeddingTensorProblem) -> ThreeLeibnizLieAlgebra:
@@ -632,72 +523,60 @@ def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:
         rep.absorb(fh_gate, "f_H bracket preservation")
         return rep.refuse("component maps do not preserve the brackets")
 
-    hspace_src = src.h_space
-    lspace_src = src.l_space
+    hspace_src, lspace_src = src.h_space, src.l_space
+    fh_cols = [h.f_h.column(i) for i in range(hspace_src.dim)]
+    fl_cols = [h.f_l.column(i) for i in range(lspace_src.dim)]
+    fh = _family(fh_cols)
     inter = rep.law(
         "tensor intertwining",
         "carrier basis vectors",
-        ((i,) for i in range(hspace_src.dim)),
-        lambda t: (
-            dst.tensor.apply(h.f_h.column(t[0])),
-            h.f_l.apply(src.tensor.column(t[0])),
-        ),
+        hspace_src.dim,
+        [_feed(_family(dst.tensor_columns()), 0, fh)],
+        [_feed(_family(fl_cols), 0, _family(src.tensor_columns()))],
+        dst.l_space.zero(),
         partial(format_vector, dst.l_space),
         lambda t: f"({hspace_src.label(t[0])})",
     )
-
-    def action_sides(t):
-        ((i, j),) = t
-        e_i, e_j = lspace_src.basis_vector(i), lspace_src.basis_vector(j)
-        lhs = h.f_h.matrix.mul(src.rho.eval(e_i, e_j))
-        rhs = dst.rho.eval(h.f_l.column(i), h.f_l.column(j)).mul(h.f_h.matrix)
-        return lhs, rhs
-
+    fh_op = {(): h.f_h.matrix}
+    pushed = _substitute(_ordered_pairs(dst.rho.coords), [fl_cols, fl_cols])
     act = rep.law(
         "action intertwining",
         "increasing algebra pairs (operator identity)",
-        ((pair,) for pair in combinations(range(lspace_src.dim), 2)),
-        action_sides,
+        comb(lspace_src.dim, 2),
+        [_relabel(_compose(fh_op, src.rho.coords), lambda i, j: ((i, j),))],
+        [_relabel(_compose(pushed, fh_op), lambda i, j: ((i, j),))],
+        Matrix.zeros(dst.h_space.dim, hspace_src.dim),
         format_matrix,
         lambda t: f"pair {tuple_label(lspace_src, t[0])}",
+        keep=lambda t: t[0][0] < t[0][1],
     )
 
     if inter.passed and act.passed:
-        desc_src = _descendent_table(src)
-        desc_dst = _descendent_table(dst)
-        fh_cols = [h.f_h.column(i) for i in range(hspace_src.dim)]
-        lam_cols_src = src.tensor_columns()
-        zero_h = hspace_src.zero()
-
-        def descendent_sides(t):
-            i, j, k = t
-            val = desc_src.value(i, j, k)
-            lhs = h.f_h.apply(val if val is not None else zero_h)
-            return lhs, desc_dst.eval(fh_cols[i], fh_cols[j], fh_cols[k])
-
-        def brace_sides(t):
-            i, j, k = t
-            lhs = h.f_h.apply(
-                src.rho.apply(
-                    lam_cols_src[i], lam_cols_src[j], hspace_src.basis_vector(k)
-                )
-            )
-            rhs = dst.rho.apply(
-                dst.tensor.apply(fh_cols[i]),
-                dst.tensor.apply(fh_cols[j]),
-                fh_cols[k],
-            )
-            return lhs, rhs
-
-        for name, sides in (
-            ("descendent bracket preserved", descendent_sides),
-            ("induced braces preserved", brace_sides),
-        ):
+        images = [dst.tensor.apply(v) for v in fh_cols]
+        src_cols = src.tensor_columns()
+        laws = (
+            (
+                "descendent bracket preserved",
+                _feed(fh, 0, _descendent(src)),
+                _substitute(_descendent(dst), [fh_cols] * 3),
+            ),
+            (
+                "induced braces preserved",
+                _feed(fh, 0, _action_of(src, src_cols, src_cols)),
+                _relabel(  # rho(images_i, images_j) f_H e_k
+                    _feed(_action_of(dst, images, images), 2, fh),
+                    lambda k, i, j: (i, j, k),
+                ),
+            ),
+        )
+        for name, lhs, rhs in laws:
             rep.law(
                 name,
                 "all ordered carrier triples",
-                product(range(hspace_src.dim), repeat=3),
-                sides,
+                hspace_src.dim**3,
+                [lhs],
+                [rhs],
+                dst.h_space.zero(),
                 partial(format_vector, dst.h_space),
                 partial(tuple_label, hspace_src),
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
 from math import comb
 
 from .errors import InputError, PreconditionError
@@ -28,8 +27,11 @@ from .multilinear import (
     AlternatingTrilinearTable,
     Space,
     TrilinearTable,
-    _extend,
-    _feeds,
+    _family,
+    _feed,
+    _ordered_pairs,
+    _relabel,
+    _substitute,
     format_vector,
 )
 from .report import Report, tuple_label
@@ -195,74 +197,60 @@ def _vec_or_zero(space: Space, v: Vector | None) -> Vector:
     return space.zero() if v is None else v
 
 
-def _fundamental_sides(table, b1, b2, c, d, e, zero):
-    """Both sides of [b1, b2, [c, d, e]] = [[b1, b2, c], d, e]
-    + [c, [b1, b2, d], e] + [c, d, [b1, b2, e]] on basis vectors."""
-    value = table.value
-    lhs = _extend(lambda m: value(b1, b2, m), value(c, d, e), zero)
-    rhs = (
-        _extend(lambda m: value(m, d, e), value(b1, b2, c), zero)
-        + _extend(lambda m: value(c, m, e), value(b1, b2, d), zero)
-        + _extend(lambda m: value(c, d, m), value(b1, b2, e), zero)
-    )
+def _increasing(t) -> bool:
+    return all(a < b for a, b in zip(t, t[1:]))
+
+
+def _fundamental_terms(coords: dict) -> tuple:
+    """Term tables of [b1, b2, [c, d, e]] = [[b1, b2, c], d, e]
+    + [c, [b1, b2, d], e] + [c, d, [b1, b2, e]] on ordered 5-tuples, for a
+    table of values on ordered triples."""
+    inner_last = _feed(coords, 2, coords)
+    lhs = [_relabel(inner_last, lambda c, d, e, b1, b2: (b1, b2, c, d, e))]
+    rhs = [
+        _feed(coords, 0, coords),
+        _relabel(_feed(coords, 1, coords), lambda b1, b2, d, c, e: (b1, b2, c, d, e)),
+        _relabel(inner_last, lambda b1, b2, e, c, d: (b1, b2, c, d, e)),
+    ]
     return lhs, rhs
-
-
-def _fundamental_support(table) -> set:
-    """Ordered 5-tuples (b1, b2, c, d, e) where a term of the fundamental
-    identity of table can be nonzero: a join of its nonzero values into
-    each slot of its keys, one join per term."""
-    coords = table.expand_ordered()
-    keys = coords.keys()
-    out = {rest + v for v, rest in _feeds(coords, keys, 2)}  # [b1, b2, [c, d, e]]
-    out.update(v + rest for v, rest in _feeds(coords, keys, 0))
-    out.update(
-        v[:2] + rest[:1] + v[2:] + rest[1:] for v, rest in _feeds(coords, keys, 1)
-    )
-    out.update(v[:2] + rest + v[2:] for v, rest in _feeds(coords, keys, 2))
-    return out
-
-
-def _alternating_support(table: AlternatingTrilinearTable) -> set:
-    """Pairs x triples ((b1, b2), (c, d, e)), both increasing, where a term
-    of the fundamental identity of an alternating table can be nonzero.
-
-    A term nests one stored key t inside another key through a coordinate
-    m of its value; the other key less m is a pair p. [p, t] is the left
-    side, and [[b1, b2, c], d, e] and its two cyclic mates read t as
-    {b1, b2, c} and p as the rest of the triple, for each c in t.
-    """
-    coords = table.coords
-    out = set()
-    for slot in range(3):
-        for t, pair in _feeds(coords, coords.keys(), slot):
-            out.add((pair, t))
-            for c in t:
-                if c not in pair:
-                    rest = tuple(x for x in t if x != c)
-                    out.add((rest, tuple(sorted(pair + (c,)))))
-    return out
 
 
 def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     """Verify the fundamental identity of an alternating ternary bracket.
 
     Both sides are alternating in the outer pair and in the inner triple, so
-    checking increasing pairs against increasing triples is exhaustive.
+    checking increasing pairs against increasing triples is exhaustive. The
+    three right-hand terms all come from one table, T = [[b1, b2, x], y, z]
+    with b1 < b2 and y < z: [c, [b1, b2, d], e] = -[[b1, b2, d], c, e] and
+    [c, d, [b1, b2, e]] = [[b1, b2, e], c, d].
     """
     space = a.space
     n = space.dim
-    zero = space.zero()
+    ordered = a.bracket.expand_ordered()
+    pair_first = {k: v for k, v in ordered.items() if k[0] < k[1]}
+    pair_last = {k: v for k, v in ordered.items() if k[1] < k[2]}
+    nested = _feed(pair_last, 0, pair_first)
     rep = Report(title or f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "increasing pairs x increasing triples",
-        sorted(_alternating_support(a.bracket)),
-        lambda t: _fundamental_sides(a.bracket, *t[0], *t[1], zero),
+        comb(n, 2) * comb(n, 3),
+        [
+            _relabel(
+                _feed(pair_first, 2, a.bracket.coords),
+                lambda c, d, e, b1, b2: ((b1, b2), (c, d, e)),
+            )
+        ],
+        [
+            _relabel(nested, lambda b1, b2, c, d, e: ((b1, b2), (c, d, e))),
+            _relabel(nested, lambda b1, b2, d, c, e: ((b1, b2), (c, d, e)), -1),
+            _relabel(nested, lambda b1, b2, e, c, d: ((b1, b2), (c, d, e))),
+        ],
+        space.zero(),
         partial(format_vector, space),
         lambda t: f"pair {tuple_label(space, t[0])}, "
         f"triple {tuple_label(space, t[1])}",
-        comb(n, 2) * comb(n, 3),
+        keep=lambda t: _increasing(t[1]),
     )
     return rep
 
@@ -270,16 +258,15 @@ def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
 def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
     """Verify the derivation identity with no symmetry: all ordered 5-tuples."""
     space = a.space
-    zero = space.zero()
     rep = Report(title or f"ternary Leibniz axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "all ordered basis 5-tuples",
-        sorted(_fundamental_support(a.bracket)),
-        lambda t: _fundamental_sides(a.bracket, *t, zero),
+        space.dim**5,
+        *_fundamental_terms(a.bracket.expand_ordered()),
+        space.zero(),
         partial(format_vector, space),
         partial(tuple_label, space),
-        space.dim**5,
     )
     return rep
 
@@ -287,26 +274,23 @@ def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
 def check_lie(a: LieAlgebra, title: str | None = None) -> Report:
     """Jacobi identity on increasing basis triples."""
     space = a.space
-    zero = space.zero()
-    value = a.value
+    bracket = _ordered_pairs(a.coords)
+    nested = _feed(bracket, 0, bracket)  # [[i, j], k]
     rep = Report(title or f"Lie axioms on {space.name}")
-
-    def jacobi(t):
-        i, j, k = t
-        jac = (
-            _extend(lambda m: value(m, k), value(i, j), zero)
-            + _extend(lambda m: value(m, i), value(j, k), zero)
-            + _extend(lambda m: value(m, j), value(k, i), zero)
-        )
-        return jac, zero
-
     rep.law(
         "Jacobi identity",
         "increasing basis triples",
-        combinations(range(space.dim), 3),
-        jacobi,
+        comb(space.dim, 3),
+        [
+            nested,
+            _relabel(nested, lambda j, k, i: (i, j, k)),
+            _relabel(nested, lambda k, i, j: (i, j, k)),
+        ],
+        [],
+        space.zero(),
         partial(format_vector, space),
         partial(tuple_label, space),
+        keep=_increasing,
     )
     return rep
 
@@ -314,39 +298,37 @@ def check_lie(a: LieAlgebra, title: str | None = None) -> Report:
 def check_leibniz_lie(a: LeibnizLieAlgebra, title: str | None = None) -> Report:
     """Verify the product laws of a Lie algebra with a compatible product."""
     space = a.space
-    zero = space.zero()
-    prod, lie = a.product, a.lie.value
+    prod, lie = a.triangle, _ordered_pairs(a.lie.coords)
     rep = Report(title or f"Leibniz-Lie axioms on {space.name}")
     jac = check_lie(a.lie)
     rep.absorb(jac, "underlying Lie algebra")
 
-    def left_multiplication(t):
-        i, j, k = t
-        lhs = _extend(lambda m: prod(i, m), prod(j, k), zero)
-        rhs = (
-            _extend(lambda m: prod(m, k), prod(i, j), zero)
-            + _extend(lambda m: prod(j, m), prod(i, k), zero)
-            + _extend(lambda m: prod(m, k), lie(i, j), zero)
-        )
-        return lhs, rhs
-
+    right_fed = _feed(prod, 1, prod)  # i > (j > k), keyed (j, k, i)
     laws = (
-        ("left multiplication law", left_multiplication),
+        (
+            "left multiplication law",
+            [_relabel(right_fed, lambda j, k, i: (i, j, k))],
+            [
+                _feed(prod, 0, prod),
+                _relabel(right_fed, lambda i, k, j: (i, j, k)),
+                _feed(prod, 0, lie),
+            ],
+        ),
         (
             "product kills brackets",
-            lambda t: (_extend(lambda m: prod(t[0], m), lie(t[1], t[2]), zero), zero),
+            [_relabel(_feed(prod, 1, lie), lambda j, k, i: (i, j, k))],
+            [],
         ),
-        (
-            "bracket kills products",
-            lambda t: (_extend(lambda m: lie(m, t[2]), prod(t[0], t[1]), zero), zero),
-        ),
+        ("bracket kills products", [_feed(lie, 0, prod)], []),
     )
-    for name, sides in laws:
+    for name, lhs, rhs in laws:
         rep.law(
             name,
             "all ordered basis triples",
-            product(range(space.dim), repeat=3),
-            sides,
+            space.dim**3,
+            lhs,
+            rhs,
+            space.zero(),
             partial(format_vector, space),
             partial(tuple_label, space),
         )
@@ -360,49 +342,38 @@ def check_3ll(a: ThreeLeibnizLieAlgebra, title: str | None = None) -> Report:
     that bracket, so their verdict would be meaningless.
     """
     space = a.space
-    zero = space.zero()
     rep = Report(title or f"ternary brace axioms on {space.name}")
     gate = check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
     if not gate.ok:
         rep.absorb(gate, "underlying bracket")
         return rep.refuse("underlying bracket fails the fundamental identity")
 
-    brace = a.braces.value
-    bracket = a.lie3.bracket.value
-
-    def compatibility(t):
-        h1, h2, h3, h4, h5 = t
-        lhs, rhs = _fundamental_sides(a.braces, *t, zero)
-        rhs = (
-            rhs
-            + _extend(lambda m: brace(m, h4, h5), bracket(h1, h2, h3), zero)
-            + _extend(lambda m: brace(h3, m, h5), bracket(h1, h2, h4), zero)
-        )
-        return lhs, rhs
-
+    brace = a.braces.expand_ordered()
+    bracket = a.lie3.bracket.expand_ordered()
+    lhs, rhs = _fundamental_terms(brace)
+    rhs += [
+        _feed(brace, 0, bracket),  # {[h1, h2, h3], h4, h5}
+        _relabel(  # {h3, [h1, h2, h4], h5}
+            _feed(brace, 1, bracket), lambda h1, h2, h4, h3, h5: (h1, h2, h3, h4, h5)
+        ),
+    ]
     laws = (
-        ("brace compatibility law", compatibility),
+        ("brace compatibility law", lhs, rhs),
         (
             "braces kill bracket outputs",
-            lambda t: (
-                _extend(lambda m: brace(t[0], t[1], m), bracket(*t[2:]), zero),
-                zero,
-            ),
+            [_relabel(_feed(brace, 2, bracket), lambda c, d, e, a, b: (a, b, c, d, e))],
+            [],
         ),
-        (
-            "bracket kills brace outputs",
-            lambda t: (
-                _extend(lambda m: bracket(m, t[3], t[4]), brace(*t[:3]), zero),
-                zero,
-            ),
-        ),
+        ("bracket kills brace outputs", [_feed(bracket, 0, brace)], []),
     )
-    for name, sides in laws:
+    for name, lhs, rhs in laws:
         rep.law(
             name,
             "all ordered basis 5-tuples",
-            product(range(space.dim), repeat=5),
-            sides,
+            space.dim**5,
+            lhs,
+            rhs,
+            space.zero(),
             partial(format_vector, space),
             partial(tuple_label, space),
         )
@@ -435,21 +406,37 @@ def subadjacent(a: ThreeLeibnizLieAlgebra) -> ThreeLeibnizAlgebra:
     )
 
 
-# per kind: (line, scope, the part of the structure it compares or None)
+# per kind: (line, scope, the table of a structure it compares)
 _HOM_LAWS = {
-    "lie": (("binary bracket preserved", "increasing basis pairs", None),),
-    "3lie": (("ternary bracket preserved", "increasing basis triples", None),),
-    "3leibniz": (("ternary bracket preserved", "all ordered basis triples", None),),
+    "lie": (("binary bracket preserved", "increasing basis pairs", lambda s: s),),
+    "3lie": (
+        ("ternary bracket preserved", "increasing basis triples", lambda s: s.bracket),
+    ),
+    "3leibniz": (
+        ("ternary bracket preserved", "all ordered basis triples", lambda s: s.bracket),
+    ),
     "3ll": (
-        ("ternary bracket preserved", "increasing basis triples", "lie3"),
-        ("braces preserved", "all ordered basis triples", "braces"),
+        (
+            "ternary bracket preserved",
+            "increasing basis triples",
+            lambda s: s.lie3.bracket,
+        ),
+        ("braces preserved", "all ordered basis triples", lambda s: s.braces),
     ),
 }
-_HOM_TUPLES = {
-    "increasing basis pairs": lambda rng: combinations(rng, 2),
-    "increasing basis triples": lambda rng: combinations(rng, 3),
-    "all ordered basis triples": lambda rng: product(rng, repeat=3),
+# per scope: (arity, tuple count for dimension n, the keys in the scope)
+_HOM_SCOPES = {
+    "increasing basis pairs": (2, lambda n: comb(n, 2), _increasing),
+    "increasing basis triples": (3, lambda n: comb(n, 3), _increasing),
+    "all ordered basis triples": (3, lambda n: n**3, None),
 }
+
+
+def _ordered(table) -> dict:
+    """A bracket's values on every ordered basis tuple."""
+    if isinstance(table, LieAlgebra):
+        return _ordered_pairs(table.coords)
+    return table.expand_ordered()
 
 
 def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Report:
@@ -465,25 +452,18 @@ def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Re
     if laws is None:
         raise InputError(f"unknown structure kind {kind!r}")
     space = src.space
-    dim = space.dim
-    out_space = dst.space
-
-    def push(v: Vector | None) -> Vector:
-        return f.apply(_vec_or_zero(space, v))
-
-    images = [f.column(i) for i in range(dim)]
+    images = [f.column(i) for i in range(space.dim)]
     for name, scope, part in laws:
-        source = src if part is None else getattr(src, part)
-        target = dst if part is None else getattr(dst, part)
+        arity, count, keep = _HOM_SCOPES[scope]
         rep.law(
             name,
             scope,
-            _HOM_TUPLES[scope](range(dim)),
-            lambda t: (
-                push(source.value(*t)),
-                target.eval(*(images[x] for x in t)),
-            ),
-            partial(format_vector, out_space),
+            count(space.dim),
+            [_feed(_family(images), 0, part(src).coords)],
+            [_substitute(_ordered(part(dst)), [images] * arity)],
+            dst.space.zero(),
+            partial(format_vector, dst.space),
             partial(tuple_label, space),
+            keep=keep,
         )
     return rep

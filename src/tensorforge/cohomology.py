@@ -23,6 +23,8 @@ from itertools import product
 from .actions import (
     EmbeddingTensorProblem,
     NetHomomorphism,
+    _action_of,
+    _bracket_of,
     _descendent_table,
     check_net,
 )
@@ -32,9 +34,11 @@ from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
 from .multilinear import (
     Space,
     WedgePairBasis,
-    _extend,
-    _feeds,
-    _products,
+    _basis,
+    _compose,
+    _family,
+    _feed,
+    _relabel,
     format_matrix,
 )
 from .report import Report, tuple_label
@@ -112,85 +116,58 @@ def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
         return rep.refuse("underlying algebra fails the fundamental identity")
 
     space = r.algebra.space
-    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
-    value = r.algebra.value
-    l_act, m_act, r_act = r.l_act, r.m_act, r.r_act
-
-    def composition(act):
-        """Laws 1-3: the left operator against the family act."""
-
-        def sides(t):
-            a1, a2, a3, a4 = t
-            left, op = l_act.get((a1, a2), zero), act.get((a3, a4), zero)
-            rhs = (
-                op.mul(left)
-                + _extend(lambda m: act.get((m, a4)), value(a1, a2, a3), zero)
-                + _extend(lambda m: act.get((a3, m)), value(a1, a2, a4), zero)
+    bracket = r.algebra.bracket.expand_ordered()
+    l_act = r.l_act
+    laws, expansions = [], []
+    for name, act in (("left", l_act), ("middle", r.m_act), ("right", r.r_act)):
+        # l(a1, a2) act(a3, a4) = act(a3, a4) l(a1, a2)
+        #     + act([a1, a2, a3], a4) + act(a3, [a1, a2, a4])
+        after_left = _compose(l_act, act)
+        into_second = _feed(act, 1, bracket)  # keyed (a1, a2, a4, a3)
+        laws.append(
+            (
+                f"left-{name} composition law",
+                [after_left],
+                [
+                    _relabel(
+                        _compose(act, l_act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                    ),
+                    _feed(act, 0, bracket),
+                    _relabel(into_second, lambda a1, a2, a4, a3: (a1, a2, a3, a4)),
+                ],
             )
-            return left.mul(op), rhs
-
-        return sides
-
-    def expansion(act):
-        """Laws 4-5: the family act on a bracket in its second slot."""
-
-        def sides(t):
-            a1, a2, a3, a4 = t
-            lhs = _extend(lambda m: act.get((a1, m)), value(a2, a3, a4), zero)
-            rhs = (
-                r_act.get((a3, a4), zero).mul(act.get((a1, a2), zero))
-                + m_act.get((a2, a4), zero).mul(act.get((a1, a3), zero))
-                + l_act.get((a2, a3), zero).mul(act.get((a1, a4), zero))
+        )
+        if act is l_act:
+            continue
+        # act(a1, [a2, a3, a4]) = r(a3, a4) act(a1, a2)
+        #     + m(a2, a4) act(a1, a3) + l(a2, a3) act(a1, a4)
+        expansions.append(
+            (
+                f"{name} bracket-expansion law",
+                [_relabel(into_second, lambda a2, a3, a4, a1: (a1, a2, a3, a4))],
+                [
+                    _relabel(
+                        _compose(r.r_act, act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                    ),
+                    _relabel(
+                        _compose(r.m_act, act), lambda a2, a4, a1, a3: (a1, a2, a3, a4)
+                    ),
+                    _relabel(after_left, lambda a2, a3, a1, a4: (a1, a2, a3, a4)),
+                ],
             )
-            return lhs, rhs
-
-        return sides
-
-    for (name, sides), support in zip(
-        (
-            ("left-left composition law", composition(l_act)),
-            ("left-middle composition law", composition(m_act)),
-            ("left-right composition law", composition(r_act)),
-            ("middle bracket-expansion law", expansion(m_act)),
-            ("right bracket-expansion law", expansion(r_act)),
-        ),
-        _rep3_supports(r, l_act, m_act, r_act),
-    ):
+        )
+    for name, lhs, rhs in laws + expansions:
         rep.law(
             name,
             "all ordered basis 4-tuples",
-            sorted(support),
-            sides,
+            space.dim**4,
+            lhs,
+            rhs,
+            Matrix.zeros(r.carrier.dim, r.carrier.dim),
             format_matrix,
             partial(tuple_label, space),
-            space.dim**4,
         )
     return rep
-
-
-def _rep3_supports(r: ThreeLeibnizRep, l_act, m_act, r_act) -> list:
-    """Ordered 4-tuples where a term of each of the five laws can be
-    nonzero: joins of the bracket into the family keys, and pairs of
-    operators whose product can be nonzero."""
-    bracket = r.algebra.bracket.expand_ordered()
-    out = []
-    for act in (l_act, m_act, r_act):
-        # l(a1, a2) act(a3, a4), act(a3, a4) l(a1, a2),
-        # act([a1, a2, a3], a4), act(a3, [a1, a2, a4])
-        support = {a + b for a, b in _products(l_act, act)}
-        support.update(b + a for a, b in _products(act, l_act))
-        support.update(v + rest for v, rest in _feeds(bracket, act, 0))
-        support.update(v[:2] + rest + v[2:] for v, rest in _feeds(bracket, act, 1))
-        out.append(support)
-    for act in (m_act, r_act):
-        # act(a1, [a2, a3, a4]), r(a3, a4) act(a1, a2),
-        # m(a2, a4) act(a1, a3), l(a2, a3) act(a1, a4)
-        support = {rest + v for v, rest in _feeds(bracket, act, 1)}
-        support.update(y + x for x, y in _products(r_act, act))
-        support.update((y[0], x[0], y[1], x[1]) for x, y in _products(m_act, act))
-        support.update((y[0],) + x + y[1:] for x, y in _products(l_act, act))
-        out.append(support)
-    return out
 
 
 def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
@@ -208,32 +185,44 @@ def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
 
 
 def _induced_rep_unchecked(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
-    hspace, lspace = p.h_space, p.l_space
-    hdim, ldim = hspace.dim, lspace.dim
-    lam = p.tensor
+    """The three families, each operator's column c built from term tables:
+    l(i, j) e_c = [Ti, Tj, e_c], m(i, j) e_c = [Ti, e_c, Tj] - T rho(Ti, e_c) e_j
+    and r(i, j) e_c = [e_c, Ti, Tj] - T rho(e_c, Ti) e_j, for T the tensor."""
+    lspace = p.l_space
     lam_cols = p.tensor_columns()
-    lb, rho = p.l_bracket, p.rho
-    desc = ThreeLeibnizAlgebra(hspace, _descendent_table(p))
-
-    l_act, m_act, r_act = {}, {}, {}
-    basis_l = [lspace.basis_vector(c) for c in range(ldim)]
-    basis_h = [hspace.basis_vector(c) for c in range(hdim)]
-    for i in range(hdim):
-        for j in range(hdim):
-            li, lj = lam_cols[i], lam_cols[j]
-            l_cols = [lb.eval(li, lj, e) for e in basis_l]
-            m_cols = [
-                lb.eval(li, e, lj) - lam.apply(rho.apply(li, e, basis_h[j]))
-                for e in basis_l
-            ]
-            r_cols = [
-                lb.eval(e, li, lj) - lam.apply(rho.apply(e, li, basis_h[j]))
-                for e in basis_l
-            ]
-            l_act[(i, j)] = Matrix.from_cols(l_cols, nrows=ldim)
-            m_act[(i, j)] = Matrix.from_cols(m_cols, nrows=ldim)
-            r_act[(i, j)] = Matrix.from_cols(r_cols, nrows=ldim)
-    return ThreeLeibnizRep(desc, lspace, l_act, m_act, r_act)
+    basis = _basis(lspace)
+    minus_lam = _family([-v for v in lam_cols])
+    families = (
+        [_bracket_of(p, lam_cols, lam_cols, basis)],  # keyed (i, j, c)
+        [  # keyed (i, c, j)
+            _bracket_of(p, lam_cols, basis, lam_cols),
+            _feed(minus_lam, 0, _action_of(p, lam_cols, basis)),
+        ],
+        [  # keyed (c, i, j)
+            _bracket_of(p, basis, lam_cols, lam_cols),
+            _feed(minus_lam, 0, _action_of(p, basis, lam_cols)),
+        ],
+    )
+    slots = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # where i, j and c sit in a key
+    acts = []
+    for tables, (si, sj, sc) in zip(families, slots):
+        columns = {}
+        for table in tables:
+            for key, vec in table.items():
+                col = columns.setdefault((key[si], key[sj]), {})
+                c = key[sc]
+                col[c] = col[c] + vec if c in col else vec
+        acts.append(
+            {
+                pair: Matrix.from_cols(
+                    [col.get(c, lspace.zero()) for c in range(lspace.dim)],
+                    nrows=lspace.dim,
+                )
+                for pair, col in sorted(columns.items())
+            }
+        )
+    desc = ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
+    return ThreeLeibnizRep(desc, lspace, *acts)
 
 
 @dataclass
@@ -381,8 +370,8 @@ class CochainComplex:
         self.wedge = WedgePairBasis(self.hspace)
         self.lwedge = WedgePairBasis(self.lspace)
         self.pair_dim = self.wedge.dim
-        self.desc = _descendent_table(p)
         self.rep = _induced_rep_unchecked(p)
+        self.desc = self.rep.algebra.bracket
         self._omega = self._build_omega()
         self._matrices: dict[int, Matrix] = {}
         self._ranks: dict[int, int] = {}

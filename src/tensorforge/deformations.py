@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from math import comb
 
-from .actions import EmbeddingTensorProblem, _tensor_support, check_net
-from .algebras import LinearMap
+from .actions import EmbeddingTensorProblem, _action_of, _bracket_of, check_net
+from .algebras import LinearMap, _increasing
 from .cohomology import _complex_of
 from .errors import InputError
 from .linalg import (
@@ -26,7 +26,15 @@ from .linalg import (
     kernel_basis,
     solve_membership,
 )
-from .multilinear import format_matrix, format_vector
+from .multilinear import (
+    _compose,
+    _family,
+    _feed,
+    _ordered_pairs,
+    _relabel,
+    format_matrix,
+    format_vector,
+)
 from .report import Report, tuple_label
 
 
@@ -70,30 +78,6 @@ def _same_problem(p1: EmbeddingTensorProblem, p2: EmbeddingTensorProblem) -> boo
     )
 
 
-def _first_order_residual(d: Deformation, L, M, t) -> Vector:
-    """Degree-one part of the tensor condition on the basis triple t.
-
-    L and M are the columns of the tensor and of the direction.
-    """
-    p = d.problem
-    lam, lam1 = p.tensor, d.direction
-    lb, rho = p.l_bracket, p.rho
-    i, j, k = t
-    ek = p.h_space.basis_vector(k)
-    res = (
-        lb.eval(M[i], L[j], L[k])
-        + lb.eval(L[i], M[j], L[k])
-        + lb.eval(L[i], L[j], M[k])
-    )
-    res = res - lam1.apply(rho.apply(L[i], L[j], ek))
-    res = res - lam.apply(rho.apply(M[i], L[j], ek))
-    res = res - lam.apply(rho.apply(L[i], M[j], ek))
-    hv = p.h_bracket.value(i, j, k)
-    if hv is not None:
-        res = res - lam1.apply(hv)
-    return res
-
-
 def check_infinitesimal(d: Deformation) -> Report:
     """Is the direction a first-order deformation of the tensor?
 
@@ -110,18 +94,25 @@ def check_infinitesimal(d: Deformation) -> Report:
     hspace = p.h_space
     L = p.tensor_columns()
     M = [d.direction.column(i) for i in range(hspace.dim)]
-    zero = p.l_space.zero()
-    support = _tensor_support(
-        p, [(M, L, L), (L, M, L), (L, L, M)], [(L, L), (M, L), (L, M)], True
-    )
+    minus_l, minus_m = _family([-v for v in L]), _family([-v for v in M])
+    # the degree-one part of the tensor condition, as one side
     line = rep.law(
         "first-order tensor condition",
         "all ordered basis triples",
-        sorted(support),
-        lambda t: (_first_order_residual(d, L, M, t), zero),
+        hspace.dim**3,
+        [
+            _bracket_of(p, M, L, L),
+            _bracket_of(p, L, M, L),
+            _bracket_of(p, L, L, M),
+            _feed(minus_m, 0, _action_of(p, L, L)),
+            _feed(minus_l, 0, _action_of(p, M, L)),
+            _feed(minus_l, 0, _action_of(p, L, M)),
+            _feed(minus_m, 0, p.h_bracket.expand_ordered()),
+        ],
+        [],
+        p.l_space.zero(),
         partial(format_vector, p.l_space),
         partial(tuple_label, hspace),
-        hspace.dim**3,
     )
 
     complex_ = _complex_of(p)
@@ -163,53 +154,33 @@ def check_higher_order(d: Deformation) -> Report:
         return rep.refuse("the undeformed tensor condition fails")
 
     p = d.problem
-    lam, lam1 = p.tensor, d.direction
-    lb, rho, hspace = p.l_bracket, p.rho, p.h_space
+    hspace = p.h_space
     L = p.tensor_columns()
-    M = [lam1.column(i) for i in range(hspace.dim)]
-
-    def second(t):
-        i, j, k = t
-        ek = hspace.basis_vector(k)
-        lhs = (
-            lb.eval(M[i], M[j], L[k])
-            + lb.eval(M[i], L[j], M[k])
-            + lb.eval(L[i], M[j], M[k])
-        )
-        rhs = (
-            lam1.apply(rho.apply(M[i], L[j], ek))
-            + lam1.apply(rho.apply(L[i], M[j], ek))
-            + lam.apply(rho.apply(M[i], M[j], ek))
-        )
-        return lhs, rhs
-
-    def third(t):
-        i, j, k = t
-        lhs = lb.eval(M[i], M[j], M[k])
-        return lhs, lam1.apply(rho.apply(M[i], M[j], hspace.basis_vector(k)))
-
-    for name, sides, support in (
+    M = [d.direction.column(i) for i in range(hspace.dim)]
+    lam, lam1 = _family(L), _family(M)
+    mm = _action_of(p, M, M)
+    laws = (
         (
             "second-order condition",
-            second,
-            _tensor_support(
-                p, [(M, M, L), (M, L, M), (L, M, M)], [(M, L), (L, M), (M, M)], False
-            ),
+            [_bracket_of(p, M, M, L), _bracket_of(p, M, L, M), _bracket_of(p, L, M, M)],
+            [
+                _feed(lam1, 0, _action_of(p, M, L)),
+                _feed(lam1, 0, _action_of(p, L, M)),
+                _feed(lam, 0, mm),
+            ],
         ),
-        (
-            "third-order condition",
-            third,
-            _tensor_support(p, [(M, M, M)], [(M, M)], False),
-        ),
-    ):
+        ("third-order condition", [_bracket_of(p, M, M, M)], [_feed(lam1, 0, mm)]),
+    )
+    for name, lhs, rhs in laws:
         rep.law(
             name,
             "all ordered basis triples",
-            sorted(support),
-            sides,
+            hspace.dim**3,
+            lhs,
+            rhs,
+            p.l_space.zero(),
             partial(format_vector, p.l_space),
             partial(tuple_label, hspace),
-            hspace.dim**3,
         )
     return rep
 
@@ -242,25 +213,22 @@ def _decompose_wedge(x_entries: list, dim: int) -> list:
 def _is_bracket_derivation(rep: Report, name: str, bracket, op: Matrix) -> None:
     """Check the derivation law for op against one bracket, as a line of rep."""
     space = bracket.domain
-    basis = [space.basis_vector(t) for t in range(space.dim)]
-
-    def sides(t):
-        ei, ej, ek = (basis[x] for x in t)
-        lhs = op.mul_vec(bracket.eval(ei, ej, ek))
-        rhs = (
-            bracket.eval(op.mul_vec(ei), ej, ek)
-            + bracket.eval(ei, op.mul_vec(ej), ek)
-            + bracket.eval(ei, ej, op.mul_vec(ek))
-        )
-        return lhs, rhs
-
+    ordered = bracket.expand_ordered()
+    images = _family([op.col(c) for c in range(space.dim)])
     rep.law(
         name,
         "increasing basis triples",
-        combinations(range(space.dim), 3),
-        sides,
+        comb(space.dim, 3),
+        [_feed(images, 0, bracket.coords)],
+        [
+            _feed(ordered, 0, images),
+            _relabel(_feed(ordered, 1, images), lambda j, i, k: (i, j, k)),
+            _relabel(_feed(ordered, 2, images), lambda k, i, j: (i, j, k)),
+        ],
+        space.zero(),
         partial(format_vector, space),
         partial(tuple_label, space),
+        keep=_increasing,
     )
 
 
@@ -356,23 +324,22 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
         side, "derivation on the carrier bracket", p.h_bracket, d_h
     )
 
-    def compatibility(t):
-        ea, eb = (p.l_space.basis_vector(x) for x in t)
-        lhs = d_h.mul(p.rho.eval(ea, eb))
-        rhs = (
-            p.rho.eval(d_l.mul_vec(ea), eb)
-            + p.rho.eval(ea, d_l.mul_vec(eb))
-            + p.rho.eval(ea, eb).mul(d_h)
-        )
-        return lhs, rhs
-
+    ops = _ordered_pairs(p.rho.coords)
+    moved = _family([d_l.col(c) for c in range(ldim)])
     side.law(
         "action compatibility",
         "increasing basis pairs",
-        combinations(range(ldim), 2),
-        compatibility,
+        comb(ldim, 2),
+        [_compose({(): d_h}, p.rho.coords)],
+        [
+            _feed(ops, 0, moved),
+            _relabel(_feed(ops, 1, moved), lambda b, a: (a, b)),
+            _compose(p.rho.coords, {(): d_h}),
+        ],
+        Matrix.zeros(hdim, hdim),
         format_matrix,
         partial(tuple_label, p.l_space),
+        keep=_increasing,
     )
     for ln in side.checks:
         status = "holds" if ln.passed else "fails"

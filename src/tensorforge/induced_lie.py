@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
 
 from .actions import (
     CoherentActionData,
@@ -24,6 +25,7 @@ from .algebras import (
     LinearMap,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
+    _increasing,
     check_leibniz_lie,
     check_lie,
 )
@@ -34,7 +36,13 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
-    _extend,
+    _columns,
+    _compose,
+    _family,
+    _feed,
+    _ordered_pairs,
+    _relabel,
+    _substitute,
     format_matrix,
     format_vector,
 )
@@ -78,31 +86,23 @@ def check_trace(t: TraceMap, algebra) -> Report:
 
     rep = Report("trace check")
     space = lie.space
-    rng = range(space.dim)
-    laws = [
-        (
-            "vanishes on brackets",
-            "increasing basis pairs",
-            lie.value,
-            combinations(rng, 2),
-        )
-    ]
+    n = space.dim
+    laws = [("vanishes on brackets", "increasing basis pairs", lie.coords, comb(n, 2))]
     if products is not None:
         laws.append(
-            (
-                "vanishes on products",
-                "all ordered basis pairs",
-                products.product,
-                product(rng, repeat=2),
-            )
+            ("vanishes on products", "all ordered basis pairs", products.triangle, n**2)
         )
-    for name, scope, value, pairs in laws:
-
-        def sides(pair):
-            v = value(*pair)
-            return (t.apply(v) if v is not None else ZERO), ZERO
-
-        rep.law(name, scope, pairs, sides, str, partial(tuple_label, space))
+    for name, scope, values, count in laws:
+        rep.law(
+            name,
+            scope,
+            count,
+            [{pair: t.apply(v) for pair, v in values.items()}],
+            [],
+            ZERO,
+            str,
+            partial(tuple_label, space),
+        )
     return rep
 
 
@@ -177,10 +177,6 @@ class LieCoherentAction:
         vdim = self.carrier.space.dim
         return self.rho.get(i, Matrix.zeros(vdim, vdim))
 
-    def eval(self, x: Vector) -> Matrix:
-        vdim = self.carrier.space.dim
-        return _extend(self.rho.get, x, Matrix.zeros(vdim, vdim))
-
 
 def check_lie_coherent(a: LieCoherentAction) -> Report:
     """Verify the three laws of a coherent Lie-algebra action.
@@ -198,56 +194,61 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     lspace = a.lie.space
     hspace = a.carrier.space
     ldim, hdim = lspace.dim, hspace.dim
-    ops = [a.operator(i) for i in range(ldim)]
-    basis = [hspace.basis_vector(h) for h in range(hdim)]
-    bracket = a.carrier.eval
-
-    def commutator(t):
-        i, j = t
-        v = a.lie.value(i, j)
-        lhs = a.eval(v) if v is not None else Matrix.zeros(hdim, hdim)
-        return lhs, ops[i].mul(ops[j]) - ops[j].mul(ops[i])
-
-    def derivation(t):
-        i, (h1, h2) = t
-        op, e1, e2 = ops[i], basis[h1], basis[h2]
-        lhs = op.mul_vec(bracket(e1, e2))
-        rhs = bracket(op.mul_vec(e1), e2) + bracket(e1, op.mul_vec(e2))
-        return lhs, rhs
-
-    def annihilation(t):
-        i, (h1, h2) = t
-        return bracket(ops[i].mul_vec(basis[h1]), basis[h2]), hspace.zero()
+    ops = {(i,): op for i, op in a.rho.items()}
+    bracket = _ordered_pairs(a.carrier.coords)
+    columns = _columns(ops)  # rho(i) e_h, keyed (i, h)
 
     rep.law(
         "commutator law",
         "increasing acting pairs",
-        combinations(range(ldim), 2),
-        commutator,
+        comb(ldim, 2),
+        [_feed(ops, 0, a.lie.coords)],
+        [
+            _compose(ops, ops),
+            _relabel(_compose(ops, ops), lambda j, i: (i, j), -1),
+        ],
+        Matrix.zeros(hdim, hdim),
         format_matrix,
         partial(tuple_label, lspace),
+        keep=_increasing,
     )
-    for name, scope, pairs, sides in (
+    moved = _relabel(_feed(bracket, 0, columns), lambda i, h1, h2: (i, (h1, h2)))
+    laws = (
         (
             "derivation law",
             "basis operators x increasing carrier pairs",
-            combinations(range(hdim), 2),
-            derivation,
+            ldim * comb(hdim, 2),
+            [
+                _relabel(
+                    _feed(columns, 1, a.carrier.coords), lambda h1, h2, i: (i, (h1, h2))
+                )
+            ],
+            [
+                moved,
+                _relabel(_feed(bracket, 1, columns), lambda i, h2, h1: (i, (h1, h2))),
+            ],
+            lambda t: t[1][0] < t[1][1],
         ),
         (
             "annihilation law",
             "basis operators x all ordered carrier pairs",
-            product(range(hdim), repeat=2),
-            annihilation,
+            ldim * hdim**2,
+            [moved],
+            [],
+            None,
         ),
-    ):
+    )
+    for name, scope, count, lhs, rhs, keep in laws:
         rep.law(
             name,
             scope,
-            product(range(ldim), pairs),
-            sides,
+            count,
+            lhs,
+            rhs,
+            hspace.zero(),
             partial(format_vector, hspace),
             lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
+            keep=keep,
         )
     return rep
 
@@ -288,20 +289,20 @@ def check_lie_net(n: LieNet) -> Report:
 
     a = n.action
     hspace = a.carrier.space
-    basis = [hspace.basis_vector(h) for h in range(hspace.dim)]
-    cols = [n.tensor.apply(e) for e in basis]
-
-    def condition(t):
-        i, j = t
-        lhs = a.lie.eval(cols[i], cols[j])
-        inner = a.eval(cols[i]).mul_vec(basis[j]) + a.carrier.eval(basis[i], basis[j])
-        return lhs, n.tensor.apply(inner)
-
+    cols = [n.tensor.column(h) for h in range(hspace.dim)]
+    tensor = _family(cols)
+    # rho(T e_i) e_j + [e_i, e_j], keyed (i, j)
+    inner = [
+        _feed(_columns({(i,): op for i, op in a.rho.items()}), 0, tensor),
+        _ordered_pairs(a.carrier.coords),
+    ]
     rep.law(
         "embedding-tensor condition",
         "all ordered carrier pairs",
-        product(range(hspace.dim), repeat=2),
-        condition,
+        hspace.dim**2,
+        [_substitute(_ordered_pairs(a.lie.coords), [cols, cols])],
+        [_feed(tensor, 0, table) for table in inner],
+        a.lie.space.zero(),
         partial(format_vector, a.lie.space),
         partial(tuple_label, hspace),
     )
@@ -336,11 +337,10 @@ def lift_net(
     compat.law(
         "traces agree through the tensor",
         "carrier basis vectors",
-        ((u,) for u in range(hspace.dim)),
-        lambda t: (
-            sigma_l.apply(n.tensor.apply(hspace.basis_vector(t[0]))),
-            sigma_h.at(t[0]),
-        ),
+        hspace.dim,
+        [{(u,): sigma_l.apply(n.tensor.column(u)) for u in range(hspace.dim)}],
+        [{(u,): sigma_h.at(u) for u in range(hspace.dim)}],
+        ZERO,
         str,
         lambda t: hspace.label(t[0]),
     )

@@ -4,8 +4,15 @@ Tables store structure constants sparsely (absent key = zero value) with
 0-based indices internally; the file format and all reports use 1-based
 indices. Alternating tables keep only increasing keys and recover every
 other slot order through permutation signs. Operators are sparse `Matrix`
-values, and the support joins (`_feeds`, `_products`) read only their
-nonzero entries.
+values.
+
+Every law the package checks is a sum of contractions of these tables, and
+each term is computed as a sparse term table, `{basis tuple: value}`, by
+three combinators that touch only nonzero entries: `_feed` puts one
+table's vector values into a slot of another, `_compose` multiplies two
+operator tables, and `_relabel` puts a term's indices in the order of the
+law's scope. A term's table holds a key only where the term is nonzero,
+so the keys of a law's tables are its support.
 """
 
 from __future__ import annotations
@@ -74,38 +81,27 @@ def format_matrix(m: Matrix) -> str:
     return ", ".join(parts) if parts else "0"
 
 
-def _extend(lookup, v: Vector | None, zero):
-    """Linear extension in one slot: the sum of v_m * lookup(m) over m.
+def _feed(outer: dict, slot: int, inner: dict) -> dict:
+    """Feed inner's vector values into one slot of outer.
 
-    lookup(m) is a table's value with basis vector e_m in that slot (None
-    means zero); a None v is the zero vector, and the sum starts at zero.
-    """
-    acc = zero
-    if v is None:
-        return acc
-    for m, c in v.iter_nonzero():
-        val = lookup(m)
-        if val is not None:
-            acc = acc + val.scale(c)
-    return acc
-
-
-def _feeds(values: dict, keys, slot: int):
-    """Join a table's values into one slot of another table's keys.
-
-    Yields (vkey, rest) for every value values[vkey] with a nonzero
-    coordinate m and every key in keys that has m in position slot; rest is
-    that key with the slot removed. These are the only places where the
-    composite "keys-table applied to values[vkey] in that slot" can be
-    nonzero.
+    The value at key a + b is outer applied to inner[a] in that slot: the
+    sum of inner[a][m] * outer[k] over the keys k with m in the slot, where
+    b is k less its slot. Only nonzero coordinates are joined, and a key
+    whose terms cancel is dropped, so every key holds a nonzero value.
     """
     index = {}
-    for key in keys:
-        index.setdefault(key[slot], []).append(key[:slot] + key[slot + 1 :])
-    for vkey, vec in values.items():
-        for m, _ in vec.iter_nonzero():
-            for rest in index.get(m, ()):
-                yield vkey, rest
+    for key, val in outer.items():
+        index.setdefault(key[slot], []).append((key[:slot] + key[slot + 1 :], val))
+    out = {}
+    for a, vec in inner.items():
+        # the keys of different inner keys a never meet
+        terms = {}
+        for m, c in vec.iter_nonzero():
+            for rest, val in index.get(m, ()):
+                term = val if c == 1 else val.scale(c)
+                terms[rest] = terms[rest] + term if rest in terms else term
+        out.update((a + rest, val) for rest, val in terms.items() if not val.is_zero())
+    return out
 
 
 def _products(left: dict, right: dict) -> set:
@@ -125,6 +121,66 @@ def _products(left: dict, right: dict) -> set:
         for (m, _), _ in op.items()
         for a in by_column.get(m, ())
     }
+
+
+def _compose(left: dict, right: dict) -> dict:
+    """{a + b: left[a] @ right[b]} on the operator pairs that can compose
+    to nonzero."""
+    return {a + b: left[a] @ right[b] for a, b in _products(left, right)}
+
+
+class _relabel:
+    """table rekeyed by f of each key's indices, and negated if sign < 0.
+
+    f must be one to one: it names a term's indices in the order of its key
+    and returns them in the order of the law's scope. The entries are made
+    as `items()` walks them, so a relabeled term holds no copy of its table.
+    """
+
+    __slots__ = ("table", "f", "sign")
+
+    def __init__(self, table: dict, f, sign: int = 1):
+        self.table, self.f, self.sign = table, f, sign
+
+    def items(self):
+        f, sign = self.f, self.sign
+        for key, val in self.table.items():
+            yield f(*key), (val if sign > 0 else -val)
+
+
+def _family(vectors) -> dict:
+    """A list of vectors as a table keyed by its one index."""
+    return {(i,): v for i, v in enumerate(vectors)}
+
+
+def _basis(space: Space) -> list:
+    return [space.basis_vector(i) for i in range(space.dim)]
+
+
+def _substitute(table: dict, families) -> dict:
+    """{(i, j, ...): table(X_i, Y_j, ...)}: one list of vectors X, Y, ...
+    per slot of table, each fed into its slot."""
+    last = len(families) - 1
+    for vectors in reversed(families):
+        table = _feed(table, last, _family(vectors))
+    return table
+
+
+def _columns(ops: dict) -> dict:
+    """The nonzero columns op e_h of a table of operators, keyed key + (h,)."""
+    return {
+        key + (h,): op.col(h)
+        for key, op in ops.items()
+        for h in {h for (_, h), _ in op.items()}
+    }
+
+
+def _ordered_pairs(coords: dict) -> dict:
+    """An alternating table stored on increasing pairs, on every ordered
+    pair."""
+    out = dict(coords)
+    out.update(((j, i), -val) for (i, j), val in coords.items())
+    return out
 
 
 def _check_index(space: Space, i: int, what: str):

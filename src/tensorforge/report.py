@@ -3,7 +3,9 @@
 Every checker returns a Report: one CheckLine per verified law, each line
 carrying the tuples checked and the failing witnesses with both sides of
 the identity printed exactly. Refusal (a violated precondition) is a
-distinct verdict from failure.
+distinct verdict from failure. One runner, `Report.law`, checks every law:
+it takes the two sides as sums of sparse term tables and compares them
+key by key.
 """
 
 from __future__ import annotations
@@ -104,35 +106,31 @@ class Report:
         return check
 
     def law(
-        self, name: str, scope: str, tuples, sides, show, where, count=None
+        self, name: str, scope: str, count: int, lhs, rhs, zero, show, where, keep=None
     ) -> CheckLine:
-        """Check one law on the tuples of its support, in the order given.
+        """Check one law given as two sums of term tables.
 
         The scope of a law is every basis tuple it quantifies over, `count`
-        of them (default: as many as `tuples` yields), and that count is
-        what `checked` reports. `tuples` is the support: the tuples of the
-        scope where some term of the law can be nonzero, in the order of a
-        scan of the whole scope. A law built by joining the nonzero keys of
-        its tables passes that join, sorted: every scope in use is scanned
-        in lexicographic order, so the sorted join is in scan order. A law
-        with no join passes its whole scope. Skipping a tuple off the
-        support is sound because there every term is zero, so both sides
-        are zero and equal; and since the support keeps the scan order, the
-        witnesses come out as a full scan would give them.
+        of them, and that count is what `checked` reports. lhs and rhs are
+        lists of term tables, `{tuple: value}`, each holding a term of that
+        side on the tuples where it can be nonzero; `keep`, if given, picks
+        the keys that lie in the scope. A key missing from every table of a
+        side reads as `zero`. The law fails on a tuple where the two sums
+        differ, and its witness records one_based(t), where(t), show(lhs)
+        and show(rhs); show and where run only on failing tuples. Off the
+        keys every term is zero, so both sides are zero and equal there.
 
-        sides(t) returns (lhs, rhs); a vanishing law returns a zero as rhs.
-        A tuple fails when the two differ, and its witness records
-        one_based(t), where(t), show(lhs) and show(rhs). show and where run
-        only on failing tuples.
+        The keys are walked in sorted order. Every scope in use is scanned
+        in lexicographic order, so the witnesses come out as a scan of the
+        whole scope would give them.
         """
         line = self.line(name, scope)
-        evaluated = 0
-        for t in tuples:
-            evaluated += 1
-            lhs, rhs = sides(t)
-            if lhs != rhs:
-                line.add_failure(one_based(t), where(t), show(lhs), show(rhs))
-        line.checked = evaluated if count is None else count
+        left, right = _total(lhs, keep), _total(rhs, keep)
+        for t in sorted(left.keys() | right.keys()):
+            a, b = left.get(t, zero), right.get(t, zero)
+            if a != b:
+                line.add_failure(one_based(t), where(t), show(a), show(b))
+        line.checked = count
         return line
 
     def refuse(self, reason: str) -> "Report":
@@ -181,6 +179,16 @@ class Report:
         if self.refused:
             doc["refusal_reason"] = self.refusal_reason
         return doc
+
+
+def _total(tables, keep) -> dict:
+    """The sum of term tables, on the keys that keep accepts."""
+    out = {}
+    for table in tables:
+        for t, value in table.items():
+            if keep is None or keep(t):
+                out[t] = out[t] + value if t in out else value
+    return out
 
 
 def tuple_label(space, indices) -> str:

@@ -6,6 +6,10 @@ Fractions — so the package's sparse kernel (dict rows, column-order pivots
 chosen by fewest nonzeros, then back substitution) is checked against code
 that shares none of its pivoting choices or data structures.
 
+The full-scan law references evaluate both sides of every law tuple by
+tuple, on every tuple of its scope, and build the report the package
+builds from its sparse term tables.
+
 The generators build random structured instances from families whose
 validity is provable, then conjugate by random invertible maps for
 variety.  Each generator asserts the package checker accepts its output,
@@ -14,7 +18,8 @@ downstream assertion.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 from tensorforge import (
     AlternatingTrilinearTable,
@@ -31,7 +36,11 @@ from tensorforge import (
     RepresentationData,
     Space,
     ThreeLieAlgebra,
+    Report,
+    ThreeLeibnizAlgebra,
+    ThreeLeibnizRep,
     TraceMap,
+    TrilinearTable,
     Vector,
     WedgePairBasis,
     check_coherent_action,
@@ -40,10 +49,15 @@ from tensorforge import (
     check_lie_coherent,
     check_lie_net,
     check_trace,
+    hemisemidirect_table,
     kernel_basis,
     rank,
 )
+from tensorforge.cohomology import _complex_of
+from tensorforge.deformations import format_vector_raw
 from tensorforge.linalg import _rref
+from tensorforge.multilinear import format_matrix, format_vector
+from tensorforge.report import one_based, tuple_label
 
 # ---------------------------------------------------------------------------
 # elimination oracle
@@ -577,3 +591,961 @@ def random_leibniz_lie_with_trace(rng):
     assert check_leibniz_lie(alg).ok
     assert check_trace(trace, alg).ok
     return alg, trace
+
+
+# ---------------------------------------------------------------------------
+# full-scan law references
+#
+# Each reference evaluates both sides of a law on every tuple of its scope,
+# with dense evaluation and no join, and builds the same report the package
+# builds, gates included: a report of the package and of its reference must
+# be identical, witnesses and counts included.
+
+
+_GATES = {}
+
+
+def _gate(check):
+    """Memoize a reference check's default-title report per object, as the
+    package memoizes its gate reports."""
+
+    def memoized(obj, *args, title=None):
+        if title is not None:
+            return check(obj, *args, title=title)
+        key = (check.__name__, id(obj), args)
+        if key not in _GATES:
+            # holding obj keeps it alive, so no other object takes its id
+            _GATES[key] = (obj, check(obj, *args))
+        return _GATES[key][1]
+
+    return memoized
+
+
+def _extend(lookup, v, zero):
+    """Linear extension in one slot: the sum of v_m * lookup(m) over m."""
+    acc = zero
+    if v is None:
+        return acc
+    for m, c in v.iter_nonzero():
+        val = lookup(m)
+        if val is not None:
+            acc = acc + val.scale(c)
+    return acc
+
+
+def _scan(rep, name, scope, tuples, sides, show, where):
+    """One law on every tuple of its scope, in scan order."""
+    line = rep.line(name, scope)
+    for t in tuples:
+        line.checked += 1
+        lhs, rhs = sides(t)
+        if lhs != rhs:
+            line.add_failure(one_based(t), where(t), show(lhs), show(rhs))
+    return line
+
+
+def _fundamental_sides(table, b1, b2, c, d, e, zero):
+    value = table.value
+    lhs = _extend(lambda m: value(b1, b2, m), value(c, d, e), zero)
+    rhs = (
+        _extend(lambda m: value(m, d, e), value(b1, b2, c), zero)
+        + _extend(lambda m: value(c, m, e), value(b1, b2, d), zero)
+        + _extend(lambda m: value(c, d, m), value(b1, b2, e), zero)
+    )
+    return lhs, rhs
+
+
+def ref_check_3lie(a, title=None):
+    space = a.space
+    n = space.dim
+    zero = space.zero()
+    rep = Report(title or f"3-Lie axioms on {space.name}")
+    _scan(
+        rep,
+        "fundamental identity",
+        "increasing pairs x increasing triples",
+        product(combinations(range(n), 2), combinations(range(n), 3)),
+        lambda t: _fundamental_sides(a.bracket, *t[0], *t[1], zero),
+        partial(format_vector, space),
+        lambda t: f"pair {tuple_label(space, t[0])}, "
+        f"triple {tuple_label(space, t[1])}",
+    )
+    return rep
+
+
+@_gate
+def ref_check_3leibniz(a, title=None):
+    space = a.space
+    zero = space.zero()
+    rep = Report(title or f"ternary Leibniz axioms on {space.name}")
+    _scan(
+        rep,
+        "fundamental identity",
+        "all ordered basis 5-tuples",
+        product(range(space.dim), repeat=5),
+        lambda t: _fundamental_sides(a.bracket, *t, zero),
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
+    return rep
+
+
+def ref_check_lie(a, title=None):
+    space = a.space
+    zero = space.zero()
+    value = a.value
+    rep = Report(title or f"Lie axioms on {space.name}")
+
+    def jacobi(t):
+        i, j, k = t
+        jac = (
+            _extend(lambda m: value(m, k), value(i, j), zero)
+            + _extend(lambda m: value(m, i), value(j, k), zero)
+            + _extend(lambda m: value(m, j), value(k, i), zero)
+        )
+        return jac, zero
+
+    _scan(
+        rep,
+        "Jacobi identity",
+        "increasing basis triples",
+        combinations(range(space.dim), 3),
+        jacobi,
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
+    return rep
+
+
+def ref_check_leibniz_lie(a, title=None):
+    space = a.space
+    zero = space.zero()
+    prod, lie = a.product, a.lie.value
+    rep = Report(title or f"Leibniz-Lie axioms on {space.name}")
+    rep.absorb(ref_check_lie(a.lie), "underlying Lie algebra")
+
+    def left_multiplication(t):
+        i, j, k = t
+        lhs = _extend(lambda m: prod(i, m), prod(j, k), zero)
+        rhs = (
+            _extend(lambda m: prod(m, k), prod(i, j), zero)
+            + _extend(lambda m: prod(j, m), prod(i, k), zero)
+            + _extend(lambda m: prod(m, k), lie(i, j), zero)
+        )
+        return lhs, rhs
+
+    laws = (
+        ("left multiplication law", left_multiplication),
+        (
+            "product kills brackets",
+            lambda t: (_extend(lambda m: prod(t[0], m), lie(t[1], t[2]), zero), zero),
+        ),
+        (
+            "bracket kills products",
+            lambda t: (_extend(lambda m: lie(m, t[2]), prod(t[0], t[1]), zero), zero),
+        ),
+    )
+    for name, sides in laws:
+        _scan(
+            rep,
+            name,
+            "all ordered basis triples",
+            product(range(space.dim), repeat=3),
+            sides,
+            partial(format_vector, space),
+            partial(tuple_label, space),
+        )
+    return rep
+
+
+def ref_check_3ll(a, title=None):
+    space = a.space
+    zero = space.zero()
+    rep = Report(title or f"ternary brace axioms on {space.name}")
+    gate = ref_check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
+    if not gate.ok:
+        rep.absorb(gate, "underlying bracket")
+        return rep.refuse("underlying bracket fails the fundamental identity")
+    brace = a.braces.value
+    bracket = a.lie3.bracket.value
+
+    def compatibility(t):
+        h1, h2, h3, h4, h5 = t
+        lhs, rhs = _fundamental_sides(a.braces, *t, zero)
+        rhs = (
+            rhs
+            + _extend(lambda m: brace(m, h4, h5), bracket(h1, h2, h3), zero)
+            + _extend(lambda m: brace(h3, m, h5), bracket(h1, h2, h4), zero)
+        )
+        return lhs, rhs
+
+    laws = (
+        ("brace compatibility law", compatibility),
+        (
+            "braces kill bracket outputs",
+            lambda t: (
+                _extend(lambda m: brace(t[0], t[1], m), bracket(*t[2:]), zero),
+                zero,
+            ),
+        ),
+        (
+            "bracket kills brace outputs",
+            lambda t: (
+                _extend(lambda m: bracket(m, t[3], t[4]), brace(*t[:3]), zero),
+                zero,
+            ),
+        ),
+    )
+    for name, sides in laws:
+        _scan(
+            rep,
+            name,
+            "all ordered basis 5-tuples",
+            product(range(space.dim), repeat=5),
+            sides,
+            partial(format_vector, space),
+            partial(tuple_label, space),
+        )
+    return rep
+
+
+_HOM_LAWS = {
+    "lie": (("binary bracket preserved", "increasing basis pairs", None),),
+    "3lie": (("ternary bracket preserved", "increasing basis triples", None),),
+    "3leibniz": (("ternary bracket preserved", "all ordered basis triples", None),),
+    "3ll": (
+        ("ternary bracket preserved", "increasing basis triples", "lie3"),
+        ("braces preserved", "all ordered basis triples", "braces"),
+    ),
+}
+_HOM_TUPLES = {
+    "increasing basis pairs": lambda rng: combinations(rng, 2),
+    "increasing basis triples": lambda rng: combinations(rng, 3),
+    "all ordered basis triples": lambda rng: product(rng, repeat=3),
+}
+
+
+def ref_check_hom(kind, f, src, dst, title=None):
+    rep = Report(title or f"structure map check ({kind})")
+    space = src.space
+    images = [f.column(i) for i in range(space.dim)]
+
+    def push(v):
+        return f.apply(space.zero() if v is None else v)
+
+    for name, scope, part in _HOM_LAWS[kind]:
+        source = src if part is None else getattr(src, part)
+        target = dst if part is None else getattr(dst, part)
+        _scan(
+            rep,
+            name,
+            scope,
+            _HOM_TUPLES[scope](range(space.dim)),
+            lambda t: (
+                push(source.value(*t)),
+                target.eval(*(images[x] for x in t)),
+            ),
+            partial(format_vector, dst.space),
+            partial(tuple_label, space),
+        )
+    return rep
+
+
+@_gate
+def ref_check_representation(r, title=None):
+    rep = Report(title or "pair-action representation check")
+    gate = ref_check_3lie(r.algebra)
+    if not gate.ok:
+        rep.absorb(gate, "acting algebra")
+        return rep.refuse("acting algebra fails the fundamental identity")
+    space = r.algebra.space
+    value = r.algebra.value
+    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
+
+    def op(i, j):
+        mat = r.rho.at(i, j)
+        return zero if mat is None else mat
+
+    def fundamental(t):
+        l1, l2, l3, l4 = t
+        lhs = _extend(lambda m: r.rho.at(m, l4), value(l1, l2, l3), zero)
+        rhs = (
+            op(l2, l3).mul(op(l1, l4))
+            + op(l3, l1).mul(op(l2, l4))
+            + op(l1, l2).mul(op(l3, l4))
+        )
+        return lhs, rhs
+
+    def commutator(t):
+        l1, l2, l3, l4 = t
+        lhs = op(l1, l2).mul(op(l3, l4))
+        rhs = (
+            op(l3, l4).mul(op(l1, l2))
+            + _extend(lambda m: r.rho.at(m, l4), value(l1, l2, l3), zero)
+            + _extend(lambda m: r.rho.at(l3, m), value(l1, l2, l4), zero)
+        )
+        return lhs, rhs
+
+    for name, sides in (
+        ("action fundamental law", fundamental),
+        ("action commutator law", commutator),
+    ):
+        _scan(
+            rep,
+            name,
+            "all ordered basis 4-tuples",
+            product(range(space.dim), repeat=4),
+            sides,
+            format_matrix,
+            partial(tuple_label, space),
+        )
+    return rep
+
+
+@_gate
+def ref_check_coherent_action(c, title=None):
+    rep = Report(title or "coherent action check")
+    gate = ref_check_representation(c.rep)
+    if gate.verdict != "pass":
+        rep.absorb(gate, "representation")
+        return rep.refuse("representation laws do not hold")
+    lspace, hspace = c.algebra.space, c.carrier
+    zero = hspace.zero()
+    hb = c.target_bracket.value
+    no_op = Matrix.zeros(hspace.dim, hspace.dim)
+    rep.absorb(
+        ref_check_3lie(ThreeLieAlgebra(hspace, c.target_bracket)), "carrier bracket"
+    )
+
+    def derivation(t):
+        (i, j), (h1, h2, h3) = t
+        mat = c.rho.coords.get((i, j), no_op)
+        hval = hb(h1, h2, h3)
+        lhs = zero if hval is None else mat.mul_vec(hval)
+        rhs = (
+            _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero)
+            + _extend(lambda m: hb(h1, m, h3), mat.col(h2), zero)
+            + _extend(lambda m: hb(h1, h2, m), mat.col(h3), zero)
+        )
+        return lhs, rhs
+
+    def annihilation(t):
+        (i, j), (h1, h2, h3) = t
+        mat = c.rho.coords.get((i, j), no_op)
+        return _extend(lambda m: hb(m, h2, h3), mat.col(h1), zero), zero
+
+    for name, sides in (
+        ("derivation law", derivation),
+        ("annihilation law", annihilation),
+    ):
+        _scan(
+            rep,
+            name,
+            "increasing pairs x all ordered carrier triples",
+            product(
+                combinations(range(lspace.dim), 2), product(range(hspace.dim), repeat=3)
+            ),
+            sides,
+            partial(format_vector, hspace),
+            lambda t: f"pair {tuple_label(lspace, t[0])}, "
+            f"triple {tuple_label(hspace, t[1])}",
+        )
+    return rep
+
+
+@_gate
+def ref_check_net(p, mode="all", title=None):
+    rep = Report(title or "embedding tensor check")
+    gate = ref_check_coherent_action(p.action)
+    if gate.verdict != "pass":
+        rep.absorb(gate, "coherent action")
+        return rep.refuse("the action is not coherent")
+    hspace = p.h_space
+    lam_cols = p.tensor_columns()
+    if mode == "all":
+        scope = "all ordered carrier triples"
+        tuples = product(range(hspace.dim), repeat=3)
+    else:
+        scope = "increasing carrier triples"
+        tuples = combinations(range(hspace.dim), 3)
+
+    def condition(t):
+        i, j, k = t
+        lhs = p.l_bracket.eval(lam_cols[i], lam_cols[j], lam_cols[k])
+        inner = p.rho.apply(lam_cols[i], lam_cols[j], hspace.basis_vector(k))
+        hval = p.h_bracket.value(i, j, k)
+        if hval is not None:
+            inner = inner + hval
+        return lhs, p.tensor.apply(inner)
+
+    _scan(
+        rep,
+        "embedding-tensor condition",
+        scope,
+        tuples,
+        condition,
+        partial(format_vector, p.l_space),
+        partial(tuple_label, hspace),
+    )
+    return rep
+
+
+def ref_graph_check(p, title=None):
+    """Closure of the graph, evaluated in the combined bracket on L + H."""
+    rep = Report(title or "graph closure check")
+    gate = ref_check_coherent_action(p.action)
+    if gate.verdict != "pass":
+        rep.absorb(gate, "coherent action")
+        return rep.refuse("the action is not coherent")
+    combined = hemisemidirect_table(p.action)
+    lspace, hspace = p.l_space, p.h_space
+    ldim = lspace.dim
+    lam_cols = p.tensor_columns()
+    graph_basis = [
+        Vector(lam_cols[i].entries + hspace.basis_vector(i).entries)
+        for i in range(hspace.dim)
+    ]
+
+    def closure(t):
+        out = combined.eval(*(graph_basis[i] for i in t))
+        h_part = Vector(out.entries[ldim:])
+        on_graph = ("graph", p.tensor.apply(h_part), h_part)
+        return (Vector(out.entries[:ldim]), h_part), on_graph
+
+    def show(side):
+        if side[0] == "graph":
+            return f"graph element over {format_vector(hspace, side[2])}"
+        return f"({format_vector(lspace, side[0])} ; {format_vector(hspace, side[1])})"
+
+    line = rep.line("graph closure", "all ordered graph-basis triples")
+    for t in product(range(hspace.dim), repeat=3):
+        line.checked += 1
+        (l_part, h_part), on_graph = closure(t)
+        if l_part != on_graph[1]:
+            line.add_failure(
+                one_based(t),
+                tuple_label(hspace, t),
+                show((l_part, h_part)),
+                show(on_graph),
+            )
+    agreement = ref_check_net(p, "all")
+    rep.note(
+        "tensor-condition cross-check: "
+        + ("agrees" if agreement.ok == rep.ok else "DISAGREES")
+    )
+    return rep
+
+
+def ref_descendent_coords(p) -> dict:
+    """The descendent bracket on H, operator by dense operator."""
+    lam_cols = p.tensor_columns()
+    coords = {}
+    for i, j in product(range(p.h_space.dim), repeat=2):
+        op = p.rho.eval(lam_cols[i], lam_cols[j])
+        for k in sorted({k for (_, k), _ in op.items()}):
+            coords[(i, j, k)] = op.col(k)
+    for key, hval in p.h_bracket.expand_ordered().items():
+        coords[key] = coords[key] + hval if key in coords else hval
+    return {key: v for key, v in sorted(coords.items()) if not v.is_zero()}
+
+
+def ref_induced_rep(p) -> ThreeLeibnizRep:
+    """The induced representation, column by column with dense evaluation."""
+    hspace, lspace = p.h_space, p.l_space
+    lam, lam_cols = p.tensor, p.tensor_columns()
+    lb, rho = p.l_bracket, p.rho
+    desc = ThreeLeibnizAlgebra(
+        hspace, TrilinearTable(hspace, hspace, ref_descendent_coords(p))
+    )
+    l_act, m_act, r_act = {}, {}, {}
+    basis_l = [lspace.basis_vector(c) for c in range(lspace.dim)]
+    for i, j in product(range(hspace.dim), repeat=2):
+        li, lj, ej = lam_cols[i], lam_cols[j], hspace.basis_vector(j)
+        l_act[(i, j)] = Matrix.from_cols(
+            [lb.eval(li, lj, e) for e in basis_l], nrows=lspace.dim
+        )
+        m_act[(i, j)] = Matrix.from_cols(
+            [lb.eval(li, e, lj) - lam.apply(rho.apply(li, e, ej)) for e in basis_l],
+            nrows=lspace.dim,
+        )
+        r_act[(i, j)] = Matrix.from_cols(
+            [lb.eval(e, li, lj) - lam.apply(rho.apply(e, li, ej)) for e in basis_l],
+            nrows=lspace.dim,
+        )
+    return ThreeLeibnizRep(desc, lspace, l_act, m_act, r_act)
+
+
+def ref_check_3leibniz_rep(r, title=None):
+    rep = Report(title or "ternary Leibniz representation check")
+    gate = ref_check_3leibniz(r.algebra)
+    if not gate.ok:
+        rep.absorb(gate, "underlying algebra")
+        return rep.refuse("underlying algebra fails the fundamental identity")
+    space = r.algebra.space
+    zero = Matrix.zeros(r.carrier.dim, r.carrier.dim)
+    value = r.algebra.value
+    l_act, m_act, r_act = r.l_act, r.m_act, r.r_act
+
+    def composition(act):
+        def sides(t):
+            a1, a2, a3, a4 = t
+            left, op = l_act.get((a1, a2), zero), act.get((a3, a4), zero)
+            rhs = (
+                op.mul(left)
+                + _extend(lambda m: act.get((m, a4)), value(a1, a2, a3), zero)
+                + _extend(lambda m: act.get((a3, m)), value(a1, a2, a4), zero)
+            )
+            return left.mul(op), rhs
+
+        return sides
+
+    def expansion(act):
+        def sides(t):
+            a1, a2, a3, a4 = t
+            lhs = _extend(lambda m: act.get((a1, m)), value(a2, a3, a4), zero)
+            rhs = (
+                r_act.get((a3, a4), zero).mul(act.get((a1, a2), zero))
+                + m_act.get((a2, a4), zero).mul(act.get((a1, a3), zero))
+                + l_act.get((a2, a3), zero).mul(act.get((a1, a4), zero))
+            )
+            return lhs, rhs
+
+        return sides
+
+    for name, sides in (
+        ("left-left composition law", composition(l_act)),
+        ("left-middle composition law", composition(m_act)),
+        ("left-right composition law", composition(r_act)),
+        ("middle bracket-expansion law", expansion(m_act)),
+        ("right bracket-expansion law", expansion(r_act)),
+    ):
+        _scan(
+            rep,
+            name,
+            "all ordered basis 4-tuples",
+            product(range(space.dim), repeat=4),
+            sides,
+            format_matrix,
+            partial(tuple_label, space),
+        )
+    return rep
+
+
+def ref_check_infinitesimal(d):
+    rep = Report("first-order deformation check")
+    gate = ref_check_net(d.problem, "all")
+    if not gate.ok:
+        rep.absorb(gate, "base tensor")
+        return rep.refuse("the undeformed tensor condition fails")
+    p = d.problem
+    lam, lam1 = p.tensor, d.direction
+    lb, rho, hspace = p.l_bracket, p.rho, p.h_space
+    L = p.tensor_columns()
+    M = [lam1.column(i) for i in range(hspace.dim)]
+    zero = p.l_space.zero()
+
+    def residual(t):
+        i, j, k = t
+        ek = hspace.basis_vector(k)
+        res = (
+            lb.eval(M[i], L[j], L[k])
+            + lb.eval(L[i], M[j], L[k])
+            + lb.eval(L[i], L[j], M[k])
+        )
+        res = res - lam1.apply(rho.apply(L[i], L[j], ek))
+        res = res - lam.apply(rho.apply(M[i], L[j], ek))
+        res = res - lam.apply(rho.apply(L[i], M[j], ek))
+        hv = p.h_bracket.value(i, j, k)
+        if hv is not None:
+            res = res - lam1.apply(hv)
+        return res, zero
+
+    line = _scan(
+        rep,
+        "first-order tensor condition",
+        "all ordered basis triples",
+        product(range(hspace.dim), repeat=3),
+        residual,
+        partial(format_vector, p.l_space),
+        partial(tuple_label, hspace),
+    )
+    complex_ = _complex_of(p)
+    cocycle = rep.line("cocycle condition", "degree-1 differential")
+    cocycle.checked += 1
+    image = complex_.apply_delta(complex_.cochain_from_linear_map(d.direction))
+    if not image.is_zero():
+        cocycle.add_failure(
+            (1,),
+            "differential of the direction",
+            format_vector_raw(complex_.vec(image)),
+            "0",
+        )
+    agree = line.passed == cocycle.passed
+    rep.note(
+        "direct expansion and the differential " + ("agree" if agree else "DISAGREE")
+    )
+    return rep
+
+
+def ref_check_higher_order(d):
+    rep = Report("higher-order deformation check")
+    gate = ref_check_net(d.problem, "all")
+    if not gate.ok:
+        rep.absorb(gate, "base tensor")
+        return rep.refuse("the undeformed tensor condition fails")
+    p = d.problem
+    lam, lam1 = p.tensor, d.direction
+    lb, rho, hspace = p.l_bracket, p.rho, p.h_space
+    L = p.tensor_columns()
+    M = [lam1.column(i) for i in range(hspace.dim)]
+
+    def second(t):
+        i, j, k = t
+        ek = hspace.basis_vector(k)
+        lhs = (
+            lb.eval(M[i], M[j], L[k])
+            + lb.eval(M[i], L[j], M[k])
+            + lb.eval(L[i], M[j], M[k])
+        )
+        rhs = (
+            lam1.apply(rho.apply(M[i], L[j], ek))
+            + lam1.apply(rho.apply(L[i], M[j], ek))
+            + lam.apply(rho.apply(M[i], M[j], ek))
+        )
+        return lhs, rhs
+
+    def third(t):
+        i, j, k = t
+        lhs = lb.eval(M[i], M[j], M[k])
+        return lhs, lam1.apply(rho.apply(M[i], M[j], hspace.basis_vector(k)))
+
+    for name, sides in (
+        ("second-order condition", second),
+        ("third-order condition", third),
+    ):
+        _scan(
+            rep,
+            name,
+            "all ordered basis triples",
+            product(range(hspace.dim), repeat=3),
+            sides,
+            partial(format_vector, p.l_space),
+            partial(tuple_label, hspace),
+        )
+    return rep
+
+
+def ref_is_bracket_derivation(rep, name, bracket, op):
+    space = bracket.domain
+    basis = [space.basis_vector(t) for t in range(space.dim)]
+
+    def sides(t):
+        ei, ej, ek = (basis[x] for x in t)
+        lhs = op.mul_vec(bracket.eval(ei, ej, ek))
+        rhs = (
+            bracket.eval(op.mul_vec(ei), ej, ek)
+            + bracket.eval(ei, op.mul_vec(ej), ek)
+            + bracket.eval(ei, ej, op.mul_vec(ek))
+        )
+        return lhs, rhs
+
+    _scan(
+        rep,
+        name,
+        "increasing basis triples",
+        combinations(range(space.dim), 3),
+        sides,
+        partial(format_vector, space),
+        partial(tuple_label, space),
+    )
+
+
+def ref_action_compatibility(rep, p, d_l, d_h):
+    def compatibility(t):
+        ea, eb = (p.l_space.basis_vector(x) for x in t)
+        lhs = d_h.mul(p.rho.eval(ea, eb))
+        rhs = (
+            p.rho.eval(d_l.mul_vec(ea), eb)
+            + p.rho.eval(ea, d_l.mul_vec(eb))
+            + p.rho.eval(ea, eb).mul(d_h)
+        )
+        return lhs, rhs
+
+    _scan(
+        rep,
+        "action compatibility",
+        "increasing basis pairs",
+        combinations(range(p.l_space.dim), 2),
+        compatibility,
+        format_matrix,
+        partial(tuple_label, p.l_space),
+    )
+
+
+def ref_check_net_hom(h, title=None):
+    rep = Report(title or "embedding tensor map check")
+    for label, problem in (("source", h.source), ("target", h.target)):
+        gate = ref_check_net(problem, "all")
+        if not gate.ok:
+            rep.absorb(gate, f"{label} tensor")
+            return rep.refuse(f"{label} problem has no valid tensor")
+    src, dst = h.source, h.target
+    fl_gate = ref_check_hom(
+        "3lie",
+        h.f_l,
+        ThreeLieAlgebra(src.l_space, src.l_bracket),
+        ThreeLieAlgebra(dst.l_space, dst.l_bracket),
+    )
+    fh_gate = ref_check_hom(
+        "3lie",
+        h.f_h,
+        ThreeLieAlgebra(src.h_space, src.h_bracket),
+        ThreeLieAlgebra(dst.h_space, dst.h_bracket),
+    )
+    if not (fl_gate.ok and fh_gate.ok):
+        rep.absorb(fl_gate, "f_L bracket preservation")
+        rep.absorb(fh_gate, "f_H bracket preservation")
+        return rep.refuse("component maps do not preserve the brackets")
+    hspace_src, lspace_src = src.h_space, src.l_space
+    inter = _scan(
+        rep,
+        "tensor intertwining",
+        "carrier basis vectors",
+        ((i,) for i in range(hspace_src.dim)),
+        lambda t: (
+            dst.tensor.apply(h.f_h.column(t[0])),
+            h.f_l.apply(src.tensor.column(t[0])),
+        ),
+        partial(format_vector, dst.l_space),
+        lambda t: f"({hspace_src.label(t[0])})",
+    )
+
+    def action_sides(t):
+        ((i, j),) = t
+        e_i, e_j = lspace_src.basis_vector(i), lspace_src.basis_vector(j)
+        lhs = h.f_h.matrix.mul(src.rho.eval(e_i, e_j))
+        rhs = dst.rho.eval(h.f_l.column(i), h.f_l.column(j)).mul(h.f_h.matrix)
+        return lhs, rhs
+
+    act = _scan(
+        rep,
+        "action intertwining",
+        "increasing algebra pairs (operator identity)",
+        ((pair,) for pair in combinations(range(lspace_src.dim), 2)),
+        action_sides,
+        format_matrix,
+        lambda t: f"pair {tuple_label(lspace_src, t[0])}",
+    )
+    if inter.passed and act.passed:
+        desc_src = TrilinearTable(hspace_src, hspace_src, ref_descendent_coords(src))
+        desc_dst = TrilinearTable(dst.h_space, dst.h_space, ref_descendent_coords(dst))
+        fh_cols = [h.f_h.column(i) for i in range(hspace_src.dim)]
+        lam_cols_src = src.tensor_columns()
+        zero_h = hspace_src.zero()
+
+        def descendent_sides(t):
+            i, j, k = t
+            val = desc_src.value(i, j, k)
+            lhs = h.f_h.apply(val if val is not None else zero_h)
+            return lhs, desc_dst.eval(fh_cols[i], fh_cols[j], fh_cols[k])
+
+        def brace_sides(t):
+            i, j, k = t
+            lhs = h.f_h.apply(
+                src.rho.apply(
+                    lam_cols_src[i], lam_cols_src[j], hspace_src.basis_vector(k)
+                )
+            )
+            rhs = dst.rho.apply(
+                dst.tensor.apply(fh_cols[i]), dst.tensor.apply(fh_cols[j]), fh_cols[k]
+            )
+            return lhs, rhs
+
+        for name, sides in (
+            ("descendent bracket preserved", descendent_sides),
+            ("induced braces preserved", brace_sides),
+        ):
+            _scan(
+                rep,
+                name,
+                "all ordered carrier triples",
+                product(range(hspace_src.dim), repeat=3),
+                sides,
+                partial(format_vector, dst.h_space),
+                partial(tuple_label, hspace_src),
+            )
+    return rep
+
+
+def ref_check_trace(t, algebra):
+    if isinstance(algebra, LeibnizLieAlgebra):
+        lie, products = algebra.lie, algebra
+    else:
+        lie, products = algebra, None
+    rep = Report("trace check")
+    space = lie.space
+    rng = range(space.dim)
+    laws = [
+        (
+            "vanishes on brackets",
+            "increasing basis pairs",
+            lie.value,
+            combinations(rng, 2),
+        )
+    ]
+    if products is not None:
+        laws.append(
+            (
+                "vanishes on products",
+                "all ordered basis pairs",
+                products.product,
+                product(rng, repeat=2),
+            )
+        )
+    for name, scope, value, pairs in laws:
+
+        def sides(pair, value=value):
+            v = value(*pair)
+            return (t.apply(v) if v is not None else Fraction(0)), Fraction(0)
+
+        _scan(rep, name, scope, pairs, sides, str, partial(tuple_label, space))
+    return rep
+
+
+def ref_check_lie_coherent(a):
+    rep = Report("coherent Lie action check")
+    gate = ref_check_lie(a.lie)
+    if not gate.ok:
+        rep.absorb(gate, "acting algebra")
+        return rep.refuse("the acting algebra fails the Jacobi identity")
+    rep.absorb(ref_check_lie(a.carrier), "carrier bracket")
+    lspace, hspace = a.lie.space, a.carrier.space
+    ldim, hdim = lspace.dim, hspace.dim
+    ops = [a.operator(i) for i in range(ldim)]
+    basis = [hspace.basis_vector(h) for h in range(hdim)]
+    bracket = a.carrier.eval
+
+    def commutator(t):
+        i, j = t
+        v = a.lie.value(i, j)
+        lhs = _extend(a.rho.get, v, Matrix.zeros(hdim, hdim))
+        return lhs, ops[i].mul(ops[j]) - ops[j].mul(ops[i])
+
+    def derivation(t):
+        i, (h1, h2) = t
+        op, e1, e2 = ops[i], basis[h1], basis[h2]
+        lhs = op.mul_vec(bracket(e1, e2))
+        rhs = bracket(op.mul_vec(e1), e2) + bracket(e1, op.mul_vec(e2))
+        return lhs, rhs
+
+    def annihilation(t):
+        i, (h1, h2) = t
+        return bracket(ops[i].mul_vec(basis[h1]), basis[h2]), hspace.zero()
+
+    _scan(
+        rep,
+        "commutator law",
+        "increasing acting pairs",
+        combinations(range(ldim), 2),
+        commutator,
+        format_matrix,
+        partial(tuple_label, lspace),
+    )
+    for name, scope, pairs, sides in (
+        (
+            "derivation law",
+            "basis operators x increasing carrier pairs",
+            combinations(range(hdim), 2),
+            derivation,
+        ),
+        (
+            "annihilation law",
+            "basis operators x all ordered carrier pairs",
+            product(range(hdim), repeat=2),
+            annihilation,
+        ),
+    ):
+        _scan(
+            rep,
+            name,
+            scope,
+            product(range(ldim), pairs),
+            sides,
+            partial(format_vector, hspace),
+            lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
+        )
+    return rep
+
+
+def ref_check_lie_net(n):
+    rep = Report("Lie embedding tensor check")
+    gate = ref_check_lie_coherent(n.action)
+    if gate.verdict != "pass":
+        rep.absorb(gate, "action")
+        return rep.refuse("the underlying action is not coherent")
+    a = n.action
+    hspace = a.carrier.space
+    hdim = hspace.dim
+    basis = [hspace.basis_vector(h) for h in range(hdim)]
+    cols = [n.tensor.apply(e) for e in basis]
+
+    def condition(t):
+        i, j = t
+        lhs = a.lie.eval(cols[i], cols[j])
+        op = _extend(a.rho.get, cols[i], Matrix.zeros(hdim, hdim))
+        inner = op.mul_vec(basis[j]) + a.carrier.eval(basis[i], basis[j])
+        return lhs, n.tensor.apply(inner)
+
+    _scan(
+        rep,
+        "embedding-tensor condition",
+        "all ordered carrier pairs",
+        product(range(hdim), repeat=2),
+        condition,
+        partial(format_vector, a.lie.space),
+        partial(tuple_label, hspace),
+    )
+    return rep
+
+
+def ref_trace_compatibility(n, sigma_l, sigma_h):
+    """The report `lift_net` refuses with when the traces disagree."""
+    compat = Report("trace compatibility check")
+    hspace = n.action.carrier.space
+    _scan(
+        compat,
+        "traces agree through the tensor",
+        "carrier basis vectors",
+        ((u,) for u in range(hspace.dim)),
+        lambda t: (
+            sigma_l.apply(n.tensor.apply(hspace.basis_vector(t[0]))),
+            sigma_h.at(t[0]),
+        ),
+        str,
+        lambda t: hspace.label(t[0]),
+    )
+    return compat
+
+
+def ref_witness_side_conditions(rep, p, pieces):
+    """The notes `are_equivalent` adds about an equivalence witness."""
+    ldim, hdim = p.l_space.dim, p.h_space.dim
+    d_l = Matrix.zeros(ldim, ldim)
+    d_h = Matrix.zeros(hdim, hdim)
+    for a1, a2 in pieces:
+        cols = [
+            p.l_bracket.eval(a1, a2, p.l_space.basis_vector(c)) for c in range(ldim)
+        ]
+        d_l = d_l + Matrix.from_cols(cols, nrows=ldim)
+        d_h = d_h + p.rho.eval(a1, a2)
+    side = Report("witness side conditions")
+    for name, bracket, op in (
+        ("derivation on the outer bracket", p.l_bracket, d_l),
+        ("derivation on the carrier bracket", p.h_bracket, d_h),
+    ):
+        ref_is_bracket_derivation(side, name, bracket, op)
+    ref_action_compatibility(side, p, d_l, d_h)
+    for ln in side.checks:
+        status = "holds" if ln.passed else "fails"
+        detail = "" if ln.passed else f" (first at {ln.failures[0].where})"
+        rep.note(f"witness side condition: {ln.name} {status}{detail}")

@@ -116,7 +116,9 @@ def test_cli_output_matches_the_golden_digests(fixture, monkeypatch):
     monkeypatch.delenv("TENSORFORGE_DEGREE_CAP", raising=False)
     golden = json.loads(GOLDEN.read_text())[fixture]
     got = digests(fixture)
-    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    changed = sorted(
+        k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k)
+    )
     assert not changed, f"{len(changed)} commands changed output: {changed[:10]}"
 
 

@@ -1,18 +1,50 @@
-"""The law runner: tuple counts, witness order and lazy formatting."""
+"""The law runner: sums of term tables, tuple counts, witness order and lazy
+formatting."""
 
 from tensorforge import Report
 
 
 def test_witnesses_follow_the_tuple_order():
+    """Witnesses come in sorted tuple order, the scan order of every scope."""
     rep = Report("order")
-    tuples = [(3,), (0,), (2,), (1,)]
-    line = rep.law(
-        "odd", "four tuples", tuples, lambda t: (t[0] % 2, 0), str, str
-    )
+    values = {(3,): 1, (0,): 0, (2,): 0, (1,): 1}
+    line = rep.law("odd", "four tuples", 4, [values], [], 0, str, str)
     assert rep.checks == [line]
-    assert [f.indices for f in line.failures] == [(4,), (2,)]
-    assert [f.where for f in line.failures] == ["(3,)", "(1,)"]
+    assert [f.indices for f in line.failures] == [(2,), (4,)]
+    assert [f.where for f in line.failures] == ["(1,)", "(3,)"]
     assert [(f.lhs, f.rhs) for f in line.failures] == [("1", "0"), ("1", "0")]
+
+
+def test_each_side_is_the_sum_of_its_tables():
+    rep = Report("sums")
+    line = rep.law(
+        "sums",
+        "three tuples",
+        3,
+        [{(0,): 1, (1,): 2}, {(0,): 2, (2,): 5}],
+        [{(0,): 3, (1,): 1}, {(1,): 1}],
+        0,
+        str,
+        str,
+    )
+    # (0,): 3 = 3; (1,): 2 = 2; (2,): 5 against a missing key, read as zero
+    assert [(f.indices, f.lhs, f.rhs) for f in line.failures] == [((3,), "5", "0")]
+
+
+def test_keep_drops_keys_outside_the_scope():
+    rep = Report("keep")
+    line = rep.law(
+        "increasing",
+        "increasing pairs",
+        1,
+        [{(0, 1): 1, (1, 0): 7}],
+        [{(0, 1): 1}],
+        0,
+        str,
+        str,
+        keep=lambda t: t[0] < t[1],
+    )
+    assert line.passed and line.checked == 1
 
 
 def test_formatters_run_only_on_failing_tuples():
@@ -28,20 +60,25 @@ def test_formatters_run_only_on_failing_tuples():
 
     rep = Report("lazy")
     line = rep.law(
-        "one fails", "ten tuples", ((i,) for i in range(10)),
-        lambda t: (t[0] == 7, False), show, where,
+        "one fails",
+        "ten tuples",
+        10,
+        [{(i,): int(i == 7) for i in range(10)}],
+        [],
+        0,
+        show,
+        where,
     )
     assert line.checked == 10 and len(line.failures) == 1
     assert calls == {"show": 2, "where": 1}
 
 
 def test_checked_counts_every_tuple_even_none():
+    """checked is the scope's count, even where no table has a key."""
     rep = Report("counts")
-    empty = rep.law("empty", "no tuples", [], lambda t: (1, 2), str, str)
+    empty = rep.law("empty", "no tuples", 0, [], [], 0, str, str)
     assert (empty.checked, empty.failures, empty.passed) == (0, [], True)
-    full = rep.law(
-        "all pass", "five", [(i,) for i in range(5)], lambda t: (0, 0), str, str
-    )
+    full = rep.law("all zero", "five", 5, [{}], [{}], 0, str, str)
     assert (full.checked, full.passed) == (5, True)
     assert rep.ok
 
@@ -49,8 +86,8 @@ def test_checked_counts_every_tuple_even_none():
 def test_nested_tuples_come_out_one_based():
     rep = Report("nested")
     line = rep.law(
-        "fails", "pair x triple", [((0, 1), (0, 2, 3))],
-        lambda t: (1, 0), str, lambda t: "w",
+        "fails", "pair x triple", 1, [{((0, 1), (0, 2, 3)): 1}], [], 0, str,
+        lambda t: "w",
     )
     assert line.failures[0].indices == ((1, 2), (1, 3, 4))
     assert rep.to_json(None)["checks"][0]["witnesses"][0]["tuple"] == [
@@ -60,7 +97,7 @@ def test_nested_tuples_come_out_one_based():
 
 def test_witness_cap_split_is_shared_by_text_and_json():
     rep = Report("cap")
-    rep.law("fails", "six", [(i,) for i in range(6)], lambda t: (1, 0), str, str)
+    rep.law("fails", "six", 6, [{(i,): 1 for i in range(6)}], [], 0, str, str)
     line = rep.checks[0]
     assert line.capped(None) == (line.failures, 0)
     assert line.capped(6) == (line.failures, 0)

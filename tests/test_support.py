@@ -1,14 +1,15 @@
-"""Support-driven law evaluation against the full scan it replaces.
+"""Laws as sums of sparse term tables, against the full scan they replace.
 
-Every law with a join evaluates its sides only on the tuples where a term
-can be nonzero. Patching the private support helpers to return the whole
-scope turns each of them back into the full scan, so the two runs must give
-identical reports, witnesses and counts included.
+Every checker builds each side of each law from term tables that hold a
+term only where it can be nonzero. The full-scan references in `oracles`
+evaluate both sides tuple by tuple on every tuple of every scope; the two
+must give identical reports, witnesses and counts included, on the
+fixtures and on seeded sparse, dense-basis and perturbed problems.
 """
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -22,126 +23,174 @@ from tensorforge import (
     CoherentActionData,
     Deformation,
     EmbeddingTensorProblem,
+    LieAlgebra,
+    LieCoherentAction,
     LinearMap,
     Matrix,
+    NetHomomorphism,
     PairAction,
+    PreconditionError,
     Report,
     RepresentationData,
     Space,
     ThreeLeibnizAlgebra,
+    ThreeLeibnizLieAlgebra,
+    ThreeLeibnizRep,
     ThreeLieAlgebra,
+    TraceMap,
     TrilinearTable,
     Vector,
     are_equivalent,
     check_3leibniz,
     check_3leibniz_rep,
     check_3lie,
+    check_3ll,
     check_coherent_action,
     check_higher_order,
+    check_hom,
     check_infinitesimal,
+    check_leibniz_lie,
+    check_lie,
+    check_lie_coherent,
+    check_lie_net,
     check_net,
+    check_net_hom,
     check_representation,
+    check_trace,
     graph_check,
+    lift_net,
     load_document,
 )
-from tensorforge import actions, algebras, cohomology, deformations
-from tensorforge.actions import _descendent_table
+from tensorforge.actions import _braces, _descendent_table
 from tensorforge.cohomology import _induced_rep_unchecked
+from tensorforge.deformations import _is_bracket_derivation, _witness_side_conditions
 
-from oracles import example_problem, rand_scalar, rand_unimodular, transport_problem
+import oracles
+from oracles import (
+    example_problem,
+    rand_matrix,
+    rand_scalar,
+    rand_unimodular,
+    rand_vector,
+    random_leibniz_lie_with_trace,
+    random_lie_net,
+    transport_problem,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def _full(*ranges):
-    return set(product(*ranges))
+def _dump(rep):
+    return rep.to_json(None), rep.render_text(None)
 
 
-@contextmanager
-def full_scan():
-    """Every support helper returns its law's whole scope."""
+def _assert_same(pairs):
+    """Each package report is identical to its full-scan reference report.
 
-    def pairs_x_triples(m, n):
-        return _full(combinations(range(m), 2), combinations(range(n), 3))
-
-    def ordered(n, k):
-        return _full(*[range(n)] * k)
-
-    def triples(p, *terms):
-        return ordered(p.h_space.dim, 3)
-
-    def coherence(c, ops):
-        n = c.carrier.dim
-        both = _full(combinations(range(c.algebra.space.dim), 2), ordered(n, 3))
-        return both, both
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            algebras,
-            "_alternating_support",
-            lambda table: pairs_x_triples(table.domain.dim, table.domain.dim),
-        )
-        mp.setattr(
-            algebras, "_fundamental_support", lambda table: ordered(table.domain.dim, 5)
-        )
-        mp.setattr(
-            actions,
-            "_representation_supports",
-            lambda r, ops: (ordered(r.algebra.space.dim, 4),) * 2,
-        )
-        mp.setattr(actions, "_coherence_supports", coherence)
-        mp.setattr(actions, "_tensor_support", triples)
-        mp.setattr(deformations, "_tensor_support", triples)
-        mp.setattr(
-            cohomology,
-            "_rep3_supports",
-            lambda r, *families: [ordered(r.algebra.space.dim, 4)] * 5,
-        )
-        yield
+    pairs holds (report, reference): the reference is built only here, so
+    that tests of the package reports alone do not pay for the full scans.
+    """
+    for fast, slow in pairs:
+        assert _dump(fast) == _dump(slow())
 
 
-def _dump(reports):
-    return [(rep.to_json(None), rep.render_text(None)) for rep in reports]
+def _pair(check, *args, **kwargs):
+    """A package report and the thunk of its reference, oracles.ref_<check>."""
+    reference = getattr(oracles, f"ref_{check.__name__}")
+    return check(*args, **kwargs), partial(reference, *args, **kwargs)
 
 
-def _differential(build):
-    """Reports of fresh objects from build(), with supports and without."""
-    fast = _dump(build())
-    with full_scan():
-        slow = _dump(build())
-    assert fast == slow
-    return fast
+def _built(reference, args):
+    """The report a reference that adds lines or notes to a report builds."""
+    rep = Report("side conditions")
+    reference(rep, *args)
+    return rep
+
+
+def _net_pairs(p):
+    rep3 = _induced_rep_unchecked(p)
+    # the builders agree with dense column-by-column references
+    assert _descendent_table(p).coords == oracles.ref_descendent_coords(p)
+    ref3 = oracles.ref_induced_rep(p)
+    assert (rep3.l_act, rep3.m_act, rep3.r_act) == (ref3.l_act, ref3.m_act, ref3.r_act)
+    return [
+        _pair(check_net, p, "all", title="net"),
+        _pair(check_net, p, "increasing", title="net"),
+        _pair(graph_check, p),
+        _pair(check_3leibniz_rep, rep3),
+        _pair(check_3leibniz, rep3.algebra),  # the descendent bracket
+    ]
+
+
+def _lie_net_pairs(net, sigma_l, sigma_h):
+    pairs = [_pair(check_lie_net, net), _pair(check_lie_coherent, net.action)]
+    compat = oracles.ref_trace_compatibility(net, sigma_l, sigma_h)
+    try:
+        lift_net(net, sigma_l, sigma_h)
+    except PreconditionError as exc:
+        if exc.report.title == compat.title:
+            pairs.append((exc.report, lambda: compat))
+    else:
+        assert compat.ok
+    return pairs
 
 
 # -- documents: the fixtures, including every broken one ----------------------
 
 
-def _fixture_reports(path):
+def _fixture_pairs(path):
     doc = load_document(str(path))
     entries = doc.entries
-    reports = [check_3lie(a) for a in entries["three_lie"].values()]
-    reports += [check_3leibniz(a) for a in entries["three_leibniz"].values()]
-    reports += [
-        check_representation(r, "rep") for r in entries["representations"].values()
+    checks = {
+        "three_lie": (check_3lie, {}),
+        "three_leibniz": (check_3leibniz, {}),
+        "lie": (check_lie, {}),
+        "leibniz_lie": (check_leibniz_lie, {}),
+        "three_leibniz_lie": (check_3ll, {}),
+        "representations": (check_representation, {"title": "rep"}),
+        "actions": (check_coherent_action, {"title": "action"}),
+        "three_leibniz_reps": (check_3leibniz_rep, {}),
+        "lie_actions": (check_lie_coherent, {}),
+        "lie_nets": (check_lie_net, {}),
+    }
+    pairs = [
+        _pair(check, obj, **kwargs)
+        for kind, (check, kwargs) in checks.items()
+        for obj in entries[kind].values()
     ]
-    reports += [check_coherent_action(c, "action") for c in entries["actions"].values()]
     for p in entries["nets"].values():
-        reports += [check_net(p, mode, "net") for mode in ("all", "increasing")]
-        reports.append(graph_check(p))
-        reports.append(check_3leibniz_rep(_induced_rep_unchecked(p)))
-        descendent = ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
-        reports.append(check_3leibniz(descendent))
-    reports += [check_3leibniz_rep(r) for r in entries["three_leibniz_reps"].values()]
+        pairs += _net_pairs(p)
+        for f in entries["maps"].values():
+            if f.source == f.target == p.h_space == p.l_space:
+                hom = NetHomomorphism(p, p, f, f)
+                alg = p.action.algebra
+                pairs += [
+                    _pair(check_net_hom, hom),
+                    _pair(check_hom, "3lie", f, alg, alg),
+                ]
     for d in entries["deformations"].values():
-        reports += [check_infinitesimal(d), check_higher_order(d)]
-    return reports
+        pairs += [_pair(check_infinitesimal, d), _pair(check_higher_order, d)]
+    algebras = list(entries["lie"].values()) + list(entries["leibniz_lie"].values())
+    for trace in entries["traces"].values():
+        for algebra in algebras:
+            if algebra.space == trace.space:
+                pairs.append(_pair(check_trace, trace, algebra))
+    for net in entries["lie_nets"].values():
+        traces = list(entries["traces"].values())
+        for sigma_l, sigma_h in product(traces, repeat=2):
+            if (sigma_l.space, sigma_h.space) == (
+                net.action.lie.space,
+                net.action.carrier.space,
+            ):
+                pairs += _lie_net_pairs(net, sigma_l, sigma_h)
+    return pairs
 
 
 @pytest.mark.parametrize(
     "path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem
 )
 def test_fixture_reports_match_the_full_scan(path):
-    _differential(lambda: _fixture_reports(path))
+    _assert_same(_fixture_pairs(path))
 
 
 # -- seeded sparse, dense-basis and perturbed problems -------------------------
@@ -176,8 +225,10 @@ def _perturbed(p, rng):
 
 
 def _problem(seed, kind):
+    """(base problem, problem, its maps from base, a deformation direction)."""
     rng = random.Random(seed)
-    p = example_problem(rng.choice([0, Fraction(1, 2), 1, 2]))
+    base = p = example_problem(rng.choice([0, Fraction(1, 2), 1, 2]))
+    gl = gh = Matrix.identity(4)
     if kind == "dense":
         gl, gh = rand_unimodular(rng, 4, 6), rand_unimodular(rng, 4, 6)
         p = transport_problem(p, gl, gh)
@@ -186,26 +237,105 @@ def _problem(seed, kind):
     direction = Matrix(
         [[rng.choice([0, 0, rand_scalar(rng)]) for _ in range(4)] for _ in range(4)]
     )
-    return p, Deformation(p, LinearMap(p.h_space, p.l_space, direction))
+    maps = (LinearMap(p.l_space, p.l_space, gl), LinearMap(p.h_space, p.h_space, gh))
+    return base, p, maps, Deformation(p, LinearMap(p.h_space, p.l_space, direction))
 
 
-def _problem_reports(seed, kind):
-    p, d = _problem(seed, kind)
+def _problem_pairs(seed, kind):
+    base, p, (fl, fh), d = _problem(seed, kind)
+    rng = random.Random(seed)
     coords = {**_descendent_table(p).coords, **p.h_bracket.expand_ordered()}
-    general = TrilinearTable(p.h_space, p.h_space, coords)
-    return [
-        check_3lie(p.action.algebra),
-        check_3lie(ThreeLieAlgebra(p.h_space, p.h_bracket)),
-        check_3leibniz(ThreeLeibnizAlgebra(p.h_space, general)),
-        check_representation(p.action.rep),
-        check_coherent_action(p.action),
-        check_net(p, "all"),
-        check_net(p, "increasing"),
-        graph_check(p),
-        check_3leibniz_rep(_induced_rep_unchecked(p)),
-        check_infinitesimal(d),
-        check_higher_order(d),
+    general = ThreeLeibnizAlgebra(
+        p.h_space, TrilinearTable(p.h_space, p.h_space, coords)
+    )
+    h3 = ThreeLieAlgebra(p.h_space, p.h_bracket)
+    braced = ThreeLeibnizLieAlgebra(
+        h3, TrilinearTable(p.h_space, p.h_space, _braces(p))
+    )
+    other = LinearMap(p.h_space, p.h_space, rand_matrix(rng, 4, 4))
+    pairs = [
+        _pair(check_3lie, p.action.algebra),
+        _pair(check_3lie, h3),
+        _pair(check_3leibniz, general),
+        _pair(check_3ll, braced),
+        _pair(check_representation, p.action.rep),
+        _pair(check_coherent_action, p.action),
+        _pair(check_infinitesimal, d),
+        _pair(check_higher_order, d),
     ]
+    for kind_, f, src in (
+        ("3lie", other, h3),
+        ("3leibniz", other, general),
+        ("3ll", other, braced),
+        ("3ll", LinearMap.identity(p.h_space), braced),
+    ):
+        pairs.append(_pair(check_hom, kind_, f, src, src))
+    for hom in (
+        NetHomomorphism(base, p, fl, fh),
+        NetHomomorphism(
+            p, p, LinearMap.identity(p.l_space), LinearMap.identity(p.h_space)
+        ),
+        NetHomomorphism(p, p, fl, other),
+    ):
+        pairs.append(_pair(check_net_hom, hom))
+    pairs += _net_pairs(p)
+    # the side conditions of an equivalence witness
+    pieces = [(rand_vector(rng, 4), rand_vector(rng, 4)) for _ in range(2)]
+    op = rand_matrix(rng, 4, 4)
+    for check, reference, args in (
+        (_witness_side_conditions, oracles.ref_witness_side_conditions, (p, pieces)),
+        (
+            _is_bracket_derivation,
+            oracles.ref_is_bracket_derivation,
+            ("derivation", p.h_bracket, op),
+        ),
+    ):
+        fast = Report("side conditions")
+        check(fast, *args)
+        pairs.append((fast, partial(_built, reference, args)))
+    # Lie-level structures, and a map that breaks the bracket
+    lie_rng = random.Random(seed + 1)
+    net, sigma_l, sigma_h = random_lie_net(lie_rng)
+    pairs += _lie_net_pairs(net, sigma_l, sigma_h)
+    skewed = TraceMap(sigma_h.space, rand_vector(lie_rng, sigma_h.space.dim))
+    pairs += _lie_net_pairs(net, sigma_l, skewed)
+    leibniz, trace = random_leibniz_lie_with_trace(lie_rng)
+    lie = net.action.lie
+    n = lie.space.dim
+    twist = LinearMap(lie.space, lie.space, rand_matrix(lie_rng, n, n))
+    pairs += [
+        _pair(check_leibniz_lie, leibniz),
+        _pair(check_trace, trace, leibniz),
+        _pair(check_hom, "lie", twist, lie, lie),
+    ]
+    return pairs
+
+
+def _operator_pairs(seed):
+    """Random operators: families whose products, and a Lie action whose
+    derivation terms, do not vanish, as those of the valid problems do."""
+    rng = random.Random(seed)
+    l = Space("L", 4)
+    base = example_problem(rng.choice([0, Fraction(1, 2), 1, 2]))
+    algebra = ThreeLeibnizAlgebra(
+        l, TrilinearTable(l, l, base.l_bracket.expand_ordered())
+    )
+    keys = list(product(range(l.dim), repeat=2))
+    families = [
+        {key: rand_matrix(rng, 2, 2) for key in rng.sample(keys, 4)} for _ in range(3)
+    ]
+    net, _, _ = random_lie_net(rng)
+    heisenberg = LieAlgebra(Space("H", 3), {(0, 1): Vector([0, 0, 1])})
+    ops = {i: rand_matrix(rng, 3, 3) for i in range(net.action.lie.space.dim)}
+    return [
+        _pair(check_3leibniz_rep, ThreeLeibnizRep(algebra, Space("V", 2), *families)),
+        _pair(check_lie_coherent, LieCoherentAction(net.action.lie, heisenberg, ops)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_operators_match_the_full_scan(seed):
+    _assert_same(_operator_pairs(seed))
 
 
 @settings(max_examples=20, deadline=None)
@@ -214,14 +344,15 @@ def _problem_reports(seed, kind):
     kind=st.sampled_from(["sparse", "dense", "perturbed"]),
 )
 def test_problem_reports_match_the_full_scan(seed, kind):
-    _differential(lambda: _problem_reports(seed, kind))
+    _assert_same(_problem_pairs(seed, kind))
 
 
 def test_perturbations_reach_failing_laws():
-    """The perturbed family does exercise failing tuples on the support."""
+    """The perturbed and random families do exercise failing tuples of the
+    term tables."""
     failing = set()
     for seed in range(12):
-        for rep in _problem_reports(seed, "perturbed"):
+        for rep, _ in _problem_pairs(seed, "perturbed") + _operator_pairs(seed):
             failing.update(line.name for line in rep.checks if not line.passed)
     for name in (
         "fundamental identity",
@@ -232,6 +363,12 @@ def test_perturbations_reach_failing_laws():
         "left-left composition law",
         "first-order tensor condition",
         "second-order condition",
+        "right bracket-expansion law",
+        "commutator law",
+        "annihilation law",
+        "ternary bracket preserved",
+        "braces preserved",
+        "tensor intertwining",
     ):
         assert name in failing, failing
 
@@ -252,20 +389,31 @@ def _sparse_bracket(n, entries, seed):
     return ThreeLieAlgebra(space, AlternatingTrilinearTable(space, space, coords))
 
 
-def test_sides_run_only_on_the_support(monkeypatch):
-    algebra = _sparse_bracket(12, 12, 0)
-    support = algebras._alternating_support(algebra.bracket)
+def _recorded(monkeypatch):
+    """Every Report.law call from now on, as (scope, count, kept keys, size):
+    the keys of its term tables that lie in the scope, and the total size
+    of the tables."""
     calls = []
-    original = algebras._fundamental_sides
+    original = Report.law
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def law(self, name, scope, count, lhs, rhs, zero, show, where, keep=None):
+        entries = [t for table in list(lhs) + list(rhs) for t, _ in table.items()]
+        keys = {t for t in entries if keep is None or keep(t)}
+        calls.append((scope, count, keys, len(entries)))
+        return original(self, name, scope, count, lhs, rhs, zero, show, where, keep)
 
-    monkeypatch.setattr(algebras, "_fundamental_sides", counted)
+    monkeypatch.setattr(Report, "law", law)
+    return calls
+
+
+def test_term_tables_stay_small_on_a_sparse_bracket(monkeypatch):
+    algebra = _sparse_bracket(12, 12, 0)
+    calls = _recorded(monkeypatch)
     line = check_3lie(algebra).checks[0]
     assert line.checked == comb(12, 2) * comb(12, 3)
-    assert 0 < len(calls) <= len(support) < line.checked // 5
+    ((_, count, _, size),) = calls
+    assert count == line.checked
+    assert 0 < size < count // 5
 
 
 SCOPES = {
@@ -275,12 +423,27 @@ SCOPES = {
     "increasing pairs x all ordered carrier triples": lambda m, n: product(
         combinations(range(m), 2), product(range(n), repeat=3)
     ),
+    "increasing algebra pairs (operator identity)": lambda m, n: (
+        (pair,) for pair in combinations(range(m), 2)
+    ),
+    "basis operators x increasing carrier pairs": lambda m, n: product(
+        range(m), combinations(range(n), 2)
+    ),
+    "basis operators x all ordered carrier pairs": lambda m, n: product(
+        range(m), product(range(n), repeat=2)
+    ),
     "all ordered basis 5-tuples": lambda m, n: product(range(n), repeat=5),
     "all ordered basis 4-tuples": lambda m, n: product(range(n), repeat=4),
     "all ordered basis triples": lambda m, n: product(range(n), repeat=3),
     "all ordered carrier triples": lambda m, n: product(range(n), repeat=3),
     "all ordered graph-basis triples": lambda m, n: product(range(n), repeat=3),
+    "all ordered basis pairs": lambda m, n: product(range(n), repeat=2),
+    "all ordered carrier pairs": lambda m, n: product(range(n), repeat=2),
     "increasing carrier triples": lambda m, n: combinations(range(n), 3),
+    "increasing basis triples": lambda m, n: combinations(range(n), 3),
+    "increasing basis pairs": lambda m, n: combinations(range(n), 2),
+    "increasing acting pairs": lambda m, n: combinations(range(n), 2),
+    "carrier basis vectors": lambda m, n: ((u,) for u in range(n)),
 }
 
 
@@ -292,24 +455,24 @@ def test_sorted_order_is_the_scan_order(scope):
             assert sorted(scan) == scan
 
 
-def test_every_joined_scope_is_known(monkeypatch):
-    """Every law that passes a count uses a scope whose scan order is the
-    sorted order above, and hands the runner a sorted support."""
-    seen = {}
-    original = Report.law
-
-    def law(self, name, scope, tuples, sides, show, where, count=None):
-        tuples = list(tuples)
-        if count is not None:
-            seen[scope] = seen.get(scope, 0) + 1
-            assert tuples == sorted(set(tuples)), (name, scope)
-        return original(self, name, scope, tuples, sides, show, where, count)
-
-    monkeypatch.setattr(Report, "law", law)
+def test_every_scope_is_known(monkeypatch):
+    """Every law names a scope whose scan order is the sorted order above,
+    counts the tuples of that scope, and keeps its table keys inside it."""
+    calls = _recorded(monkeypatch)
     for path in sorted(FIXTURES.glob("*.json")):
-        _fixture_reports(path)
-    _problem_reports(0, "dense")
-    assert set(seen) == set(SCOPES)
+        _fixture_pairs(path)
+    _problem_pairs(0, "dense")
+    assert {scope for scope, *_ in calls} == set(SCOPES)
+    scans = {}
+    for scope, count, keys, _ in calls:
+        for m, n in product(range(7), repeat=2):
+            if (scope, m, n) not in scans:
+                scans[scope, m, n] = set(SCOPES[scope](m, n))
+            scan = scans[scope, m, n]
+            if len(scan) == count and keys <= scan:
+                break
+        else:
+            raise AssertionError(f"keys outside {scope!r} or a wrong count {count}")
 
 
 def test_one_cochain_complex_per_problem(monkeypatch):
