@@ -20,8 +20,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from tensorforge import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -97,17 +100,20 @@ def commands(fixture):
 
 def digest(argv):
     """sha256 of (exit status, stdout, stderr) of one in-process command."""
-    from tensorforge.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(list(argv))
+        status = cli.main(list(argv))
     blob = json.dumps([status, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def digests(fixture):
-    return {" ".join(argv): digest(argv) for argv in commands(fixture)}
+    """The digests of one fixture's command lines. They share one parser,
+    which `main` would otherwise build anew for each: building it is most
+    of the time of a command that fails on input."""
+    parser = cli.build_parser()
+    with mock.patch.object(cli, "build_parser", lambda: parser):
+        return {" ".join(argv): digest(argv) for argv in commands(fixture)}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

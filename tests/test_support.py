@@ -101,7 +101,7 @@ def _pair(check, *args, **kwargs):
 
 
 def _built(reference, args):
-    """The report a reference that adds lines or notes to a report builds."""
+    """A fresh report, filled in by a reference that adds lines or notes."""
     rep = Report("side conditions")
     reference(rep, *args)
     return rep
@@ -312,11 +312,12 @@ def _problem_pairs(seed, kind):
 
 
 def _operator_pairs(seed):
-    """Random operators: families whose products, and a Lie action whose
-    derivation terms, do not vanish, as those of the valid problems do."""
+    """Three random operator families, whose products do not vanish, and a
+    random Lie action on a non-abelian carrier, whose derivation terms do
+    not: in the valid problems all of these are zero."""
     rng = random.Random(seed)
-    l = Space("L", 4)
     base = example_problem(rng.choice([0, Fraction(1, 2), 1, 2]))
+    l = base.l_space
     algebra = ThreeLeibnizAlgebra(
         l, TrilinearTable(l, l, base.l_bracket.expand_ordered())
     )
