@@ -99,8 +99,8 @@ class EmbeddingTensorProblem:
     _net_reports: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _complexes: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _complex: CochainComplex | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):

@@ -2,23 +2,33 @@
 
 A valid tensor induces a ternary-Leibniz bracket on its source H and a
 three-operator representation of that bracket on L. Degree-n cochains are
-maps (wedge^2 H)^(n-1) x H -> L; the differential combines bracket
-substitutions in the pair slots, a bracket substitution in the final slot,
-and the three induced operators. The differential is applied sparsely to
-each unit cochain, and the nonzero coordinates of the image, placed in the
-basis order that `vec_cochain` uses, are one column of a sparse `Matrix`:
-no dense cochain vector is built on the way to elimination.
+maps (wedge^2 H)^(n-1) x H -> L; a cochain's coordinates run over its pair
+slots (lexicographic), then its final index, then the coordinate of its
+value.
 
-Degrees are capped (default 3, env TENSORFORGE_DEGREE_CAP); asking beyond
-the cap refuses rather than silently grinding.
+The differential out of degree n >= 1 is a signed sum of four small blocks,
+each placed with the identity on the pair slots it leaves alone: D
+substitutes the bracket of a new pair into the final slot, L acts on the
+value by the left operator of a new pair, Omega substitutes the bracket of
+a pair into a later pair slot, and F acts on the value by the middle and
+right operators of the last pair. The blocks are built once per complex,
+and each differential is one sparse `Matrix` summed from their placed
+entries; the degree-0 differential comes from the term tables of the
+tensor condition, and the transport along a map of tensors is a Kronecker
+product. Every cochain map is applied as one matrix-vector product.
+
+Before a differential is assembled, the blocks count its work: rows,
+columns, the entries the placement writes and the runs of its slot loops.
+A degree whose work estimate exceeds `_WORK_BUDGET` is refused rather than
+left to grind.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from math import comb
 
 from .actions import (
     EmbeddingTensorProblem,
@@ -30,7 +40,7 @@ from .actions import (
 )
 from .algebras import LinearMap, ThreeLeibnizAlgebra, check_3leibniz
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO, kernel_basis, rank
+from .linalg import Matrix, Vector, ZERO, _kron, kernel_basis, rank
 from .multilinear import (
     Space,
     WedgePairBasis,
@@ -43,22 +53,12 @@ from .multilinear import (
 )
 from .report import Report, tuple_label
 
-DEFAULT_DEGREE_CAP = 3
-
-
-def _env_degree_cap() -> int:
-    raw = os.environ.get("TENSORFORGE_DEGREE_CAP")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(
-            f"TENSORFORGE_DEGREE_CAP must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise InputError("TENSORFORGE_DEGREE_CAP must be at least 1")
-    return cap
+# The largest work estimate `delta_matrix` takes on. On a 2-vCPU Xeon with
+# Python 3.11, degree 4 of the dim-4 example (about 70 000) takes 0.16 s to
+# assemble and 0.5 s of rank, and degree 1 of a sparse dim-26 net (about
+# 230 000) fits too; degree 5 of the example (about 530 000) would take
+# 1.8 s to assemble, 23 s of rank and 156 MB.
+_WORK_BUDGET = 400_000
 
 
 class ThreeLeibnizRep:
@@ -309,25 +309,17 @@ def iter_cochain_keys(n: int, pair_dim: int, in_dim: int):
             yield pairs, last
 
 
-def _coordinates(phi: Cochain) -> dict:
-    """The nonzero coordinates of phi, {position: value}, in the basis
-    order of `iter_cochain_keys`: pair slots lexicographic, then the final
+def vec_cochain(phi: Cochain) -> Vector:
+    """The coordinates of phi: pair slots lexicographic, then the final
     index, then the coordinate of the value."""
-    out = {}
+    entries = [ZERO] * (phi.pair_dim ** (phi.degree - 1) * phi.in_dim * phi.out_dim)
     for (pairs, last), val in phi.coords.items():
         pos = 0
         for q in pairs:
             pos = pos * phi.pair_dim + q
         pos = (pos * phi.in_dim + last) * phi.out_dim
         for t, a in val.iter_nonzero():
-            out[pos + t] = a
-    return out
-
-
-def vec_cochain(phi: Cochain) -> Vector:
-    entries = [ZERO] * (phi.pair_dim ** (phi.degree - 1) * phi.in_dim * phi.out_dim)
-    for pos, a in _coordinates(phi).items():
-        entries[pos] = a
+            entries[pos + t] = a
     return Vector(entries)
 
 
@@ -348,21 +340,29 @@ def unvec_cochain(
     return Cochain(n, pair_dim, in_dim, out_dim, coords)
 
 
+def _shape(p: EmbeddingTensorProblem) -> tuple[int, int, int]:
+    """(pair, source, value) dimensions of p's cochains."""
+    return WedgePairBasis(p.h_space).dim, p.h_space.dim, p.l_space.dim
+
+
+def _check_shape(phi: Cochain, shape: tuple[int, int, int]):
+    got = (phi.pair_dim, phi.in_dim, phi.out_dim)
+    if got != shape:
+        raise InputError(
+            f"cochain has (pair, source, value) dimensions {got}, expected {shape}"
+        )
+
+
 class CochainComplex:
     """All differentials of one embedding-tensor problem, built lazily."""
 
-    def __init__(
-        self, p: EmbeddingTensorProblem, degree_cap: int | None = None
-    ):
+    def __init__(self, p: EmbeddingTensorProblem):
         gate = check_net(p, mode="all")
         if not gate.ok:
             raise PreconditionError(
                 "the cochain complex requires a valid embedding tensor", gate
             )
         self.problem = p
-        self.degree_cap = _env_degree_cap() if degree_cap is None else degree_cap
-        if self.degree_cap < 1:
-            raise InputError("degree cap must be at least 1")
         self.hspace = p.h_space
         self.lspace = p.l_space
         self.hdim = self.hspace.dim
@@ -372,7 +372,7 @@ class CochainComplex:
         self.pair_dim = self.wedge.dim
         self.rep = _induced_rep_unchecked(p)
         self.desc = self.rep.algebra.bracket
-        self._omega = self._build_omega()
+        self._blocks = self._build_blocks()
         self._matrices: dict[int, Matrix] = {}
         self._ranks: dict[int, int] = {}
 
@@ -382,9 +382,6 @@ class CochainComplex:
         if n == 0:
             return self.lwedge.dim
         return self.pair_dim ** (n - 1) * self.hdim * self.ldim
-
-    def iter_keys(self, n: int):
-        return iter_cochain_keys(n, self.pair_dim, self.hdim)
 
     def vec(self, phi: Cochain) -> Vector:
         return vec_cochain(phi)
@@ -411,169 +408,182 @@ class CochainComplex:
 
     # -- the differential --------------------------------------------------
 
-    def _build_omega(self):
-        """Pair-substitution coefficients for the double-slot term.
-
-        omega[q][s] expands e_{s1} ^ d(q, e_{s2}) + d(q, e_{s1}) ^ e_{s2}
-        over the pair basis, where d is the descendent bracket of the pair q.
+    def _build_blocks(self):
+        """The nonzero entries of the blocks of the differential, with pairs
+        given by their position q in the pair basis and d the descendent
+        bracket. D (q, w, m) is coordinate m of d(q, e_w), L (q, t, c) entry
+        (t, c) of the left operator l(q) and Omega (q, s, r) coordinate r of
+        e_s1 ^ d(q, e_s2) + d(q, e_s1) ^ e_s2. F (q, w, m, t, c) is entry
+        (t, c) of the middle operator m(q_u, w) when m = q_v and of the
+        right operator r(q_v, w) when m = q_u; it is stored as (q, row,
+        column, value), its row (w, t) and its column (m, c).
         """
-        P = self.pair_dim
-        omega = [[None] * P for _ in range(P)]
-        for qpos, (qu, qv) in enumerate(self.wedge.pairs):
-            for spos, (su, sv) in enumerate(self.wedge.pairs):
-                acc = Vector.zero(P)
-                dv = self.desc.value(qu, qv, sv)
-                if dv is not None:
-                    acc = acc + self.wedge.wedge_expand(
-                        self.hspace.basis_vector(su), dv
-                    )
-                du = self.desc.value(qu, qv, su)
-                if du is not None:
-                    acc = acc + self.wedge.wedge_expand(
-                        du, self.hspace.basis_vector(sv)
-                    )
-                omega[qpos][spos] = {
-                    r: c for r, c in acc.iter_nonzero()
-                }
-        return omega
+        hdim, ldim, rep = self.hdim, self.ldim, self.rep
+        position = self.wedge.position
+        D = [
+            (position(i, j), w, m, a)
+            for (i, j, w), vec in self.desc.coords.items()
+            if i < j
+            for m, a in vec.iter_nonzero()
+        ]
+        L = [
+            (position(i, j), t, c, a)
+            for (i, j), op in rep.l_act.items()
+            if i < j
+            for (t, c), a in op.items()
+        ]
+        F = [
+            (q, w * ldim + t, m * ldim + c, a)
+            for q, (u, v) in enumerate(self.wedge.pairs)
+            for w in range(hdim)
+            for m, op in ((v, rep.m_act.get((u, w))), (u, rep.r_act.get((v, w))))
+            if op is not None
+            for (t, c), a in op.items()
+        ]
+
+        def wedge(i, j):  # e_i ^ e_j, for i != j, as (pair, sign)
+            return (position(i, j), 1) if i < j else (position(j, i), -1)
+
+        # the pair s = {x, w} gets sign_s * e_x ^ d(q, e_w) from D's entry
+        omega = {}
+        for q, w, m, a in D:
+            for x in range(hdim):
+                if x != w and x != m:
+                    (s, sign_s), (r, sign_r) = wedge(x, w), wedge(x, m)
+                    omega[q, s, r] = omega.get((q, s, r), ZERO) + sign_s * sign_r * a
+        return D, L, F, [(q, s, r, a) for (q, s, r), a in omega.items() if a]
+
+    def _work(self, n: int) -> int:
+        """The work estimate of the differential out of degree n: its rows
+        and columns, the n^2 runs of its slot loops and the entries its
+        placement writes, n P^(n-1) (|D| ldim + |L| hdim) + P^(n-1) |F|
+        + C(n, 2) P^(n-2) |Omega| hdim ldim for P pairs. When the slot loops
+        alone exceed the budget they are the estimate, so that no P**n is
+        formed for a huge n."""
+        if n * n > _WORK_BUDGET:
+            return n * n
+        work = n * n + self.cochain_dim(n) + self.cochain_dim(n + 1)
+        if n:
+            D, L, F, omega = self._blocks
+            P, hdim, ldim = self.pair_dim, self.hdim, self.ldim
+            work += P ** (n - 1) * (n * (len(D) * ldim + len(L) * hdim) + len(F))
+            work += comb(n, 2) * P ** max(n - 2, 0) * len(omega) * hdim * ldim
+        return work
+
+    def _assemble(self, n: int) -> Matrix:
+        """The differential out of degree n >= 1: each block placed at every
+        tuple of the pair slots it leaves alone, its entries summed per
+        column."""
+        D, L, F, omega = self._blocks
+        P, hdim, ldim = self.pair_dim, self.hdim, self.ldim
+        hl = hdim * ldim
+        place = [hl]  # place[k]: the weight of a pair slot with k slots after it
+        for _ in range(n):
+            place.append(place[-1] * P)
+        cols: dict[int, dict] = {}
+
+        def put(runs, entries):
+            """Add the (row, column, value) entries at every tuple of the
+            slots left alone, given as runs (slots, weight of the run's
+            last slot in the column, and in the row)."""
+            if not entries:
+                return
+            offsets = [(0, 0)]
+            for slots, col_w, row_w in runs:
+                offsets = [
+                    (i + g * col_w, o + g * row_w)
+                    for i, o in offsets
+                    for g in range(P**slots)
+                ]
+            for i0, o0 in offsets:
+                for row, col, a in entries:
+                    column = cols.setdefault(i0 + col, {})
+                    column[o0 + row] = column.get(o0 + row, ZERO) + a
+
+        for jj in range(n):
+            # a new pair inserted at slot jj
+            new, sign = place[n - 1 - jj], (-1) ** (jj + 1)
+            head = (jj, new, place[n - jj])
+            entries = [
+                (q * new + w * ldim + c, m * ldim + c, sign * a)
+                for q, w, m, a in D
+                for c in range(ldim)
+            ]
+            entries += [
+                (q * new + m * ldim + t, m * ldim + c, -sign * a)
+                for q, t, c, a in L
+                for m in range(hdim)
+            ]
+            put([head, (n - 1 - jj, hl, hl)], entries)
+            for kk in range(jj + 1, n):
+                # and the old pair r at slot kk - 1 replaced by s at slot kk
+                sub, mid = place[n - 1 - kk], place[n - kk]
+                entries = [
+                    (q * new + s * sub + u, r * sub + u, sign * a)
+                    for q, s, r, a in omega
+                    for u in range(hl)
+                ]
+                put([head, (kk - 1 - jj, mid, mid), (n - 1 - kk, hl, hl)], entries)
+        sign = (-1) ** (n + 1)
+        put([(n - 1, hl, place[1])], [(q * hl + i, j, sign * a) for q, i, j, a in F])
+        return Matrix.from_cols(
+            [cols.get(j, {}) for j in range(self.cochain_dim(n))],
+            nrows=self.cochain_dim(n + 1),
+        )
+
+    def _delta0(self) -> Matrix:
+        """Column (a, b), a < b: u -> T rho(e_a, e_b) e_u - [e_a, e_b, T e_u]."""
+        p, ldim = self.problem, self.ldim
+        lam, basis = p.tensor_columns(), _basis(self.lspace)
+        cols = [{} for _ in self.lwedge.pairs]
+        for sign, table in (
+            (1, _feed(_family(lam), 0, _action_of(p, basis, basis))),
+            (-1, _bracket_of(p, basis, basis, lam)),
+        ):
+            for (a, b, u), vec in table.items():
+                if a < b:
+                    col = cols[self.lwedge.position(a, b)]
+                    for t, x in vec.iter_nonzero():
+                        i = u * ldim + t
+                        col[i] = col.get(i, ZERO) + sign * x
+        return Matrix.from_cols(cols, nrows=self.cochain_dim(1))
 
     def delta0_cochain(self, a1: Vector, a2: Vector) -> Cochain:
         """Degree-1 coboundary of an algebra pair: u -> T(rho(a1,a2)u) - [a1,a2,Tu]."""
         if a1.dim != self.ldim or a2.dim != self.ldim:
             raise InputError("expected two vectors of the acting algebra")
-        p = self.problem
-        coords = {}
-        for u in range(self.hdim):
-            e_u = self.hspace.basis_vector(u)
-            vec = p.tensor.apply(p.rho.apply(a1, a2, e_u)) - p.l_bracket.eval(
-                a1, a2, p.tensor.apply(e_u)
-            )
-            coords[((), u)] = vec
-        return Cochain(1, self.pair_dim, self.hdim, self.ldim, coords)
+        wedge = self.lwedge.wedge_expand(a1, a2)
+        return self.unvec(1, self.delta_matrix(0).mul_vec(wedge))
 
     def apply_delta(self, phi: Cochain) -> Cochain:
-        """The differential, degree n -> n + 1, assembled sparsely."""
-        n = phi.degree
-        if n > self.degree_cap:
-            raise PreconditionError(
-                f"degree {n} exceeds the degree cap {self.degree_cap}"
-            )
-        P = self.pair_dim
-        hdim = self.hdim
-        pairs_basis = self.wedge.pairs
-        l_act = self.rep.l_act
-        m_act = self.rep.m_act
-        r_act = self.rep.r_act
-        desc = self.desc
-        out: dict = {}
-
-        def add(key, vec):
-            cur = out.get(key)
-            out[key] = vec if cur is None else cur + vec
-
-        sign4 = 1 if n % 2 == 1 else -1
-        for (rpairs, m), val in phi.coords.items():
-            # insert one free pair at position jj: final-slot substitution
-            # (sign -1^(jj+1)) and the left operator (sign -1^(jj+2))
-            for jj in range(n):
-                sign2 = -1 if jj % 2 == 0 else 1
-                for qpos in range(P):
-                    qu, qv = pairs_basis[qpos]
-                    newpairs = rpairs[:jj] + (qpos,) + rpairs[jj:]
-                    for w in range(hdim):
-                        dv = desc.value(qu, qv, w)
-                        if dv is not None:
-                            cm = dv[m]
-                            if cm:
-                                add((newpairs, w), val.scale(sign2 * cm))
-                    lmat = l_act.get((qu, qv))
-                    if lmat is not None:
-                        contrib = lmat.mul_vec(val)
-                        if not contrib.is_zero():
-                            add((newpairs, m), contrib if sign2 < 0 else -contrib)
-            # double-slot substitution: delete one pair slot, feed the
-            # bracket of the deleted pair into a later slot
-            for kk in range(1, n):
-                rk = rpairs[kk - 1]
-                rest = rpairs[: kk - 1] + rpairs[kk:]
-                for jj in range(kk):
-                    sign1 = -1 if jj % 2 == 0 else 1
-                    for qpos in range(P):
-                        row = self._omega[qpos]
-                        for spos in range(P):
-                            weight = row[spos].get(rk)
-                            if weight:
-                                q_tuple = rest[:jj] + (qpos,) + rest[jj : kk - 1]
-                                q_tuple += (spos,) + rest[kk - 1 :]
-                                add((q_tuple, m), val.scale(sign1 * weight))
-            # final-pair term through the middle and right operators
-            for qpos in range(P):
-                qu, qv = pairs_basis[qpos]
-                if qu != m and qv != m:
-                    continue
-                newpairs = rpairs + (qpos,)
-                for w in range(hdim):
-                    acc = None
-                    if qv == m:
-                        mm_ = m_act.get((qu, w))
-                        if mm_ is not None:
-                            acc = mm_.mul_vec(val)
-                    if qu == m:
-                        rm_ = r_act.get((qv, w))
-                        if rm_ is not None:
-                            rv = rm_.mul_vec(val)
-                            acc = rv if acc is None else acc + rv
-                    if acc is not None and not acc.is_zero():
-                        add((newpairs, w), acc if sign4 > 0 else -acc)
-        return Cochain(n + 1, P, hdim, self.ldim, out)
+        """The differential, degree n -> n + 1."""
+        _check_shape(phi, (self.pair_dim, self.hdim, self.ldim))
+        image = self.delta_matrix(phi.degree).mul_vec(vec_cochain(phi))
+        return self.unvec(phi.degree + 1, image)
 
     def delta_matrix(self, n: int) -> Matrix:
-        """Matrix of the differential out of degree n (degree 0 = pairs of L)."""
+        """Matrix of the differential out of degree n (degree 0 = pairs of L).
+
+        Refuses a degree whose work estimate exceeds the budget.
+        """
         if n < 0:
             raise InputError("differential degree must be nonnegative")
-        if n > self.degree_cap:
-            raise PreconditionError(
-                f"degree {n} exceeds the degree cap {self.degree_cap}"
-            )
-        cached = self._matrices.get(n)
-        if cached is not None:
-            return cached
-        if n == 0:
-            images = (
-                self.delta0_cochain(
-                    self.lspace.basis_vector(a), self.lspace.basis_vector(b)
+        if n not in self._matrices:
+            work = self._work(n)
+            if work > _WORK_BUDGET:
+                raise PreconditionError(
+                    f"degree {n} has a work estimate of {work}, over the "
+                    f"budget of {_WORK_BUDGET}"
                 )
-                for a, b in self.lwedge.pairs
-            )
-        else:
-            images = (
-                self.apply_delta(
-                    Cochain(
-                        n,
-                        self.pair_dim,
-                        self.hdim,
-                        self.ldim,
-                        {key: self.lspace.basis_vector(c)},
-                    )
-                )
-                for key in self.iter_keys(n)
-                for c in range(self.ldim)
-            )
-        mat = Matrix.from_cols(
-            map(_coordinates, images), nrows=self.cochain_dim(n + 1)
-        )
-        self._matrices[n] = mat
-        return mat
+            self._matrices[n] = self._assemble(n) if n else self._delta0()
+        return self._matrices[n]
 
     def cohomology_dims(self, n: int) -> tuple[int, int, int]:
         """(dim cocycles, dim coboundaries, dim cohomology) in degree n >= 1."""
         if n < 1:
             raise InputError("cohomology is defined for degrees >= 1")
-        if n > self.degree_cap:
-            raise PreconditionError(
-                f"degree {n} exceeds the degree cap {self.degree_cap}"
-            )
-        z = self.cochain_dim(n) - self._rank(n)
+        r = self._rank(n)  # first, so that a refused degree is not counted
+        z = self.cochain_dim(n) - r
         b = self._rank(n - 1)
         return z, b, z - b
 
@@ -593,16 +603,15 @@ class CochainComplex:
 
 
 def _complex_of(p: EmbeddingTensorProblem) -> CochainComplex:
-    """The cochain complex of p, built once per problem and degree cap.
+    """The cochain complex of p, built once per problem.
 
     Like the gate reports, it is memoized on the (immutable) problem, so
-    its descendent table, induced representation and differentials are
-    shared by every caller; callers must not mutate it.
+    its descendent table, induced representation, blocks and differentials
+    are shared by every caller; callers must not mutate it.
     """
-    key = os.environ.get("TENSORFORGE_DEGREE_CAP")
-    if key not in p._complexes:
-        p._complexes[key] = CochainComplex(p)
-    return p._complexes[key]
+    if p._complex is None:
+        object.__setattr__(p, "_complex", CochainComplex(p))
+    return p._complex
 
 
 def delta0(p: EmbeddingTensorProblem, a1: Vector, a2: Vector) -> Cochain:
@@ -627,68 +636,26 @@ def pushforward(h: NetHomomorphism, phi: Cochain) -> Cochain:
     Conjugates the pair slots and the final slot by the inverse of f_H and
     pushes values forward through f_L. Requires f_H invertible.
     """
-    fh_inv = h.f_h.inverse()
-    if fh_inv is None:
-        raise InputError("pushforward requires an invertible carrier map")
-    target_wedge = WedgePairBasis(h.target.h_space)
-    source_wedge = WedgePairBasis(h.source.h_space)
-    P = target_wedge.dim
-    hdim = h.source.h_space.dim
-    ldim_out = h.target.l_space.dim
-
-    # for each source pair index r: the target pairs q whose transported
-    # wedge hits r, with coefficients
-    by_source_pair: dict[int, list] = {}
-    for q, (a, b) in enumerate(target_wedge.pairs):
-        expanded = source_wedge.wedge_expand(fh_inv.column(a), fh_inv.column(b))
-        for r, cval in expanded.iter_nonzero():
-            by_source_pair.setdefault(r, []).append((q, cval))
-
-    fm = fh_inv.matrix
-    out: dict = {}
-
-    def add(key, vec):
-        cur = out.get(key)
-        out[key] = vec if cur is None else cur + vec
-
-    for (rpairs, m), val in phi.coords.items():
-        pushed = h.f_l.apply(val)
-        if pushed.is_zero():
-            continue
-        slot_opts = [by_source_pair.get(r, ()) for r in rpairs]
-        if any(not opts for opts in slot_opts):
-            continue
-        w_opts = [
-            (w, fm.at(m, w)) for w in range(hdim) if fm.at(m, w) != 0
-        ]
-        for combo in product(*slot_opts):
-            coeff = None
-            for _, cv in combo:
-                coeff = cv if coeff is None else coeff * cv
-            qtuple = tuple(q for q, _ in combo)
-            for w, fw in w_opts:
-                c = fw if coeff is None else coeff * fw
-                add((qtuple, w), pushed.scale(c))
-    return Cochain(phi.degree, P, hdim, ldim_out, out)
+    _check_shape(phi, _shape(h.source))
+    image = pushforward_matrix(h, phi.degree).mul_vec(vec_cochain(phi))
+    return unvec_cochain(phi.degree, *_shape(h.target), image)
 
 
 def pushforward_matrix(h: NetHomomorphism, n: int) -> Matrix:
-    """Matrix of the cochain transport in degree n (same basis both sides)."""
+    """Matrix of the cochain transport in degree n: X (x) ... (x) X (x)
+    (f_H^-1)^T (x) f_L with n - 1 factors X, the pair transport, whose row q
+    is the wedge of the columns q1 and q2 of f_H^-1 over the source pairs."""
     if n < 1:
         raise InputError("cochain transport is defined for degrees >= 1")
-    src_wedge = WedgePairBasis(h.source.h_space)
-    hdim = h.source.h_space.dim
-    ldim = h.source.l_space.dim
-    images = (
-        pushforward(
-            h, Cochain(n, src_wedge.dim, hdim, ldim, {key: Vector.unit(ldim, c)})
-        )
-        for key in iter_cochain_keys(n, src_wedge.dim, hdim)
-        for c in range(ldim)
+    fh_inv = h.f_h.inverse()
+    if fh_inv is None:
+        raise InputError("pushforward requires an invertible carrier map")
+    source = WedgePairBasis(h.source.h_space)
+    pairs = Matrix(
+        [
+            source.wedge_expand(fh_inv.column(a), fh_inv.column(b))
+            for a, b in WedgePairBasis(h.target.h_space).pairs
+        ],
+        ncols=source.dim,
     )
-    out_dim = (
-        WedgePairBasis(h.target.h_space).dim ** (n - 1)
-        * h.target.h_space.dim
-        * h.target.l_space.dim
-    )
-    return Matrix.from_cols(map(_coordinates, images), nrows=out_dim)
+    return _kron(*[pairs] * (n - 1), fh_inv.matrix.transpose(), h.f_l.matrix)

@@ -349,6 +349,23 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
+def _kron(*factors: Matrix) -> Matrix:
+    """The Kronecker product of the factors, the first the most significant."""
+    nrows, ncols, cols = 1, 1, {0: {0: ONE}}
+    for f in factors:
+        cols = {
+            j * f.ncols + fj: {
+                i * f.nrows + fi: a * b
+                for i, a in col.items()
+                for fi, b in fcol.items()
+            }
+            for j, col in cols.items()
+            for fj, fcol in f._cols.items()
+        }
+        nrows, ncols = nrows * f.nrows, ncols * f.ncols
+    return Matrix._of(nrows, ncols, cols)
+
+
 def _row_dicts(m: Matrix) -> list[dict]:
     """One fresh `{col: value}` dict of nonzeros per row of m."""
     rows = [{} for _ in range(m.nrows)]

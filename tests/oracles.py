@@ -23,6 +23,7 @@ from itertools import combinations, product
 
 from tensorforge import (
     AlternatingTrilinearTable,
+    Cochain,
     CochainComplex,
     CoherentActionData,
     EmbeddingTensorProblem,
@@ -591,6 +592,218 @@ def random_leibniz_lie_with_trace(rng):
     assert check_leibniz_lie(alg).ok
     assert check_trace(trace, alg).ok
     return alg, trace
+
+
+# ---------------------------------------------------------------------------
+# cochain map references: each map applied to one cochain at a time by
+# loops over its slots, pairs and indices, and its matrix built column by
+# column from the images of the unit cochains
+
+
+def _ref_coordinates(phi) -> dict:
+    """The nonzero coordinates of phi, {position: value}: pair slots
+    lexicographic, then the final index, then the coordinate of the value."""
+    out = {}
+    for (pairs, last), val in phi.coords.items():
+        pos = 0
+        for q in pairs:
+            pos = pos * phi.pair_dim + q
+        pos = (pos * phi.in_dim + last) * phi.out_dim
+        for t, a in val.iter_nonzero():
+            out[pos + t] = a
+    return out
+
+
+def _ref_units(n, pair_dim, in_dim, out_dim):
+    """The unit cochains of degree n, in basis order."""
+    for pairs in product(range(pair_dim), repeat=n - 1):
+        for last in range(in_dim):
+            for c in range(out_dim):
+                unit = {(pairs, last): Vector.unit(out_dim, c)}
+                yield Cochain(n, pair_dim, in_dim, out_dim, unit)
+
+
+def ref_omega(rep):
+    """Pair-substitution coefficients for the double-slot term.
+
+    omega[q][s] expands e_{s1} ^ d(q, e_{s2}) + d(q, e_{s1}) ^ e_{s2}
+    over the pair basis, where d is the descendent bracket of the pair q.
+    """
+    hspace, desc = rep.algebra.space, rep.algebra.bracket
+    wedge = WedgePairBasis(hspace)
+    P = wedge.dim
+    omega = [[None] * P for _ in range(P)]
+    for qpos, (qu, qv) in enumerate(wedge.pairs):
+        for spos, (su, sv) in enumerate(wedge.pairs):
+            acc = Vector.zero(P)
+            dv = desc.value(qu, qv, sv)
+            if dv is not None:
+                acc = acc + wedge.wedge_expand(hspace.basis_vector(su), dv)
+            du = desc.value(qu, qv, su)
+            if du is not None:
+                acc = acc + wedge.wedge_expand(du, hspace.basis_vector(sv))
+            omega[qpos][spos] = {r: c for r, c in acc.iter_nonzero()}
+    return omega
+
+
+def ref_apply_delta(rep, omega, phi):
+    """The differential of phi, degree n -> n + 1, term by term."""
+    n = phi.degree
+    hdim = rep.algebra.space.dim
+    pairs_basis = WedgePairBasis(rep.algebra.space).pairs
+    P = len(pairs_basis)
+    l_act, m_act, r_act = rep.l_act, rep.m_act, rep.r_act
+    desc = rep.algebra.bracket
+    out = {}
+
+    def add(key, vec):
+        cur = out.get(key)
+        out[key] = vec if cur is None else cur + vec
+
+    sign4 = 1 if n % 2 == 1 else -1
+    for (rpairs, m), val in phi.coords.items():
+        # insert one free pair at position jj: final-slot substitution
+        # (sign -1^(jj+1)) and the left operator (sign -1^(jj+2))
+        for jj in range(n):
+            sign2 = -1 if jj % 2 == 0 else 1
+            for qpos in range(P):
+                qu, qv = pairs_basis[qpos]
+                newpairs = rpairs[:jj] + (qpos,) + rpairs[jj:]
+                for w in range(hdim):
+                    dv = desc.value(qu, qv, w)
+                    if dv is not None:
+                        cm = dv[m]
+                        if cm:
+                            add((newpairs, w), val.scale(sign2 * cm))
+                lmat = l_act.get((qu, qv))
+                if lmat is not None:
+                    contrib = lmat.mul_vec(val)
+                    if not contrib.is_zero():
+                        add((newpairs, m), contrib if sign2 < 0 else -contrib)
+        # double-slot substitution: delete one pair slot, feed the
+        # bracket of the deleted pair into a later slot
+        for kk in range(1, n):
+            rk = rpairs[kk - 1]
+            rest = rpairs[: kk - 1] + rpairs[kk:]
+            for jj in range(kk):
+                sign1 = -1 if jj % 2 == 0 else 1
+                for qpos in range(P):
+                    row = omega[qpos]
+                    for spos in range(P):
+                        weight = row[spos].get(rk)
+                        if weight:
+                            q_tuple = rest[:jj] + (qpos,) + rest[jj : kk - 1]
+                            q_tuple += (spos,) + rest[kk - 1 :]
+                            add((q_tuple, m), val.scale(sign1 * weight))
+        # final-pair term through the middle and right operators
+        for qpos in range(P):
+            qu, qv = pairs_basis[qpos]
+            if qu != m and qv != m:
+                continue
+            newpairs = rpairs + (qpos,)
+            for w in range(hdim):
+                acc = None
+                if qv == m:
+                    mm_ = m_act.get((qu, w))
+                    if mm_ is not None:
+                        acc = mm_.mul_vec(val)
+                if qu == m:
+                    rm_ = r_act.get((qv, w))
+                    if rm_ is not None:
+                        rv = rm_.mul_vec(val)
+                        acc = rv if acc is None else acc + rv
+                if acc is not None and not acc.is_zero():
+                    add((newpairs, w), acc if sign4 > 0 else -acc)
+    return Cochain(n + 1, P, hdim, phi.out_dim, out)
+
+
+def ref_delta0_cochain(p, a1, a2):
+    """Degree-1 coboundary of an algebra pair: u -> T(rho(a1,a2)u) - [a1,a2,Tu]."""
+    hspace = p.h_space
+    coords = {}
+    for u in range(hspace.dim):
+        e_u = hspace.basis_vector(u)
+        coords[((), u)] = p.tensor.apply(p.rho.apply(a1, a2, e_u)) - p.l_bracket.eval(
+            a1, a2, p.tensor.apply(e_u)
+        )
+    return Cochain(
+        1, WedgePairBasis(hspace).dim, hspace.dim, p.l_space.dim, coords
+    )
+
+
+def ref_delta_matrix(p, rep, n):
+    """The differential out of degree n, one unit cochain per column."""
+    hdim, ldim = p.h_space.dim, p.l_space.dim
+    P = WedgePairBasis(p.h_space).dim
+    if n == 0:
+        lspace = p.l_space
+        images = [
+            ref_delta0_cochain(p, lspace.basis_vector(a), lspace.basis_vector(b))
+            for a, b in WedgePairBasis(lspace).pairs
+        ]
+    else:
+        omega = ref_omega(rep)
+        images = [
+            ref_apply_delta(rep, omega, unit) for unit in _ref_units(n, P, hdim, ldim)
+        ]
+    return Matrix.from_cols(
+        map(_ref_coordinates, images), nrows=P**n * hdim * ldim
+    )
+
+
+def ref_pushforward(h, phi):
+    """Transport phi along h slot by slot: the pair slots and the final slot
+    through the inverse of f_H, the values through f_L."""
+    fh_inv = h.f_h.inverse()
+    target_wedge = WedgePairBasis(h.target.h_space)
+    source_wedge = WedgePairBasis(h.source.h_space)
+    hdim = h.source.h_space.dim
+
+    # for each source pair index r: the target pairs q whose transported
+    # wedge hits r, with coefficients
+    by_source_pair = {}
+    for q, (a, b) in enumerate(target_wedge.pairs):
+        expanded = source_wedge.wedge_expand(fh_inv.column(a), fh_inv.column(b))
+        for r, cval in expanded.iter_nonzero():
+            by_source_pair.setdefault(r, []).append((q, cval))
+
+    fm = fh_inv.matrix
+    out = {}
+    for (rpairs, m), val in phi.coords.items():
+        pushed = h.f_l.apply(val)
+        if pushed.is_zero():
+            continue
+        slot_opts = [by_source_pair.get(r, ()) for r in rpairs]
+        w_opts = [(w, fm.at(m, w)) for w in range(hdim) if fm.at(m, w) != 0]
+        for combo in product(*slot_opts):
+            coeff = Fraction(1)
+            for _, cv in combo:
+                coeff *= cv
+            qtuple = tuple(q for q, _ in combo)
+            for w, fw in w_opts:
+                key = (qtuple, w)
+                term = pushed.scale(coeff * fw)
+                out[key] = out[key] + term if key in out else term
+    return Cochain(
+        phi.degree, target_wedge.dim, hdim, h.target.l_space.dim, out
+    )
+
+
+def ref_pushforward_matrix(h, n):
+    """The transport in degree n, one unit cochain per column."""
+    source, target = h.source, h.target
+    P = WedgePairBasis(source.h_space).dim
+    hdim = source.h_space.dim
+    images = [
+        ref_pushforward(h, unit)
+        for unit in _ref_units(n, P, hdim, source.l_space.dim)
+    ]
+    return Matrix.from_cols(
+        map(_ref_coordinates, images),
+        nrows=WedgePairBasis(target.h_space).dim ** (n - 1)
+        * target.h_space.dim
+        * target.l_space.dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1385,11 @@ def ref_check_infinitesimal(d):
     complex_ = _complex_of(p)
     cocycle = rep.line("cocycle condition", "degree-1 differential")
     cocycle.checked += 1
-    image = complex_.apply_delta(complex_.cochain_from_linear_map(d.direction))
+    image = ref_apply_delta(
+        complex_.rep,
+        ref_omega(complex_.rep),
+        complex_.cochain_from_linear_map(d.direction),
+    )
     if not image.is_zero():
         cocycle.add_failure(
             (1,),

@@ -119,7 +119,6 @@ def digests(fixture):
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_cli_output_matches_the_golden_digests(fixture, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("TENSORFORGE_DEGREE_CAP", raising=False)
     golden = json.loads(GOLDEN.read_text())[fixture]
     got = digests(fixture)
     changed = sorted(
@@ -130,7 +129,6 @@ def test_cli_output_matches_the_golden_digests(fixture, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop("TENSORFORGE_DEGREE_CAP", None)
     table = {fixture: digests(fixture) for fixture in FIXTURES}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     count = sum(len(v) for v in table.values())

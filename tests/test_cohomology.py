@@ -5,7 +5,10 @@ The dimension goldens here were frozen from two independent eliminations
 recompute both sides on every run.
 """
 
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from tensorforge import (
     PreconditionError,
     Vector,
     check_3leibniz_rep,
+    check_net,
     cohomology_dims,
     delta0,
     induced_rep,
@@ -28,8 +32,20 @@ from tensorforge import (
     rank,
 )
 
-from oracles import oracle_rank, rand_vector
+from tensorforge.cli import main
 
+from oracles import (
+    oracle_rank,
+    rand_unimodular,
+    rand_vector,
+    random_valid_problem,
+    ref_delta_matrix,
+    ref_induced_rep,
+    ref_pushforward_matrix,
+    transport_problem,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_RANKS = {0: 3, 1: 12, 2: 75}
 GOLDEN_DIMS = {1: (4, 3, 1), 2: (21, 12, 9)}
 GOLDEN_COCHAIN_DIMS = {1: 16, 2: 96}
@@ -50,9 +66,9 @@ def test_golden_degree_three(adjoint_complex):
     assert adjoint_complex.cohomology_dims(3) == (108, 75, 33)
 
 
-def test_golden_degree_four(adjoint_problem):
+def test_golden_degree_four(adjoint_complex):
     # (cochains, cocycles, coboundaries, classes); delta_4 is 20736x3456
-    cx = CochainComplex(adjoint_problem, degree_cap=4)
+    cx = adjoint_complex
     assert (cx.cochain_dim(4), *cx.cohomology_dims(4)) == (3456, 603, 468, 135)
 
 
@@ -162,22 +178,102 @@ def test_cochain_keys_outside_the_basis_are_rejected(key):
         Cochain(2, 6, 4, 4, {key: Vector((1, 0, 0, 0))})
 
 
-def test_degree_cap_guards_expensive_degrees(adjoint_problem, monkeypatch):
+def test_degree_five_is_refused_by_its_work_estimate(adjoint_problem):
+    # P = 6 pairs and |D|, |L|, |F|, |Omega| = 3, 3, 18, 6 block entries:
+    # rows 6^5*16, columns 6^4*16, 5^2 slot loops, and the entries written
+    # 5*6^4*(3*4 + 3*4) + 6^4*18 + C(5,2)*6^3*6*16
+    estimate = 124416 + 20736 + 25 + 155520 + 23328 + 207360
     cx = CochainComplex(adjoint_problem)
-    with pytest.raises(PreconditionError):
-        cx.cohomology_dims(4)
+    with pytest.raises(PreconditionError, match=f"work estimate of {estimate}"):
+        cx.cohomology_dims(5)
+    assert 5 not in cx._matrices
     with pytest.raises(InputError):
         cx.cohomology_dims(0)
 
-    tight = CochainComplex(adjoint_problem, degree_cap=1)
-    assert tight.cohomology_dims(1) == GOLDEN_DIMS[1]
-    with pytest.raises(PreconditionError):
-        tight.cohomology_dims(2)
 
-    monkeypatch.setenv("TENSORFORGE_DEGREE_CAP", "1")
-    from_env = CochainComplex(adjoint_problem)
-    with pytest.raises(PreconditionError):
-        from_env.cohomology_dims(2)
+def _carrier_of_dim_one(tmp_path):
+    doc = json.loads((FIXTURES / "abelian.json").read_text())
+    doc["spaces"][1] = {"name": "H", "dim": 1}
+    doc["structures"]["nets"][0]["tensor"] = [[1], [0]]
+    path = tmp_path / "carrier_dim_one.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("fixture", ["example_2_8.json", "abelian.json", None])
+def test_huge_degrees_are_refused_at_once(fixture, tmp_path, capsys):
+    # P = 6, P = 1 (every block empty) and P = 0 (a one-dimensional carrier)
+    path = FIXTURES / fixture if fixture else _carrier_of_dim_one(tmp_path)
+    start = time.perf_counter()
+    status = main(["cohomology", str(path), "--degrees", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert "work estimate" in capsys.readouterr().err
+
+
+def test_degree_five_exits_three_and_degree_four_passes(capsys):
+    path = str(FIXTURES / "example_2_8.json")
+    assert main(["cohomology", path, "--degrees", "5"]) == 3
+    assert "refused: degree 5 has a work estimate" in capsys.readouterr().err
+    assert main(["cohomology", path, "--degrees", "4", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["cohomology"][0]
+    keys = ("degree", "cochains", "cocycles", "coboundaries", "classes")
+    assert [row[k] for k in keys] == [4, 3456, 603, 468, 135]
+
+
+def test_a_cochain_of_another_shape_is_an_input_error(adjoint_problem, adjoint_complex):
+    e5 = Vector.unit(5, 4)
+    with pytest.raises(InputError, match="dimensions"):
+        adjoint_complex.apply_delta(Cochain(1, 10, 5, 5, {((), 4): e5}))
+    # the same number of coordinates, but not the complex's pair basis
+    with pytest.raises(InputError, match="dimensions"):
+        adjoint_complex.apply_delta(Cochain(2, 1, 16, 6, {}))
+    ident = NetHomomorphism(
+        adjoint_problem,
+        adjoint_problem,
+        LinearMap.identity(adjoint_problem.l_space),
+        LinearMap.identity(adjoint_problem.h_space),
+    )
+    with pytest.raises(InputError, match="dimensions"):
+        pushforward(ident, Cochain(1, 10, 5, 5, {((), 4): e5}))
+
+
+def _fixture_nets():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        for entry in json.loads(path.read_text())["structures"].get("nets", ()):
+            p = doc.resolve("nets", entry["name"])
+            if check_net(p).ok:
+                yield p
+
+
+def test_cochain_maps_equal_the_loop_references(adjoint_doc, adjoint_problem):
+    """delta_0..delta_3 and Psi_1..Psi_3 equal the per-cochain loops they
+    replaced, built column by column from the unit cochains."""
+    rng = random.Random(2024)
+    problems = list(_fixture_nets()) + [random_valid_problem(rng) for _ in range(10)]
+    assert len(problems) >= 12
+    for p in problems:
+        cx, rep = CochainComplex(p), ref_induced_rep(p)
+        for n in range(4):
+            assert cx.delta_matrix(n) == ref_delta_matrix(p, rep, n), n
+
+    sigma = adjoint_doc.resolve("maps", "sigma")
+    homs = [NetHomomorphism(adjoint_problem, adjoint_problem, sigma, sigma)]
+    for _ in range(4):
+        gl, gh = rand_unimodular(rng, 4), rand_unimodular(rng, 4)
+        target = transport_problem(adjoint_problem, gl, gh)
+        homs.append(
+            NetHomomorphism(
+                adjoint_problem,
+                target,
+                LinearMap(adjoint_problem.l_space, target.l_space, gl),
+                LinearMap(adjoint_problem.h_space, target.h_space, gh),
+            )
+        )
+    for h in homs:
+        for n in (1, 2, 3):
+            assert pushforward_matrix(h, n) == ref_pushforward_matrix(h, n), n
 
 
 def test_module_level_wrappers_agree(adjoint_problem, adjoint_complex):

@@ -34,10 +34,22 @@ ROOT = PACKAGE.parent.parent
 SEARCHED = ("src", "tests", "perfbench")
 
 
+def _docstrings(tree):
+    """The string constants that open a module, class or function body."""
+    bodies = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, bodies) and ast.get_docstring(node, clean=False) is not None
+    }
+
+
 def _references(tree):
     """Every name a file mentions outside a definition: names, attributes,
-    imported names and identifiers inside string constants (`getattr`
-    arguments, the dotted names the benchmark tracer wraps)."""
+    imported names and identifiers inside string constants other than
+    docstrings (`getattr` arguments, the dotted names the benchmark tracer
+    wraps). A docstring that names a function does not use it."""
+    docstrings = _docstrings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -45,7 +57,11 @@ def _references(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield (node.asname or node.name).split(".")[-1]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
             yield from re.findall(r"[A-Za-z_]\w*", node.value)
 
 
