@@ -7,168 +7,102 @@ structures (combined, descendent, and induced brackets, induced
 representations, trace lifts); and computes the associated cochain
 complex, its cohomology dimensions, and the first-order deformation
 classification.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first access (PEP 562), so a program pays only
+for the modules it uses.
 """
 
-from .actions import (
-    CoherentActionData,
-    EmbeddingTensorProblem,
-    NetHomomorphism,
-    RepresentationData,
-    check_coherent_action,
-    check_net,
-    check_net_hom,
-    check_representation,
-    descendent,
-    graph_check,
-    hemisemidirect,
-    hemisemidirect_table,
-    induced_3ll,
-)
-from .algebras import (
-    LeibnizLieAlgebra,
-    LieAlgebra,
-    LinearMap,
-    ThreeLeibnizAlgebra,
-    ThreeLeibnizLieAlgebra,
-    ThreeLieAlgebra,
-    check_3leibniz,
-    check_3lie,
-    check_3ll,
-    check_hom,
-    check_leibniz_lie,
-    check_lie,
-    subadjacent,
-)
-from .cohomology import (
-    Cochain,
-    CochainComplex,
-    ThreeLeibnizRep,
-    check_3leibniz_rep,
-    cohomology_dims,
-    delta,
-    delta0,
-    delta_matrix,
-    induced_rep,
-    pushforward,
-    pushforward_matrix,
-)
-from .deformations import (
-    Classification,
-    Deformation,
-    EquivalenceWitness,
-    are_equivalent,
-    check_higher_order,
-    check_infinitesimal,
-    classify,
-)
-from .errors import InputError, PreconditionError
-from .induced_lie import (
-    LieCoherentAction,
-    LieNet,
-    TraceMap,
-    check_lie_coherent,
-    check_lie_net,
-    check_trace,
-    lift_net,
-    rho_sigma,
-    three_ll_from_leibniz_lie,
-    threelie_from_lie,
-)
-from .linalg import (
-    KERNEL_BACKEND,
-    Matrix,
-    Vector,
-    fmt_rat,
-    kernel_basis,
-    rank,
-    rat,
-    solve_membership,
-)
-from .multilinear import (
-    AlternatingTrilinearTable,
-    PairAction,
-    Space,
-    TrilinearTable,
-    WedgePairBasis,
-)
-from .report import Report
-from .schema import Document, emit_document, load_document, parse_document
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlternatingTrilinearTable",
-    "Classification",
-    "Cochain",
-    "CochainComplex",
-    "CoherentActionData",
-    "Deformation",
-    "Document",
-    "EmbeddingTensorProblem",
-    "EquivalenceWitness",
-    "InputError",
-    "KERNEL_BACKEND",
-    "LeibnizLieAlgebra",
-    "LieAlgebra",
-    "LieCoherentAction",
-    "LieNet",
-    "LinearMap",
-    "Matrix",
-    "NetHomomorphism",
-    "PairAction",
-    "PreconditionError",
-    "Report",
-    "RepresentationData",
-    "Space",
-    "ThreeLeibnizAlgebra",
-    "ThreeLeibnizLieAlgebra",
-    "ThreeLeibnizRep",
-    "ThreeLieAlgebra",
-    "TraceMap",
-    "TrilinearTable",
-    "Vector",
-    "WedgePairBasis",
-    "are_equivalent",
-    "check_3leibniz",
-    "check_3leibniz_rep",
-    "check_3lie",
-    "check_3ll",
-    "check_coherent_action",
-    "check_higher_order",
-    "check_hom",
-    "check_infinitesimal",
-    "check_leibniz_lie",
-    "check_lie",
-    "check_lie_coherent",
-    "check_lie_net",
-    "check_net",
-    "check_net_hom",
-    "check_representation",
-    "check_trace",
-    "classify",
-    "cohomology_dims",
-    "delta",
-    "delta0",
-    "delta_matrix",
-    "descendent",
-    "emit_document",
-    "fmt_rat",
-    "graph_check",
-    "hemisemidirect",
-    "hemisemidirect_table",
-    "induced_3ll",
-    "induced_rep",
-    "kernel_basis",
-    "lift_net",
-    "load_document",
-    "parse_document",
-    "pushforward",
-    "pushforward_matrix",
-    "rank",
-    "rat",
-    "rho_sigma",
-    "solve_membership",
-    "subadjacent",
-    "three_ll_from_leibniz_lie",
-    "threelie_from_lie",
-]
+# every public name, and the module that defines it
+_EXPORTS = {
+    "CoherentActionData": "actions",
+    "EmbeddingTensorProblem": "actions",
+    "NetHomomorphism": "actions",
+    "RepresentationData": "actions",
+    "check_coherent_action": "actions",
+    "check_net": "actions",
+    "check_net_hom": "actions",
+    "check_representation": "actions",
+    "descendent": "actions",
+    "graph_check": "actions",
+    "hemisemidirect": "actions",
+    "hemisemidirect_table": "actions",
+    "induced_3ll": "actions",
+    "LeibnizLieAlgebra": "algebras",
+    "LieAlgebra": "algebras",
+    "LinearMap": "algebras",
+    "ThreeLeibnizAlgebra": "algebras",
+    "ThreeLeibnizLieAlgebra": "algebras",
+    "ThreeLieAlgebra": "algebras",
+    "check_3leibniz": "algebras",
+    "check_3lie": "algebras",
+    "check_3ll": "algebras",
+    "check_hom": "algebras",
+    "check_leibniz_lie": "algebras",
+    "check_lie": "algebras",
+    "subadjacent": "algebras",
+    "Cochain": "cohomology",
+    "CochainComplex": "cohomology",
+    "ThreeLeibnizRep": "cohomology",
+    "check_3leibniz_rep": "cohomology",
+    "cohomology_dims": "cohomology",
+    "delta0": "cohomology",
+    "delta_matrix": "cohomology",
+    "induced_rep": "cohomology",
+    "pushforward": "cohomology",
+    "pushforward_matrix": "cohomology",
+    "Classification": "deformations",
+    "Deformation": "deformations",
+    "EquivalenceWitness": "deformations",
+    "are_equivalent": "deformations",
+    "check_higher_order": "deformations",
+    "check_infinitesimal": "deformations",
+    "classify": "deformations",
+    "InputError": "errors",
+    "PreconditionError": "errors",
+    "LieCoherentAction": "induced_lie",
+    "LieNet": "induced_lie",
+    "TraceMap": "induced_lie",
+    "check_lie_coherent": "induced_lie",
+    "check_lie_net": "induced_lie",
+    "check_trace": "induced_lie",
+    "lift_net": "induced_lie",
+    "rho_sigma": "induced_lie",
+    "three_ll_from_leibniz_lie": "induced_lie",
+    "threelie_from_lie": "induced_lie",
+    "KERNEL_BACKEND": "linalg",
+    "Matrix": "linalg",
+    "Vector": "linalg",
+    "fmt_rat": "linalg",
+    "kernel_basis": "linalg",
+    "rank": "linalg",
+    "rat": "linalg",
+    "solve_membership": "linalg",
+    "AlternatingTrilinearTable": "multilinear",
+    "PairAction": "multilinear",
+    "Space": "multilinear",
+    "TrilinearTable": "multilinear",
+    "WedgePairBasis": "multilinear",
+    "Report": "report",
+    "Document": "schema",
+    "emit_document": "schema",
+    "load_document": "schema",
+    "parse_document": "schema",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

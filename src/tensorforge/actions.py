@@ -11,7 +11,6 @@ its graph criterion are both computed exactly.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 
@@ -31,6 +30,7 @@ from .multilinear import (
     PairAction,
     Space,
     TrilinearTable,
+    _Frozen,
     _basis,
     _columns,
     _compose,
@@ -45,37 +45,32 @@ from .multilinear import (
 from .report import Report, tuple_label
 
 
-@dataclass(frozen=True)
-class RepresentationData:
-    """A 3-Lie algebra L acting on a carrier space by pair operators."""
+class RepresentationData(_Frozen):
+    """A 3-Lie algebra L acting on a carrier space by pair operators.
 
-    algebra: ThreeLieAlgebra
-    carrier: Space
-    rho: PairAction
-    _verified: Report | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Frozen, so that its memoized gate report `_verified` stays valid.
+    """
 
-    def __post_init__(self):
-        if self.rho.source.dim != self.algebra.space.dim:
+    def __init__(self, algebra: ThreeLieAlgebra, carrier: Space, rho: PairAction):
+        if rho.source.dim != algebra.space.dim:
             raise InputError("action source must be the acting algebra's space")
-        if self.rho.target.dim != self.carrier.dim:
+        if rho.target.dim != carrier.dim:
             raise InputError("action target must be the carrier space")
+        vars(self).update(algebra=algebra, carrier=carrier, rho=rho, _verified=None)
 
 
-@dataclass(frozen=True)
-class CoherentActionData:
-    """A representation whose carrier itself carries a 3-Lie bracket."""
+class CoherentActionData(_Frozen):
+    """A representation whose carrier itself carries a 3-Lie bracket.
 
-    rep: RepresentationData
-    target_bracket: AlternatingTrilinearTable
-    _verified: Report | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Frozen, so that its memoized gate report `_verified` stays valid.
+    """
 
-    def __post_init__(self):
-        if self.target_bracket.domain.dim != self.rep.carrier.dim:
+    def __init__(
+        self, rep: RepresentationData, target_bracket: AlternatingTrilinearTable
+    ):
+        if target_bracket.domain.dim != rep.carrier.dim:
             raise InputError("target bracket must live on the carrier space")
+        vars(self).update(rep=rep, target_bracket=target_bracket, _verified=None)
 
     @property
     def algebra(self) -> ThreeLieAlgebra:
@@ -90,24 +85,19 @@ class CoherentActionData:
         return self.rep.rho
 
 
-@dataclass(frozen=True)
-class EmbeddingTensorProblem:
-    """A coherent action together with a candidate tensor H -> L."""
+class EmbeddingTensorProblem(_Frozen):
+    """A coherent action together with a candidate tensor H -> L.
 
-    action: CoherentActionData
-    tensor: LinearMap
-    _net_reports: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _complex: CochainComplex | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Frozen, so that its memos stay valid: the gate reports by triple mode
+    (`_net_reports`) and the cochain complex (`_complex`).
+    """
 
-    def __post_init__(self):
-        if self.tensor.source.dim != self.action.carrier.dim:
+    def __init__(self, action: CoherentActionData, tensor: LinearMap):
+        if tensor.source.dim != action.carrier.dim:
             raise InputError("tensor source must be the carrier space")
-        if self.tensor.target.dim != self.action.algebra.space.dim:
+        if tensor.target.dim != action.algebra.space.dim:
             raise InputError("tensor target must be the acting algebra's space")
+        vars(self).update(action=action, tensor=tensor, _net_reports={}, _complex=None)
 
     @property
     def l_space(self) -> Space:
@@ -471,24 +461,28 @@ def induced_3ll(p: EmbeddingTensorProblem) -> ThreeLeibnizLieAlgebra:
     return ThreeLeibnizLieAlgebra(lie3, braces)
 
 
-@dataclass
 class NetHomomorphism:
     """A pair of maps (f_L, f_H) between two embedding-tensor problems."""
 
-    source: EmbeddingTensorProblem
-    target: EmbeddingTensorProblem
-    f_l: LinearMap
-    f_h: LinearMap
-
-    def __post_init__(self):
-        if self.f_l.source.dim != self.source.l_space.dim:
+    def __init__(
+        self,
+        source: EmbeddingTensorProblem,
+        target: EmbeddingTensorProblem,
+        f_l: LinearMap,
+        f_h: LinearMap,
+    ):
+        if f_l.source.dim != source.l_space.dim:
             raise InputError("f_L source dimension mismatch")
-        if self.f_l.target.dim != self.target.l_space.dim:
+        if f_l.target.dim != target.l_space.dim:
             raise InputError("f_L target dimension mismatch")
-        if self.f_h.source.dim != self.source.h_space.dim:
+        if f_h.source.dim != source.h_space.dim:
             raise InputError("f_H source dimension mismatch")
-        if self.f_h.target.dim != self.target.h_space.dim:
+        if f_h.target.dim != target.h_space.dim:
             raise InputError("f_H target dimension mismatch")
+        self.source = source
+        self.target = target
+        self.f_l = f_l
+        self.f_h = f_h
 
 
 def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:

@@ -17,7 +17,6 @@ stored symmetry make that sound; everything else runs over all ordered tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import comb
 
@@ -145,23 +144,29 @@ class ThreeLeibnizLieAlgebra:
         self.braces = braces
 
 
-@dataclass
 class LinearMap:
-    """Exact linear map between spaces; matrix is (dim target) x (dim source)."""
+    """Exact linear map between spaces; matrix is (dim target) x (dim source).
 
-    source: Space
-    target: Space
-    matrix: Matrix
+    Maps are compared as values: equal spaces and equal matrices.
+    """
 
-    def __post_init__(self):
-        if (self.matrix.nrows, self.matrix.ncols) != (
-            self.target.dim,
-            self.source.dim,
-        ):
+    def __init__(self, source: Space, target: Space, matrix: Matrix):
+        if (matrix.nrows, matrix.ncols) != (target.dim, source.dim):
             raise InputError(
-                f"linear map matrix is {self.matrix.nrows}x{self.matrix.ncols}, "
-                f"expected {self.target.dim}x{self.source.dim}"
+                f"linear map matrix is {matrix.nrows}x{matrix.ncols}, "
+                f"expected {target.dim}x{source.dim}"
             )
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LinearMap)
+            and self.source == other.source
+            and self.target == other.target
+            and self.matrix == other.matrix
+        )
 
     def apply(self, v: Vector) -> Vector:
         return self.matrix.mul_vec(v)

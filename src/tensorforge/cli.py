@@ -6,6 +6,10 @@ prints a check report or emits a derived document.  Exit statuses: 0 all
 checks passed, 1 some law failed (witnesses printed), 2 malformed input,
 3 a precondition was refused, 4 an internal error (one line on stderr, no
 traceback), 130 interrupted.
+
+A command imports the modules it runs when it runs: at start-up this module
+loads only the document reader and what it needs, so a check of one kind
+does not pay for compiling the cohomology or deformation code.
 """
 
 from __future__ import annotations
@@ -14,46 +18,23 @@ import argparse
 import json
 import sys
 from functools import partial
+from importlib import import_module
 
-from .actions import (
-    CoherentActionData,
-    RepresentationData,
-    check_coherent_action,
-    check_net,
-    check_representation,
-    descendent,
-    graph_check,
-    hemisemidirect,
-    induced_3ll,
-)
-from .algebras import (
-    LeibnizLieAlgebra,
-    check_3leibniz,
-    check_3lie,
-    check_3ll,
-    check_leibniz_lie,
-    check_lie,
-)
-from .cohomology import _complex_of, check_3leibniz_rep, induced_rep
-from .deformations import (
-    are_equivalent,
-    check_higher_order,
-    check_infinitesimal,
-    classify,
-)
 from .errors import InputError, PreconditionError
-from .induced_lie import (
-    check_lie_coherent,
-    check_lie_net,
-    check_trace,
-    lift_net,
-    rho_sigma,
-    three_ll_from_leibniz_lie,
-    threelie_from_lie,
-)
 from .linalg import rat
 from .multilinear import format_matrix
 from .schema import Document, emit_document, load_document
+
+
+def __getattr__(name):
+    """The package's public names read on this module, such as
+    `cli.check_net`: each is what its defining module holds at the time of
+    the access, which is what a command runs."""
+    from . import _EXPORTS
+
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __package__), name)
 
 
 def _parse_param_flags(values) -> dict:
@@ -130,18 +111,24 @@ def _trace_on_space(doc: Document, space, name, flag: str):
 # --- check commands ---------------------------------------------------------
 
 
-def _cmd_check(kind: str, check, args) -> int:
+def _cmd_check(kind: str, module: str, check: str, args) -> int:
     doc = _load(args)
-    return _print_report(check(doc.resolve(kind, args.name)), args)
+    checker = getattr(import_module(f".{module}", __package__), check)
+    return _print_report(checker(doc.resolve(kind, args.name)), args)
 
 
 def _cmd_check_net(args) -> int:
+    from .actions import check_net
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     return _print_report(check_net(problem, mode=args.triples), args)
 
 
 def _cmd_check_trace(args) -> int:
+    from .algebras import LeibnizLieAlgebra
+    from .induced_lie import check_trace
+
     doc = _load(args)
     trace = doc.resolve("traces", args.name)
     candidates = {}
@@ -185,6 +172,8 @@ def _cmd_check_trace(args) -> int:
 
 
 def _cmd_deform_check(args) -> int:
+    from .deformations import check_higher_order, check_infinitesimal
+
     doc = _load(args)
     deformation = doc.resolve("deformations", args.name)
     rep = check_infinitesimal(deformation)
@@ -197,6 +186,8 @@ def _cmd_deform_check(args) -> int:
 
 
 def _cmd_deform_equiv(args) -> int:
+    from .deformations import are_equivalent
+
     doc = _load(args)
     registry = doc.entries["deformations"]
     first, second = args.first, args.second
@@ -232,6 +223,8 @@ def _parse_degrees(raw: str) -> list[int]:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import _complex_of
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     degrees = _parse_degrees(args.degrees)
@@ -263,6 +256,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .deformations import classify
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     result = classify(problem)
@@ -295,6 +290,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hemisemidirect(args) -> int:
+    from .actions import hemisemidirect
+
     doc = _load(args)
     action = doc.resolve("actions", args.name)
     combined = hemisemidirect(action)
@@ -304,6 +301,8 @@ def _cmd_hemisemidirect(args) -> int:
 
 
 def _cmd_descendent(args) -> int:
+    from .actions import descendent
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     derived = descendent(problem)
@@ -313,6 +312,8 @@ def _cmd_descendent(args) -> int:
 
 
 def _cmd_induce_3ll(args) -> int:
+    from .actions import induced_3ll
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     derived = induced_3ll(problem)
@@ -323,6 +324,8 @@ def _cmd_induce_3ll(args) -> int:
 
 
 def _cmd_induced_rep(args) -> int:
+    from .cohomology import induced_rep
+
     doc = _load(args)
     problem = doc.resolve("nets", args.name)
     derived = induced_rep(problem)
@@ -333,6 +336,8 @@ def _cmd_induced_rep(args) -> int:
 
 
 def _cmd_lie_to_3lie(args) -> int:
+    from .induced_lie import threelie_from_lie
+
     doc = _load(args)
     algebra = doc.resolve("lie", args.name)
     trace = _trace_on_space(doc, algebra.space, args.trace, "--trace")
@@ -343,6 +348,9 @@ def _cmd_lie_to_3lie(args) -> int:
 
 
 def _cmd_rho_sigma(args) -> int:
+    from .actions import CoherentActionData, RepresentationData
+    from .induced_lie import check_lie_coherent, rho_sigma, threelie_from_lie
+
     doc = _load(args)
     action = doc.resolve("lie_actions", args.name)
     gate = check_lie_coherent(action)
@@ -365,6 +373,8 @@ def _cmd_rho_sigma(args) -> int:
 
 
 def _cmd_lift_net(args) -> int:
+    from .induced_lie import lift_net
+
     doc = _load(args)
     net = doc.resolve("lie_nets", args.name)
     trace_l = _trace_on_space(doc, net.action.lie.space, args.trace_l, "--trace-l")
@@ -381,6 +391,8 @@ def _cmd_lift_net(args) -> int:
 
 
 def _cmd_leibnizlie_to_3ll(args) -> int:
+    from .induced_lie import three_ll_from_leibniz_lie
+
     doc = _load(args)
     algebra = doc.resolve("leibniz_lie", args.name)
     trace = _trace_on_space(doc, algebra.space, args.trace, "--trace")
@@ -399,32 +411,31 @@ def _cmd_emit(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-# (command, kind, checker, help).  Each checker looks its function up in this
-# module when it runs, so that rebinding a name here (the tests and the
-# perfbench tracer do) reaches every command.
+# (command, kind, module, checker, help).  A command looks its checker up in
+# the defining module when it runs, so that rebinding the checker there (the
+# tests and the perfbench tracer do) reaches the command.
 _CHECK_COMMANDS = [
-    ("check-3lie", "three_lie", lambda obj: check_3lie(obj),
+    ("check-3lie", "three_lie", "algebras", "check_3lie",
      "verify the alternating ternary bracket laws"),
-    ("check-3leibniz", "three_leibniz", lambda obj: check_3leibniz(obj),
+    ("check-3leibniz", "three_leibniz", "algebras", "check_3leibniz",
      "verify the ternary Leibniz identity"),
-    ("check-lie", "lie", lambda obj: check_lie(obj),
+    ("check-lie", "lie", "algebras", "check_lie",
      "verify antisymmetry and the Jacobi identity"),
-    ("check-leibniz-lie", "leibniz_lie", lambda obj: check_leibniz_lie(obj),
+    ("check-leibniz-lie", "leibniz_lie", "algebras", "check_leibniz_lie",
      "verify the binary bracket-and-product laws"),
-    ("check-3ll", "three_leibniz_lie", lambda obj: check_3ll(obj),
+    ("check-3ll", "three_leibniz_lie", "algebras", "check_3ll",
      "verify the ternary bracket-and-braces laws"),
-    ("check-rep", "representations", lambda obj: check_representation(obj),
+    ("check-rep", "representations", "actions", "check_representation",
      "verify the pair-operator representation laws"),
-    ("check-action", "actions", lambda obj: check_coherent_action(obj),
+    ("check-action", "actions", "actions", "check_coherent_action",
      "verify the coherent action laws"),
-    ("check-rep-3leibniz", "three_leibniz_reps",
-     lambda obj: check_3leibniz_rep(obj),
+    ("check-rep-3leibniz", "three_leibniz_reps", "cohomology", "check_3leibniz_rep",
      "verify the three-operator representation laws"),
-    ("check-lie-action", "lie_actions", lambda obj: check_lie_coherent(obj),
+    ("check-lie-action", "lie_actions", "induced_lie", "check_lie_coherent",
      "verify the binary coherent action laws"),
-    ("check-lie-net", "lie_nets", lambda obj: check_lie_net(obj),
+    ("check-lie-net", "lie_nets", "induced_lie", "check_lie_net",
      "verify the binary embedding-tensor condition"),
-    ("graph-check", "nets", lambda obj: graph_check(obj),
+    ("graph-check", "nets", "actions", "graph_check",
      "verify closure of the tensor's graph in the combined bracket"),
 ]
 
@@ -472,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    for name, kind, check, help_text in _CHECK_COMMANDS:
+    for name, kind, module, check, help_text in _CHECK_COMMANDS:
         p = common(sub.add_parser(name, help=help_text))
-        p.set_defaults(handler=partial(_cmd_check, kind, check))
+        p.set_defaults(handler=partial(_cmd_check, kind, module, check))
 
     p = common(sub.add_parser(
         "check-net", help="verify the ternary embedding-tensor condition"

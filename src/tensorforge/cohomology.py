@@ -14,8 +14,9 @@ a pair into a later pair slot, and F acts on the value by the middle and
 right operators of the last pair. The blocks are built once per complex,
 and each differential is one sparse `Matrix` summed from their placed
 entries; the degree-0 differential comes from the term tables of the
-tensor condition, and the transport along a map of tensors is a Kronecker
-product. Every cochain map is applied as one matrix-vector product.
+tensor condition, and each is applied as one matrix-vector product. The
+transport along a map of tensors is a Kronecker product, which `pushforward`
+applies to one cochain factor by factor without forming it.
 
 Before a differential is assembled, the blocks count its work: rows,
 columns, the entries the placement writes and the runs of its slot loops.
@@ -25,7 +26,6 @@ left to grind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from math import comb
@@ -40,7 +40,7 @@ from .actions import (
 )
 from .algebras import LinearMap, ThreeLeibnizAlgebra, check_3leibniz
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO, _kron, kernel_basis, rank
+from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
     Space,
     WedgePairBasis,
@@ -225,37 +225,34 @@ def _induced_rep_unchecked(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
     return ThreeLeibnizRep(desc, lspace, *acts)
 
 
-@dataclass
 class Cochain:
     """A sparse degree-n cochain: keys are (pair-slot tuple, final H index)."""
 
-    degree: int
-    pair_dim: int
-    in_dim: int
-    out_dim: int
-    coords: dict
-
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(
+        self, degree: int, pair_dim: int, in_dim: int, out_dim: int, coords: dict
+    ):
+        if degree < 1:
             raise InputError("cochain degree must be at least 1")
         clean = {}
-        for (pairs, last), vec in self.coords.items():
+        for (pairs, last), vec in coords.items():
             pairs = tuple(pairs)
-            if len(pairs) != self.degree - 1:
+            if len(pairs) != degree - 1:
                 raise InputError(
                     f"cochain key has {len(pairs)} pair slots, "
-                    f"expected {self.degree - 1}"
+                    f"expected {degree - 1}"
                 )
-            if not 0 <= last < self.in_dim or not all(
-                0 <= q < self.pair_dim for q in pairs
-            ):
+            if not 0 <= last < in_dim or not all(0 <= q < pair_dim for q in pairs):
                 raise InputError(f"cochain key {(pairs, last)} is out of range")
             if not isinstance(vec, Vector):
                 vec = Vector(vec)
-            if vec.dim != self.out_dim:
+            if vec.dim != out_dim:
                 raise InputError("cochain value dimension mismatch")
             if not vec.is_zero():
                 clean[(pairs, last)] = vec
+        self.degree = degree
+        self.pair_dim = pair_dim
+        self.in_dim = in_dim
+        self.out_dim = out_dim
         self.coords = clean
 
     def is_zero(self) -> bool:
@@ -618,10 +615,6 @@ def delta0(p: EmbeddingTensorProblem, a1: Vector, a2: Vector) -> Cochain:
     return _complex_of(p).delta0_cochain(a1, a2)
 
 
-def delta(p: EmbeddingTensorProblem, phi: Cochain) -> Cochain:
-    return _complex_of(p).apply_delta(phi)
-
-
 def delta_matrix(p: EmbeddingTensorProblem, n: int) -> Matrix:
     return _complex_of(p).delta_matrix(n)
 
@@ -637,13 +630,18 @@ def pushforward(h: NetHomomorphism, phi: Cochain) -> Cochain:
     pushes values forward through f_L. Requires f_H invertible.
     """
     _check_shape(phi, _shape(h.source))
-    image = pushforward_matrix(h, phi.degree).mul_vec(vec_cochain(phi))
+    image = _kron_apply(_transport_factors(h, phi.degree), vec_cochain(phi))
     return unvec_cochain(phi.degree, *_shape(h.target), image)
 
 
 def pushforward_matrix(h: NetHomomorphism, n: int) -> Matrix:
-    """Matrix of the cochain transport in degree n: X (x) ... (x) X (x)
-    (f_H^-1)^T (x) f_L with n - 1 factors X, the pair transport, whose row q
+    """Matrix of the cochain transport in degree n."""
+    return _kron(*_transport_factors(h, n))
+
+
+def _transport_factors(h: NetHomomorphism, n: int) -> list[Matrix]:
+    """The Kronecker factors of the transport in degree n: X, ..., X,
+    (f_H^-1)^T, f_L with n - 1 factors X, the pair transport, whose row q
     is the wedge of the columns q1 and q2 of f_H^-1 over the source pairs."""
     if n < 1:
         raise InputError("cochain transport is defined for degrees >= 1")
@@ -658,4 +656,4 @@ def pushforward_matrix(h: NetHomomorphism, n: int) -> Matrix:
         ],
         ncols=source.dim,
     )
-    return _kron(*[pairs] * (n - 1), fh_inv.matrix.transpose(), h.f_l.matrix)
+    return [*[pairs] * (n - 1), fh_inv.matrix.transpose(), h.f_l.matrix]

@@ -6,17 +6,18 @@ condition; the module checks that directly on basis triples, cross-checks
 against the differential matrix, decides equivalence of two directions by
 exact membership in the image of the degree-zero differential, and
 classifies directions modulo trivial ones.
+
+The functions that need the cochain complex import `cohomology` when they
+run, so reading a document with a deformation entry does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 
 from .actions import EmbeddingTensorProblem, _action_of, _bracket_of, check_net
 from .algebras import LinearMap, _increasing
-from .cohomology import _complex_of
 from .errors import InputError
 from .linalg import (
     Matrix,
@@ -38,25 +39,23 @@ from .multilinear import (
 from .report import Report, tuple_label
 
 
-@dataclass
 class Deformation:
     """A tensor problem together with one deformation direction H -> L."""
 
-    problem: EmbeddingTensorProblem
-    direction: LinearMap
-
-    def __post_init__(self):
-        if self.direction.source.dim != self.problem.h_space.dim:
+    def __init__(self, problem: EmbeddingTensorProblem, direction: LinearMap):
+        if direction.source.dim != problem.h_space.dim:
             raise InputError("direction source must match the carrier H")
-        if self.direction.target.dim != self.problem.l_space.dim:
+        if direction.target.dim != problem.l_space.dim:
             raise InputError("direction target must match the algebra L")
+        self.problem = problem
+        self.direction = direction
 
 
-@dataclass
 class EquivalenceWitness:
     """A sum of wedges of L-vectors whose coboundary is the difference."""
 
-    pieces: list = field(default_factory=list)
+    def __init__(self, pieces: list):
+        self.pieces = pieces
 
     def describe(self, space) -> str:
         if not self.pieces:
@@ -84,6 +83,8 @@ def check_infinitesimal(d: Deformation) -> Report:
     Expands the deformed tensor condition to first order on every ordered
     basis triple, then cross-checks against the degree-1 differential.
     """
+    from .cohomology import _complex_of
+
     rep = Report("first-order deformation check")
     gate = check_net(d.problem, mode="all")
     if not gate.ok:
@@ -238,6 +239,8 @@ def are_equivalent(d1: Deformation, d2: Deformation):
     Returns (equivalent, witness_or_None, report). Side conditions on the
     witness are reported as notes and never affect the verdict.
     """
+    from .cohomology import _complex_of
+
     if not _same_problem(d1.problem, d2.problem):
         raise InputError("the two directions deform different problems")
     rep = Report("deformation equivalence check")
@@ -350,16 +353,24 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
         rep.note(f"witness side condition: {ln.name} {status}{detail}")
 
 
-@dataclass
 class Classification:
     """Exact dimensions and representatives for first-order directions."""
 
-    cocycle_dim: int
-    coboundary_dim: int
-    class_dim: int
-    cocycle_basis: list
-    coboundary_basis: list
-    representatives: list
+    def __init__(
+        self,
+        cocycle_dim: int,
+        coboundary_dim: int,
+        class_dim: int,
+        cocycle_basis: list,
+        coboundary_basis: list,
+        representatives: list,
+    ):
+        self.cocycle_dim = cocycle_dim
+        self.coboundary_dim = coboundary_dim
+        self.class_dim = class_dim
+        self.cocycle_basis = cocycle_basis
+        self.coboundary_basis = coboundary_basis
+        self.representatives = representatives
 
 
 def classify(p: EmbeddingTensorProblem) -> Classification:
@@ -369,6 +380,8 @@ def classify(p: EmbeddingTensorProblem) -> Classification:
     trivial ones; representatives extend the trivial span to the full
     cocycle space, one per independent class.
     """
+    from .cohomology import _complex_of
+
     complex_ = _complex_of(p)
     d1 = complex_.delta_matrix(1)
     d0 = complex_.delta_matrix(0)

@@ -9,7 +9,6 @@ algebra lifts the same way to ternary braces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -49,16 +48,24 @@ from .multilinear import (
 from .report import Report, tuple_label
 
 
-@dataclass(frozen=True)
 class TraceMap:
-    """A linear functional on a space, stored by its basis coefficients."""
+    """A linear functional on a space, stored by its basis coefficients.
 
-    space: Space
-    covector: Vector
+    Traces are compared as values: equal spaces and equal coefficients.
+    """
 
-    def __post_init__(self):
-        if self.covector.dim != self.space.dim:
+    def __init__(self, space: Space, covector: Vector):
+        if covector.dim != space.dim:
             raise InputError("trace coefficient count must match the space")
+        self.space = space
+        self.covector = covector
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TraceMap)
+            and self.space == other.space
+            and self.covector == other.covector
+        )
 
     def apply(self, v: Vector):
         return self.covector.dot(v)
@@ -143,7 +150,6 @@ def threelie_from_lie(lie: LieAlgebra, t: TraceMap) -> ThreeLieAlgebra:
     return ThreeLieAlgebra(lie.space, _ternary_from_binary(lie, t))
 
 
-@dataclass
 class LieCoherentAction:
     """A Lie algebra acting on another Lie algebra by operators.
 
@@ -151,15 +157,11 @@ class LieCoherentAction:
     carrier; absent indices act as zero.
     """
 
-    lie: LieAlgebra
-    carrier: LieAlgebra
-    rho: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        dim = self.lie.space.dim
-        vdim = self.carrier.space.dim
+    def __init__(self, lie: LieAlgebra, carrier: LieAlgebra, rho: dict):
+        dim = lie.space.dim
+        vdim = carrier.space.dim
         clean = {}
-        for i, mat in self.rho.items():
+        for i, mat in rho.items():
             if not 0 <= i < dim:
                 raise InputError(f"action index {i + 1} out of range")
             if not isinstance(mat, Matrix):
@@ -171,6 +173,8 @@ class LieCoherentAction:
                 )
             if not mat.is_zero():
                 clean[i] = mat
+        self.lie = lie
+        self.carrier = carrier
         self.rho = clean
 
     def operator(self, i: int) -> Matrix:
@@ -265,18 +269,16 @@ def rho_sigma(a: LieCoherentAction, t: TraceMap) -> PairAction:
     return PairAction(lspace, a.carrier.space, coords)
 
 
-@dataclass
 class LieNet:
     """A Lie-level embedding tensor: a coherent Lie action plus a map H -> L."""
 
-    action: LieCoherentAction
-    tensor: LinearMap
-
-    def __post_init__(self):
-        if self.tensor.source != self.action.carrier.space:
+    def __init__(self, action: LieCoherentAction, tensor: LinearMap):
+        if tensor.source != action.carrier.space:
             raise InputError("tensor source must be the carrier space")
-        if self.tensor.target != self.action.lie.space:
+        if tensor.target != action.lie.space:
             raise InputError("tensor target must be the acting algebra")
+        self.action = action
+        self.tensor = tensor
 
 
 def check_lie_net(n: LieNet) -> Report:

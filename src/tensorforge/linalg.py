@@ -22,6 +22,7 @@ bases, solutions or pivot columns these functions return.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import InputError
 
@@ -364,6 +365,44 @@ def _kron(*factors: Matrix) -> Matrix:
         }
         nrows, ncols = nrows * f.nrows, ncols * f.ncols
     return Matrix._of(nrows, ncols, cols)
+
+
+def _kron_apply(factors: list[Matrix], v: Vector) -> Vector:
+    """`_kron(*factors)` applied to v without forming the product.
+
+    A coordinate of v is a digit tuple, one digit per factor, the first the
+    most significant. Each factor acts on its own digit in turn, touching
+    only the nonzero coordinates: (A (x) B) vec X = vec(B X A^T), one mode
+    at a time.
+    """
+    size = prod(f.ncols for f in factors)
+    if v.dim != size:
+        raise InputError(
+            f"dimension mismatch: Kronecker product with {size} columns "
+            f"applied to vector of dimension {v.dim}"
+        )
+    coords = {}
+    for pos, a in v.iter_nonzero():
+        digits = []
+        for f in reversed(factors):
+            pos, d = divmod(pos, f.ncols)
+            digits.append(d)
+        coords[tuple(reversed(digits))] = a
+    for t, f in enumerate(factors):
+        out = {}
+        for key, a in coords.items():
+            head, tail = key[:t], key[t + 1 :]
+            for i, b in f._cols.get(key[t], _EMPTY).items():
+                k = head + (i,) + tail
+                out[k] = out.get(k, ZERO) + b * a
+        coords = {k: a for k, a in out.items() if a}
+    entries = [ZERO] * prod(f.nrows for f in factors)
+    for key, a in coords.items():
+        pos = 0
+        for d, f in zip(key, factors):
+            pos = pos * f.nrows + d
+        entries[pos] = a
+    return Vector(entries)
 
 
 def _row_dicts(m: Matrix) -> list[dict]:

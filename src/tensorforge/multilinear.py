@@ -17,33 +17,57 @@ so the keys of a law's tables are its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 from .linalg import Matrix, Vector, ZERO, fmt_rat
 
 
-@dataclass(frozen=True)
-class Space:
-    """A finite-dimensional coordinate space with labeled basis vectors."""
+class _Frozen:
+    """Base of the classes whose fields are set once, in `__init__`:
+    assigning or deleting an attribute afterwards raises
+    `dataclasses.FrozenInstanceError`. A memo the class keeps on itself is
+    written with `object.__setattr__`."""
 
-    name: str
-    dim: int
-    basis_labels: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise InputError(f"space {self.name!r} has negative dimension")
-        labels = self.basis_labels or tuple(
-            f"e{i + 1}" for i in range(self.dim)
-        )
-        if len(labels) != self.dim:
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Space(_Frozen):
+    """A finite-dimensional coordinate space with labeled basis vectors.
+
+    Spaces are values: equal when name, dimension and labels agree.
+    """
+
+    def __init__(self, name: str, dim: int, basis_labels: tuple[str, ...] = ()):
+        if dim < 0:
+            raise InputError(f"space {name!r} has negative dimension")
+        labels = tuple(basis_labels or (f"e{i + 1}" for i in range(dim)))
+        if len(labels) != dim:
             raise InputError(
-                f"space {self.name!r}: {len(labels)} labels for dimension {self.dim}"
+                f"space {name!r}: {len(labels)} labels for dimension {dim}"
             )
         if len(set(labels)) != len(labels):
-            raise InputError(f"space {self.name!r}: duplicate basis labels")
-        object.__setattr__(self, "basis_labels", tuple(labels))
+            raise InputError(f"space {name!r}: duplicate basis labels")
+        vars(self).update(name=name, dim=dim, basis_labels=labels)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Space)
+            and self.name == other.name
+            and self.dim == other.dim
+            and self.basis_labels == other.basis_labels
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.dim, self.basis_labels))
 
     def basis_vector(self, i: int) -> Vector:
         return Vector.unit(self.dim, i)
@@ -387,20 +411,13 @@ class PairAction:
         )
 
 
-@dataclass(frozen=True)
 class WedgePairBasis:
     """Increasing pairs (i, j), i < j, in lexicographic order: a basis of wedge^2."""
 
-    space: Space
-    pairs: tuple[tuple[int, int], ...] = field(init=False)
-
-    def __post_init__(self):
-        n = self.space.dim
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple((i, j) for i in range(n) for j in range(i + 1, n)),
-        )
+    def __init__(self, space: Space):
+        n = space.dim
+        self.space = space
+        self.pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
     @property
     def dim(self) -> int:

@@ -10,8 +10,6 @@ key by key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 REFUSED = "refused"
@@ -19,14 +17,18 @@ REFUSED = "refused"
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 1, REFUSED: 3}
 
 
-@dataclass
 class Failure:
-    """One failing basis tuple with both sides of the law, exactly formatted."""
+    """One failing basis tuple with both sides of the law, exactly formatted.
 
-    indices: tuple  # 1-based, possibly nested, machine-readable
-    where: str  # human labels for the same tuple
-    lhs: str
-    rhs: str
+    `indices` is the tuple 1-based, possibly nested, machine-readable;
+    `where` gives the human labels of the same tuple.
+    """
+
+    def __init__(self, indices: tuple, where: str, lhs: str, rhs: str):
+        self.indices = indices
+        self.where = where
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_json(self) -> dict:
         return {
@@ -42,14 +44,16 @@ def _flatten_json(indices):
         yield list(x) if isinstance(x, tuple) else x
 
 
-@dataclass
 class CheckLine:
     """One verified law: how many tuples were checked, which ones failed."""
 
-    name: str
-    scope: str
-    checked: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    def __init__(
+        self, name: str, scope: str, checked: int = 0, failures: list | None = None
+    ):
+        self.name = name
+        self.scope = scope
+        self.checked = checked
+        self.failures: list[Failure] = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -76,13 +80,15 @@ class CheckLine:
         }
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[CheckLine] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    refused: bool = False
-    refusal_reason: str | None = None
+    """The verdict of one checker: its check lines, notes and any refusal."""
+
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list[CheckLine] = []
+        self.notes: list[str] = []
+        self.refused = False
+        self.refusal_reason: str | None = None
 
     @property
     def verdict(self) -> str:

@@ -15,6 +15,9 @@ parameters materialized — so a second emission is byte-identical.
 Each structure kind is declared once, in ``_KINDS``: its fields in order,
 each with a codec that reads and writes it, a constructor and a reader.
 Parsing, emission and the emitted list of spaces all follow that table.
+The constructors of the kinds built on actions, cohomology, deformations
+and Lie-level data import their module when a document first uses them, so
+reading a document loads only the modules of the kinds it contains.
 """
 
 from __future__ import annotations
@@ -22,12 +25,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from importlib import import_module
 
-from .actions import (
-    CoherentActionData,
-    EmbeddingTensorProblem,
-    RepresentationData,
-)
 from .algebras import (
     LeibnizLieAlgebra,
     LieAlgebra,
@@ -36,10 +35,7 @@ from .algebras import (
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
 )
-from .cohomology import ThreeLeibnizRep
-from .deformations import Deformation
 from .errors import InputError
-from .induced_lie import LieCoherentAction, LieNet, TraceMap
 from .linalg import Matrix, Vector, rat
 from .multilinear import (
     AlternatingTrilinearTable,
@@ -431,19 +427,21 @@ def _vectors(arity: int, space_of, table=None) -> _Codec:
     )
 
 
-def _operators(arity: int, spaces_of) -> _Codec:
+def _operators(arity: int, spaces_of, table=None) -> _Codec:
     """Square matrices on a target space keyed by `arity`-tuples of a source
-    space, where `spaces_of(*prior)` is (source, target)."""
+    space, where `spaces_of(*prior)` is (source, target); `table(source,
+    target, coords)` wraps the operators when given."""
 
     def parse(raw, doc, scalars, prior, path):
         source, target = spaces_of(*prior)
-        return _parse_table(
+        coords = _parse_table(
             raw, arity, source,
             lambda value, at: _parse_matrix(
                 value, target.dim, target.dim, scalars, at
             ),
             path,
         )
+        return coords if table is None else table(source, target, coords)
 
     return _Codec(
         (*_TABLE, {}), parse,
@@ -509,6 +507,16 @@ def _acting_on_carrier(algebra, carrier, *tables):
     return algebra.space, carrier
 
 
+def _lazy(module: str, name: str):
+    """A constructor for the class `name` of the package module `module`
+    that imports the module when it runs."""
+
+    def build(*values):
+        return getattr(import_module(f".{module}", __package__), name)(*values)
+
+    return build
+
+
 # Kinds are parsed and emitted in this order, so an entry may refer only to
 # kinds above its own.
 _KINDS = {
@@ -535,27 +543,27 @@ _KINDS = {
         braces=_vectors(3, lambda lie3: lie3.space, TrilinearTable),
     ),
     "representations": _Kind(
-        lambda algebra, carrier, coords: RepresentationData(
-            algebra, carrier, PairAction(algebra.space, carrier, coords)
-        ),
+        _lazy("actions", "RepresentationData"),
         lambda o: (o.algebra, o.carrier, o.rho),
         algebra=_entry("three_lie"), carrier=_SPACE,
-        operators=_operators(2, _acting_on_carrier),
+        operators=_operators(2, _acting_on_carrier, PairAction),
     ),
     "actions": _Kind(
-        CoherentActionData, lambda o: (o.rep, o.target_bracket),
+        _lazy("actions", "CoherentActionData"),
+        lambda o: (o.rep, o.target_bracket),
         representation=_entry("representations"),
         carrier_brackets=_vectors(
             3, lambda rep: rep.carrier, AlternatingTrilinearTable
         ),
     ),
     "nets": _Kind(
-        EmbeddingTensorProblem, lambda o: (o.action, o.tensor),
+        _lazy("actions", "EmbeddingTensorProblem"),
+        lambda o: (o.action, o.tensor),
         action=_entry("actions"),
         tensor=_linear_map(lambda action: (action.carrier, action.algebra.space)),
     ),
     "three_leibniz_reps": _Kind(
-        ThreeLeibnizRep,
+        _lazy("cohomology", "ThreeLeibnizRep"),
         lambda o: (o.algebra, o.carrier, o.l_act, o.m_act, o.r_act),
         algebra=_entry("three_leibniz"), carrier=_SPACE,
         left=_operators(2, _acting_on_carrier),
@@ -563,19 +571,20 @@ _KINDS = {
         right=_operators(2, _acting_on_carrier),
     ),
     "lie_actions": _Kind(
-        LieCoherentAction, lambda o: (o.lie, o.carrier, o.rho),
+        _lazy("induced_lie", "LieCoherentAction"),
+        lambda o: (o.lie, o.carrier, o.rho),
         algebra=_entry("lie"), carrier=_entry("lie"),
         operators=_operators(1, lambda lie, carrier: (lie.space, carrier.space)),
     ),
     "lie_nets": _Kind(
-        LieNet, lambda o: (o.action, o.tensor),
+        _lazy("induced_lie", "LieNet"), lambda o: (o.action, o.tensor),
         action=_entry("lie_actions"),
         tensor=_linear_map(
             lambda action: (action.carrier.space, action.lie.space)
         ),
     ),
     "traces": _Kind(
-        TraceMap, lambda o: (o.space, o.covector),
+        _lazy("induced_lie", "TraceMap"), lambda o: (o.space, o.covector),
         space=_SPACE, covector=_COVECTOR,
     ),
     "maps": _Kind(
@@ -584,7 +593,8 @@ _KINDS = {
         source=_SPACE, target=_SPACE, matrix=_linear_map(lambda s, t: (s, t)),
     ),
     "deformations": _Kind(
-        Deformation, lambda o: (o.problem, o.direction),
+        _lazy("deformations", "Deformation"),
+        lambda o: (o.problem, o.direction),
         net=_entry("nets"),
         direction=_linear_map(lambda net: (net.h_space, net.l_space)),
     ),

@@ -12,7 +12,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: fall back to tomli in the test
     tomllib = None
 
-from tensorforge import cli, parse_document
+from tensorforge import algebras, deformations, parse_document
 from tensorforge.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -245,7 +245,8 @@ def test_internal_errors_exit_four(run, adjoint_file, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("kernel exploded\nsecond line")
 
-    monkeypatch.setattr(cli, "check_3lie", boom)
+    # the command looks its checker up in the defining module
+    monkeypatch.setattr(algebras, "check_3lie", boom)
     rc, out, err = run("check-3lie", adjoint_file)
     assert rc == 4
     assert err.splitlines() == ["internal error: RuntimeError: kernel exploded second line"]
@@ -256,7 +257,7 @@ def test_interrupt_exits_130(run, adjoint_file, monkeypatch):
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "classify", interrupt)
+    monkeypatch.setattr(deformations, "classify", interrupt)
     rc, _, err = run("classify", adjoint_file)
     assert rc == 130
     assert err == "interrupted\n"

@@ -1,5 +1,6 @@
 """Spaces, trilinear tables, pair actions, and the wedge-pair basis."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -10,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from tensorforge import (
     AlternatingTrilinearTable,
     InputError,
+    LinearMap,
     Matrix,
     PairAction,
     Space,
+    TraceMap,
     TrilinearTable,
     Vector,
     WedgePairBasis,
@@ -169,3 +172,25 @@ def test_format_helpers():
     m = Matrix([[0, 1], [Fraction(1, 2), 0]])
     assert format_matrix(m) == "[1,2]=1, [2,1]=1/2"
     assert format_matrix(Matrix.zeros(2, 2)) == "0"
+
+
+def test_spaces_maps_and_traces_compare_as_values():
+    """Documents match spaces by value (a structure's space against the
+    declared one, a trace's space against an algebra's), and maps and traces
+    compare through their spaces and coefficients."""
+    v, same = Space("V", 3), Space("V", 3, ("e1", "e2", "e3"))
+    assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+    for other in (Space("W", 3), Space("V", 2), Space("V", 3, ("x", "y", "z")), "V"):
+        assert v != other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.dim = 4
+
+    ident = Matrix.identity(3)
+    assert LinearMap(v, v, ident) == LinearMap(same, same, ident)
+    assert LinearMap(v, v, ident) != LinearMap(v, v, ident.scale(2))
+    assert LinearMap(v, v, ident) != LinearMap(Space("W", 3), v, ident)
+
+    trace = TraceMap(v, Vector.unit(3, 0))
+    assert trace == TraceMap(same, Vector.unit(3, 0))
+    assert trace != TraceMap(v, Vector.unit(3, 1))
+    assert trace != TraceMap(Space("W", 3), Vector.unit(3, 0))
