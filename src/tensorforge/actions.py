@@ -39,6 +39,7 @@ from .multilinear import (
     _ordered_pairs,
     _relabel,
     _substitute,
+    _sum,
     format_matrix,
     format_vector,
 )
@@ -123,134 +124,124 @@ class EmbeddingTensorProblem(_Frozen):
         return [self.tensor.column(i) for i in range(self.h_space.dim)]
 
 
-def check_representation(r: RepresentationData, title: str | None = None) -> Report:
+def check_representation(r: RepresentationData) -> Report:
     """Verify the two pair-operator composition laws on ordered 4-tuples.
 
     Refuses when the acting algebra itself fails the fundamental identity.
-    The default-title report is memoized on the (immutable) data object, so
-    repeated gating is free; callers must not mutate the returned report.
+    The report is memoized on the (immutable) data object, so repeated
+    gating is free; callers must not mutate the returned report.
     """
-    if title is not None:
-        return _check_representation_impl(r, title)
-    if r._verified is None:
-        object.__setattr__(r, "_verified", _check_representation_impl(r, None))
-    return r._verified
-
-
-def _check_representation_impl(r: RepresentationData, title: str | None) -> Report:
-    rep = Report(title or "pair-action representation check")
+    if r._verified is not None:
+        return r._verified
+    rep = Report("pair-action representation check")
     gate = check_3lie(r.algebra)
     if not gate.ok:
         rep.absorb(gate, "acting algebra")
-        return rep.refuse("acting algebra fails the fundamental identity")
-
-    space = r.algebra.space
-    ops = _ordered_pairs(r.rho.coords)
-    bracket = r.algebra.bracket.expand_ordered()
-    into_first = _feed(ops, 0, bracket)  # rho([l1, l2, l3], l4)
-    products = _compose(ops, ops)  # rho(l1, l2) rho(l3, l4)
-    laws = (
-        (
-            "action fundamental law",
-            [into_first],
-            [
-                _relabel(products, lambda l2, l3, l1, l4: (l1, l2, l3, l4)),
-                _relabel(products, lambda l3, l1, l2, l4: (l1, l2, l3, l4)),
-                products,
-            ],
-        ),
-        (
-            "action commutator law",
-            [products],
-            [
-                _relabel(products, lambda l3, l4, l1, l2: (l1, l2, l3, l4)),
-                into_first,
-                _relabel(  # rho(l3, [l1, l2, l4])
-                    _feed(ops, 1, bracket), lambda l1, l2, l4, l3: (l1, l2, l3, l4)
-                ),
-            ],
-        ),
-    )
-    for name, lhs, rhs in laws:
-        rep.law(
-            name,
-            "all ordered basis 4-tuples",
-            space.dim**4,
-            lhs,
-            rhs,
-            Matrix.zeros(r.carrier.dim, r.carrier.dim),
-            format_matrix,
-            partial(tuple_label, space),
+        rep.refuse("acting algebra fails the fundamental identity")
+    else:
+        space = r.algebra.space
+        ops = _ordered_pairs(r.rho.coords)
+        bracket = r.algebra.bracket.expand_ordered()
+        into_first = _feed(ops, 0, bracket)  # rho([l1, l2, l3], l4)
+        products = _compose(ops, ops)  # rho(l1, l2) rho(l3, l4)
+        laws = (
+            (
+                "action fundamental law",
+                [into_first],
+                [
+                    _relabel(products, lambda l2, l3, l1, l4: (l1, l2, l3, l4)),
+                    _relabel(products, lambda l3, l1, l2, l4: (l1, l2, l3, l4)),
+                    products,
+                ],
+            ),
+            (
+                "action commutator law",
+                [products],
+                [
+                    _relabel(products, lambda l3, l4, l1, l2: (l1, l2, l3, l4)),
+                    into_first,
+                    _relabel(  # rho(l3, [l1, l2, l4])
+                        _feed(ops, 1, bracket), lambda l1, l2, l4, l3: (l1, l2, l3, l4)
+                    ),
+                ],
+            ),
         )
+        for name, lhs, rhs in laws:
+            rep.law(
+                name,
+                "all ordered basis 4-tuples",
+                space.dim**4,
+                lhs,
+                rhs,
+                Matrix.zeros(r.carrier.dim, r.carrier.dim),
+                format_matrix,
+                partial(tuple_label, space),
+            )
+    object.__setattr__(r, "_verified", rep)
     return rep
 
 
-def check_coherent_action(c: CoherentActionData, title: str | None = None) -> Report:
+def check_coherent_action(c: CoherentActionData) -> Report:
     """Verify coherence: H is 3-Lie, operators are derivations, images annihilate.
 
     Refuses when the underlying representation check refuses or fails.
-    The default-title report is memoized on the (immutable) data object, so
-    repeated gating is free; callers must not mutate the returned report.
+    The report is memoized on the (immutable) data object, so repeated
+    gating is free; callers must not mutate the returned report.
     """
-    if title is not None:
-        return _check_coherent_action_impl(c, title)
-    if c._verified is None:
-        object.__setattr__(c, "_verified", _check_coherent_action_impl(c, None))
-    return c._verified
-
-
-def _check_coherent_action_impl(c: CoherentActionData, title: str | None) -> Report:
-    rep = Report(title or "coherent action check")
+    if c._verified is not None:
+        return c._verified
+    rep = Report("coherent action check")
     gate = check_representation(c.rep)
     if gate.verdict != "pass":
         rep.absorb(gate, "representation")
-        return rep.refuse("representation laws do not hold")
+        rep.refuse("representation laws do not hold")
+    else:
+        lspace = c.algebra.space
+        hspace = c.carrier
+        target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
+        rep.absorb(target_gate, "carrier bracket")
 
-    lspace = c.algebra.space
-    hspace = c.carrier
-    target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
-    rep.absorb(target_gate, "carrier bracket")
-
-    hb = c.target_bracket.expand_ordered()
-    columns = _columns(c.rho.coords)  # rho(i, j) e_h, keyed (i, j, h)
-    moved = _relabel(  # [rho(i, j) h1, h2, h3]
-        _feed(hb, 0, columns), lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))
-    )
-    laws = (
-        (
-            "derivation law",
-            [
-                _relabel(
-                    _feed(columns, 2, hb),
-                    lambda h1, h2, h3, i, j: ((i, j), (h1, h2, h3)),
-                )
-            ],
-            [
-                moved,
-                _relabel(
-                    _feed(hb, 1, columns),
-                    lambda i, j, h2, h1, h3: ((i, j), (h1, h2, h3)),
-                ),
-                _relabel(
-                    _feed(hb, 2, columns),
-                    lambda i, j, h3, h1, h2: ((i, j), (h1, h2, h3)),
-                ),
-            ],
-        ),
-        ("annihilation law", [moved], []),
-    )
-    for name, lhs, rhs in laws:
-        rep.law(
-            name,
-            "increasing pairs x all ordered carrier triples",
-            comb(lspace.dim, 2) * hspace.dim**3,
-            lhs,
-            rhs,
-            hspace.zero(),
-            partial(format_vector, hspace),
-            lambda t: f"pair {tuple_label(lspace, t[0])}, "
-            f"triple {tuple_label(hspace, t[1])}",
+        hb = c.target_bracket.expand_ordered()
+        columns = _columns(c.rho.coords)  # rho(i, j) e_h, keyed (i, j, h)
+        moved = _relabel(  # [rho(i, j) h1, h2, h3]
+            _feed(hb, 0, columns), lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))
         )
+        laws = (
+            (
+                "derivation law",
+                [
+                    _relabel(
+                        _feed(columns, 2, hb),
+                        lambda h1, h2, h3, i, j: ((i, j), (h1, h2, h3)),
+                    )
+                ],
+                [
+                    moved,
+                    _relabel(
+                        _feed(hb, 1, columns),
+                        lambda i, j, h2, h1, h3: ((i, j), (h1, h2, h3)),
+                    ),
+                    _relabel(
+                        _feed(hb, 2, columns),
+                        lambda i, j, h3, h1, h2: ((i, j), (h1, h2, h3)),
+                    ),
+                ],
+            ),
+            ("annihilation law", [moved], []),
+        )
+        for name, lhs, rhs in laws:
+            rep.law(
+                name,
+                "increasing pairs x all ordered carrier triples",
+                comb(lspace.dim, 2) * hspace.dim**3,
+                lhs,
+                rhs,
+                hspace.zero(),
+                partial(format_vector, hspace),
+                lambda t: f"pair {tuple_label(lspace, t[0])}, "
+                f"triple {tuple_label(hspace, t[1])}",
+            )
+    object.__setattr__(c, "_verified", rep)
     return rep
 
 
@@ -266,23 +257,20 @@ def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
         f"h_{s}" for s in hspace.basis_labels
     )
     total = Space(f"{lspace.name}(+){hspace.name}", ldim + hdim, labels)
-
-    def embed_l(v: Vector) -> Vector:
-        return Vector(v.entries + (0,) * hdim)
-
-    def embed_h(v: Vector) -> Vector:
-        return Vector((0,) * ldim + v.entries)
-
-    coords = {}
-    for key, vec in c.algebra.bracket.expand_ordered().items():
-        coords[key] = embed_l(vec)
-    for (i, j), mat in c.rho.items():
-        for k in range(hdim):
-            coords[(i, j, ldim + k)] = embed_h(mat.col(k))
-            coords[(j, i, ldim + k)] = embed_h(-mat.col(k))
-    for (i, j, k), vec in c.target_bracket.expand_ordered().items():
-        coords[(ldim + i, ldim + j, ldim + k)] = embed_h(vec)
-    return ThreeLeibnizAlgebra(total, TrilinearTable(total, total, coords))
+    basis = _basis(total)
+    into_l, into_h = _family(basis[:ldim]), _family(basis[ldim:])
+    terms = [
+        _feed(into_l, 0, c.algebra.bracket.expand_ordered()),
+        _relabel(
+            _feed(into_h, 0, _columns(_ordered_pairs(c.rho.coords))),
+            lambda i, j, k: (i, j, ldim + k),
+        ),
+        _relabel(
+            _feed(into_h, 0, c.target_bracket.expand_ordered()),
+            lambda i, j, k: (ldim + i, ldim + j, ldim + k),
+        ),
+    ]
+    return ThreeLeibnizAlgebra(total, TrilinearTable(total, total, _sum(terms)))
 
 
 def hemisemidirect(c: CoherentActionData) -> ThreeLeibnizAlgebra:
@@ -295,53 +283,43 @@ def hemisemidirect(c: CoherentActionData) -> ThreeLeibnizAlgebra:
     return hemisemidirect_table(c)
 
 
-def check_net(
-    p: EmbeddingTensorProblem, mode: str = "all", title: str | None = None
-) -> Report:
+def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
     """Verify the embedding-tensor condition on basis triples of H.
 
     mode 'all' checks every ordered triple; mode 'increasing' checks only
     i < j < k. The condition is not alternating, so 'all' is the sound
     default; 'increasing' exists to expose exactly that gap.
-    The default-title report is memoized per mode on the (immutable)
-    problem, so repeated gating is free; callers must not mutate it.
+    The report is memoized per mode on the (immutable) problem, so
+    repeated gating is free; callers must not mutate it.
     """
     if mode not in ("all", "increasing"):
         raise InputError(f"unknown triple mode {mode!r}")
-    if title is not None:
-        return _check_net_impl(p, mode, title)
-    if mode not in p._net_reports:
-        p._net_reports[mode] = _check_net_impl(p, mode, None)
-    return p._net_reports[mode]
-
-
-def _check_net_impl(
-    p: EmbeddingTensorProblem, mode: str, title: str | None
-) -> Report:
-    rep = Report(title or "embedding tensor check")
+    if mode in p._net_reports:
+        return p._net_reports[mode]
+    rep = Report("embedding tensor check")
     gate = check_coherent_action(p.action)
     if gate.verdict != "pass":
         rep.absorb(gate, "coherent action")
-        return rep.refuse("the action is not coherent")
-
-    hspace = p.h_space
-    lam_cols = p.tensor_columns()
-    if mode == "all":
-        scope, count, keep = "all ordered carrier triples", hspace.dim**3, None
+        rep.refuse("the action is not coherent")
     else:
-        scope, count = "increasing carrier triples", comb(hspace.dim, 3)
-        keep = _increasing
-    rep.law(
-        "embedding-tensor condition",
-        scope,
-        count,
-        [_bracket_of(p, lam_cols, lam_cols, lam_cols)],
-        [_feed(_family(lam_cols), 0, _descendent(p))],
-        p.l_space.zero(),
-        partial(format_vector, p.l_space),
-        partial(tuple_label, hspace),
-        keep=keep,
-    )
+        lam_cols = p.tensor_columns()
+        n = p.h_space.dim
+        if mode == "all":
+            scope, count, keep = "all ordered carrier triples", n**3, None
+        else:
+            scope, count, keep = "increasing carrier triples", comb(n, 3), _increasing
+        rep.law(
+            "embedding-tensor condition",
+            scope,
+            count,
+            [_bracket_of(p, lam_cols, lam_cols, lam_cols)],
+            [_feed(_family(lam_cols), 0, _descendent(p))],
+            p.l_space.zero(),
+            partial(format_vector, p.l_space),
+            partial(tuple_label, p.h_space),
+            keep=keep,
+        )
+    p._net_reports[mode] = rep
     return rep
 
 
@@ -363,7 +341,7 @@ def _action_of(p: EmbeddingTensorProblem, x, y) -> dict:
 _OnGraph = namedtuple("_OnGraph", "l_part h_part")
 
 
-def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
+def graph_check(p: EmbeddingTensorProblem) -> Report:
     """Closure of the tensor's graph inside the hemisemidirect product.
 
     The graph of the tensor is spanned by (tensor(h), h). The combined
@@ -373,7 +351,7 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
     coincides with the full ordered-triple tensor condition; the report
     records that cross-check.
     """
-    rep = Report(title or "graph closure check")
+    rep = Report("graph closure check")
     gate = check_coherent_action(p.action)
     if gate.verdict != "pass":
         rep.absorb(gate, "coherent action")
@@ -416,23 +394,18 @@ def graph_check(p: EmbeddingTensorProblem, title: str | None = None) -> Report:
 def _descendent(p: EmbeddingTensorProblem) -> dict:
     """The descendent bracket's term tables summed: rho(tensor e_i,
     tensor e_j) e_k + [e_i, e_j, e_k], keyed (i, j, k)."""
-    lam_cols = p.tensor_columns()
-    coords = _action_of(p, lam_cols, lam_cols)
-    for key, hval in p.h_bracket.expand_ordered().items():
-        coords[key] = coords[key] + hval if key in coords else hval
-    return coords
+    return _sum([_braces(p), p.h_bracket.expand_ordered()])
 
 
 def _braces(p: EmbeddingTensorProblem) -> dict:
     """The nonzero braces rho(tensor e_i, tensor e_j) e_k, keyed (i, j, k)."""
     lam_cols = p.tensor_columns()
-    braces = _action_of(p, lam_cols, lam_cols)
-    return {key: v for key, v in sorted(braces.items()) if not v.is_zero()}
+    return _action_of(p, lam_cols, lam_cols)
 
 
 def _descendent_table(p: EmbeddingTensorProblem) -> TrilinearTable:
     """The descendent bracket on H: the braces plus the carrier bracket."""
-    return TrilinearTable(p.h_space, p.h_space, dict(sorted(_descendent(p).items())))
+    return TrilinearTable(p.h_space, p.h_space, _descendent(p))
 
 
 def _require_net(p: EmbeddingTensorProblem, what: str) -> None:
@@ -485,7 +458,7 @@ class NetHomomorphism:
         self.f_h = f_h
 
 
-def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:
+def check_net_hom(h: NetHomomorphism) -> Report:
     """Verify that (f_L, f_H) is a map of embedding tensors.
 
     Refuses unless both problems have valid tensors and both component maps
@@ -493,7 +466,7 @@ def check_net_hom(h: NetHomomorphism, title: str | None = None) -> Report:
     (tensor intertwining and action intertwining) the report certifies the
     implied facts: f_H preserves descendent brackets and induced braces.
     """
-    rep = Report(title or "embedding tensor map check")
+    rep = Report("embedding tensor map check")
     for label, problem in (("source", h.source), ("target", h.target)):
         gate = check_net(problem, mode="all")
         if not gate.ok:

@@ -30,7 +30,9 @@ from .multilinear import (
     _feed,
     _ordered_pairs,
     _relabel,
+    _sparse_table,
     _substitute,
+    _sum,
     format_vector,
 )
 from .report import Report, tuple_label
@@ -69,20 +71,9 @@ class LieAlgebra:
 
     def __init__(self, space: Space, coords: dict):
         self.space = space
-        table = {}
-        for (i, j), vec in coords.items():
-            if not (0 <= i < j < space.dim):
-                raise InputError(
-                    f"Lie bracket key {(i + 1, j + 1)} must be an increasing "
-                    f"pair within dimension {space.dim}"
-                )
-            if not isinstance(vec, Vector):
-                vec = Vector(vec)
-            if vec.dim != space.dim:
-                raise InputError("Lie bracket value dimension mismatch")
-            if not vec.is_zero():
-                table[(i, j)] = vec
-        self.coords = table
+        self.coords = _sparse_table(
+            coords, "Lie bracket", (space.dim,) * 2, (space.dim,), True
+        )
 
     def value(self, i: int, j: int) -> Vector | None:
         if i == j:
@@ -111,20 +102,8 @@ class LeibnizLieAlgebra:
     def __init__(self, lie: LieAlgebra, triangle: dict):
         self.lie = lie
         self.space = lie.space
-        table = {}
-        for (i, j), vec in triangle.items():
-            for x in (i, j):
-                if not 0 <= x < self.space.dim:
-                    raise InputError(
-                        f"product key {(i + 1, j + 1)} out of range"
-                    )
-            if not isinstance(vec, Vector):
-                vec = Vector(vec)
-            if vec.dim != self.space.dim:
-                raise InputError("product value dimension mismatch")
-            if not vec.is_zero():
-                table[(i, j)] = vec
-        self.triangle = table
+        n = lie.space.dim
+        self.triangle = _sparse_table(triangle, "product", (n, n), (n,))
 
     def product(self, i: int, j: int) -> Vector | None:
         return self.triangle.get((i, j))
@@ -198,10 +177,6 @@ class LinearMap:
         return self.inverse() is not None
 
 
-def _vec_or_zero(space: Space, v: Vector | None) -> Vector:
-    return space.zero() if v is None else v
-
-
 def _increasing(t) -> bool:
     return all(a < b for a, b in zip(t, t[1:]))
 
@@ -220,7 +195,7 @@ def _fundamental_terms(coords: dict) -> tuple:
     return lhs, rhs
 
 
-def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
+def check_3lie(a: ThreeLieAlgebra) -> Report:
     """Verify the fundamental identity of an alternating ternary bracket.
 
     Both sides are alternating in the outer pair and in the inner triple, so
@@ -235,7 +210,7 @@ def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     pair_first = {k: v for k, v in ordered.items() if k[0] < k[1]}
     pair_last = {k: v for k, v in ordered.items() if k[1] < k[2]}
     nested = _feed(pair_last, 0, pair_first)
-    rep = Report(title or f"3-Lie axioms on {space.name}")
+    rep = Report(f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "increasing pairs x increasing triples",
@@ -260,10 +235,10 @@ def check_3lie(a: ThreeLieAlgebra, title: str | None = None) -> Report:
     return rep
 
 
-def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
+def check_3leibniz(a: ThreeLeibnizAlgebra) -> Report:
     """Verify the derivation identity with no symmetry: all ordered 5-tuples."""
     space = a.space
-    rep = Report(title or f"ternary Leibniz axioms on {space.name}")
+    rep = Report(f"ternary Leibniz axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "all ordered basis 5-tuples",
@@ -276,12 +251,12 @@ def check_3leibniz(a: ThreeLeibnizAlgebra, title: str | None = None) -> Report:
     return rep
 
 
-def check_lie(a: LieAlgebra, title: str | None = None) -> Report:
+def check_lie(a: LieAlgebra) -> Report:
     """Jacobi identity on increasing basis triples."""
     space = a.space
     bracket = _ordered_pairs(a.coords)
     nested = _feed(bracket, 0, bracket)  # [[i, j], k]
-    rep = Report(title or f"Lie axioms on {space.name}")
+    rep = Report(f"Lie axioms on {space.name}")
     rep.law(
         "Jacobi identity",
         "increasing basis triples",
@@ -300,11 +275,11 @@ def check_lie(a: LieAlgebra, title: str | None = None) -> Report:
     return rep
 
 
-def check_leibniz_lie(a: LeibnizLieAlgebra, title: str | None = None) -> Report:
+def check_leibniz_lie(a: LeibnizLieAlgebra) -> Report:
     """Verify the product laws of a Lie algebra with a compatible product."""
     space = a.space
     prod, lie = a.triangle, _ordered_pairs(a.lie.coords)
-    rep = Report(title or f"Leibniz-Lie axioms on {space.name}")
+    rep = Report(f"Leibniz-Lie axioms on {space.name}")
     jac = check_lie(a.lie)
     rep.absorb(jac, "underlying Lie algebra")
 
@@ -340,14 +315,14 @@ def check_leibniz_lie(a: LeibnizLieAlgebra, title: str | None = None) -> Report:
     return rep
 
 
-def check_3ll(a: ThreeLeibnizLieAlgebra, title: str | None = None) -> Report:
+def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
     """Verify the brace laws over a valid 3-Lie bracket.
 
     Refuses when the underlying bracket is not 3-Lie: the brace laws quote
     that bracket, so their verdict would be meaningless.
     """
     space = a.space
-    rep = Report(title or f"ternary brace axioms on {space.name}")
+    rep = Report(f"ternary brace axioms on {space.name}")
     gate = check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
     if not gate.ok:
         rep.absorb(gate, "underlying bracket")
@@ -395,20 +370,8 @@ def subadjacent(a: ThreeLeibnizLieAlgebra) -> ThreeLeibnizAlgebra:
         raise PreconditionError(
             "subadjacent bracket requires a valid input structure", gate
         )
-    space = a.space
-    dim = space.dim
-    coords = {}
-    bracket_vals = a.lie3.bracket.expand_ordered()
-    brace_vals = a.braces.expand_ordered()
-    for key in sorted(set(bracket_vals) | set(brace_vals)):
-        total = _vec_or_zero(space, bracket_vals.get(key)) + _vec_or_zero(
-            space, brace_vals.get(key)
-        )
-        if not total.is_zero():
-            coords[key] = total
-    return ThreeLeibnizAlgebra(
-        space, TrilinearTable(space, space, coords)
-    )
+    table = _sum([a.lie3.bracket.expand_ordered(), a.braces.expand_ordered()])
+    return ThreeLeibnizAlgebra(a.space, TrilinearTable(a.space, a.space, table))
 
 
 # per kind: (line, scope, the table of a structure it compares)
@@ -444,13 +407,13 @@ def _ordered(table) -> dict:
     return table.expand_ordered()
 
 
-def check_hom(kind: str, f: LinearMap, src, dst, title: str | None = None) -> Report:
+def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
     """Verify that f carries the source structure constants to the target.
 
     kind is one of 'lie', '3lie', '3leibniz', '3ll'; tuples checked are the
     canonical ones for the stored symmetry of that kind.
     """
-    rep = Report(title or f"structure map check ({kind})")
+    rep = Report(f"structure map check ({kind})")
     if f.source.dim != src.space.dim or f.target.dim != dst.space.dim:
         raise InputError("map endpoints do not match the given structures")
     laws = _HOM_LAWS.get(kind)

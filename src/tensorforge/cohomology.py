@@ -48,7 +48,10 @@ from .multilinear import (
     _compose,
     _family,
     _feed,
+    _from_columns,
     _relabel,
+    _sparse_table,
+    _sum,
     format_matrix,
 )
 from .report import Report, tuple_label
@@ -80,36 +83,18 @@ class ThreeLeibnizRep:
     ):
         self.algebra = algebra
         self.carrier = carrier
-        dim = algebra.space.dim
-        vdim = carrier.dim
-
-        def clean(table: dict, what: str) -> dict:
-            out = {}
-            for (i, j), mat in table.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise InputError(f"{what} key {(i + 1, j + 1)} out of range")
-                if not isinstance(mat, Matrix):
-                    mat = Matrix(mat)
-                if (mat.nrows, mat.ncols) != (vdim, vdim):
-                    raise InputError(
-                        f"{what} operator at {(i + 1, j + 1)} is "
-                        f"{mat.nrows}x{mat.ncols}, expected {vdim}x{vdim}"
-                    )
-                if not mat.is_zero():
-                    out[(i, j)] = mat
-            return out
-
-        self.l_act = clean(l_act, "left action")
-        self.m_act = clean(m_act, "middle action")
-        self.r_act = clean(r_act, "right action")
+        keys, shape = (algebra.space.dim,) * 2, (carrier.dim,) * 2
+        self.l_act = _sparse_table(l_act, "left action", keys, shape)
+        self.m_act = _sparse_table(m_act, "middle action", keys, shape)
+        self.r_act = _sparse_table(r_act, "right action", keys, shape)
 
 
-def check_3leibniz_rep(r: ThreeLeibnizRep, title: str | None = None) -> Report:
+def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
     """Verify the five compatibility laws of the three operator families.
 
     Refuses when the underlying algebra fails its own fundamental identity.
     """
-    rep = Report(title or "ternary Leibniz representation check")
+    rep = Report("ternary Leibniz representation check")
     gate = check_3leibniz(r.algebra)
     if not gate.ok:
         rep.absorb(gate, "underlying algebra")
@@ -203,24 +188,17 @@ def _induced_rep_unchecked(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
             _feed(minus_lam, 0, _action_of(p, basis, lam_cols)),
         ],
     )
-    slots = ((0, 1, 2), (0, 2, 1), (1, 2, 0))  # where i, j and c sit in a key
-    acts = []
-    for tables, (si, sj, sc) in zip(families, slots):
-        columns = {}
-        for table in tables:
-            for key, vec in table.items():
-                col = columns.setdefault((key[si], key[sj]), {})
-                c = key[sc]
-                col[c] = col[c] + vec if c in col else vec
-        acts.append(
-            {
-                pair: Matrix.from_cols(
-                    [col.get(c, lspace.zero()) for c in range(lspace.dim)],
-                    nrows=lspace.dim,
-                )
-                for pair, col in sorted(columns.items())
-            }
+    keyed = (  # each family's keys put in the order (i, j, c)
+        lambda i, j, c: (i, j, c),
+        lambda i, c, j: (i, j, c),
+        lambda c, i, j: (i, j, c),
+    )
+    acts = [
+        _from_columns(
+            _sum(_relabel(table, f) for table in tables), lspace.dim, lspace.dim
         )
+        for tables, f in zip(families, keyed)
+    ]
     desc = ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
     return ThreeLeibnizRep(desc, lspace, *acts)
 
@@ -233,27 +211,17 @@ class Cochain:
     ):
         if degree < 1:
             raise InputError("cochain degree must be at least 1")
-        clean = {}
-        for (pairs, last), vec in coords.items():
-            pairs = tuple(pairs)
-            if len(pairs) != degree - 1:
-                raise InputError(
-                    f"cochain key has {len(pairs)} pair slots, "
-                    f"expected {degree - 1}"
-                )
-            if not 0 <= last < in_dim or not all(0 <= q < pair_dim for q in pairs):
-                raise InputError(f"cochain key {(pairs, last)} is out of range")
-            if not isinstance(vec, Vector):
-                vec = Vector(vec)
-            if vec.dim != out_dim:
-                raise InputError("cochain value dimension mismatch")
-            if not vec.is_zero():
-                clean[(pairs, last)] = vec
+        flat = _sparse_table(
+            {tuple(pairs) + (last,): vec for (pairs, last), vec in coords.items()},
+            "cochain",
+            (pair_dim,) * (degree - 1) + (in_dim,),
+            (out_dim,),
+        )
         self.degree = degree
         self.pair_dim = pair_dim
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.coords = clean
+        self.coords = {(key[:-1], key[-1]): vec for key, vec in flat.items()}
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -266,14 +234,10 @@ class Cochain:
             other.out_dim,
         ):
             raise InputError("cochain shape mismatch")
-        coords = dict(self.coords)
-        for key, vec in other.coords.items():
-            cur = coords.get(key)
-            coords[key] = (
-                vec.scale(sign) if cur is None else cur + vec.scale(sign)
-            )
+        theirs = {key: vec.scale(sign) for key, vec in other.coords.items()}
         return Cochain(
-            self.degree, self.pair_dim, self.in_dim, self.out_dim, coords
+            self.degree, self.pair_dim, self.in_dim, self.out_dim,
+            _sum([self.coords, theirs]),
         )
 
     def __add__(self, other):
@@ -532,17 +496,14 @@ class CochainComplex:
         """Column (a, b), a < b: u -> T rho(e_a, e_b) e_u - [e_a, e_b, T e_u]."""
         p, ldim = self.problem, self.ldim
         lam, basis = p.tensor_columns(), _basis(self.lspace)
+        terms = [
+            _feed(_family(lam), 0, _action_of(p, basis, basis)),
+            _bracket_of(p, basis, basis, [-v for v in lam]),
+        ]
         cols = [{} for _ in self.lwedge.pairs]
-        for sign, table in (
-            (1, _feed(_family(lam), 0, _action_of(p, basis, basis))),
-            (-1, _bracket_of(p, basis, basis, lam)),
-        ):
-            for (a, b, u), vec in table.items():
-                if a < b:
-                    col = cols[self.lwedge.position(a, b)]
-                    for t, x in vec.iter_nonzero():
-                        i = u * ldim + t
-                        col[i] = col.get(i, ZERO) + sign * x
+        for (a, b, u), vec in _sum(terms, keep=lambda t: t[0] < t[1]).items():
+            col = cols[self.lwedge.position(a, b)]
+            col.update((u * ldim + t, x) for t, x in vec.iter_nonzero())
         return Matrix.from_cols(cols, nrows=self.cochain_dim(1))
 
     def delta0_cochain(self, a1: Vector, a2: Vector) -> Cochain:

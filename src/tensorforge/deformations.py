@@ -31,8 +31,11 @@ from .multilinear import (
     _compose,
     _family,
     _feed,
+    _from_columns,
     _ordered_pairs,
     _relabel,
+    _substitute,
+    _sum,
     format_matrix,
     format_vector,
 )
@@ -309,15 +312,15 @@ def are_equivalent(d1: Deformation, d2: Deformation):
 def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
     """Structural properties of the witness, reported as notes only."""
     ldim, hdim = p.l_space.dim, p.h_space.dim
-    d_l = Matrix.zeros(ldim, ldim)
-    d_h = Matrix.zeros(hdim, hdim)
-    for a1, a2 in pieces:
-        cols = [
-            p.l_bracket.eval(a1, a2, p.l_space.basis_vector(c))
-            for c in range(ldim)
-        ]
-        d_l = d_l + Matrix.from_cols(cols, nrows=ldim)
-        d_h = d_h + p.rho.eval(a1, a2)
+    ops = _ordered_pairs(p.rho.coords)
+    ad = _from_columns(p.l_bracket.expand_ordered(), ldim, ldim)  # [e_i, e_j, -]
+    # d_l, the sum of [a1, a2, -], and d_h, the sum of rho(a1, a2), keyed (0, 0)
+    d_l, d_h = (
+        _sum(_substitute(table, [[a1], [a2]]) for a1, a2 in pieces).get(
+            (0, 0), Matrix.zeros(n, n)
+        )
+        for table, n in ((ad, ldim), (ops, hdim))
+    )
 
     side = Report("witness side conditions")
     _is_bracket_derivation(
@@ -327,7 +330,6 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
         side, "derivation on the carrier bracket", p.h_bracket, d_h
     )
 
-    ops = _ordered_pairs(p.rho.coords)
     moved = _family([d_l.col(c) for c in range(ldim)])
     side.law(
         "action compatibility",

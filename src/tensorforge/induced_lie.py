@@ -10,7 +10,6 @@ algebra lifts the same way to ternary braces.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from math import comb
 
 from .actions import (
@@ -41,7 +40,9 @@ from .multilinear import (
     _feed,
     _ordered_pairs,
     _relabel,
+    _sparse_table,
     _substitute,
+    _sum,
     format_matrix,
     format_vector,
 )
@@ -113,26 +114,28 @@ def check_trace(t: TraceMap, algebra) -> Report:
     return rep
 
 
+def _scaled(t: TraceMap, table: dict) -> dict:
+    """{(i,) + key: t(e_i) table[key]}: the outer product of the trace's
+    coefficients with a table."""
+    return {
+        (i,) + key: val.scale(c)
+        for i, c in t.covector.iter_nonzero()
+        for key, val in table.items()
+    }
+
+
 def _ternary_from_binary(lie: LieAlgebra, t: TraceMap) -> AlternatingTrilinearTable:
-    space = lie.space
-    dim = space.dim
-    coords = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = space.zero()
-                vjk = lie.value(j, k)
-                if vjk is not None and t.at(i) != 0:
-                    acc = acc + vjk.scale(t.at(i))
-                vki = lie.value(k, i)
-                if vki is not None and t.at(j) != 0:
-                    acc = acc + vki.scale(t.at(j))
-                vij = lie.value(i, j)
-                if vij is not None and t.at(k) != 0:
-                    acc = acc + vij.scale(t.at(k))
-                if not acc.is_zero():
-                    coords[(i, j, k)] = acc
-    return AlternatingTrilinearTable(space, space, coords)
+    """t(e_i) [e_j, e_k] + t(e_j) [e_k, e_i] + t(e_k) [e_i, e_j] on
+    increasing triples."""
+    cycled = _scaled(t, _ordered_pairs(lie.coords))  # t(e_i) [e_j, e_k]
+    terms = [
+        cycled,
+        _relabel(cycled, lambda j, k, i: (i, j, k)),
+        _relabel(cycled, lambda k, i, j: (i, j, k)),
+    ]
+    return AlternatingTrilinearTable(
+        lie.space, lie.space, _sum(terms, keep=_increasing)
+    )
 
 
 def threelie_from_lie(lie: LieAlgebra, t: TraceMap) -> ThreeLieAlgebra:
@@ -153,33 +156,19 @@ def threelie_from_lie(lie: LieAlgebra, t: TraceMap) -> ThreeLieAlgebra:
 class LieCoherentAction:
     """A Lie algebra acting on another Lie algebra by operators.
 
-    rho maps each basis vector of the acting algebra to an operator on the
-    carrier; absent indices act as zero.
+    rho maps each basis vector of the acting algebra, keyed by its 1-tuple
+    (i,), to an operator on the carrier; absent keys act as zero.
     """
 
     def __init__(self, lie: LieAlgebra, carrier: LieAlgebra, rho: dict):
-        dim = lie.space.dim
-        vdim = carrier.space.dim
-        clean = {}
-        for i, mat in rho.items():
-            if not 0 <= i < dim:
-                raise InputError(f"action index {i + 1} out of range")
-            if not isinstance(mat, Matrix):
-                mat = Matrix(mat)
-            if (mat.nrows, mat.ncols) != (vdim, vdim):
-                raise InputError(
-                    f"action operator at {i + 1} is {mat.nrows}x{mat.ncols}, "
-                    f"expected {vdim}x{vdim}"
-                )
-            if not mat.is_zero():
-                clean[i] = mat
         self.lie = lie
         self.carrier = carrier
-        self.rho = clean
+        shape = (carrier.space.dim,) * 2
+        self.rho = _sparse_table(rho, "action", (lie.space.dim,), shape)
 
     def operator(self, i: int) -> Matrix:
         vdim = self.carrier.space.dim
-        return self.rho.get(i, Matrix.zeros(vdim, vdim))
+        return self.rho.get((i,), Matrix.zeros(vdim, vdim))
 
 
 def check_lie_coherent(a: LieCoherentAction) -> Report:
@@ -198,18 +187,17 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     lspace = a.lie.space
     hspace = a.carrier.space
     ldim, hdim = lspace.dim, hspace.dim
-    ops = {(i,): op for i, op in a.rho.items()}
     bracket = _ordered_pairs(a.carrier.coords)
-    columns = _columns(ops)  # rho(i) e_h, keyed (i, h)
+    columns = _columns(a.rho)  # rho(i) e_h, keyed (i, h)
 
     rep.law(
         "commutator law",
         "increasing acting pairs",
         comb(ldim, 2),
-        [_feed(ops, 0, a.lie.coords)],
+        [_feed(a.rho, 0, a.lie.coords)],
         [
-            _compose(ops, ops),
-            _relabel(_compose(ops, ops), lambda j, i: (i, j), -1),
+            _compose(a.rho, a.rho),
+            _relabel(_compose(a.rho, a.rho), lambda j, i: (i, j), -1),
         ],
         Matrix.zeros(hdim, hdim),
         format_matrix,
@@ -261,12 +249,9 @@ def rho_sigma(a: LieCoherentAction, t: TraceMap) -> PairAction:
     """The pair action induced by a Lie action and a trace on the actor."""
     if t.space != a.lie.space:
         raise InputError("trace must live on the acting algebra")
-    lspace = a.lie.space
-    coords = {
-        (i, j): a.operator(j).scale(t.at(i)) - a.operator(i).scale(t.at(j))
-        for i, j in combinations(range(lspace.dim), 2)
-    }
-    return PairAction(lspace, a.carrier.space, coords)
+    ops = _scaled(t, a.rho)  # t(e_i) rho(e_j), keyed (i, j)
+    terms = [ops, _relabel(ops, lambda j, i: (i, j), -1)]
+    return PairAction(a.lie.space, a.carrier.space, _sum(terms, keep=_increasing))
 
 
 class LieNet:
@@ -295,7 +280,7 @@ def check_lie_net(n: LieNet) -> Report:
     tensor = _family(cols)
     # rho(T e_i) e_j + [e_i, e_j], keyed (i, j)
     inner = [
-        _feed(_columns({(i,): op for i, op in a.rho.items()}), 0, tensor),
+        _feed(_columns(a.rho), 0, tensor),
         _ordered_pairs(a.carrier.coords),
     ]
     rep.law(
@@ -378,22 +363,7 @@ def three_ll_from_leibniz_lie(
             "the functional must vanish on brackets and products", tgate
         )
     space = g.lie.space
-    dim = space.dim
-    bracket = _ternary_from_binary(g.lie, t)
-    braces = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                acc = space.zero()
-                pjk = g.product(j, k)
-                if pjk is not None and t.at(i) != 0:
-                    acc = acc + pjk.scale(t.at(i))
-                pik = g.product(i, k)
-                if pik is not None and t.at(j) != 0:
-                    acc = acc - pik.scale(t.at(j))
-                if not acc.is_zero():
-                    braces[(i, j, k)] = acc
-    lie3 = ThreeLieAlgebra(space, bracket)
-    return ThreeLeibnizLieAlgebra(
-        lie3, TrilinearTable(space, space, braces)
-    )
+    prod = _scaled(t, g.triangle)  # t(e_i) e_j > e_k
+    braces = _sum([prod, _relabel(prod, lambda j, i, k: (i, j, k), -1)])
+    lie3 = ThreeLieAlgebra(space, _ternary_from_binary(g.lie, t))
+    return ThreeLeibnizLieAlgebra(lie3, TrilinearTable(space, space, braces))

@@ -371,9 +371,14 @@ def _kron_apply(factors: list[Matrix], v: Vector) -> Vector:
     """`_kron(*factors)` applied to v without forming the product.
 
     A coordinate of v is a digit tuple, one digit per factor, the first the
-    most significant. Each factor acts on its own digit in turn, touching
-    only the nonzero coordinates: (A (x) B) vec X = vec(B X A^T), one mode
-    at a time.
+    most significant, read off its position. Each factor acts on its own
+    digit in turn, touching only the nonzero coordinates: (A (x) B) vec X =
+    vec(B X A^T), one mode at a time. The modes commute, so the order is
+    free; they run last to first, because each dense factor fills the
+    vector in and the work of a factor grows with the nonzeros it meets. In
+    the cochain transport the value and final-slot maps come last and the
+    dense pair transports first, so the small factors act while the cochain
+    is still sparse.
     """
     size = prod(f.ncols for f in factors)
     if v.dim != size:
@@ -381,26 +386,20 @@ def _kron_apply(factors: list[Matrix], v: Vector) -> Vector:
             f"dimension mismatch: Kronecker product with {size} columns "
             f"applied to vector of dimension {v.dim}"
         )
-    coords = {}
-    for pos, a in v.iter_nonzero():
-        digits = []
-        for f in reversed(factors):
-            pos, d = divmod(pos, f.ncols)
-            digits.append(d)
-        coords[tuple(reversed(digits))] = a
-    for t, f in enumerate(factors):
-        out = {}
-        for key, a in coords.items():
-            head, tail = key[:t], key[t + 1 :]
-            for i, b in f._cols.get(key[t], _EMPTY).items():
-                k = head + (i,) + tail
+    coords = dict(v.iter_nonzero())
+    low = 1  # the size of the modes after this one, already applied
+    for f in reversed(factors):
+        block, out = f.ncols * low, {}
+        for pos, a in coords.items():
+            high, rest = divmod(pos, block)
+            d, tail = divmod(rest, low)
+            for i, b in f._cols.get(d, _EMPTY).items():
+                k = (high * f.nrows + i) * low + tail
                 out[k] = out.get(k, ZERO) + b * a
         coords = {k: a for k, a in out.items() if a}
-    entries = [ZERO] * prod(f.nrows for f in factors)
-    for key, a in coords.items():
-        pos = 0
-        for d, f in zip(key, factors):
-            pos = pos * f.nrows + d
+        low *= f.nrows
+    entries = [ZERO] * low
+    for pos, a in coords.items():
         entries[pos] = a
     return Vector(entries)
 

@@ -4,15 +4,18 @@ Tables store structure constants sparsely (absent key = zero value) with
 0-based indices internally; the file format and all reports use 1-based
 indices. Alternating tables keep only increasing keys and recover every
 other slot order through permutation signs. Operators are sparse `Matrix`
-values.
+values. Every container checks and cleans its table with one constructor,
+`_sparse_table`: keys in range (and increasing, where only those are
+stored), values of the declared shape, zeros dropped.
 
-Every law the package checks is a sum of contractions of these tables, and
-each term is computed as a sparse term table, `{basis tuple: value}`, by
-three combinators that touch only nonzero entries: `_feed` puts one
-table's vector values into a slot of another, `_compose` multiplies two
-operator tables, and `_relabel` puts a term's indices in the order of the
-law's scope. A term's table holds a key only where the term is nonzero,
-so the keys of a law's tables are its support.
+Every law the package checks, and every structure it builds, is a sum of
+contractions of these tables, and each term is computed as a sparse term
+table, `{basis tuple: value}`, by three combinators that touch only
+nonzero entries: `_feed` puts one table's vector values into a slot of
+another, `_compose` multiplies two operator tables, and `_relabel` puts a
+term's indices in the order of the law's scope. A term's table holds a key
+only where the term is nonzero, so the keys of a law's tables are its
+support. `_sum` adds the terms of one side key by key.
 """
 
 from __future__ import annotations
@@ -172,6 +175,17 @@ class _relabel:
             yield f(*key), (val if sign > 0 else -val)
 
 
+def _sum(tables, keep=None) -> dict:
+    """The sum of term tables, on the keys that keep accepts (all when
+    keep is None). A key whose terms cancel keeps its zero value."""
+    out = {}
+    for table in tables:
+        for t, value in table.items():
+            if keep is None or keep(t):
+                out[t] = out[t] + value if t in out else value
+    return out
+
+
 def _family(vectors) -> dict:
     """A list of vectors as a table keyed by its one index."""
     return {(i,): v for i, v in enumerate(vectors)}
@@ -199,20 +213,61 @@ def _columns(ops: dict) -> dict:
     }
 
 
+def _from_columns(table: dict, nrows: int, ncols: int) -> dict:
+    """{key: operator} from a table that holds the operator's column c at
+    key + (c,): the inverse of `_columns`."""
+    cols = {}
+    for key, vec in table.items():
+        cols.setdefault(key[:-1], {})[key[-1]] = vec
+    return {
+        key: Matrix.from_cols([col.get(c, {}) for c in range(ncols)], nrows=nrows)
+        for key, col in cols.items()
+    }
+
+
+def _one_based(key) -> tuple:
+    return tuple(i + 1 for i in key)
+
+
+def _sparse_table(
+    coords: dict, what: str, dims: tuple, shape: tuple, increasing: bool = False
+) -> dict:
+    """coords checked and cleaned, for the container it names `what`.
+
+    Each key is a tuple of indices, slot s below dims[s]; with `increasing`,
+    its indices must increase. Each value is made a Vector of dimension
+    shape[0] when shape has one entry, and a Matrix of shape (rows, columns)
+    when it has two. Zero values are dropped. Errors give the key 1-based.
+    """
+    kind = Vector if len(shape) == 1 else Matrix
+    out = {}
+    for key, val in coords.items():
+        if len(key) != len(dims) or not all(0 <= i < n for i, n in zip(key, dims)):
+            raise InputError(
+                f"{what} key {_one_based(key)} out of range for dimensions "
+                + "x".join(map(str, dims))
+            )
+        if increasing and any(a >= b for a, b in zip(key, key[1:])):
+            raise InputError(f"{what} key {_one_based(key)} must be increasing")
+        if not isinstance(val, kind):
+            val = kind(val)
+        got = (val.dim,) if kind is Vector else (val.nrows, val.ncols)
+        if got != shape:
+            raise InputError(
+                f"{what} value at {_one_based(key)} has shape "
+                f"{'x'.join(map(str, got))}, expected {'x'.join(map(str, shape))}"
+            )
+        if not val.is_zero():
+            out[key] = val
+    return out
+
+
 def _ordered_pairs(coords: dict) -> dict:
     """An alternating table stored on increasing pairs, on every ordered
     pair."""
     out = dict(coords)
     out.update(((j, i), -val) for (i, j), val in coords.items())
     return out
-
-
-def _check_index(space: Space, i: int, what: str):
-    if not 0 <= i < space.dim:
-        raise InputError(
-            f"{what}: index {i + 1} out of range for space "
-            f"{space.name!r} of dimension {space.dim}"
-        )
 
 
 def sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
@@ -234,28 +289,15 @@ class TrilinearTable:
     """Trilinear map V x V x V -> W from structure constants, no symmetry."""
 
     kind = "general"
+    increasing = False
 
     def __init__(self, domain: Space, codomain: Space, coords: dict):
         self.domain = domain
         self.codomain = codomain
-        table = {}
-        for key, vec in coords.items():
-            i, j, k = key
-            self._check_key(i, j, k)
-            if not isinstance(vec, Vector):
-                vec = Vector(vec)
-            if vec.dim != codomain.dim:
-                raise InputError(
-                    f"table value at {tuple(x + 1 for x in key)} has dimension "
-                    f"{vec.dim}, expected {codomain.dim}"
-                )
-            if not vec.is_zero():
-                table[(i, j, k)] = vec
-        self.coords = table
-
-    def _check_key(self, i, j, k):
-        for x in (i, j, k):
-            _check_index(self.domain, x, "trilinear table")
+        self.coords = _sparse_table(
+            coords, f"{self.kind} trilinear table", (domain.dim,) * 3,
+            (codomain.dim,), self.increasing,
+        )
 
     def value(self, i: int, j: int, k: int) -> Vector | None:
         """Value on basis vectors (e_i, e_j, e_k); None means zero."""
@@ -293,13 +335,7 @@ class AlternatingTrilinearTable(TrilinearTable):
     """Alternating trilinear map; keys are stored with i < j < k only."""
 
     kind = "alternating"
-
-    def _check_key(self, i, j, k):
-        super()._check_key(i, j, k)
-        if not i < j < k:
-            raise InputError(
-                f"alternating table key {(i + 1, j + 1, k + 1)} must be increasing"
-            )
+    increasing = True
 
     def value(self, i: int, j: int, k: int) -> Vector | None:
         sorted_sign = sort3(i, j, k)
@@ -349,24 +385,9 @@ class PairAction:
     def __init__(self, source: Space, target: Space, coords: dict):
         self.source = source
         self.target = target
-        table = {}
-        for (i, j), mat in coords.items():
-            _check_index(source, i, "pair action")
-            _check_index(source, j, "pair action")
-            if not i < j:
-                raise InputError(
-                    f"pair action key {(i + 1, j + 1)} must be increasing"
-                )
-            if not isinstance(mat, Matrix):
-                mat = Matrix(mat)
-            if (mat.nrows, mat.ncols) != (target.dim, target.dim):
-                raise InputError(
-                    f"pair action operator at {(i + 1, j + 1)} is "
-                    f"{mat.nrows}x{mat.ncols}, expected square of size {target.dim}"
-                )
-            if not mat.is_zero():
-                table[(i, j)] = mat
-        self.coords = table
+        self.coords = _sparse_table(
+            coords, "pair action", (source.dim,) * 2, (target.dim,) * 2, True
+        )
 
     def at(self, i: int, j: int) -> Matrix | None:
         """Operator for basis pair (e_i, e_j); None means zero."""

@@ -10,6 +10,8 @@ key by key.
 
 from __future__ import annotations
 
+from .multilinear import _sum
+
 PASS = "pass"
 FAIL = "fail"
 REFUSED = "refused"
@@ -131,7 +133,7 @@ class Report:
         whole scope would give them.
         """
         line = self.line(name, scope)
-        left, right = _total(lhs, keep), _total(rhs, keep)
+        left, right = _sum(lhs, keep), _sum(rhs, keep)
         for t in sorted(left.keys() | right.keys()):
             a, b = left.get(t, zero), right.get(t, zero)
             if a != b:
@@ -185,16 +187,6 @@ class Report:
         if self.refused:
             doc["refusal_reason"] = self.refusal_reason
         return doc
-
-
-def _total(tables, keep) -> dict:
-    """The sum of term tables, on the keys that keep accepts."""
-    out = {}
-    for table in tables:
-        for t, value in table.items():
-            if keep is None or keep(t):
-                out[t] = out[t] + value if t in out else value
-    return out
 
 
 def tuple_label(space, indices) -> str:

@@ -279,8 +279,7 @@ def _parse_matrix(raw, nrows: int, ncols: int, scalars, path: str) -> Matrix:
 
 
 def _parse_table(raw, arity: int, space: Space, parse_value, path: str) -> dict:
-    """A table keyed by basis tuples of `space`; a unary key is stored as
-    its one index."""
+    """A table keyed by basis tuples of `space`."""
     _expect(raw, dict, path, "a table object")
     out = {}
     for key, value in raw.items():
@@ -291,8 +290,6 @@ def _parse_table(raw, arity: int, space: Space, parse_value, path: str) -> dict:
                     f"{path}: key {key!r} exceeds the dimension "
                     f"of space {space.name!r} ({space.dim})"
                 )
-        if arity == 1:
-            indices = indices[0]
         if indices in out:
             raise InputError(
                 f"{path}: duplicate key {key!r}: an earlier key names "
@@ -353,12 +350,10 @@ def _emit_vector_table(items) -> dict:
 
 
 def _emit_matrix_table(items) -> dict:
-    out = {}
-    for key, mat in sorted(items):
-        if isinstance(key, int):
-            key = (key,)
-        out[",".join(str(x + 1) for x in key)] = _emit_matrix(mat)
-    return out
+    return {
+        ",".join(str(x + 1) for x in key): _emit_matrix(mat)
+        for key, mat in sorted(items)
+    }
 
 
 def _space_entry(space: Space) -> dict:

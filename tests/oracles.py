@@ -472,7 +472,7 @@ def random_lie_action(rng) -> LieCoherentAction:
         carrier = LieAlgebra(hsp, {})
         n = rand_matrix(rng, hdim, hdim)
         rho = {
-            i: n.scale(rand_scalar(rng))
+            (i,): n.scale(rand_scalar(rng))
             for i in range(ldim)
             if rng.random() < 0.8
         }
@@ -538,7 +538,7 @@ def random_lie_net(rng):
             )
         else:
             n = Matrix.zeros(hdim, hdim)
-        rho = {i: n.scale(rand_scalar(rng)) for i in range(ldim)}
+        rho = {(i,): n.scale(rand_scalar(rng)) for i in range(ldim)}
         act = LieCoherentAction(lie, carrier, rho)
         tensor = LinearMap(hsp, lsp, tensor_m)
         sigma_l = TraceMap(lsp, rand_vector(rng, ldim))
@@ -592,6 +592,93 @@ def random_leibniz_lie_with_trace(rng):
     assert check_leibniz_lie(alg).ok
     assert check_trace(trace, alg).ok
     return alg, trace
+
+
+# ---------------------------------------------------------------------------
+# builder references: the loops the builders ran before each became a sum
+# of term tables, dense over every basis tuple, kept to check those sums
+
+
+def ref_ternary_from_binary(lie, t) -> AlternatingTrilinearTable:
+    """t(e_i) [e_j, e_k] + t(e_j) [e_k, e_i] + t(e_k) [e_i, e_j]."""
+    space = lie.space
+    coords = {}
+    for i, j, k in combinations(range(space.dim), 3):
+        acc = space.zero()
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            val = lie.value(b, c)
+            if val is not None and t.at(a) != 0:
+                acc = acc + val.scale(t.at(a))
+        if not acc.is_zero():
+            coords[(i, j, k)] = acc
+    return AlternatingTrilinearTable(space, space, coords)
+
+
+def ref_three_ll_braces(g, t) -> TrilinearTable:
+    """The lifted braces t(e_i) e_j > e_k - t(e_j) e_i > e_k."""
+    space = g.lie.space
+    braces = {}
+    for i, j, k in product(range(space.dim), repeat=3):
+        acc = space.zero()
+        pjk = g.product(j, k)
+        if pjk is not None and t.at(i) != 0:
+            acc = acc + pjk.scale(t.at(i))
+        pik = g.product(i, k)
+        if pik is not None and t.at(j) != 0:
+            acc = acc - pik.scale(t.at(j))
+        if not acc.is_zero():
+            braces[(i, j, k)] = acc
+    return TrilinearTable(space, space, braces)
+
+
+def ref_rho_sigma(a, t) -> PairAction:
+    """t(e_i) rho(e_j) - t(e_j) rho(e_i) on every increasing pair."""
+    coords = {
+        (i, j): a.operator(j).scale(t.at(i)) - a.operator(i).scale(t.at(j))
+        for i, j in combinations(range(a.lie.space.dim), 2)
+    }
+    return PairAction(a.lie.space, a.carrier.space, coords)
+
+
+def ref_hemisemidirect_table(c) -> ThreeLeibnizAlgebra:
+    """[l1+h1, l2+h2, l3+h3] = [l1,l2,l3]_L + rho(l1,l2)h3 + [h1,h2,h3]_H,
+    each value padded into L + H by hand."""
+    lspace, hspace = c.algebra.space, c.carrier
+    ldim, hdim = lspace.dim, hspace.dim
+    labels = tuple(f"l_{s}" for s in lspace.basis_labels) + tuple(
+        f"h_{s}" for s in hspace.basis_labels
+    )
+    total = Space(f"{lspace.name}(+){hspace.name}", ldim + hdim, labels)
+
+    def embed_l(v):
+        return Vector(v.entries + (0,) * hdim)
+
+    def embed_h(v):
+        return Vector((0,) * ldim + v.entries)
+
+    coords = {}
+    for key, vec in c.algebra.bracket.expand_ordered().items():
+        coords[key] = embed_l(vec)
+    for (i, j), mat in c.rho.items():
+        for k in range(hdim):
+            coords[(i, j, ldim + k)] = embed_h(mat.col(k))
+            coords[(j, i, ldim + k)] = embed_h(-mat.col(k))
+    for (i, j, k), vec in c.target_bracket.expand_ordered().items():
+        coords[(ldim + i, ldim + j, ldim + k)] = embed_h(vec)
+    return ThreeLeibnizAlgebra(total, TrilinearTable(total, total, coords))
+
+
+def ref_subadjacent(a) -> ThreeLeibnizAlgebra:
+    """The entry-wise sum of bracket and braces, key by key."""
+    space = a.space
+    bracket_vals = a.lie3.bracket.expand_ordered()
+    brace_vals = a.braces.expand_ordered()
+    coords = {}
+    for key in sorted(set(bracket_vals) | set(brace_vals)):
+        total = bracket_vals.get(key, space.zero()) + brace_vals.get(key, space.zero())
+        if not total.is_zero():
+            coords[key] = total
+    return ThreeLeibnizAlgebra(space, TrilinearTable(space, space, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +906,10 @@ _GATES = {}
 
 
 def _gate(check):
-    """Memoize a reference check's default-title report per object, as the
-    package memoizes its gate reports."""
+    """Memoize a reference check's report per object, as the package
+    memoizes its gate reports."""
 
-    def memoized(obj, *args, title=None):
-        if title is not None:
-            return check(obj, *args, title=title)
+    def memoized(obj, *args):
         key = (check.__name__, id(obj), args)
         if key not in _GATES:
             # holding obj keeps it alive, so no other object takes its id
@@ -868,11 +953,11 @@ def _fundamental_sides(table, b1, b2, c, d, e, zero):
     return lhs, rhs
 
 
-def ref_check_3lie(a, title=None):
+def ref_check_3lie(a):
     space = a.space
     n = space.dim
     zero = space.zero()
-    rep = Report(title or f"3-Lie axioms on {space.name}")
+    rep = Report(f"3-Lie axioms on {space.name}")
     _scan(
         rep,
         "fundamental identity",
@@ -887,10 +972,10 @@ def ref_check_3lie(a, title=None):
 
 
 @_gate
-def ref_check_3leibniz(a, title=None):
+def ref_check_3leibniz(a):
     space = a.space
     zero = space.zero()
-    rep = Report(title or f"ternary Leibniz axioms on {space.name}")
+    rep = Report(f"ternary Leibniz axioms on {space.name}")
     _scan(
         rep,
         "fundamental identity",
@@ -903,11 +988,11 @@ def ref_check_3leibniz(a, title=None):
     return rep
 
 
-def ref_check_lie(a, title=None):
+def ref_check_lie(a):
     space = a.space
     zero = space.zero()
     value = a.value
-    rep = Report(title or f"Lie axioms on {space.name}")
+    rep = Report(f"Lie axioms on {space.name}")
 
     def jacobi(t):
         i, j, k = t
@@ -930,11 +1015,11 @@ def ref_check_lie(a, title=None):
     return rep
 
 
-def ref_check_leibniz_lie(a, title=None):
+def ref_check_leibniz_lie(a):
     space = a.space
     zero = space.zero()
     prod, lie = a.product, a.lie.value
-    rep = Report(title or f"Leibniz-Lie axioms on {space.name}")
+    rep = Report(f"Leibniz-Lie axioms on {space.name}")
     rep.absorb(ref_check_lie(a.lie), "underlying Lie algebra")
 
     def left_multiplication(t):
@@ -971,10 +1056,10 @@ def ref_check_leibniz_lie(a, title=None):
     return rep
 
 
-def ref_check_3ll(a, title=None):
+def ref_check_3ll(a):
     space = a.space
     zero = space.zero()
-    rep = Report(title or f"ternary brace axioms on {space.name}")
+    rep = Report(f"ternary brace axioms on {space.name}")
     gate = ref_check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
     if not gate.ok:
         rep.absorb(gate, "underlying bracket")
@@ -1038,8 +1123,8 @@ _HOM_TUPLES = {
 }
 
 
-def ref_check_hom(kind, f, src, dst, title=None):
-    rep = Report(title or f"structure map check ({kind})")
+def ref_check_hom(kind, f, src, dst):
+    rep = Report(f"structure map check ({kind})")
     space = src.space
     images = [f.column(i) for i in range(space.dim)]
 
@@ -1065,8 +1150,8 @@ def ref_check_hom(kind, f, src, dst, title=None):
 
 
 @_gate
-def ref_check_representation(r, title=None):
-    rep = Report(title or "pair-action representation check")
+def ref_check_representation(r):
+    rep = Report("pair-action representation check")
     gate = ref_check_3lie(r.algebra)
     if not gate.ok:
         rep.absorb(gate, "acting algebra")
@@ -1116,8 +1201,8 @@ def ref_check_representation(r, title=None):
 
 
 @_gate
-def ref_check_coherent_action(c, title=None):
-    rep = Report(title or "coherent action check")
+def ref_check_coherent_action(c):
+    rep = Report("coherent action check")
     gate = ref_check_representation(c.rep)
     if gate.verdict != "pass":
         rep.absorb(gate, "representation")
@@ -1167,8 +1252,8 @@ def ref_check_coherent_action(c, title=None):
 
 
 @_gate
-def ref_check_net(p, mode="all", title=None):
-    rep = Report(title or "embedding tensor check")
+def ref_check_net(p, mode="all"):
+    rep = Report("embedding tensor check")
     gate = ref_check_coherent_action(p.action)
     if gate.verdict != "pass":
         rep.absorb(gate, "coherent action")
@@ -1203,9 +1288,9 @@ def ref_check_net(p, mode="all", title=None):
     return rep
 
 
-def ref_graph_check(p, title=None):
+def ref_graph_check(p):
     """Closure of the graph, evaluated in the combined bracket on L + H."""
-    rep = Report(title or "graph closure check")
+    rep = Report("graph closure check")
     gate = ref_check_coherent_action(p.action)
     if gate.verdict != "pass":
         rep.absorb(gate, "coherent action")
@@ -1288,8 +1373,8 @@ def ref_induced_rep(p) -> ThreeLeibnizRep:
     return ThreeLeibnizRep(desc, lspace, l_act, m_act, r_act)
 
 
-def ref_check_3leibniz_rep(r, title=None):
-    rep = Report(title or "ternary Leibniz representation check")
+def ref_check_3leibniz_rep(r):
+    rep = Report("ternary Leibniz representation check")
     gate = ref_check_3leibniz(r.algebra)
     if not gate.ok:
         rep.absorb(gate, "underlying algebra")
@@ -1499,8 +1584,8 @@ def ref_action_compatibility(rep, p, d_l, d_h):
     )
 
 
-def ref_check_net_hom(h, title=None):
-    rep = Report(title or "embedding tensor map check")
+def ref_check_net_hom(h):
+    rep = Report("embedding tensor map check")
     for label, problem in (("source", h.source), ("target", h.target)):
         gate = ref_check_net(problem, "all")
         if not gate.ok:
@@ -1645,7 +1730,7 @@ def ref_check_lie_coherent(a):
     def commutator(t):
         i, j = t
         v = a.lie.value(i, j)
-        lhs = _extend(a.rho.get, v, Matrix.zeros(hdim, hdim))
+        lhs = _extend(a.operator, v, Matrix.zeros(hdim, hdim))
         return lhs, ops[i].mul(ops[j]) - ops[j].mul(ops[i])
 
     def derivation(t):
@@ -1709,7 +1794,7 @@ def ref_check_lie_net(n):
     def condition(t):
         i, j = t
         lhs = a.lie.eval(cols[i], cols[j])
-        op = _extend(a.rho.get, cols[i], Matrix.zeros(hdim, hdim))
+        op = _extend(a.operator, cols[i], Matrix.zeros(hdim, hdim))
         inner = op.mul_vec(basis[j]) + a.carrier.eval(basis[i], basis[j])
         return lhs, n.tensor.apply(inner)
 

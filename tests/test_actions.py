@@ -219,7 +219,6 @@ def test_gate_data_is_frozen_and_memoizes_its_reports():
             setattr(obj, name, None)
     rep_gate = check_representation(p.action.rep)
     assert rep_gate.ok and check_representation(p.action.rep) is rep_gate
-    assert check_representation(p.action.rep, "titled") is not rep_gate
     action_gate = check_coherent_action(p.action)
     assert check_coherent_action(p.action) is action_gate
     assert check_net(p) is check_net(p, mode="all")

@@ -172,7 +172,7 @@ def test_lie_coherent_action_laws():
     abelian = LieAlgebra(L2, {})
     carrier = LieAlgebra(H3, {(0, 1): H3.basis_vector(2)})
     action = LieCoherentAction(
-        abelian, carrier, {0: e11(3), 1: mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])}
+        abelian, carrier, {(0,): e11(3), (1,): mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])}
     )
     rep = check_lie_coherent(action)
     assert pin(rep, "commutator law") == (1, 1, ((1, 2), "(e1, e2)", "0", "[1,2]=1"))

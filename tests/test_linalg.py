@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tensorforge import InputError, Matrix, Vector, fmt_rat, rat
-from tensorforge.linalg import _rref, kernel_basis, rank, solve_membership
+from tensorforge.linalg import (
+    _kron,
+    _kron_apply,
+    _rref,
+    kernel_basis,
+    rank,
+    solve_membership,
+)
 
 from oracles import (
     oracle_combine,
@@ -252,3 +259,17 @@ def test_equal_matrices_built_differently_are_equal_and_hash_alike(data):
     assert Matrix.zeros(m, k) == Matrix.diagonal([0] * m).mul(Matrix(rows, ncols=k))
     if m != k:
         assert Matrix.zeros(m, k) != Matrix.zeros(k, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(matrix_rows(max_dim=3), min_size=1, max_size=4), st.data())
+def test_kron_apply_equals_the_formed_product(factor_rows, data):
+    """Applying the factors one mode at a time, last to first, on possibly
+    non-square factors, gives the product of the formed Kronecker matrix."""
+    factors = [Matrix(rows) for rows in factor_rows]
+    size = 1
+    for f in factors:
+        size *= f.ncols
+    v = Vector(data.draw(st.lists(fracs, min_size=size, max_size=size)))
+    assert _kron_apply(factors, v) == _kron(*factors).mul_vec(v)
+
