@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     Vector,
     ZERO,
+    _div,
     _rref,
     kernel_basis,
     solve_membership,
@@ -207,7 +208,7 @@ def _decompose_wedge(x_entries: list, dim: int) -> list:
         i, j = pivot
         c = X[i][j]
         a1 = Vector([X[r][i] for r in range(dim)])
-        a2 = Vector([X[r][j] / c for r in range(dim)])
+        a2 = Vector([_div(X[r][j], c) for r in range(dim)])
         pieces.append((a1, a2))
         for r in range(dim):
             for s in range(dim):

@@ -1,11 +1,14 @@
 """Exact rational scalars, vectors, sparse matrices, and elimination.
 
-Every number in the package is a `fractions.Fraction`; nothing here ever
-rounds. A `Matrix` stores only its nonzero entries, as nonzero columns
-`{col: {row: value}}`: the cochain differentials are built one column per
-unit cochain and are very sparse (the 2500x250 degree-2 differential of a
-dim-5 nilpotent problem has a density of 0.003), and the operator laws
-multiply small, mostly sparse operators.
+Every number in the package is exact: an `int` when it is integral, so
+integral structure constants multiply and add at machine speed, and a
+`fractions.Fraction` otherwise. The one division, `_div`, keeps a
+quotient exact; nothing here ever rounds. A `Matrix` stores only its
+nonzero entries, as nonzero columns `{col: {row: value}}`: the cochain
+differentials are built one column per unit cochain and are very sparse
+(the 2500x250 degree-2 differential of a dim-5 nilpotent problem has a
+density of 0.003), and the operator laws multiply small, mostly sparse
+operators.
 
 One sparse elimination kernel, `_eliminate`, sits behind `rank`,
 `kernel_basis`, `solve_membership` and `_rref`. It takes one
@@ -29,41 +32,48 @@ from .errors import InputError
 # the one elimination backend; kept because scripts report it
 KERNEL_BACKEND = "pure"
 
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = int | Fraction
+ZERO = 0
+ONE = 1
 
 
-def rat(value) -> Fraction:
-    """Parse a rational from an int, a `p/q` / `p` string, or a Fraction.
+def rat(value) -> Scalar:
+    """Parse a rational from an int, a `p/q` / `p` string, or a Fraction:
+    an `int` when it is integral, a reduced Fraction otherwise.
 
     Floats are rejected: every scalar in the system must stay exact.
     """
-    if type(value) is Fraction:
-        return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # a bool becomes a plain int
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational {value!r}: {exc}") from None
-    raise InputError(f"bad rational {value!r}: expected int or 'p/q' string")
+    elif type(value) is not Fraction:
+        raise InputError(f"bad rational {value!r}: expected int or 'p/q' string")
+    return value.numerator if value.denominator == 1 else value
 
 
-def fmt_rat(q: Fraction) -> str:
-    # Fraction's str is already the canonical reduced "p/q" (or "p") form
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, an `int` when it is integral; the only
+    division in the package, since `/` on two ints gives a float."""
+    return rat(Fraction(a) / b)
+
+
+def fmt_rat(q: Scalar) -> str:
+    # str of an int or a Fraction is already the canonical "p/q" (or "p") form
     return str(q)
 
 
 class Vector:
-    """Immutable coordinate vector of Fractions."""
+    """Immutable coordinate vector of exact scalars."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         self.entries = tuple(
-            e if type(e) is Fraction else rat(e) for e in entries
+            e if type(e) is int or type(e) is Fraction else rat(e) for e in entries
         )
 
     @classmethod
@@ -112,7 +122,7 @@ class Vector:
             if a != 0:
                 yield i, a
 
-    def dot(self, other: "Vector") -> Fraction:
+    def dot(self, other: "Vector") -> Scalar:
         if len(self.entries) != len(other.entries):
             raise InputError("vector dimension mismatch in dot product")
         return sum(
@@ -134,7 +144,7 @@ _EMPTY: dict = {}
 
 
 class Matrix:
-    """Immutable matrix of Fractions that stores only its nonzero entries.
+    """Immutable matrix of exact scalars that stores only its nonzero entries.
 
     The storage is a dict of nonzero columns, `{col: {row: value}}`. No zero
     entry and no empty column is ever stored, so equal matrices have equal
@@ -210,7 +220,7 @@ class Matrix:
         return cls._of(n, n, {j: {j: a} for j, a in enumerate(entries) if a})
 
     @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense view: a tuple of row tuples."""
         dense = [[ZERO] * self.ncols for _ in range(self.nrows)]
         for j, col in self._cols.items():
@@ -218,13 +228,13 @@ class Matrix:
                 dense[i][j] = a
         return tuple(map(tuple, dense))
 
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
+    def items(self) -> list[tuple[tuple[int, int], Scalar]]:
         """The nonzero entries as ((row, col), value), in row-major order."""
         return sorted(
             ((i, j), a) for j, col in self._cols.items() for i, a in col.items()
         )
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> Scalar:
         i, j = range(self.nrows)[i], range(self.ncols)[j]  # IndexError if outside
         return self._cols.get(j, _EMPTY).get(i, ZERO)
 
@@ -441,7 +451,7 @@ def _eliminate(sparse: list[dict], ncols: int, reduce: bool):
             where[j].discard(piv)
         p = prow.pop(c)
         if p != 1:
-            inv = ONE / p
+            inv = _div(ONE, p)
             for j in prow:
                 prow[j] *= inv
         for i in below:
@@ -484,7 +494,7 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(_row_dicts(m), m.ncols, False)[1])
 
 
-def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(m: Matrix) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form as dense rows (zero rows last), and its pivots."""
     reduced, pivots = _eliminate(_row_dicts(m), m.ncols, True)
     rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in reduced]

@@ -115,9 +115,14 @@ def _feed(outer: dict, slot: int, inner: dict) -> dict:
     sum of inner[a][m] * outer[k] over the keys k with m in the slot, where
     b is k less its slot. Only nonzero coordinates are joined, and a key
     whose terms cancel is dropped, so every key holds a nonzero value.
+    Vector values are summed in one list of coordinates per key, from the
+    nonzero coordinates of outer's values; Matrix values are scaled and
+    added.
     """
     index = {}
     for key, val in outer.items():
+        if isinstance(val, Vector):
+            val = (val.dim, tuple(val.iter_nonzero()))
         index.setdefault(key[slot], []).append((key[:slot] + key[slot + 1 :], val))
     out = {}
     for a, vec in inner.items():
@@ -125,9 +130,21 @@ def _feed(outer: dict, slot: int, inner: dict) -> dict:
         terms = {}
         for m, c in vec.iter_nonzero():
             for rest, val in index.get(m, ()):
-                term = val if c == 1 else val.scale(c)
-                terms[rest] = terms[rest] + term if rest in terms else term
-        out.update((a + rest, val) for rest, val in terms.items() if not val.is_zero())
+                if type(val) is tuple:  # a Vector: (dimension, nonzero coordinates)
+                    acc = terms.get(rest)
+                    if acc is None:
+                        acc = terms[rest] = [ZERO] * val[0]
+                    for t, b in val[1]:
+                        acc[t] += c * b
+                else:
+                    term = val if c == 1 else val.scale(c)
+                    terms[rest] = terms[rest] + term if rest in terms else term
+        for rest, val in terms.items():
+            if type(val) is list:
+                if any(val):
+                    out[a + rest] = Vector(val)
+            elif not val.is_zero():
+                out[a + rest] = val
     return out
 
 

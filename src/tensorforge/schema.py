@@ -36,7 +36,7 @@ from .algebras import (
     ThreeLieAlgebra,
 )
 from .errors import InputError
-from .linalg import Matrix, Vector, rat
+from .linalg import Matrix, Scalar, Vector, rat
 from .multilinear import (
     AlternatingTrilinearTable,
     PairAction,
@@ -78,11 +78,11 @@ class _ScalarParser:
     def __init__(self, values: dict):
         self.values = values
 
-    def parse(self, raw, path: str) -> Fraction:
+    def parse(self, raw, path: str) -> Scalar:
         if isinstance(raw, bool):
             raise InputError(f"{path}: expected a scalar, got a boolean")
         if isinstance(raw, int):
-            return Fraction(raw)
+            return raw
         if not isinstance(raw, str):
             raise InputError(
                 f"{path}: expected an integer or a scalar string, "
@@ -106,7 +106,7 @@ class _ScalarParser:
                     f"(available: {available})"
                 )
             coeff *= self.values[name]
-        return sign * coeff
+        return rat(sign * coeff)
 
 
 class Document:
@@ -114,7 +114,7 @@ class Document:
 
     def __init__(self, title: str | None = None):
         self.title = title
-        self.parameters: dict[str, Fraction] = {}
+        self.parameters: dict[str, Scalar] = {}
         self.spaces: dict[str, Space] = {}
         self.entries: dict[str, dict] = {kind: {} for kind in KIND_ORDER}
 
@@ -228,7 +228,7 @@ def _parse_key(raw: str, arity: int, path: str) -> tuple:
 
 def _parse_sparse_vector(raw, space: Space, scalars, path: str) -> Vector:
     _expect(raw, dict, path, "a sparse vector object")
-    entries = [Fraction(0)] * space.dim
+    entries = [0] * space.dim
     seen = set()
     for key, value in raw.items():
         key_text = key.strip()
@@ -326,7 +326,7 @@ _STR = (str, "a string")
 # --- emission ---------------------------------------------------------------
 
 
-def _emit_scalar(q: Fraction):
+def _emit_scalar(q: Scalar):
     return int(q) if q.denominator == 1 else str(q)
 
 

@@ -599,6 +599,23 @@ def random_leibniz_lie_with_trace(rng):
 # of term tables, dense over every basis tuple, kept to check those sums
 
 
+def ref_feed(outer: dict, slot: int, inner: dict) -> dict:
+    """`multilinear._feed` as it was before it summed vector values in
+    coordinate lists: each term is a whole value, scaled and added."""
+    index = {}
+    for key, val in outer.items():
+        index.setdefault(key[slot], []).append((key[:slot] + key[slot + 1 :], val))
+    out = {}
+    for a, vec in inner.items():
+        terms = {}
+        for m, c in vec.iter_nonzero():
+            for rest, val in index.get(m, ()):
+                term = val if c == 1 else val.scale(c)
+                terms[rest] = terms[rest] + term if rest in terms else term
+        out.update((a + rest, val) for rest, val in terms.items() if not val.is_zero())
+    return out
+
+
 def ref_ternary_from_binary(lie, t) -> AlternatingTrilinearTable:
     """t(e_i) [e_j, e_k] + t(e_j) [e_k, e_i] + t(e_k) [e_i, e_j]."""
     space = lie.space

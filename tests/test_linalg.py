@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tensorforge import InputError, Matrix, Vector, fmt_rat, rat
 from tensorforge.linalg import (
+    _div,
     _kron,
     _kron_apply,
     _rref,
@@ -125,6 +126,19 @@ def test_rat_parses_ints_strings_and_fractions():
         rat("1/0")
     with pytest.raises(InputError):
         rat(0.5)
+
+
+def test_rat_is_an_int_exactly_when_the_value_is_integral():
+    for value in (Fraction(4, 2), "6/3", 2, " 2 "):
+        assert type(rat(value)) is int and rat(value) == 2
+    assert type(rat(True)) is int
+    assert type(rat("1/2")) is Fraction and rat("1/2") == Fraction(1, 2)
+    assert type(rat(Fraction(6, 4))) is Fraction
+    with pytest.raises(InputError):
+        rat(2.0)
+    assert type(_div(6, 3)) is int and _div(6, 3) == 2
+    assert _div(1, 2) == Fraction(1, 2) and _div(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert type(_div(Fraction(1, 2), Fraction(1, 4))) is int
 
 
 def test_fmt_rat_round_trips():

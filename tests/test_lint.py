@@ -1,5 +1,6 @@
-"""Lint: every module of the package uses each name it imports, and every
-function it defines is referenced somewhere."""
+"""Lint: every module of the package uses each name it imports, every
+function it defines is referenced somewhere, and the one division is
+`linalg._div`."""
 
 import ast
 import re
@@ -107,3 +108,30 @@ def test_only_linalg_reads_matrix_storage():
         if isinstance(node, ast.Attribute) and node.attr in storage
     ]
     assert not readers, "Matrix storage read outside linalg: " + ", ".join(readers)
+
+
+def test_the_one_division_is_linalg_div():
+    """`/` on two ints gives a float, and scalars are ints where they are
+    integral, so every quotient goes through `linalg._div`, which keeps it
+    exact: no other `/` or `/=` appears in the package."""
+    found, exempt = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.name == "linalg.py"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name == "_div"
+            for node in ast.walk(fn)
+        }
+        exempt += bool(allowed)
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+            and id(node) not in allowed
+        ]
+    assert exempt == 1, "linalg defines the one division, _div"
+    assert not found, "division outside linalg._div: " + ", ".join(found)

@@ -25,9 +25,9 @@ from tensorforge import (
     Vector,
     WedgePairBasis,
 )
-from tensorforge.multilinear import format_matrix, format_vector, sort3
+from tensorforge.multilinear import _feed, format_matrix, format_vector, sort3
 
-from oracles import rand_matrix, rand_vector
+from oracles import rand_matrix, rand_vector, ref_feed
 
 V3 = Space("V", 3)
 V4 = Space("V", 4, ("a", "b", "c", "d"))
@@ -249,3 +249,50 @@ def test_spaces_maps_and_traces_compare_as_values():
     assert trace == TraceMap(same, Vector.unit(3, 0))
     assert trace != TraceMap(v, Vector.unit(3, 1))
     assert trace != TraceMap(Space("W", 3), Vector.unit(3, 0))
+
+
+# scalars as a parsed document holds them: ints, and p/q where not integral
+mixed = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+@st.composite
+def feed_cases(draw):
+    """(outer, slot, inner): an outer table of Vector or Matrix values with
+    keys of one to three indices below n, a slot, and an inner table of
+    dimension-n vectors."""
+    n, arity = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        def value():
+            return Matrix([[draw(mixed) for _ in range(2)] for _ in range(2)])
+    else:
+        def value():
+            return Vector([draw(mixed) for _ in range(3)])
+    index = st.integers(0, n - 1)
+    keys = draw(st.sets(st.tuples(*[index] * arity), max_size=10))
+    outer = {key: value() for key in sorted(keys)}
+    inner_keys = draw(st.sets(st.tuples(st.integers(0, 2)), max_size=3))
+    inner = {key: Vector([draw(mixed) for _ in range(n)]) for key in sorted(inner_keys)}
+    outer = {key: val for key, val in outer.items() if not val.is_zero()}
+    inner = {key: val for key, val in inner.items() if not val.is_zero()}
+    return outer, draw(st.integers(0, arity - 1)), inner
+
+
+@settings(max_examples=150, deadline=None)
+@given(feed_cases())
+def test_feed_matches_the_scale_and_add_reference(case):
+    outer, slot, inner = case
+    fed = _feed(outer, slot, inner)
+    assert fed == ref_feed(outer, slot, inner)
+    assert all(not val.is_zero() for val in fed.values())
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Vector([1, Fraction(1, 2), 0]), Matrix([[Fraction(-3, 2), 2], [0, 1]])],
+    ids=["vector", "matrix"],
+)
+def test_feed_drops_a_key_whose_terms_cancel(value):
+    # key (5, 0) gets 2 * value - 1 * (2 * value) = 0; key (5, 1) gets -value
+    outer = {(0, 0): value, (1, 0): value.scale(2), (1, 1): value}
+    inner = {(5,): Vector([2, -1])}
+    assert _feed(outer, 0, inner) == ref_feed(outer, 0, inner) == {(5, 1): -value}

@@ -15,7 +15,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tensorforge import (
     AlternatingTrilinearTable,
@@ -62,6 +62,7 @@ from tensorforge import (
     induced_3ll,
     lift_net,
     load_document,
+    rat,
     rho_sigma,
     subadjacent,
     three_ll_from_leibniz_lie,
@@ -74,6 +75,7 @@ from tensorforge.induced_lie import _ternary_from_binary
 import oracles
 from oracles import (
     example_problem,
+    rand_invertible,
     rand_matrix,
     rand_scalar,
     rand_unimodular,
@@ -230,6 +232,31 @@ def _perturbed(p, rng):
     return EmbeddingTensorProblem(action, LinearMap(h, l, Matrix(tensor)))
 
 
+def _exact(p):
+    """p with each scalar an int where it is integral, as a parsed document
+    holds it: the oracles build every scalar as a Fraction."""
+    l, h = p.l_space, p.h_space
+
+    def vector(v):
+        return Vector([rat(a) for a in v])
+
+    def matrix(m):
+        return Matrix([vector(row) for row in m.rows])
+
+    def bracket(table):
+        coords = {key: vector(v) for key, v in table.coords.items()}
+        return AlternatingTrilinearTable(table.domain, table.codomain, coords)
+
+    rho = {key: matrix(m) for key, m in p.rho.coords.items()}
+    action = CoherentActionData(
+        RepresentationData(
+            ThreeLieAlgebra(l, bracket(p.l_bracket)), h, PairAction(l, h, rho)
+        ),
+        bracket(p.h_bracket),
+    )
+    return EmbeddingTensorProblem(action, LinearMap(h, l, matrix(p.tensor.matrix)))
+
+
 def _problem(seed, kind):
     """(base problem, problem, its maps from base, a deformation direction)."""
     rng = random.Random(seed)
@@ -238,6 +265,9 @@ def _problem(seed, kind):
     if kind == "dense":
         gl, gh = rand_unimodular(rng, 4, 6), rand_unimodular(rng, 4, 6)
         p = transport_problem(p, gl, gh)
+    elif kind == "rational":
+        gl, gh = rand_invertible(rng, 4), rand_unimodular(rng, 4, 6)
+        base, p = _exact(base), _exact(transport_problem(p, gl, gh))
     elif kind == "perturbed":
         p = _perturbed(p, rng)
     direction = Matrix(
@@ -352,6 +382,23 @@ def test_random_operators_match_the_full_scan(seed):
 )
 def test_problem_reports_match_the_full_scan(seed, kind):
     _assert_same(_problem_pairs(seed, kind))
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_rational_basis_reports_match_the_full_scan(seed):
+    """Moved through a change of basis with p/q entries on L and an integral
+    one on H, the problem holds non-integral Fractions on L and ints on H,
+    and the laws that join the two spaces mix them."""
+    _, p, _, _ = _problem(seed, "rational")
+    types = {
+        type(a)
+        for table in (p.l_bracket, p.h_bracket)
+        for v in table.coords.values()
+        for a in v
+    }
+    assume(types == {int, Fraction})
+    _assert_same(_problem_pairs(seed, "rational"))
 
 
 def test_perturbations_reach_failing_laws():
