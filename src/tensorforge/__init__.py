@@ -19,10 +19,7 @@ __version__ = "0.1.0"
 
 # every public name, and the module that defines it
 _EXPORTS = {
-    "CoherentActionData": "actions",
-    "EmbeddingTensorProblem": "actions",
     "NetHomomorphism": "actions",
-    "RepresentationData": "actions",
     "check_coherent_action": "actions",
     "check_net": "actions",
     "check_net_hom": "actions",
@@ -32,12 +29,20 @@ _EXPORTS = {
     "hemisemidirect": "actions",
     "hemisemidirect_table": "actions",
     "induced_3ll": "actions",
+    "CoherentActionData": "algebras",
+    "Deformation": "algebras",
+    "EmbeddingTensorProblem": "algebras",
     "LeibnizLieAlgebra": "algebras",
     "LieAlgebra": "algebras",
+    "LieCoherentAction": "algebras",
+    "LieNet": "algebras",
     "LinearMap": "algebras",
+    "RepresentationData": "algebras",
     "ThreeLeibnizAlgebra": "algebras",
     "ThreeLeibnizLieAlgebra": "algebras",
+    "ThreeLeibnizRep": "algebras",
     "ThreeLieAlgebra": "algebras",
+    "TraceMap": "algebras",
     "check_3leibniz": "algebras",
     "check_3lie": "algebras",
     "check_3ll": "algebras",
@@ -47,7 +52,6 @@ _EXPORTS = {
     "subadjacent": "algebras",
     "Cochain": "cohomology",
     "CochainComplex": "cohomology",
-    "ThreeLeibnizRep": "cohomology",
     "check_3leibniz_rep": "cohomology",
     "cohomology_dims": "cohomology",
     "delta0": "cohomology",
@@ -56,7 +60,6 @@ _EXPORTS = {
     "pushforward": "cohomology",
     "pushforward_matrix": "cohomology",
     "Classification": "deformations",
-    "Deformation": "deformations",
     "EquivalenceWitness": "deformations",
     "are_equivalent": "deformations",
     "check_higher_order": "deformations",
@@ -64,9 +67,6 @@ _EXPORTS = {
     "classify": "deformations",
     "InputError": "errors",
     "PreconditionError": "errors",
-    "LieCoherentAction": "induced_lie",
-    "LieNet": "induced_lie",
-    "TraceMap": "induced_lie",
     "check_lie_coherent": "induced_lie",
     "check_lie_net": "induced_lie",
     "check_trace": "induced_lie",

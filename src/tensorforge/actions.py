@@ -15,7 +15,10 @@ from functools import partial
 from math import comb
 
 from .algebras import (
+    CoherentActionData,
+    EmbeddingTensorProblem,
     LinearMap,
+    RepresentationData,
     ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
@@ -24,13 +27,10 @@ from .algebras import (
     check_hom,
 )
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .multilinear import (
-    AlternatingTrilinearTable,
-    PairAction,
     Space,
     TrilinearTable,
-    _Frozen,
     _basis,
     _columns,
     _compose,
@@ -44,84 +44,6 @@ from .multilinear import (
     format_vector,
 )
 from .report import Report, tuple_label
-
-
-class RepresentationData(_Frozen):
-    """A 3-Lie algebra L acting on a carrier space by pair operators.
-
-    Frozen, so that its memoized gate report `_verified` stays valid.
-    """
-
-    def __init__(self, algebra: ThreeLieAlgebra, carrier: Space, rho: PairAction):
-        if rho.source.dim != algebra.space.dim:
-            raise InputError("action source must be the acting algebra's space")
-        if rho.target.dim != carrier.dim:
-            raise InputError("action target must be the carrier space")
-        vars(self).update(algebra=algebra, carrier=carrier, rho=rho, _verified=None)
-
-
-class CoherentActionData(_Frozen):
-    """A representation whose carrier itself carries a 3-Lie bracket.
-
-    Frozen, so that its memoized gate report `_verified` stays valid.
-    """
-
-    def __init__(
-        self, rep: RepresentationData, target_bracket: AlternatingTrilinearTable
-    ):
-        if target_bracket.domain.dim != rep.carrier.dim:
-            raise InputError("target bracket must live on the carrier space")
-        vars(self).update(rep=rep, target_bracket=target_bracket, _verified=None)
-
-    @property
-    def algebra(self) -> ThreeLieAlgebra:
-        return self.rep.algebra
-
-    @property
-    def carrier(self) -> Space:
-        return self.rep.carrier
-
-    @property
-    def rho(self) -> PairAction:
-        return self.rep.rho
-
-
-class EmbeddingTensorProblem(_Frozen):
-    """A coherent action together with a candidate tensor H -> L.
-
-    Frozen, so that its memos stay valid: the gate reports by triple mode
-    (`_net_reports`) and the cochain complex (`_complex`).
-    """
-
-    def __init__(self, action: CoherentActionData, tensor: LinearMap):
-        if tensor.source.dim != action.carrier.dim:
-            raise InputError("tensor source must be the carrier space")
-        if tensor.target.dim != action.algebra.space.dim:
-            raise InputError("tensor target must be the acting algebra's space")
-        vars(self).update(action=action, tensor=tensor, _net_reports={}, _complex=None)
-
-    @property
-    def l_space(self) -> Space:
-        return self.action.algebra.space
-
-    @property
-    def h_space(self) -> Space:
-        return self.action.carrier
-
-    @property
-    def l_bracket(self) -> AlternatingTrilinearTable:
-        return self.action.algebra.bracket
-
-    @property
-    def h_bracket(self) -> AlternatingTrilinearTable:
-        return self.action.target_bracket
-
-    @property
-    def rho(self) -> PairAction:
-        return self.action.rho
-
-    def tensor_columns(self) -> list[Vector]:
-        return [self.tensor.column(i) for i in range(self.h_space.dim)]
 
 
 def check_representation(r: RepresentationData) -> Report:

@@ -1,6 +1,6 @@
-"""Algebra containers and their defining-law checkers.
+"""Algebra containers, the data built on them, and the algebras' law checkers.
 
-Five structures, all given by structure constants over exact rationals:
+The algebras, all given by structure constants over exact rationals:
 
 - ThreeLieAlgebra: alternating ternary bracket; each inner pair acts as a
   derivation of the bracket (the fundamental identity).
@@ -10,6 +10,12 @@ Five structures, all given by structure constants over exact rationals:
   obeying a left-multiplication law and two vanishing laws.
 - ThreeLeibnizLieAlgebra: a 3-Lie bracket plus ternary braces obeying a
   five-term compatibility law and two vanishing laws.
+
+The data built on them is here too, each class an `__init__` with shape
+checks: representations, coherent actions and embedding-tensor problems,
+three-operator representations, traces, Lie-level actions and tensors, and
+deformation directions. Their laws live in `actions`, `cohomology`,
+`induced_lie` and `deformations`, so reading a document loads none of those.
 
 Checkers reduce to canonical basis tuples only where multilinearity plus the
 stored symmetry make that sound; everything else runs over all ordered tuples.
@@ -24,8 +30,10 @@ from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, _rref
 from .multilinear import (
     AlternatingTrilinearTable,
+    PairAction,
     Space,
     TrilinearTable,
+    _Frozen,
     _family,
     _feed,
     _ordered_pairs,
@@ -175,6 +183,177 @@ class LinearMap:
 
     def is_invertible(self) -> bool:
         return self.inverse() is not None
+
+
+class RepresentationData(_Frozen):
+    """A 3-Lie algebra L acting on a carrier space by pair operators.
+
+    Frozen, so that its memoized gate report `_verified` stays valid.
+    """
+
+    def __init__(self, algebra: ThreeLieAlgebra, carrier: Space, rho: PairAction):
+        if rho.source.dim != algebra.space.dim:
+            raise InputError("action source must be the acting algebra's space")
+        if rho.target.dim != carrier.dim:
+            raise InputError("action target must be the carrier space")
+        vars(self).update(algebra=algebra, carrier=carrier, rho=rho, _verified=None)
+
+
+class CoherentActionData(_Frozen):
+    """A representation whose carrier itself carries a 3-Lie bracket.
+
+    Frozen, so that its memoized gate report `_verified` stays valid.
+    """
+
+    def __init__(
+        self, rep: RepresentationData, target_bracket: AlternatingTrilinearTable
+    ):
+        if target_bracket.domain.dim != rep.carrier.dim:
+            raise InputError("target bracket must live on the carrier space")
+        vars(self).update(rep=rep, target_bracket=target_bracket, _verified=None)
+
+    @property
+    def algebra(self) -> ThreeLieAlgebra:
+        return self.rep.algebra
+
+    @property
+    def carrier(self) -> Space:
+        return self.rep.carrier
+
+    @property
+    def rho(self) -> PairAction:
+        return self.rep.rho
+
+
+class EmbeddingTensorProblem(_Frozen):
+    """A coherent action together with a candidate tensor H -> L.
+
+    Frozen, so that its memos stay valid: the gate reports by triple mode
+    (`_net_reports`) and the cochain complex (`_complex`).
+    """
+
+    def __init__(self, action: CoherentActionData, tensor: LinearMap):
+        if tensor.source.dim != action.carrier.dim:
+            raise InputError("tensor source must be the carrier space")
+        if tensor.target.dim != action.algebra.space.dim:
+            raise InputError("tensor target must be the acting algebra's space")
+        vars(self).update(action=action, tensor=tensor, _net_reports={}, _complex=None)
+
+    @property
+    def l_space(self) -> Space:
+        return self.action.algebra.space
+
+    @property
+    def h_space(self) -> Space:
+        return self.action.carrier
+
+    @property
+    def l_bracket(self) -> AlternatingTrilinearTable:
+        return self.action.algebra.bracket
+
+    @property
+    def h_bracket(self) -> AlternatingTrilinearTable:
+        return self.action.target_bracket
+
+    @property
+    def rho(self) -> PairAction:
+        return self.action.rho
+
+    def tensor_columns(self) -> list[Vector]:
+        return [self.tensor.column(i) for i in range(self.h_space.dim)]
+
+
+class ThreeLeibnizRep:
+    """Representation of a ternary Leibniz algebra by three operator families.
+
+    l_act[(i, j)] is the operator of the pair (e_i, e_j) acting from the left;
+    m_act[(i, j)] acts in the middle slot (u -> action of (e_i, u, e_j));
+    r_act[(i, j)] acts from the right (u -> action of (u, e_i, e_j)).
+    Keys are ordered pairs with no symmetry; absent keys are zero.
+    """
+
+    def __init__(
+        self,
+        algebra: ThreeLeibnizAlgebra,
+        carrier: Space,
+        l_act: dict,
+        m_act: dict,
+        r_act: dict,
+    ):
+        self.algebra = algebra
+        self.carrier = carrier
+        keys, shape = (algebra.space.dim,) * 2, (carrier.dim,) * 2
+        self.l_act = _sparse_table(l_act, "left action", keys, shape)
+        self.m_act = _sparse_table(m_act, "middle action", keys, shape)
+        self.r_act = _sparse_table(r_act, "right action", keys, shape)
+
+
+class TraceMap:
+    """A linear functional on a space, stored by its basis coefficients.
+
+    Traces are compared as values: equal spaces and equal coefficients.
+    """
+
+    def __init__(self, space: Space, covector: Vector):
+        if covector.dim != space.dim:
+            raise InputError("trace coefficient count must match the space")
+        self.space = space
+        self.covector = covector
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TraceMap)
+            and self.space == other.space
+            and self.covector == other.covector
+        )
+
+    def apply(self, v: Vector):
+        return self.covector.dot(v)
+
+    def at(self, i: int):
+        return self.covector[i]
+
+
+class LieCoherentAction:
+    """A Lie algebra acting on another Lie algebra by operators.
+
+    rho maps each basis vector of the acting algebra, keyed by its 1-tuple
+    (i,), to an operator on the carrier; absent keys act as zero.
+    """
+
+    def __init__(self, lie: LieAlgebra, carrier: LieAlgebra, rho: dict):
+        self.lie = lie
+        self.carrier = carrier
+        shape = (carrier.space.dim,) * 2
+        self.rho = _sparse_table(rho, "action", (lie.space.dim,), shape)
+
+    def operator(self, i: int) -> Matrix:
+        vdim = self.carrier.space.dim
+        return self.rho.get((i,), Matrix.zeros(vdim, vdim))
+
+
+class LieNet:
+    """A Lie-level embedding tensor: a coherent Lie action plus a map H -> L."""
+
+    def __init__(self, action: LieCoherentAction, tensor: LinearMap):
+        if tensor.source != action.carrier.space:
+            raise InputError("tensor source must be the carrier space")
+        if tensor.target != action.lie.space:
+            raise InputError("tensor target must be the acting algebra")
+        self.action = action
+        self.tensor = tensor
+
+
+class Deformation:
+    """A tensor problem together with one deformation direction H -> L."""
+
+    def __init__(self, problem: EmbeddingTensorProblem, direction: LinearMap):
+        if direction.source.dim != problem.h_space.dim:
+            raise InputError("direction source must match the carrier H")
+        if direction.target.dim != problem.l_space.dim:
+            raise InputError("direction target must match the algebra L")
+        self.problem = problem
+        self.direction = direction
 
 
 def _increasing(t) -> bool:

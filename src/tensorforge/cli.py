@@ -7,9 +7,11 @@ checks passed, 1 some law failed (witnesses printed), 2 malformed input,
 3 a precondition was refused, 4 an internal error (one line on stderr, no
 traceback), 130 interrupted.
 
-A command imports the modules it runs when it runs: at start-up this module
-loads only the document reader and what it needs, so a check of one kind
-does not pay for compiling the cohomology or deformation code.
+A command imports the modules it runs when it runs. At start-up this module
+loads only the document reader and what it needs, and the reader builds
+every kind of entry without a law module; the parser builds the subparser
+of the command given and no other. So a command compiles only the laws it
+runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from importlib import import_module
 
 from .errors import InputError, PreconditionError
@@ -111,10 +112,18 @@ def _trace_on_space(doc: Document, space, name, flag: str):
 # --- check commands ---------------------------------------------------------
 
 
-def _cmd_check(kind: str, module: str, check: str, args) -> int:
-    doc = _load(args)
-    checker = getattr(import_module(f".{module}", __package__), check)
-    return _print_report(checker(doc.resolve(kind, args.name)), args)
+def _check(kind: str, module: str, check: str):
+    """The handler of a command that runs the checker `check` of `module` on
+    an entry of `kind`. It looks the checker up in its module when it runs,
+    so that rebinding it there (the tests and the perfbench tracer do)
+    reaches the command."""
+
+    def handler(args) -> int:
+        doc = _load(args)
+        checker = getattr(import_module(f".{module}", __package__), check)
+        return _print_report(checker(doc.resolve(kind, args.name)), args)
+
+    return handler
 
 
 def _cmd_check_net(args) -> int:
@@ -348,7 +357,7 @@ def _cmd_lie_to_3lie(args) -> int:
 
 
 def _cmd_rho_sigma(args) -> int:
-    from .actions import CoherentActionData, RepresentationData
+    from .algebras import CoherentActionData, RepresentationData
     from .induced_lie import check_lie_coherent, rho_sigma, threelie_from_lie
 
     doc = _load(args)
@@ -411,36 +420,111 @@ def _cmd_emit(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-# (command, kind, module, checker, help).  A command looks its checker up in
-# the defining module when it runs, so that rebinding the checker there (the
-# tests and the perfbench tracer do) reaches the command.
-_CHECK_COMMANDS = [
-    ("check-3lie", "three_lie", "algebras", "check_3lie",
-     "verify the alternating ternary bracket laws"),
-    ("check-3leibniz", "three_leibniz", "algebras", "check_3leibniz",
-     "verify the ternary Leibniz identity"),
-    ("check-lie", "lie", "algebras", "check_lie",
-     "verify antisymmetry and the Jacobi identity"),
-    ("check-leibniz-lie", "leibniz_lie", "algebras", "check_leibniz_lie",
-     "verify the binary bracket-and-product laws"),
-    ("check-3ll", "three_leibniz_lie", "algebras", "check_3ll",
-     "verify the ternary bracket-and-braces laws"),
-    ("check-rep", "representations", "actions", "check_representation",
-     "verify the pair-operator representation laws"),
-    ("check-action", "actions", "actions", "check_coherent_action",
-     "verify the coherent action laws"),
-    ("check-rep-3leibniz", "three_leibniz_reps", "cohomology", "check_3leibniz_rep",
-     "verify the three-operator representation laws"),
-    ("check-lie-action", "lie_actions", "induced_lie", "check_lie_coherent",
-     "verify the binary coherent action laws"),
-    ("check-lie-net", "lie_nets", "induced_lie", "check_lie_net",
-     "verify the binary embedding-tensor condition"),
-    ("graph-check", "nets", "actions", "graph_check",
-     "verify closure of the tensor's graph in the combined bracket"),
-]
+_TRACE_PAIR = (
+    ("--trace-l", {"help": "trace on the acting algebra"}),
+    ("--trace-h", {"help": "trace on the carrier algebra"}),
+)
+
+# command -> (help, output, handler, the options of its own as (flag,
+# keywords)...), in the order the help lists them. The output is a law
+# "report" with witnesses, a "table" of numbers, or a "document".
+_COMMANDS = {
+    "check-3lie": (
+        "verify the alternating ternary bracket laws", "report",
+        _check("three_lie", "algebras", "check_3lie")),
+    "check-3leibniz": (
+        "verify the ternary Leibniz identity", "report",
+        _check("three_leibniz", "algebras", "check_3leibniz")),
+    "check-lie": (
+        "verify antisymmetry and the Jacobi identity", "report",
+        _check("lie", "algebras", "check_lie")),
+    "check-leibniz-lie": (
+        "verify the binary bracket-and-product laws", "report",
+        _check("leibniz_lie", "algebras", "check_leibniz_lie")),
+    "check-3ll": (
+        "verify the ternary bracket-and-braces laws", "report",
+        _check("three_leibniz_lie", "algebras", "check_3ll")),
+    "check-rep": (
+        "verify the pair-operator representation laws", "report",
+        _check("representations", "actions", "check_representation")),
+    "check-action": (
+        "verify the coherent action laws", "report",
+        _check("actions", "actions", "check_coherent_action")),
+    "check-rep-3leibniz": (
+        "verify the three-operator representation laws", "report",
+        _check("three_leibniz_reps", "cohomology", "check_3leibniz_rep")),
+    "check-lie-action": (
+        "verify the binary coherent action laws", "report",
+        _check("lie_actions", "induced_lie", "check_lie_coherent")),
+    "check-lie-net": (
+        "verify the binary embedding-tensor condition", "report",
+        _check("lie_nets", "induced_lie", "check_lie_net")),
+    "graph-check": (
+        "verify closure of the tensor's graph in the combined bracket", "report",
+        _check("nets", "actions", "graph_check")),
+    "check-net": (
+        "verify the ternary embedding-tensor condition", "report",
+        _cmd_check_net,
+        ("--triples", {"choices": ("all", "increasing"), "default": "all",
+                       "help": "basis triples to test (default: all ordered)"})),
+    "check-trace": (
+        "verify that a functional kills all products", "report",
+        _cmd_check_trace,
+        ("--algebra", {"help": "which algebra to test against"})),
+    "deform-check": (
+        "verify a first-order deformation direction", "report",
+        _cmd_deform_check,
+        ("--higher-order", {"action": "store_true",
+                            "help": "also test the order-2 and order-3 conditions"})),
+    "deform-equiv": (
+        "decide whether two directions differ trivially", "report",
+        _cmd_deform_equiv,
+        ("--first", {"help": "name of the first direction"}),
+        ("--second", {"help": "name of the second direction"})),
+    "cohomology": (
+        "dimensions of cocycles, coboundaries, and classes", "table",
+        _cmd_cohomology,
+        ("--degrees", {"default": "1,2", "metavar": "LIST",
+                       "help": "comma-separated degrees (default 1,2)"})),
+    "classify": (
+        "count and exhibit first-order deformation classes", "table",
+        _cmd_classify),
+    "hemisemidirect": (
+        "combined ternary bracket on the sum of the two spaces", "document",
+        _cmd_hemisemidirect),
+    "descendent": (
+        "ternary Leibniz bracket induced on the carrier", "document",
+        _cmd_descendent),
+    "induce-3ll": (
+        "bracket-and-braces structure induced on the carrier", "document",
+        _cmd_induce_3ll),
+    "induced-rep": (
+        "representation induced on the target algebra", "document",
+        _cmd_induced_rep),
+    "emit": (
+        "re-serialize a document in canonical form", "document",
+        _cmd_emit),
+    "lie-to-3lie": (
+        "ternary bracket induced by a trace", "document",
+        _cmd_lie_to_3lie,
+        ("--trace", {"help": "which trace to use"})),
+    "rho-sigma": (
+        "ternary pair action induced by traces", "document",
+        _cmd_rho_sigma, *_TRACE_PAIR),
+    "lift-net": (
+        "lift a binary embedding tensor to a ternary one", "document",
+        _cmd_lift_net, *_TRACE_PAIR),
+    "leibnizlie-to-3ll": (
+        "ternary bracket-and-braces from a trace", "document",
+        _cmd_leibnizlie_to_3ll,
+        ("--trace", {"help": "which trace to use"})),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. For a known `command` it builds that
+    command's subparser alone, and otherwise every one, so that the help and
+    the errors about a missing or unknown command list them all."""
     parser = argparse.ArgumentParser(
         prog="tensorforge",
         description=(
@@ -448,12 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
             "coherent actions, and embedding tensors."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, output="report"):
-        """The input options, then the output options of one kind of
-        command: a law "report" with witnesses, a "table" of numbers, or a
-        "document"."""
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # the usage of a one-command parser names every command all the same
+        metavar="{" + ",".join(_COMMANDS) + "}" if one else None,
+    )
+    for name in [command] if one else _COMMANDS:
+        help_text, output, handler, *options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input document (JSON)")
         p.add_argument(
             "--param",
@@ -464,10 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--name", help="which entry to use, when several exist")
         if output == "document":
             p.add_argument("--out", help="write the document here instead of stdout")
-            return p
-        p.add_argument(
-            "--json", action="store_true", help="machine-readable report"
-        )
+        else:
+            p.add_argument(
+                "--json", action="store_true", help="machine-readable report"
+            )
         if output == "report":
             p.add_argument(
                 "--max-witnesses",
@@ -481,110 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="show every failing tuple",
             )
-        return p
-
-    for name, kind, module, check, help_text in _CHECK_COMMANDS:
-        p = common(sub.add_parser(name, help=help_text))
-        p.set_defaults(handler=partial(_cmd_check, kind, module, check))
-
-    p = common(sub.add_parser(
-        "check-net", help="verify the ternary embedding-tensor condition"
-    ))
-    p.add_argument(
-        "--triples",
-        choices=("all", "increasing"),
-        default="all",
-        help="basis triples to test (default: all ordered)",
-    )
-    p.set_defaults(handler=_cmd_check_net)
-
-    p = common(sub.add_parser(
-        "check-trace", help="verify that a functional kills all products"
-    ))
-    p.add_argument("--algebra", help="which algebra to test against")
-    p.set_defaults(handler=_cmd_check_trace)
-
-    p = common(sub.add_parser(
-        "deform-check", help="verify a first-order deformation direction"
-    ))
-    p.add_argument(
-        "--higher-order",
-        action="store_true",
-        help="also test the order-2 and order-3 conditions",
-    )
-    p.set_defaults(handler=_cmd_deform_check)
-
-    p = common(sub.add_parser(
-        "deform-equiv", help="decide whether two directions differ trivially"
-    ))
-    p.add_argument("--first", help="name of the first direction")
-    p.add_argument("--second", help="name of the second direction")
-    p.set_defaults(handler=_cmd_deform_equiv)
-
-    p = common(sub.add_parser(
-        "cohomology", help="dimensions of cocycles, coboundaries, and classes"
-    ), output="table")
-    p.add_argument(
-        "--degrees",
-        default="1,2",
-        metavar="LIST",
-        help="comma-separated degrees (default 1,2)",
-    )
-    p.set_defaults(handler=_cmd_cohomology)
-
-    p = common(sub.add_parser(
-        "classify", help="count and exhibit first-order deformation classes"
-    ), output="table")
-    p.set_defaults(handler=_cmd_classify)
-
-    builders = [
-        ("hemisemidirect", _cmd_hemisemidirect,
-         "combined ternary bracket on the sum of the two spaces"),
-        ("descendent", _cmd_descendent,
-         "ternary Leibniz bracket induced on the carrier"),
-        ("induce-3ll", _cmd_induce_3ll,
-         "bracket-and-braces structure induced on the carrier"),
-        ("induced-rep", _cmd_induced_rep,
-         "representation induced on the target algebra"),
-        ("emit", _cmd_emit,
-         "re-serialize a document in canonical form"),
-    ]
-    for name, handler, help_text in builders:
-        p = common(sub.add_parser(name, help=help_text), output="document")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
-
-    p = common(sub.add_parser(
-        "lie-to-3lie", help="ternary bracket induced by a trace"
-    ), output="document")
-    p.add_argument("--trace", help="which trace to use")
-    p.set_defaults(handler=_cmd_lie_to_3lie)
-
-    p = common(sub.add_parser(
-        "rho-sigma", help="ternary pair action induced by traces"
-    ), output="document")
-    p.add_argument("--trace-l", help="trace on the acting algebra")
-    p.add_argument("--trace-h", help="trace on the carrier algebra")
-    p.set_defaults(handler=_cmd_rho_sigma)
-
-    p = common(sub.add_parser(
-        "lift-net", help="lift a binary embedding tensor to a ternary one"
-    ), output="document")
-    p.add_argument("--trace-l", help="trace on the acting algebra")
-    p.add_argument("--trace-h", help="trace on the carrier algebra")
-    p.set_defaults(handler=_cmd_lift_net)
-
-    p = common(sub.add_parser(
-        "leibnizlie-to-3ll", help="ternary bracket-and-braces from a trace"
-    ), output="document")
-    p.add_argument("--trace", help="which trace to use")
-    p.set_defaults(handler=_cmd_leibnizlie_to_3ll)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if hasattr(args, "max_witnesses"):
             _witness_cap(args)  # reject a bad cap before any work

@@ -31,18 +31,22 @@ from itertools import product
 from math import comb
 
 from .actions import (
-    EmbeddingTensorProblem,
     NetHomomorphism,
     _action_of,
     _bracket_of,
     _descendent_table,
     check_net,
 )
-from .algebras import LinearMap, ThreeLeibnizAlgebra, check_3leibniz
+from .algebras import (
+    EmbeddingTensorProblem,
+    LinearMap,
+    ThreeLeibnizAlgebra,
+    ThreeLeibnizRep,
+    check_3leibniz,
+)
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
-    Space,
     WedgePairBasis,
     _basis,
     _compose,
@@ -62,31 +66,6 @@ from .report import Report, tuple_label
 # 230 000) fits too; degree 5 of the example (about 530 000) would take
 # 1.8 s to assemble, 23 s of rank and 156 MB.
 _WORK_BUDGET = 400_000
-
-
-class ThreeLeibnizRep:
-    """Representation of a ternary Leibniz algebra by three operator families.
-
-    l_act[(i, j)] is the operator of the pair (e_i, e_j) acting from the left;
-    m_act[(i, j)] acts in the middle slot (u -> action of (e_i, u, e_j));
-    r_act[(i, j)] acts from the right (u -> action of (u, e_i, e_j)).
-    Keys are ordered pairs with no symmetry; absent keys are zero.
-    """
-
-    def __init__(
-        self,
-        algebra: ThreeLeibnizAlgebra,
-        carrier: Space,
-        l_act: dict,
-        m_act: dict,
-        r_act: dict,
-    ):
-        self.algebra = algebra
-        self.carrier = carrier
-        keys, shape = (algebra.space.dim,) * 2, (carrier.dim,) * 2
-        self.l_act = _sparse_table(l_act, "left action", keys, shape)
-        self.m_act = _sparse_table(m_act, "middle action", keys, shape)
-        self.r_act = _sparse_table(r_act, "right action", keys, shape)
 
 
 def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:

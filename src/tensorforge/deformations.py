@@ -6,9 +6,6 @@ condition; the module checks that directly on basis triples, cross-checks
 against the differential matrix, decides equivalence of two directions by
 exact membership in the image of the degree-zero differential, and
 classifies directions modulo trivial ones.
-
-The functions that need the cochain complex import `cohomology` when they
-run, so reading a document with a deformation entry does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +13,9 @@ from __future__ import annotations
 from functools import partial
 from math import comb
 
-from .actions import EmbeddingTensorProblem, _action_of, _bracket_of, check_net
-from .algebras import LinearMap, _increasing
+from .actions import _action_of, _bracket_of, check_net
+from .algebras import Deformation, EmbeddingTensorProblem, LinearMap, _increasing
+from .cohomology import _complex_of
 from .errors import InputError
 from .linalg import (
     Matrix,
@@ -41,18 +39,6 @@ from .multilinear import (
     format_vector,
 )
 from .report import Report, tuple_label
-
-
-class Deformation:
-    """A tensor problem together with one deformation direction H -> L."""
-
-    def __init__(self, problem: EmbeddingTensorProblem, direction: LinearMap):
-        if direction.source.dim != problem.h_space.dim:
-            raise InputError("direction source must match the carrier H")
-        if direction.target.dim != problem.l_space.dim:
-            raise InputError("direction target must match the algebra L")
-        self.problem = problem
-        self.direction = direction
 
 
 class EquivalenceWitness:
@@ -87,8 +73,6 @@ def check_infinitesimal(d: Deformation) -> Report:
     Expands the deformed tensor condition to first order on every ordered
     basis triple, then cross-checks against the degree-1 differential.
     """
-    from .cohomology import _complex_of
-
     rep = Report("first-order deformation check")
     gate = check_net(d.problem, mode="all")
     if not gate.ok:
@@ -243,8 +227,6 @@ def are_equivalent(d1: Deformation, d2: Deformation):
     Returns (equivalent, witness_or_None, report). Side conditions on the
     witness are reported as notes and never affect the verdict.
     """
-    from .cohomology import _complex_of
-
     if not _same_problem(d1.problem, d2.problem):
         raise InputError("the two directions deform different problems")
     rep = Report("deformation equivalence check")
@@ -383,8 +365,6 @@ def classify(p: EmbeddingTensorProblem) -> Classification:
     trivial ones; representatives extend the trivial span to the full
     cocycle space, one per independent class.
     """
-    from .cohomology import _complex_of
-
     complex_ = _complex_of(p)
     d1 = complex_.delta_matrix(1)
     d0 = complex_.delta_matrix(0)

@@ -12,27 +12,26 @@ from __future__ import annotations
 from functools import partial
 from math import comb
 
-from .actions import (
+from .algebras import (
     CoherentActionData,
     EmbeddingTensorProblem,
-    RepresentationData,
-)
-from .algebras import (
     LeibnizLieAlgebra,
     LieAlgebra,
-    LinearMap,
+    LieCoherentAction,
+    LieNet,
+    RepresentationData,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
+    TraceMap,
     _increasing,
     check_leibniz_lie,
     check_lie,
 )
 from .errors import InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO
+from .linalg import Matrix, ZERO
 from .multilinear import (
     AlternatingTrilinearTable,
     PairAction,
-    Space,
     TrilinearTable,
     _columns,
     _compose,
@@ -40,39 +39,12 @@ from .multilinear import (
     _feed,
     _ordered_pairs,
     _relabel,
-    _sparse_table,
     _substitute,
     _sum,
     format_matrix,
     format_vector,
 )
 from .report import Report, tuple_label
-
-
-class TraceMap:
-    """A linear functional on a space, stored by its basis coefficients.
-
-    Traces are compared as values: equal spaces and equal coefficients.
-    """
-
-    def __init__(self, space: Space, covector: Vector):
-        if covector.dim != space.dim:
-            raise InputError("trace coefficient count must match the space")
-        self.space = space
-        self.covector = covector
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TraceMap)
-            and self.space == other.space
-            and self.covector == other.covector
-        )
-
-    def apply(self, v: Vector):
-        return self.covector.dot(v)
-
-    def at(self, i: int):
-        return self.covector[i]
 
 
 def check_trace(t: TraceMap, algebra) -> Report:
@@ -151,24 +123,6 @@ def threelie_from_lie(lie: LieAlgebra, t: TraceMap) -> ThreeLieAlgebra:
     if not tgate.ok:
         raise PreconditionError("the functional must vanish on brackets", tgate)
     return ThreeLieAlgebra(lie.space, _ternary_from_binary(lie, t))
-
-
-class LieCoherentAction:
-    """A Lie algebra acting on another Lie algebra by operators.
-
-    rho maps each basis vector of the acting algebra, keyed by its 1-tuple
-    (i,), to an operator on the carrier; absent keys act as zero.
-    """
-
-    def __init__(self, lie: LieAlgebra, carrier: LieAlgebra, rho: dict):
-        self.lie = lie
-        self.carrier = carrier
-        shape = (carrier.space.dim,) * 2
-        self.rho = _sparse_table(rho, "action", (lie.space.dim,), shape)
-
-    def operator(self, i: int) -> Matrix:
-        vdim = self.carrier.space.dim
-        return self.rho.get((i,), Matrix.zeros(vdim, vdim))
 
 
 def check_lie_coherent(a: LieCoherentAction) -> Report:
@@ -252,18 +206,6 @@ def rho_sigma(a: LieCoherentAction, t: TraceMap) -> PairAction:
     ops = _scaled(t, a.rho)  # t(e_i) rho(e_j), keyed (i, j)
     terms = [ops, _relabel(ops, lambda j, i: (i, j), -1)]
     return PairAction(a.lie.space, a.carrier.space, _sum(terms, keep=_increasing))
-
-
-class LieNet:
-    """A Lie-level embedding tensor: a coherent Lie action plus a map H -> L."""
-
-    def __init__(self, action: LieCoherentAction, tensor: LinearMap):
-        if tensor.source != action.carrier.space:
-            raise InputError("tensor source must be the carrier space")
-        if tensor.target != action.lie.space:
-            raise InputError("tensor target must be the acting algebra")
-        self.action = action
-        self.tensor = tensor
 
 
 def check_lie_net(n: LieNet) -> Report:

@@ -15,9 +15,8 @@ parameters materialized — so a second emission is byte-identical.
 Each structure kind is declared once, in ``_KINDS``: its fields in order,
 each with a codec that reads and writes it, a constructor and a reader.
 Parsing, emission and the emitted list of spaces all follow that table.
-The constructors of the kinds built on actions, cohomology, deformations
-and Lie-level data import their module when a document first uses them, so
-reading a document loads only the modules of the kinds it contains.
+Every constructor is a data class of ``algebras``, so reading a document
+loads no law module: a command loads only the laws it runs.
 """
 
 from __future__ import annotations
@@ -25,15 +24,22 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import import_module
 
 from .algebras import (
+    CoherentActionData,
+    Deformation,
+    EmbeddingTensorProblem,
     LeibnizLieAlgebra,
     LieAlgebra,
+    LieCoherentAction,
+    LieNet,
     LinearMap,
+    RepresentationData,
     ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
+    ThreeLeibnizRep,
     ThreeLieAlgebra,
+    TraceMap,
 )
 from .errors import InputError
 from .linalg import Matrix, Scalar, Vector, rat
@@ -502,16 +508,6 @@ def _acting_on_carrier(algebra, carrier, *tables):
     return algebra.space, carrier
 
 
-def _lazy(module: str, name: str):
-    """A constructor for the class `name` of the package module `module`
-    that imports the module when it runs."""
-
-    def build(*values):
-        return getattr(import_module(f".{module}", __package__), name)(*values)
-
-    return build
-
-
 # Kinds are parsed and emitted in this order, so an entry may refer only to
 # kinds above its own.
 _KINDS = {
@@ -538,27 +534,24 @@ _KINDS = {
         braces=_vectors(3, lambda lie3: lie3.space, TrilinearTable),
     ),
     "representations": _Kind(
-        _lazy("actions", "RepresentationData"),
-        lambda o: (o.algebra, o.carrier, o.rho),
+        RepresentationData, lambda o: (o.algebra, o.carrier, o.rho),
         algebra=_entry("three_lie"), carrier=_SPACE,
         operators=_operators(2, _acting_on_carrier, PairAction),
     ),
     "actions": _Kind(
-        _lazy("actions", "CoherentActionData"),
-        lambda o: (o.rep, o.target_bracket),
+        CoherentActionData, lambda o: (o.rep, o.target_bracket),
         representation=_entry("representations"),
         carrier_brackets=_vectors(
             3, lambda rep: rep.carrier, AlternatingTrilinearTable
         ),
     ),
     "nets": _Kind(
-        _lazy("actions", "EmbeddingTensorProblem"),
-        lambda o: (o.action, o.tensor),
+        EmbeddingTensorProblem, lambda o: (o.action, o.tensor),
         action=_entry("actions"),
         tensor=_linear_map(lambda action: (action.carrier, action.algebra.space)),
     ),
     "three_leibniz_reps": _Kind(
-        _lazy("cohomology", "ThreeLeibnizRep"),
+        ThreeLeibnizRep,
         lambda o: (o.algebra, o.carrier, o.l_act, o.m_act, o.r_act),
         algebra=_entry("three_leibniz"), carrier=_SPACE,
         left=_operators(2, _acting_on_carrier),
@@ -566,20 +559,19 @@ _KINDS = {
         right=_operators(2, _acting_on_carrier),
     ),
     "lie_actions": _Kind(
-        _lazy("induced_lie", "LieCoherentAction"),
-        lambda o: (o.lie, o.carrier, o.rho),
+        LieCoherentAction, lambda o: (o.lie, o.carrier, o.rho),
         algebra=_entry("lie"), carrier=_entry("lie"),
         operators=_operators(1, lambda lie, carrier: (lie.space, carrier.space)),
     ),
     "lie_nets": _Kind(
-        _lazy("induced_lie", "LieNet"), lambda o: (o.action, o.tensor),
+        LieNet, lambda o: (o.action, o.tensor),
         action=_entry("lie_actions"),
         tensor=_linear_map(
             lambda action: (action.carrier.space, action.lie.space)
         ),
     ),
     "traces": _Kind(
-        _lazy("induced_lie", "TraceMap"), lambda o: (o.space, o.covector),
+        TraceMap, lambda o: (o.space, o.covector),
         space=_SPACE, covector=_COVECTOR,
     ),
     "maps": _Kind(
@@ -588,8 +580,7 @@ _KINDS = {
         source=_SPACE, target=_SPACE, matrix=_linear_map(lambda s, t: (s, t)),
     ),
     "deformations": _Kind(
-        _lazy("deformations", "Deformation"),
-        lambda o: (o.problem, o.direction),
+        Deformation, lambda o: (o.problem, o.direction),
         net=_entry("nets"),
         direction=_linear_map(lambda net: (net.h_space, net.l_space)),
     ),

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: verdicts, formats, exit statuses."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -13,7 +15,7 @@ except ModuleNotFoundError:  # Python 3.10: fall back to tomli in the test
     tomllib = None
 
 from tensorforge import algebras, deformations, parse_document
-from tensorforge.cli import main
+from tensorforge.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -330,6 +332,46 @@ def test_leibniz_lift_brace_table(run, fixtures_dir):
     assert entry["braces"] == {"1,2,2": {"3": -1}, "2,1,2": {"3": 1}}
     lie3 = data["structures"]["three_lie"][0]
     assert lie3["brackets"] == {}
+
+
+COMMAND_NAMES = (
+    "check-3lie", "check-3leibniz", "check-lie", "check-leibniz-lie", "check-3ll",
+    "check-rep", "check-action", "check-rep-3leibniz", "check-lie-action",
+    "check-lie-net", "graph-check", "check-net", "check-trace", "deform-check",
+    "deform-equiv", "cohomology", "classify", "hemisemidirect", "descendent",
+    "induce-3ll", "induced-rep", "emit", "lie-to-3lie", "rho-sigma", "lift-net",
+    "leibnizlie-to-3ll",
+)
+
+
+def _parse(parse, argv):
+    """(exit status, stdout, stderr) of `parse(argv)`, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_a_one_command_parser_prints_what_the_full_parser_prints(name, adjoint_file):
+    one, full = build_parser(name), build_parser()
+    for argv in ([name, "--help"], [name], [name, str(adjoint_file), "--no-such-flag"]):
+        assert _parse(one.parse_args, argv) == _parse(full.parse_args, argv), argv
+    # it knows no other command
+    other = "emit" if name != "emit" else "check-3lie"
+    assert _parse(one.parse_args, [other, str(adjoint_file)])[0] == 2
+
+
+def test_help_and_command_errors_list_every_command():
+    listing = "{" + ",".join(COMMAND_NAMES) + "}"
+    status, out, err = _parse(main, ["--help"])
+    assert (status, err) == (0, "") and listing in out
+    for argv in ([], ["chek-3lie"]):
+        status, out, err = _parse(main, argv)
+        assert (status, out) == (2, "") and listing in err, argv
+    assert "invalid choice: 'chek-3lie'" in err
+    assert all(repr(name) in err for name in COMMAND_NAMES)
 
 
 def test_argparse_level_errors_exit_two():

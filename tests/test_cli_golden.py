@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -108,12 +107,8 @@ def digest(argv):
 
 
 def digests(fixture):
-    """The digests of one fixture's command lines. They share one parser,
-    which `main` would otherwise build anew for each: building it is most
-    of the time of a command that fails on input."""
-    parser = cli.build_parser()
-    with mock.patch.object(cli, "build_parser", lambda: parser):
-        return {" ".join(argv): digest(argv) for argv in commands(fixture)}
+    """The digests of one fixture's command lines."""
+    return {" ".join(argv): digest(argv) for argv in commands(fixture)}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

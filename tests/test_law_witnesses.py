@@ -35,8 +35,7 @@ from tensorforge import (
     check_net_hom,
 )
 from tensorforge import deformations
-from tensorforge.cohomology import ThreeLeibnizRep
-from tensorforge.induced_lie import LieCoherentAction
+from tensorforge.algebras import LieCoherentAction, ThreeLeibnizRep
 
 from oracles import example_problem
 

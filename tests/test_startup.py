@@ -69,14 +69,39 @@ def test_a_three_lie_check_loads_no_action_code():
     assert not _submodules(loaded) & HEAVY
 
 
+def _command_loads(*argv) -> set:
+    """The package's modules a fresh interpreter holds after `cli.main(argv)`."""
+    return _submodules(
+        _loaded_after(f"from tensorforge import cli\ncli.main({list(argv)!r})")
+    )
+
+
+def test_reading_the_example_document_loads_no_law_module():
+    doc = json.loads((FIXTURES / "example_2_8.json").read_text())
+    assert {"representations", "actions", "nets", "deformations", "maps"} <= set(
+        doc["structures"]
+    )
+    for command in ("check-3lie", "emit"):
+        loaded = _command_loads(command, "fixtures/example_2_8.json")
+        assert "algebras" in loaded, command
+        assert not loaded & HEAVY, command
+
+
 def test_a_net_check_loads_no_cohomology():
     loaded = _loaded_after(
         "from tensorforge import cli\n"
         "cli.main(['check-net', 'fixtures/example_2_8.json'])"
     )
     assert "actions" in _submodules(loaded)
-    assert not _submodules(loaded) & {"cohomology", "induced_lie"}
+    assert not _submodules(loaded) & {"cohomology", "deformations", "induced_lie"}
     assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_a_three_leibniz_check_loads_no_cohomology():
+    doc = json.loads((FIXTURES / "broken_rep3.json").read_text())
+    assert "three_leibniz_reps" in doc["structures"]
+    loaded = _command_loads("check-3leibniz", "fixtures/broken_rep3.json")
+    assert not loaded & HEAVY
 
 
 def test_no_module_imports_dataclasses_at_module_level():
