@@ -44,6 +44,7 @@ _EXPORTS = {
     "ThreeLieAlgebra": "algebras",
     "TraceMap": "algebras",
     "check_3leibniz": "algebras",
+    "check_3leibniz_rep": "algebras",
     "check_3lie": "algebras",
     "check_3ll": "algebras",
     "check_hom": "algebras",
@@ -52,7 +53,6 @@ _EXPORTS = {
     "subadjacent": "algebras",
     "Cochain": "cohomology",
     "CochainComplex": "cohomology",
-    "check_3leibniz_rep": "cohomology",
     "cohomology_dims": "cohomology",
     "delta0": "cohomology",
     "delta_matrix": "cohomology",

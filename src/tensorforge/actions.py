@@ -26,7 +26,7 @@ from .algebras import (
     check_3lie,
     check_hom,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import Matrix
 from .multilinear import (
     Space,
@@ -57,10 +57,9 @@ def check_representation(r: RepresentationData) -> Report:
         return r._verified
     rep = Report("pair-action representation check")
     gate = check_3lie(r.algebra)
-    if not gate.ok:
-        rep.absorb(gate, "acting algebra")
-        rep.refuse("acting algebra fails the fundamental identity")
-    else:
+    if rep.gate(
+        gate, "acting algebra", "acting algebra fails the fundamental identity"
+    ):
         space = r.algebra.space
         ops = _ordered_pairs(r.rho.coords)
         bracket = r.algebra.bracket.expand_ordered()
@@ -114,10 +113,7 @@ def check_coherent_action(c: CoherentActionData) -> Report:
         return c._verified
     rep = Report("coherent action check")
     gate = check_representation(c.rep)
-    if gate.verdict != "pass":
-        rep.absorb(gate, "representation")
-        rep.refuse("representation laws do not hold")
-    else:
+    if rep.gate(gate, "representation", "representation laws do not hold"):
         lspace = c.algebra.space
         hspace = c.carrier
         target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
@@ -197,11 +193,9 @@ def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
 
 def hemisemidirect(c: CoherentActionData) -> ThreeLeibnizAlgebra:
     """Guarded hemisemidirect product; refuses on a non-coherent action."""
-    gate = check_coherent_action(c)
-    if not gate.ok:
-        raise PreconditionError(
-            "hemisemidirect product requires a coherent action", gate
-        )
+    check_coherent_action(c).require(
+        "hemisemidirect product requires a coherent action"
+    )
     return hemisemidirect_table(c)
 
 
@@ -220,10 +214,7 @@ def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
         return p._net_reports[mode]
     rep = Report("embedding tensor check")
     gate = check_coherent_action(p.action)
-    if gate.verdict != "pass":
-        rep.absorb(gate, "coherent action")
-        rep.refuse("the action is not coherent")
-    else:
+    if rep.gate(gate, "coherent action", "the action is not coherent"):
         lam_cols = p.tensor_columns()
         n = p.h_space.dim
         if mode == "all":
@@ -275,9 +266,8 @@ def graph_check(p: EmbeddingTensorProblem) -> Report:
     """
     rep = Report("graph closure check")
     gate = check_coherent_action(p.action)
-    if gate.verdict != "pass":
-        rep.absorb(gate, "coherent action")
-        return rep.refuse("the action is not coherent")
+    if not rep.gate(gate, "coherent action", "the action is not coherent"):
+        return rep
 
     lspace, hspace = p.l_space, p.h_space
     lam_cols = p.tensor_columns()
@@ -330,17 +320,11 @@ def _descendent_table(p: EmbeddingTensorProblem) -> TrilinearTable:
     return TrilinearTable(p.h_space, p.h_space, _descendent(p))
 
 
-def _require_net(p: EmbeddingTensorProblem, what: str) -> None:
-    gate = check_net(p, mode="all")
-    if not gate.ok:
-        raise PreconditionError(
-            f"{what} requires a valid embedding tensor", gate
-        )
-
-
 def descendent(p: EmbeddingTensorProblem) -> ThreeLeibnizAlgebra:
     """The bracket induced on H by a valid tensor; refuses otherwise."""
-    _require_net(p, "the descendent bracket")
+    check_net(p, mode="all").require(
+        "the descendent bracket requires a valid embedding tensor"
+    )
     return ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
 
 
@@ -350,7 +334,9 @@ def induced_3ll(p: EmbeddingTensorProblem) -> ThreeLeibnizLieAlgebra:
     Braces are rho(tensor h1, tensor h2) h3; together with the H-bracket they
     satisfy the brace laws, and bracket + braces equals the descendent bracket.
     """
-    _require_net(p, "the induced brace structure")
+    check_net(p, mode="all").require(
+        "the induced brace structure requires a valid embedding tensor"
+    )
     braces = TrilinearTable(p.h_space, p.h_space, _braces(p))
     lie3 = ThreeLieAlgebra(p.h_space, p.h_bracket)
     return ThreeLeibnizLieAlgebra(lie3, braces)
@@ -391,9 +377,10 @@ def check_net_hom(h: NetHomomorphism) -> Report:
     rep = Report("embedding tensor map check")
     for label, problem in (("source", h.source), ("target", h.target)):
         gate = check_net(problem, mode="all")
-        if not gate.ok:
-            rep.absorb(gate, f"{label} tensor")
-            return rep.refuse(f"{label} problem has no valid tensor")
+        if not rep.gate(
+            gate, f"{label} tensor", f"{label} problem has no valid tensor"
+        ):
+            return rep
     src, dst = h.source, h.target
     fl_gate = check_hom(
         "3lie",

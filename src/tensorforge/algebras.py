@@ -14,8 +14,10 @@ The algebras, all given by structure constants over exact rationals:
 The data built on them is here too, each class an `__init__` with shape
 checks: representations, coherent actions and embedding-tensor problems,
 three-operator representations, traces, Lie-level actions and tensors, and
-deformation directions. Their laws live in `actions`, `cohomology`,
-`induced_lie` and `deformations`, so reading a document loads none of those.
+deformation directions. The laws of a three-operator representation are
+checked here, next to the ternary Leibniz identity they extend; the other
+laws live in `actions`, `induced_lie` and `deformations`, so reading a
+document or checking one of these structures loads none of those.
 
 Checkers reduce to canonical basis tuples only where multilinearity plus the
 stored symmetry make that sound; everything else runs over all ordered tuples.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import partial
 from math import comb
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import Matrix, Vector, _rref
 from .multilinear import (
     AlternatingTrilinearTable,
@@ -34,6 +36,7 @@ from .multilinear import (
     Space,
     TrilinearTable,
     _Frozen,
+    _compose,
     _family,
     _feed,
     _ordered_pairs,
@@ -41,6 +44,7 @@ from .multilinear import (
     _sparse_table,
     _substitute,
     _sum,
+    format_matrix,
     format_vector,
 )
 from .report import Report, tuple_label
@@ -430,6 +434,73 @@ def check_3leibniz(a: ThreeLeibnizAlgebra) -> Report:
     return rep
 
 
+def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
+    """Verify the five compatibility laws of the three operator families.
+
+    Refuses when the underlying algebra fails its own fundamental identity.
+    """
+    rep = Report("ternary Leibniz representation check")
+    gate = check_3leibniz(r.algebra)
+    if not rep.gate(
+        gate, "underlying algebra", "underlying algebra fails the fundamental identity"
+    ):
+        return rep
+
+    space = r.algebra.space
+    bracket = r.algebra.bracket.expand_ordered()
+    l_act = r.l_act
+    laws, expansions = [], []
+    for name, act in (("left", l_act), ("middle", r.m_act), ("right", r.r_act)):
+        # l(a1, a2) act(a3, a4) = act(a3, a4) l(a1, a2)
+        #     + act([a1, a2, a3], a4) + act(a3, [a1, a2, a4])
+        after_left = _compose(l_act, act)
+        into_second = _feed(act, 1, bracket)  # keyed (a1, a2, a4, a3)
+        laws.append(
+            (
+                f"left-{name} composition law",
+                [after_left],
+                [
+                    _relabel(
+                        _compose(act, l_act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                    ),
+                    _feed(act, 0, bracket),
+                    _relabel(into_second, lambda a1, a2, a4, a3: (a1, a2, a3, a4)),
+                ],
+            )
+        )
+        if act is l_act:
+            continue
+        # act(a1, [a2, a3, a4]) = r(a3, a4) act(a1, a2)
+        #     + m(a2, a4) act(a1, a3) + l(a2, a3) act(a1, a4)
+        expansions.append(
+            (
+                f"{name} bracket-expansion law",
+                [_relabel(into_second, lambda a2, a3, a4, a1: (a1, a2, a3, a4))],
+                [
+                    _relabel(
+                        _compose(r.r_act, act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                    ),
+                    _relabel(
+                        _compose(r.m_act, act), lambda a2, a4, a1, a3: (a1, a2, a3, a4)
+                    ),
+                    _relabel(after_left, lambda a2, a3, a1, a4: (a1, a2, a3, a4)),
+                ],
+            )
+        )
+    for name, lhs, rhs in laws + expansions:
+        rep.law(
+            name,
+            "all ordered basis 4-tuples",
+            space.dim**4,
+            lhs,
+            rhs,
+            Matrix.zeros(r.carrier.dim, r.carrier.dim),
+            format_matrix,
+            partial(tuple_label, space),
+        )
+    return rep
+
+
 def check_lie(a: LieAlgebra) -> Report:
     """Jacobi identity on increasing basis triples."""
     space = a.space
@@ -503,9 +574,10 @@ def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
     space = a.space
     rep = Report(f"ternary brace axioms on {space.name}")
     gate = check_3lie(ThreeLieAlgebra(space, a.lie3.bracket))
-    if not gate.ok:
-        rep.absorb(gate, "underlying bracket")
-        return rep.refuse("underlying bracket fails the fundamental identity")
+    if not rep.gate(
+        gate, "underlying bracket", "underlying bracket fails the fundamental identity"
+    ):
+        return rep
 
     brace = a.braces.expand_ordered()
     bracket = a.lie3.bracket.expand_ordered()
@@ -544,11 +616,7 @@ def subadjacent(a: ThreeLeibnizLieAlgebra) -> ThreeLeibnizAlgebra:
 
     Refuses when the input fails its own axioms.
     """
-    gate = check_3ll(a)
-    if not gate.ok:
-        raise PreconditionError(
-            "subadjacent bracket requires a valid input structure", gate
-        )
+    check_3ll(a).require("subadjacent bracket requires a valid input structure")
     table = _sum([a.lie3.bracket.expand_ordered(), a.braces.expand_ordered()])
     return ThreeLeibnizAlgebra(a.space, TrilinearTable(a.space, a.space, table))
 

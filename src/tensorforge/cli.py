@@ -76,8 +76,12 @@ def _print_report(rep, args) -> int:
 def _emit_output(doc: Document, args) -> int:
     text = emit_document(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise InputError(f"cannot write {args.out}: {reason}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -187,10 +191,7 @@ def _cmd_deform_check(args) -> int:
     deformation = doc.resolve("deformations", args.name)
     rep = check_infinitesimal(deformation)
     if args.higher_order:
-        extra = check_higher_order(deformation)
-        rep.absorb(extra, "higher order")
-        if extra.refused and not rep.refused:
-            rep.refuse(extra.refusal_reason)
+        rep.absorb(check_higher_order(deformation), "higher order")
     return _print_report(rep, args)
 
 
@@ -226,8 +227,6 @@ def _parse_degrees(raw: str) -> list[int]:
                 f"got {raw!r}"
             )
         out.append(int(part))
-    if not out:
-        raise InputError("--degrees must name at least one degree")
     return out
 
 
@@ -362,9 +361,7 @@ def _cmd_rho_sigma(args) -> int:
 
     doc = _load(args)
     action = doc.resolve("lie_actions", args.name)
-    gate = check_lie_coherent(action)
-    if not gate.ok:
-        raise PreconditionError("the binary action is not coherent", gate)
+    check_lie_coherent(action).require("the binary action is not coherent")
     trace_l = _trace_on_space(doc, action.lie.space, args.trace_l, "--trace-l")
     trace_h = _trace_on_space(
         doc, action.carrier.space, args.trace_h, "--trace-h"
@@ -452,7 +449,7 @@ _COMMANDS = {
         _check("actions", "actions", "check_coherent_action")),
     "check-rep-3leibniz": (
         "verify the three-operator representation laws", "report",
-        _check("three_leibniz_reps", "cohomology", "check_3leibniz_rep")),
+        _check("three_leibniz_reps", "algebras", "check_3leibniz_rep")),
     "check-lie-action": (
         "verify the binary coherent action laws", "report",
         _check("lie_actions", "induced_lie", "check_lie_coherent")),

@@ -22,11 +22,13 @@ Before a differential is assembled, the blocks count its work: rows,
 columns, the entries the placement writes and the runs of its slot loops.
 A degree whose work estimate exceeds `_WORK_BUDGET` is refused rather than
 left to grind.
+
+The representation built here is checked by `algebras.check_3leibniz_rep`,
+which needs none of this module.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 from math import comb
 
@@ -42,23 +44,19 @@ from .algebras import (
     LinearMap,
     ThreeLeibnizAlgebra,
     ThreeLeibnizRep,
-    check_3leibniz,
 )
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
     WedgePairBasis,
     _basis,
-    _compose,
     _family,
     _feed,
     _from_columns,
     _relabel,
     _sparse_table,
     _sum,
-    format_matrix,
 )
-from .report import Report, tuple_label
 
 # The largest work estimate `delta_matrix` takes on. On a 2-vCPU Xeon with
 # Python 3.11, degree 4 of the dim-4 example (about 70 000) takes 0.16 s to
@@ -68,83 +66,15 @@ from .report import Report, tuple_label
 _WORK_BUDGET = 400_000
 
 
-def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
-    """Verify the five compatibility laws of the three operator families.
-
-    Refuses when the underlying algebra fails its own fundamental identity.
-    """
-    rep = Report("ternary Leibniz representation check")
-    gate = check_3leibniz(r.algebra)
-    if not gate.ok:
-        rep.absorb(gate, "underlying algebra")
-        return rep.refuse("underlying algebra fails the fundamental identity")
-
-    space = r.algebra.space
-    bracket = r.algebra.bracket.expand_ordered()
-    l_act = r.l_act
-    laws, expansions = [], []
-    for name, act in (("left", l_act), ("middle", r.m_act), ("right", r.r_act)):
-        # l(a1, a2) act(a3, a4) = act(a3, a4) l(a1, a2)
-        #     + act([a1, a2, a3], a4) + act(a3, [a1, a2, a4])
-        after_left = _compose(l_act, act)
-        into_second = _feed(act, 1, bracket)  # keyed (a1, a2, a4, a3)
-        laws.append(
-            (
-                f"left-{name} composition law",
-                [after_left],
-                [
-                    _relabel(
-                        _compose(act, l_act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
-                    ),
-                    _feed(act, 0, bracket),
-                    _relabel(into_second, lambda a1, a2, a4, a3: (a1, a2, a3, a4)),
-                ],
-            )
-        )
-        if act is l_act:
-            continue
-        # act(a1, [a2, a3, a4]) = r(a3, a4) act(a1, a2)
-        #     + m(a2, a4) act(a1, a3) + l(a2, a3) act(a1, a4)
-        expansions.append(
-            (
-                f"{name} bracket-expansion law",
-                [_relabel(into_second, lambda a2, a3, a4, a1: (a1, a2, a3, a4))],
-                [
-                    _relabel(
-                        _compose(r.r_act, act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
-                    ),
-                    _relabel(
-                        _compose(r.m_act, act), lambda a2, a4, a1, a3: (a1, a2, a3, a4)
-                    ),
-                    _relabel(after_left, lambda a2, a3, a1, a4: (a1, a2, a3, a4)),
-                ],
-            )
-        )
-    for name, lhs, rhs in laws + expansions:
-        rep.law(
-            name,
-            "all ordered basis 4-tuples",
-            space.dim**4,
-            lhs,
-            rhs,
-            Matrix.zeros(r.carrier.dim, r.carrier.dim),
-            format_matrix,
-            partial(tuple_label, space),
-        )
-    return rep
-
-
 def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
     """The canonical representation of the descendent bracket on L.
 
     Refuses when the tensor condition fails. The three families are built
     from the L-bracket and the action, with the tensor folded in.
     """
-    gate = check_net(p, mode="all")
-    if not gate.ok:
-        raise PreconditionError(
-            "the induced representation requires a valid embedding tensor", gate
-        )
+    check_net(p, mode="all").require(
+        "the induced representation requires a valid embedding tensor"
+    )
     return _induced_rep_unchecked(p)
 
 
@@ -297,11 +227,9 @@ class CochainComplex:
     """All differentials of one embedding-tensor problem, built lazily."""
 
     def __init__(self, p: EmbeddingTensorProblem):
-        gate = check_net(p, mode="all")
-        if not gate.ok:
-            raise PreconditionError(
-                "the cochain complex requires a valid embedding tensor", gate
-            )
+        check_net(p, mode="all").require(
+            "the cochain complex requires a valid embedding tensor"
+        )
         self.problem = p
         self.hspace = p.h_space
         self.lspace = p.l_space

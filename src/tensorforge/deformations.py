@@ -75,9 +75,8 @@ def check_infinitesimal(d: Deformation) -> Report:
     """
     rep = Report("first-order deformation check")
     gate = check_net(d.problem, mode="all")
-    if not gate.ok:
-        rep.absorb(gate, "base tensor")
-        return rep.refuse("the undeformed tensor condition fails")
+    if not rep.gate(gate, "base tensor", "the undeformed tensor condition fails"):
+        return rep
 
     p = d.problem
     hspace = p.h_space
@@ -138,9 +137,8 @@ def check_higher_order(d: Deformation) -> Report:
     """
     rep = Report("higher-order deformation check")
     gate = check_net(d.problem, mode="all")
-    if not gate.ok:
-        rep.absorb(gate, "base tensor")
-        return rep.refuse("the undeformed tensor condition fails")
+    if not rep.gate(gate, "base tensor", "the undeformed tensor condition fails"):
+        return rep
 
     p = d.problem
     hspace = p.h_space
@@ -230,14 +228,9 @@ def are_equivalent(d1: Deformation, d2: Deformation):
     if not _same_problem(d1.problem, d2.problem):
         raise InputError("the two directions deform different problems")
     rep = Report("deformation equivalence check")
-    gate1 = check_infinitesimal(d1)
-    if not gate1.ok:
-        rep.absorb(gate1, "first direction")
-        return False, None, rep.refuse("first direction is not first-order")
-    gate2 = check_infinitesimal(d2)
-    if not gate2.ok:
-        rep.absorb(gate2, "second direction")
-        return False, None, rep.refuse("second direction is not first-order")
+    for what, d in (("first direction", d1), ("second direction", d2)):
+        if not rep.gate(check_infinitesimal(d), what, f"{what} is not first-order"):
+            return False, None, rep
 
     p = d1.problem
     complex_ = _complex_of(p)

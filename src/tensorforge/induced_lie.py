@@ -27,7 +27,7 @@ from .algebras import (
     check_leibniz_lie,
     check_lie,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import Matrix, ZERO
 from .multilinear import (
     AlternatingTrilinearTable,
@@ -116,12 +116,8 @@ def threelie_from_lie(lie: LieAlgebra, t: TraceMap) -> ThreeLieAlgebra:
     Requires the trace to vanish on brackets; the result then satisfies
     the fundamental identity automatically.
     """
-    gate = check_lie(lie)
-    if not gate.ok:
-        raise PreconditionError("the input must be a Lie algebra", gate)
-    tgate = check_trace(t, lie)
-    if not tgate.ok:
-        raise PreconditionError("the functional must vanish on brackets", tgate)
+    check_lie(lie).require("the input must be a Lie algebra")
+    check_trace(t, lie).require("the functional must vanish on brackets")
     return ThreeLieAlgebra(lie.space, _ternary_from_binary(lie, t))
 
 
@@ -133,9 +129,10 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     """
     rep = Report("coherent Lie action check")
     gate = check_lie(a.lie)
-    if not gate.ok:
-        rep.absorb(gate, "acting algebra")
-        return rep.refuse("the acting algebra fails the Jacobi identity")
+    if not rep.gate(
+        gate, "acting algebra", "the acting algebra fails the Jacobi identity"
+    ):
+        return rep
     rep.absorb(check_lie(a.carrier), "carrier bracket")
 
     lspace = a.lie.space
@@ -212,9 +209,8 @@ def check_lie_net(n: LieNet) -> Report:
     """Verify the binary embedding-tensor condition on all ordered pairs."""
     rep = Report("Lie embedding tensor check")
     gate = check_lie_coherent(n.action)
-    if gate.verdict != "pass":
-        rep.absorb(gate, "action")
-        return rep.refuse("the underlying action is not coherent")
+    if not rep.gate(gate, "action", "the underlying action is not coherent"):
+        return rep
 
     a = n.action
     hspace = a.carrier.space
@@ -247,19 +243,13 @@ def lift_net(
     brackets, and trace compatibility through the tensor. The lifted
     problem then satisfies the ternary tensor condition.
     """
-    gate = check_lie_net(n)
-    if not gate.ok:
-        raise PreconditionError("the Lie-level tensor condition fails", gate)
-    lgate = check_trace(sigma_l, n.action.lie)
-    if not lgate.ok:
-        raise PreconditionError(
-            "the trace on the acting algebra must vanish on brackets", lgate
-        )
-    hgate = check_trace(sigma_h, n.action.carrier)
-    if not hgate.ok:
-        raise PreconditionError(
-            "the trace on the carrier must vanish on brackets", hgate
-        )
+    check_lie_net(n).require("the Lie-level tensor condition fails")
+    check_trace(sigma_l, n.action.lie).require(
+        "the trace on the acting algebra must vanish on brackets"
+    )
+    check_trace(sigma_h, n.action.carrier).require(
+        "the trace on the carrier must vanish on brackets"
+    )
 
     compat = Report("trace compatibility check")
     hspace = n.action.carrier.space
@@ -273,10 +263,7 @@ def lift_net(
         str,
         lambda t: hspace.label(t[0]),
     )
-    if not compat.ok:
-        raise PreconditionError(
-            "the traces disagree through the tensor", compat
-        )
+    compat.require("the traces disagree through the tensor")
 
     l3 = ThreeLieAlgebra(
         n.action.lie.space, _ternary_from_binary(n.action.lie, sigma_l)
@@ -296,14 +283,8 @@ def three_ll_from_leibniz_lie(
     The trace must vanish on brackets and on products; the ternary braces
     antisymmetrize the product against the trace in the first two slots.
     """
-    gate = check_leibniz_lie(g)
-    if not gate.ok:
-        raise PreconditionError("the input must be a Leibniz-Lie algebra", gate)
-    tgate = check_trace(t, g)
-    if not tgate.ok:
-        raise PreconditionError(
-            "the functional must vanish on brackets and products", tgate
-        )
+    check_leibniz_lie(g).require("the input must be a Leibniz-Lie algebra")
+    check_trace(t, g).require("the functional must vanish on brackets and products")
     space = g.lie.space
     prod = _scaled(t, g.triangle)  # t(e_i) e_j > e_k
     braces = _sum([prod, _relabel(prod, lambda j, i, k: (i, j, k), -1)])

@@ -3,13 +3,16 @@
 Every checker returns a Report: one CheckLine per verified law, each line
 carrying the tuples checked and the failing witnesses with both sides of
 the identity printed exactly. Refusal (a violated precondition) is a
-distinct verdict from failure. One runner, `Report.law`, checks every law:
+distinct verdict from failure, and every refusal goes through a report: a
+checker gates on a precondition report with `Report.gate`, and a builder
+raises through `Report.require`. One runner, `Report.law`, checks every law:
 it takes the two sides as sums of sparse term tables and compares them
 key by key.
 """
 
 from __future__ import annotations
 
+from .errors import PreconditionError
 from .multilinear import _sum
 
 PASS = "pass"
@@ -145,6 +148,22 @@ class Report:
         self.refused = True
         self.refusal_reason = reason
         return self
+
+    def gate(self, other: "Report", prefix: str, reason: str) -> bool:
+        """Whether the precondition report `other` passed. When it did not,
+        its lines are absorbed under `prefix` and this report refuses with
+        `reason`."""
+        if other.ok:
+            return True
+        self.absorb(other, prefix)
+        self.refuse(reason)
+        return False
+
+    def require(self, reason: str):
+        """Raise PreconditionError(reason), carrying this report, unless the
+        report passed."""
+        if not self.ok:
+            raise PreconditionError(reason, self)
 
     def note(self, text: str):
         self.notes.append(text)

@@ -601,7 +601,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
             parse_constant=lambda s: _reject_float(s),
             object_pairs_hook=_object,
         )
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"document is not valid JSON: {exc}") from None
     _expect(data, dict, "document", "a JSON object")
 
@@ -685,6 +685,8 @@ def load_document(path: str, overrides: dict | None = None) -> Document:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     return parse_document(text, overrides)
 
 

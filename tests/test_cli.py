@@ -243,6 +243,190 @@ def test_refusals_exit_three(run, fixtures_dir):
         assert "FAIL" in err  # the gate report is shown
 
 
+def _variant(fixtures_dir, tmp_path, fixture, edit):
+    """A copy of a fixture whose structures `edit` changed in place."""
+    body = json.loads((fixtures_dir / fixture).read_text())
+    edit(body["structures"])
+    path = tmp_path / f"variant_{fixture}"
+    path.write_text(json.dumps(body))
+    return path
+
+
+def _zero_trace(space, dim):
+    return lambda s: s.update(traces=[{"name": "zero", "space": space, "covector": [0] * dim}])
+
+
+# e4 acting as the identity is not a derivation of [e1, e2] = e3
+def _incoherent(s):
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    s["lie_actions"][0]["operators"] = {"4": identity}
+
+
+def _acting_on_itself(s):
+    s["lie_actions"] = [{"name": "a", "algebra": "bad", "carrier": "bad", "operators": {}}]
+
+
+def _swapping_tensor(s):
+    # [T e1, T e2] = [e3, e2] = 0, but T [e1, e2] = T e3 = e1
+    s["lie_nets"][0]["tensor"] = [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+
+
+def _bracket_dual(s):
+    s["traces"].append({"name": "bracket_dual", "space": "L", "covector": [0, 0, 1, 0]})
+
+
+def _non_cocycle(s):
+    direction = [[int(i == j == 0) for j in range(4)] for i in range(4)]
+    s["deformations"].append({"name": "d_bad", "net": "tensor", "direction": direction})
+
+
+# (command, fixture, edit of its structures, options, refusal reason)
+BUILDER_REFUSALS = [
+    ("lie-to-3lie", "broken_lie.json", _zero_trace("L", 3), (),
+     "the input must be a Lie algebra"),
+    ("leibnizlie-to-3ll", "broken_leibniz_lie.json", _zero_trace("V", 3), (),
+     "the input must be a Leibniz-Lie algebra"),
+    ("lift-net", "heisenberg_e4.json", _swapping_tensor, (),
+     "the Lie-level tensor condition fails"),
+    ("lift-net", "heisenberg_e4.json", _bracket_dual,
+     ("--trace-l", "bracket_dual", "--trace-h", "dual_last"),
+     "the trace on the acting algebra must vanish on brackets"),
+    ("rho-sigma", "heisenberg_e4.json", _incoherent, (),
+     "the binary action is not coherent"),
+]
+
+
+@pytest.mark.parametrize("command,fixture,edit,extra,reason", BUILDER_REFUSALS)
+def test_builder_refusals_print_the_gate_report(
+    run, fixtures_dir, tmp_path, command, fixture, edit, extra, reason
+):
+    path = _variant(fixtures_dir, tmp_path, fixture, edit)
+    rc, out, err = run(command, path, *extra)
+    assert (rc, out) == (3, "")
+    first, title = err.splitlines()[:2]
+    assert first == f"refused: {reason}"
+    assert title.endswith(": FAIL")  # the gate's report follows
+
+
+# (command, fixture, edit of its structures, options, refusal reason, the
+# name of one absorbed gate line)
+CHECKER_REFUSALS = [
+    ("check-lie-action", "broken_lie.json", _acting_on_itself, (),
+     "the acting algebra fails the Jacobi identity",
+     "acting algebra: Jacobi identity"),
+    ("check-lie-net", "heisenberg_e4.json", _incoherent, (),
+     "the underlying action is not coherent",
+     "action: derivation law"),
+    ("deform-equiv", "example_2_8.json", lambda s: None,
+     ("--param", "k=1", "--first", "d_zero", "--second", "d_cocycle"),
+     "first direction is not first-order",
+     "first direction: base tensor: embedding-tensor condition"),
+    ("deform-equiv", "example_2_8.json", _non_cocycle,
+     ("--first", "d_zero", "--second", "d_bad"),
+     "second direction is not first-order",
+     "second direction: cocycle condition"),
+]
+
+
+@pytest.mark.parametrize("command,fixture,edit,extra,reason,absorbed", CHECKER_REFUSALS)
+def test_checker_refusals_report_the_gate_lines(
+    run, fixtures_dir, tmp_path, command, fixture, edit, extra, reason, absorbed
+):
+    path = _variant(fixtures_dir, tmp_path, fixture, edit)
+    rc, out, err = run(command, path, *extra)
+    assert (rc, err) == (3, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(": REFUSED")
+    assert lines[1] == f"  refused: {reason}"
+    assert any(line.startswith(f"  {absorbed} [") for line in lines[2:]), out
+
+    rc, blob, _ = run(command, path, *extra, "--json")
+    data = json.loads(blob)
+    assert (rc, data["verdict"], data["refusal_reason"]) == (3, "refused", reason)
+
+
+def test_traces_are_chosen_by_name_or_by_space(run, fixtures_dir, tmp_path):
+    heisenberg = fixtures_dir / "heisenberg_e4.json"
+    for command, flags in (
+        ("lie-to-3lie", ("--trace", "dual_last")),
+        ("lift-net", ("--trace-l", "dual_last", "--trace-h", "dual_last")),
+    ):
+        # a named trace gives what the one trace on the space gives
+        assert run(command, heisenberg, *flags) == run(command, heisenberg)
+
+    # a second trace on L, and one on a space of its own
+    body = json.loads(heisenberg.read_text())
+    body["spaces"].append({"name": "M", "dim": 1})
+    body["structures"]["traces"] += [
+        {"name": "bracket_dual", "space": "L", "covector": [0, 0, 1, 0]},
+        {"name": "stray", "space": "M", "covector": [1]},
+    ]
+    several = tmp_path / "several.json"
+    several.write_text(json.dumps(body))
+    for argv, message in (
+        (("lie-to-3lie", heisenberg, "--trace", "nosuch"), "no traces entry named 'nosuch'"),
+        (("lie-to-3lie", several, "--trace", "stray"), "lives on space 'M'"),
+        (("lift-net", several, "--trace-h", "dual_last", "--trace-l", "stray"),
+         "lives on space 'M'"),
+        (("lie-to-3lie", several), "choose one with --trace:"),
+        (("lift-net", several, "--trace-h", "dual_last"), "choose one with --trace-l:"),
+        (("rho-sigma", several, "--trace-l", "dual_last"), "choose one with --trace-h:"),
+    ):
+        rc, out, err = run(*argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("input error:") and message in err, argv
+
+
+def test_check_trace_chooses_the_algebra(run, fixtures_dir, tmp_path):
+    leibniz = fixtures_dir / "leibniz_lie_e3.json"
+    rc, _, err = run("check-trace", leibniz, "--algebra", "nosuch")
+    assert rc == 2 and "no Lie or Leibniz-Lie entry named 'nosuch'" in err
+
+    # an abelian bracket on the same space as the Leibniz-Lie entry
+    path = _variant(
+        fixtures_dir, tmp_path, "leibniz_lie_e3.json",
+        lambda s: s["lie"].append({"name": "flat", "space": "V", "brackets": {}}),
+    )
+    rc, out, err = run("check-trace", path)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "input error: several algebras live on space 'V'; "
+        "choose one with --algebra: flat, q\n"
+    )
+    for name in ("flat", "q"):
+        rc, out, _ = run("check-trace", path, "--algebra", name)
+        assert rc == 0 and "PASS" in out, name
+
+
+def _assert_input_error(result):
+    rc, out, err = result
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_an_output_that_cannot_be_written_exits_two(run, adjoint_file, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    err = _assert_input_error(run("emit", adjoint_file, "--out", target))
+    assert err.startswith(f"input error: cannot write {target}: ")
+
+
+def test_a_document_that_is_not_utf8_exits_two(run, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format": "tensorforge/1", "title": "café"}'.encode("latin-1"))
+    err = _assert_input_error(run("emit", path))
+    assert err.startswith(f"input error: cannot read {path}: ")
+
+
+def test_a_deeply_nested_document_exits_two(run, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    err = _assert_input_error(run("emit", path))
+    assert err.startswith("input error: document is not valid JSON: ")
+
+
 def test_internal_errors_exit_four(run, adjoint_file, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("kernel exploded\nsecond line")

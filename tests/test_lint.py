@@ -135,3 +135,56 @@ def test_the_one_division_is_linalg_div():
         ]
     assert exempt == 1, "linalg defines the one division, _div"
     assert not found, "division outside linalg._div: " + ", ".join(found)
+
+
+def _sites(tree, wanted):
+    """The dotted name of the function or class around every node of `tree`
+    that `wanted` accepts, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if wanted(child):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _raises_precondition(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "PreconditionError"
+
+
+def _calls_refuse(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "refuse"
+    )
+
+
+def test_refusals_go_through_report():
+    """A checker refuses through `Report.gate` and a builder raises through
+    `Report.require`. Two refusals stand apart: `actions.check_net_hom`
+    shows both bracket-preservation reports when either fails, and the work
+    budget of `CochainComplex.delta_matrix` has no gate report to carry."""
+    raises, refusals = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        raises += [f"{path.stem}.{s}" for s in _sites(tree, _raises_precondition)]
+        refusals += [f"{path.stem}.{s}" for s in _sites(tree, _calls_refuse)]
+    assert raises == [
+        "cohomology.CochainComplex.delta_matrix",
+        "report.Report.require",
+    ], "PreconditionError raised by hand: " + ", ".join(raises)
+    outside = [site for site in refusals if not site.startswith("report.")]
+    assert outside == ["actions.check_net_hom"], (
+        "refuse called by hand: " + ", ".join(outside)
+    )

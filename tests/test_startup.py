@@ -104,6 +104,13 @@ def test_a_three_leibniz_check_loads_no_cohomology():
     assert not loaded & HEAVY
 
 
+def test_a_three_leibniz_rep_check_loads_no_law_module():
+    # its checker lives in algebras, not with the cochain complex
+    loaded = _command_loads("check-rep-3leibniz", "fixtures/broken_rep3.json")
+    assert "algebras" in loaded
+    assert not loaded & HEAVY
+
+
 def test_no_module_imports_dataclasses_at_module_level():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
