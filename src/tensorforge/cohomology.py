@@ -59,10 +59,10 @@ from .multilinear import (
 )
 
 # The largest work estimate `delta_matrix` takes on. On a 2-vCPU Xeon with
-# Python 3.11, degree 4 of the dim-4 example (about 70 000) takes 0.16 s to
-# assemble and 0.5 s of rank, and degree 1 of a sparse dim-26 net (about
+# Python 3.11, degree 4 of the dim-4 example (about 70 000) takes 0.04 s to
+# assemble and 0.2 s of rank, and degree 1 of a sparse dim-26 net (about
 # 230 000) fits too; degree 5 of the example (about 530 000) would take
-# 1.8 s to assemble, 23 s of rank and 156 MB.
+# 0.4 s to assemble, 6 s of rank and 130 MB.
 _WORK_BUDGET = 400_000
 
 

@@ -1,14 +1,15 @@
 """Exact rational scalars, vectors, sparse matrices, and elimination.
 
-Every number in the package is exact: an `int` when it is integral, so
-integral structure constants multiply and add at machine speed, and a
-`fractions.Fraction` otherwise. The one division, `_div`, keeps a
-quotient exact; nothing here ever rounds. A `Matrix` stores only its
-nonzero entries, as nonzero columns `{col: {row: value}}`: the cochain
-differentials are built one column per unit cochain and are very sparse
-(the 2500x250 degree-2 differential of a dim-5 nilpotent problem has a
-density of 0.003), and the operator laws multiply small, mostly sparse
-operators.
+Every number in the package is exact: an `int` when it is integral, and a
+`fractions.Fraction` otherwise. The one division, `_div`, keeps a quotient
+exact; nothing here ever rounds. The two hot exact kernels, `_eliminate`
+and `multilinear._feed`, clear denominators once (`_cleared`), multiply
+and add on ints at machine speed, and divide once at the end. A `Matrix`
+stores only its nonzero entries, as nonzero columns `{col: {row: value}}`:
+the cochain differentials are built one column per unit cochain and are
+very sparse (the 2500x250 degree-2 differential of a dim-5 nilpotent
+problem has a density of 0.003), and the operator laws multiply small,
+mostly sparse operators.
 
 One sparse elimination kernel, `_eliminate`, sits behind `rank`,
 `kernel_basis`, `solve_membership` and `_rref`. It takes one
@@ -17,15 +18,16 @@ nonzeros, and a column -> rows index finds the rows a pivot must clear.
 Pivots are taken in column order; in each column the pivot is the
 candidate row with the fewest nonzeros (lowest index on ties), which keeps
 fill-in low. `rank` stops after the forward pass; the others also clear
-each pivot column above its pivot. The reduced row echelon form of a
-matrix is unique, so the pivot rule changes the work but not the kernel
-bases, solutions or pivot columns these functions return.
+each pivot column above its pivot and divide each row by its pivot. The
+reduced row echelon form of a matrix is unique, so the pivot rule changes
+the work but not the kernel bases, solutions or pivot columns these
+functions return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -58,7 +60,19 @@ def rat(value) -> Scalar:
 def _div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b, an `int` when it is integral; the only
     division in the package, since `/` on two ints gives a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b) if a % b else a // b
     return rat(Fraction(a) / b)
+
+
+def _cleared(values):
+    """(d * values, d): a collection of scalars times their least common
+    denominator d, as ints; `values` itself when they all are ints."""
+    dens = {a.denominator for a in values if type(a) is not int}
+    if not dens:
+        return values, 1
+    d = lcm(*dens)
+    return [a.numerator * (d // a.denominator) for a in values], d
 
 
 def fmt_rat(q: Scalar) -> str:
@@ -423,20 +437,50 @@ def _row_dicts(m: Matrix) -> list[dict]:
     return rows
 
 
+def _cancel(row: dict, f: int, prow: dict, p: int, i: int, where: list) -> None:
+    """Clear the entry f (popped) of int row i with the pivot p (popped) of
+    prow: row := (p/g)*row - (f/g)*prow, g = gcd(p, f); a row scaled up is
+    divided by its content, the gcd of its entries. `where` follows row."""
+    g = gcd(p, f)
+    s, t = p // g, f // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, b in prow.items():
+        a = row.get(j)
+        if a is None:
+            row[j] = -t * b
+            where[j].add(i)
+        else:
+            a -= t * b
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+                where[j].discard(i)
+    if s != 1 and s != -1 and (g := gcd(*row.values())) > 1:
+        for j in row:
+            row[j] //= g
+
+
 def _eliminate(sparse: list[dict], ncols: int, reduce: bool):
     """Sparse exact elimination; returns (pivot rows, pivot columns).
 
     `sparse` holds one `{column: value}` dict of nonzeros per row, and the
-    kernel consumes it. `where[c]` is the set of unpivoted rows that are
-    nonzero in column c. Columns are taken in order; the pivot is the
-    candidate row with the fewest nonzeros, lowest index on ties. Each
-    pivot row is divided by its pivot, so the returned rows are in echelon
-    form with leading ones, in pivot-column order. With `reduce`, a
-    backward pass also clears each pivot column above its pivot, which
-    gives the reduced row echelon form.
+    kernel consumes it. Each row is cleared of denominators once, and the
+    multiply-adds run on ints (`_cancel`): an int row is a multiple of the
+    row rational elimination would hold, with the same nonzeros, so the
+    pivots are the same. `where[c]` is the set of unpivoted rows nonzero in
+    column c. The rows come back in echelon form, in pivot-column order;
+    with `reduce`, a backward pass also clears each pivot column above its
+    pivot and divides each row by its pivot: the reduced row echelon form.
     """
     where = [set() for _ in range(ncols)]
     for i, row in enumerate(sparse):
+        values = row.values()
+        ints = _cleared(values)[0]
+        if ints is not values:
+            sparse[i] = row = dict(zip(row, ints))
         for j in row:
             where[j].add(i)
     out = []
@@ -450,42 +494,24 @@ def _eliminate(sparse: list[dict], ncols: int, reduce: bool):
         for j in prow:
             where[j].discard(piv)
         p = prow.pop(c)
-        if p != 1:
-            inv = _div(ONE, p)
-            for j in prow:
-                prow[j] *= inv
         for i in below:
             row = sparse[i]
-            f = row.pop(c)
-            for j, b in prow.items():
-                a = row.get(j)
-                if a is None:
-                    row[j] = -f * b
-                    where[j].add(i)
-                else:
-                    a -= f * b
-                    if a:
-                        row[j] = a
-                    else:
-                        del row[j]
-                        where[j].discard(i)
+            _cancel(row, row.pop(c), prow, p, i, where)
         below.clear()
-        prow[c] = ONE
+        prow[c] = p
         out.append(prow)
         pivots.append(c)
     if reduce:
-        for k in range(len(pivots) - 1, 0, -1):
+        # the rows left unpivoted are empty, and `where` is no longer read
+        for k in range(len(pivots) - 1, -1, -1):
             c, prow = pivots[k], out[k]
+            p = prow.pop(c)
             for row in out[:k]:
-                f = row.pop(c, None)
-                if f is not None:
-                    for j, b in prow.items():
-                        if j != c:
-                            a = row.get(j, ZERO) - f * b
-                            if a:
-                                row[j] = a
-                            else:
-                                del row[j]
+                if c in row:
+                    _cancel(row, row.pop(c), prow, p, -1, where)
+            for j in prow:
+                prow[j] = _div(prow[j], p)
+            prow[c] = ONE
     return out, pivots
 
 

@@ -21,7 +21,7 @@ support. `_sum` adds the terms of one side key by key.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import Matrix, Vector, ZERO, fmt_rat
+from .linalg import Matrix, Vector, ZERO, _cleared, _div, fmt_rat
 
 
 class _Frozen:
@@ -115,33 +115,46 @@ def _feed(outer: dict, slot: int, inner: dict) -> dict:
     sum of inner[a][m] * outer[k] over the keys k with m in the slot, where
     b is k less its slot. Only nonzero coordinates are joined, and a key
     whose terms cancel is dropped, so every key holds a nonzero value.
-    Vector values are summed in one list of coordinates per key, from the
-    nonzero coordinates of outer's values; Matrix values are scaled and
-    added.
+    Vector values are summed on ints, in one list of coordinates per key:
+    outer's coordinates are cleared of their common denominator and each
+    inner vector of its own, and each result coordinate is divided once by
+    the two. Matrix values are scaled and added.
     """
-    index = {}
+    index, vectors = {}, []
     for key, val in outer.items():
-        if isinstance(val, Vector):
-            val = (val.dim, tuple(val.iter_nonzero()))
+        if isinstance(val, Vector):  # [dimension, nonzero coordinates]
+            val = [val.dim, tuple(val.iter_nonzero())]
+            vectors.append(val)
         index.setdefault(key[slot], []).append((key[:slot] + key[slot + 1 :], val))
+    flat = [b for _, coords in vectors for _, b in coords]
+    ints, den = _cleared(flat)
+    if ints is not flat:  # put outer's coordinates on ints
+        ints = iter(ints)
+        for val in vectors:
+            val[1] = tuple((t, next(ints)) for t, _ in val[1])
     out = {}
     for a, vec in inner.items():
         # the keys of different inner keys a never meet
+        cs, d = _cleared(vec.entries)
         terms = {}
         for m, c in vec.iter_nonzero():
             for rest, val in index.get(m, ()):
-                if type(val) is tuple:  # a Vector: (dimension, nonzero coordinates)
+                if type(val) is list:
                     acc = terms.get(rest)
                     if acc is None:
                         acc = terms[rest] = [ZERO] * val[0]
+                    cm = cs[m]
                     for t, b in val[1]:
-                        acc[t] += c * b
+                        acc[t] += cm * b
                 else:
                     term = val if c == 1 else val.scale(c)
                     terms[rest] = terms[rest] + term if rest in terms else term
+        q = den * d
         for rest, val in terms.items():
             if type(val) is list:
                 if any(val):
+                    if q != 1:
+                        val = [_div(x, q) if x else ZERO for x in val]
                     out[a + rest] = Vector(val)
             elif not val.is_zero():
                 out[a + rest] = val

@@ -101,11 +101,18 @@ def sparse_rows(draw):
 
 
 TALL = [[Fraction(i * j % 5 - 2, 1 + i % 3) for j in range(4)] for i in range(12)]
+# row denominators up to lcm(6, ..., 11) = 27720
+HILBERT = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
+# rank 2: rows 3 and 4 are combinations of rows 1 and 2
+BIG = [[2**70 + 1, 2**70 - 3, 5, 2**69], [3, 2**70 + 7, 2**70, -1]]
+BIG += [[a - b for a, b in zip(*BIG)], [a + 2 * b for a, b in zip(*BIG)]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_rows())
 @example(TALL)
+@example(HILBERT)
+@example(BIG)
 @example(TALL[:6] * 2)
 @example([[Fraction(0)] * 4 for _ in range(12)])
 @example([[Fraction(0), Fraction(1), Fraction(0)]] * 3 + [[Fraction(2), Fraction(0), Fraction(0)]])
@@ -139,6 +146,17 @@ def test_rat_is_an_int_exactly_when_the_value_is_integral():
     assert type(_div(6, 3)) is int and _div(6, 3) == 2
     assert _div(1, 2) == Fraction(1, 2) and _div(Fraction(1, 2), Fraction(1, 4)) == 2
     assert type(_div(Fraction(1, 2), Fraction(1, 4))) is int
+    assert _div(-3, -6) == Fraction(1, 2)
+    assert type(_div(4, -2)) is int and _div(4, -2) == -2
+    # the kernels divide once, through `_div`, so their integral results are ints
+    basis = kernel_basis(Matrix([[2, 4, 6], [1, 3, 5]]))
+    assert [v.entries for v in basis] == [(1, -2, 1)]
+    x = solve_membership(Matrix([[2, 0], [0, 2]]), Vector([2, 4]))
+    assert x.entries == (1, 2)
+    rows, pivots = _rref(Matrix([[Fraction(1, 2), 1, Fraction(3, 2)], [1, 3, 5]]))
+    assert rows == [[1, 0, -1], [0, 1, 2]] and pivots == [0, 1]
+    for value in (*basis[0], *x, *rows[0], *rows[1]):
+        assert type(value) is int
 
 
 def test_fmt_rat_round_trips():

@@ -110,6 +110,33 @@ def test_only_linalg_reads_matrix_storage():
     assert not readers, "Matrix storage read outside linalg: " + ", ".join(readers)
 
 
+def test_only_linalg_reads_scalar_parts():
+    """Clearing denominators stays behind linalg: no other module reads a
+    scalar's `.numerator` or `.denominator`, except schema's emission of an
+    integral scalar as a JSON int."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.name == "schema.py"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name == "_emit_scalar"
+            for node in ast.walk(fn)
+        }
+        readers += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")
+            and id(node) not in allowed
+        ]
+    assert not readers, "scalar parts read outside linalg: " + ", ".join(readers)
+
+
 def test_the_one_division_is_linalg_div():
     """`/` on two ints gives a float, and scalars are ints where they are
     integral, so every quotient goes through `linalg._div`, which keeps it

@@ -251,8 +251,12 @@ def test_spaces_maps_and_traces_compare_as_values():
     assert trace != TraceMap(Space("W", 3), Vector.unit(3, 0))
 
 
-# scalars as a parsed document holds them: ints, and p/q where not integral
-mixed = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+# scalars as a parsed document holds them: ints, and p/q where not integral,
+# with coprime denominators, so that one table's values have no common one
+mixed = st.sampled_from([
+    0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+    Fraction(5, 7), Fraction(-11, 30),
+])
 
 
 @st.composite
@@ -284,6 +288,11 @@ def test_feed_matches_the_scale_and_add_reference(case):
     fed = _feed(outer, slot, inner)
     assert fed == ref_feed(outer, slot, inner)
     assert all(not val.is_zero() for val in fed.values())
+    # vector values are divided once, through `_div`: integral means int
+    assert not [
+        a for val in fed.values() if isinstance(val, Vector)
+        for a in val if type(a) is Fraction and a.denominator == 1
+    ]
 
 
 @pytest.mark.parametrize(
