@@ -33,7 +33,6 @@ from .multilinear import (
     TrilinearTable,
     _basis,
     _columns,
-    _compose,
     _family,
     _feed,
     _ordered_pairs,
@@ -61,28 +60,30 @@ def check_representation(r: RepresentationData) -> Report:
         gate, "acting algebra", "acting algebra fails the fundamental identity"
     ):
         space = r.algebra.space
-        ops = _ordered_pairs(r.rho.coords)
+        cols = _columns(_ordered_pairs(r.rho.coords))  # rho(i, j) e_c
         bracket = r.algebra.bracket.expand_ordered()
-        into_first = _feed(ops, 0, bracket)  # rho([l1, l2, l3], l4)
-        products = _compose(ops, ops)  # rho(l1, l2) rho(l3, l4)
+        into_first = _feed(cols, 0, bracket)  # rho([l1, l2, l3], l4)
+        # rho(i, j) rho(k, l) e_c, keyed (k, l, c, i, j)
+        products = _feed(cols, 2, cols)
         laws = (
             (
                 "action fundamental law",
                 [into_first],
                 [
-                    _relabel(products, lambda l2, l3, l1, l4: (l1, l2, l3, l4)),
-                    _relabel(products, lambda l3, l1, l2, l4: (l1, l2, l3, l4)),
-                    products,
+                    _relabel(products, lambda l1, l4, c, l2, l3: (l1, l2, l3, l4, c)),
+                    _relabel(products, lambda l2, l4, c, l3, l1: (l1, l2, l3, l4, c)),
+                    _relabel(products, lambda l3, l4, c, l1, l2: (l1, l2, l3, l4, c)),
                 ],
             ),
             (
                 "action commutator law",
-                [products],
+                [_relabel(products, lambda l3, l4, c, l1, l2: (l1, l2, l3, l4, c))],
                 [
-                    _relabel(products, lambda l3, l4, l1, l2: (l1, l2, l3, l4)),
+                    _relabel(products, lambda l1, l2, c, l3, l4: (l1, l2, l3, l4, c)),
                     into_first,
                     _relabel(  # rho(l3, [l1, l2, l4])
-                        _feed(ops, 1, bracket), lambda l1, l2, l4, l3: (l1, l2, l3, l4)
+                        _feed(cols, 1, bracket),
+                        lambda l1, l2, l4, l3, c: (l1, l2, l3, l4, c),
                     ),
                 ],
             ),
@@ -413,14 +414,14 @@ def check_net_hom(h: NetHomomorphism) -> Report:
         partial(format_vector, dst.l_space),
         lambda t: f"({hspace_src.label(t[0])})",
     )
-    fh_op = {(): h.f_h.matrix}
-    pushed = _substitute(_ordered_pairs(dst.rho.coords), [fl_cols, fl_cols])
+    # rho_dst(f_L e_i, f_L e_j) e_c, keyed (i, j, c)
+    pushed = _substitute(_columns(_ordered_pairs(dst.rho.coords)), [fl_cols, fl_cols])
     act = rep.law(
         "action intertwining",
         "increasing algebra pairs (operator identity)",
         comb(lspace_src.dim, 2),
-        [_relabel(_compose(fh_op, src.rho.coords), lambda i, j: ((i, j),))],
-        [_relabel(_compose(pushed, fh_op), lambda i, j: ((i, j),))],
+        [_relabel(_feed(fh, 0, _columns(src.rho.coords)), lambda i, j, c: ((i, j), c))],
+        [_relabel(_feed(pushed, 2, fh), lambda c, i, j: ((i, j), c))],
         Matrix.zeros(dst.h_space.dim, hspace_src.dim),
         format_matrix,
         lambda t: f"pair {tuple_label(lspace_src, t[0])}",

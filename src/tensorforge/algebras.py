@@ -36,7 +36,7 @@ from .multilinear import (
     Space,
     TrilinearTable,
     _Frozen,
-    _compose,
+    _columns,
     _family,
     _feed,
     _ordered_pairs,
@@ -448,42 +448,52 @@ def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
 
     space = r.algebra.space
     bracket = r.algebra.bracket.expand_ordered()
-    l_act = r.l_act
+    # act(i, j) e_c, keyed (i, j, c), for the three families
+    left, middle, right = (_columns(act) for act in (r.l_act, r.m_act, r.r_act))
     laws, expansions = [], []
-    for name, act in (("left", l_act), ("middle", r.m_act), ("right", r.r_act)):
+    for name, act in (("left", left), ("middle", middle), ("right", right)):
         # l(a1, a2) act(a3, a4) = act(a3, a4) l(a1, a2)
         #     + act([a1, a2, a3], a4) + act(a3, [a1, a2, a4])
-        after_left = _compose(l_act, act)
-        into_second = _feed(act, 1, bracket)  # keyed (a1, a2, a4, a3)
+        after_left = _feed(left, 2, act)  # keyed (a3, a4, c, a1, a2)
+        into_second = _feed(act, 1, bracket)  # keyed (a1, a2, a4, a3, c)
         laws.append(
             (
                 f"left-{name} composition law",
-                [after_left],
+                [_relabel(after_left, lambda a3, a4, c, a1, a2: (a1, a2, a3, a4, c))],
                 [
                     _relabel(
-                        _compose(act, l_act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                        _feed(act, 2, left),
+                        lambda a1, a2, c, a3, a4: (a1, a2, a3, a4, c),
                     ),
                     _feed(act, 0, bracket),
-                    _relabel(into_second, lambda a1, a2, a4, a3: (a1, a2, a3, a4)),
+                    _relabel(
+                        into_second, lambda a1, a2, a4, a3, c: (a1, a2, a3, a4, c)
+                    ),
                 ],
             )
         )
-        if act is l_act:
+        if act is left:
             continue
         # act(a1, [a2, a3, a4]) = r(a3, a4) act(a1, a2)
         #     + m(a2, a4) act(a1, a3) + l(a2, a3) act(a1, a4)
         expansions.append(
             (
                 f"{name} bracket-expansion law",
-                [_relabel(into_second, lambda a2, a3, a4, a1: (a1, a2, a3, a4))],
                 [
                     _relabel(
-                        _compose(r.r_act, act), lambda a3, a4, a1, a2: (a1, a2, a3, a4)
+                        into_second, lambda a2, a3, a4, a1, c: (a1, a2, a3, a4, c)
+                    )
+                ],
+                [
+                    _relabel(
+                        _feed(right, 2, act),
+                        lambda a1, a2, c, a3, a4: (a1, a2, a3, a4, c),
                     ),
                     _relabel(
-                        _compose(r.m_act, act), lambda a2, a4, a1, a3: (a1, a2, a3, a4)
+                        _feed(middle, 2, act),
+                        lambda a1, a3, c, a2, a4: (a1, a2, a3, a4, c),
                     ),
-                    _relabel(after_left, lambda a2, a3, a1, a4: (a1, a2, a3, a4)),
+                    _relabel(after_left, lambda a1, a4, c, a2, a3: (a1, a2, a3, a4, c)),
                 ],
             )
         )

@@ -27,13 +27,11 @@ from .linalg import (
     solve_membership,
 )
 from .multilinear import (
-    _compose,
+    _columns,
     _family,
     _feed,
-    _from_columns,
     _ordered_pairs,
     _relabel,
-    _substitute,
     _sum,
     format_matrix,
     format_vector,
@@ -197,11 +195,11 @@ def _decompose_wedge(x_entries: list, dim: int) -> list:
                 X[r][s] -= a1[r] * a2[s] - a2[r] * a1[s]
 
 
-def _is_bracket_derivation(rep: Report, name: str, bracket, op: Matrix) -> None:
-    """Check the derivation law for op against one bracket, as a line of rep."""
+def _is_bracket_derivation(rep: Report, name: str, bracket, images: dict) -> None:
+    """Check the derivation law for an operator, given as its columns keyed
+    (c,), against one bracket, as a line of rep."""
     space = bracket.domain
     ordered = bracket.expand_ordered()
-    images = _family([op.col(c) for c in range(space.dim)])
     rep.law(
         name,
         "increasing basis triples",
@@ -288,14 +286,13 @@ def are_equivalent(d1: Deformation, d2: Deformation):
 def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
     """Structural properties of the witness, reported as notes only."""
     ldim, hdim = p.l_space.dim, p.h_space.dim
-    ops = _ordered_pairs(p.rho.coords)
-    ad = _from_columns(p.l_bracket.expand_ordered(), ldim, ldim)  # [e_i, e_j, -]
-    # d_l, the sum of [a1, a2, -], and d_h, the sum of rho(a1, a2), keyed (0, 0)
+    rho = _columns(p.rho.coords)  # rho(i, j) e_c on increasing pairs
+    ops = _columns(_ordered_pairs(p.rho.coords))
+    # the columns of d_l, the sum of [a1, a2, -], and of d_h, the sum of
+    # rho(a1, a2), keyed (c,)
     d_l, d_h = (
-        _sum(_substitute(table, [[a1], [a2]]) for a1, a2 in pieces).get(
-            (0, 0), Matrix.zeros(n, n)
-        )
-        for table, n in ((ad, ldim), (ops, hdim))
+        _sum(_feed(_feed(table, 0, {(): a1}), 0, {(): a2}) for a1, a2 in pieces)
+        for table in (p.l_bracket.expand_ordered(), ops)
     )
 
     side = Report("witness side conditions")
@@ -306,16 +303,15 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
         side, "derivation on the carrier bracket", p.h_bracket, d_h
     )
 
-    moved = _family([d_l.col(c) for c in range(ldim)])
     side.law(
         "action compatibility",
         "increasing basis pairs",
         comb(ldim, 2),
-        [_compose({(): d_h}, p.rho.coords)],
+        [_feed(d_h, 0, rho)],
         [
-            _feed(ops, 0, moved),
-            _relabel(_feed(ops, 1, moved), lambda b, a: (a, b)),
-            _compose(p.rho.coords, {(): d_h}),
+            _feed(ops, 0, d_l),
+            _relabel(_feed(ops, 1, d_l), lambda b, a, c: (a, b, c)),
+            _relabel(_feed(rho, 2, d_h), lambda c, i, j: (i, j, c)),
         ],
         Matrix.zeros(hdim, hdim),
         format_matrix,

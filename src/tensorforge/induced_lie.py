@@ -34,7 +34,6 @@ from .multilinear import (
     PairAction,
     TrilinearTable,
     _columns,
-    _compose,
     _family,
     _feed,
     _ordered_pairs,
@@ -140,15 +139,16 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     ldim, hdim = lspace.dim, hspace.dim
     bracket = _ordered_pairs(a.carrier.coords)
     columns = _columns(a.rho)  # rho(i) e_h, keyed (i, h)
+    products = _feed(columns, 1, columns)  # rho(i) rho(j) e_c, keyed (j, c, i)
 
     rep.law(
         "commutator law",
         "increasing acting pairs",
         comb(ldim, 2),
-        [_feed(a.rho, 0, a.lie.coords)],
+        [_feed(columns, 0, a.lie.coords)],
         [
-            _compose(a.rho, a.rho),
-            _relabel(_compose(a.rho, a.rho), lambda j, i: (i, j), -1),
+            _relabel(products, lambda j, c, i: (i, j, c)),
+            _relabel(products, lambda i, c, j: (i, j, c), -1),
         ],
         Matrix.zeros(hdim, hdim),
         format_matrix,

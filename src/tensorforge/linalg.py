@@ -8,8 +8,8 @@ and add on ints at machine speed, and divide once at the end. A `Matrix`
 stores only its nonzero entries, as nonzero columns `{col: {row: value}}`:
 the cochain differentials are built one column per unit cochain and are
 very sparse (the 2500x250 degree-2 differential of a dim-5 nilpotent
-problem has a density of 0.003), and the operator laws multiply small,
-mostly sparse operators.
+problem has a density of 0.003). The laws never multiply matrices: an
+operator enters a law as the vectors of its nonzero columns.
 
 One sparse elimination kernel, `_eliminate`, sits behind `rank`,
 `kernel_basis`, `solve_membership` and `_rref`. It takes one
@@ -86,9 +86,7 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple(
-            e if type(e) is int or type(e) is Fraction else rat(e) for e in entries
-        )
+        self.entries = tuple(e if type(e) is int else rat(e) for e in entries)
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":

@@ -10,12 +10,13 @@ stored), values of the declared shape, zeros dropped.
 
 Every law the package checks, and every structure it builds, is a sum of
 contractions of these tables, and each term is computed as a sparse term
-table, `{basis tuple: value}`, by three combinators that touch only
-nonzero entries: `_feed` puts one table's vector values into a slot of
-another, `_compose` multiplies two operator tables, and `_relabel` puts a
-term's indices in the order of the law's scope. A term's table holds a key
-only where the term is nonzero, so the keys of a law's tables are its
-support. `_sum` adds the terms of one side key by key.
+table, `{basis tuple: vector}`, by two combinators that touch only nonzero
+entries: `_feed` puts one table's vectors into a slot of another, and
+`_relabel` puts a term's indices in the order of the law's scope. An
+operator enters as its nonzero columns, `{key + (c,): op e_c}`
+(`_columns`), and feeding into the column slot composes operators. A
+term's table holds a key only where the term is nonzero, so the keys of a
+law's tables are its support. `_sum` adds the terms of one side key by key.
 """
 
 from __future__ import annotations
@@ -109,22 +110,22 @@ def format_matrix(m: Matrix) -> str:
 
 
 def _feed(outer: dict, slot: int, inner: dict) -> dict:
-    """Feed inner's vector values into one slot of outer.
+    """Feed inner's vectors into one slot of outer, a table of vectors.
 
     The value at key a + b is outer applied to inner[a] in that slot: the
     sum of inner[a][m] * outer[k] over the keys k with m in the slot, where
     b is k less its slot. Only nonzero coordinates are joined, and a key
-    whose terms cancel is dropped, so every key holds a nonzero value.
-    Vector values are summed on ints, in one list of coordinates per key:
-    outer's coordinates are cleared of their common denominator and each
-    inner vector of its own, and each result coordinate is divided once by
-    the two. Matrix values are scaled and added.
+    whose terms cancel is dropped. The sums run on ints: outer's
+    coordinates are cleared of their common denominator and each inner
+    vector of its own, and each result coordinate is divided once by the
+    two. On column tables, left keyed a + (m,) and right keyed b + (c,),
+    `_feed(left, len(a), right)` composes: it holds left[a] right[b] e_c at
+    key b + (c,) + a.
     """
     index, vectors = {}, []
     for key, val in outer.items():
-        if isinstance(val, Vector):  # [dimension, nonzero coordinates]
-            val = [val.dim, tuple(val.iter_nonzero())]
-            vectors.append(val)
+        val = [val.dim, tuple(val.iter_nonzero())]  # [dimension, nonzero coordinates]
+        vectors.append(val)
         index.setdefault(key[slot], []).append((key[:slot] + key[slot + 1 :], val))
     flat = [b for _, coords in vectors for _, b in coords]
     ints, den = _cleared(flat)
@@ -137,53 +138,21 @@ def _feed(outer: dict, slot: int, inner: dict) -> dict:
         # the keys of different inner keys a never meet
         cs, d = _cleared(vec.entries)
         terms = {}
-        for m, c in vec.iter_nonzero():
-            for rest, val in index.get(m, ()):
-                if type(val) is list:
-                    acc = terms.get(rest)
-                    if acc is None:
-                        acc = terms[rest] = [ZERO] * val[0]
-                    cm = cs[m]
-                    for t, b in val[1]:
-                        acc[t] += cm * b
-                else:
-                    term = val if c == 1 else val.scale(c)
-                    terms[rest] = terms[rest] + term if rest in terms else term
+        for m, _ in vec.iter_nonzero():
+            cm = cs[m]
+            for rest, (dim, coords) in index.get(m, ()):
+                acc = terms.get(rest)
+                if acc is None:
+                    acc = terms[rest] = [ZERO] * dim
+                for t, b in coords:
+                    acc[t] += cm * b
         q = den * d
         for rest, val in terms.items():
-            if type(val) is list:
-                if any(val):
-                    if q != 1:
-                        val = [_div(x, q) if x else ZERO for x in val]
-                    out[a + rest] = Vector(val)
-            elif not val.is_zero():
-                out[a + rest] = val
+            if any(val):
+                if q != 1:
+                    val = [_div(x, q) if x else ZERO for x in val]
+                out[a + rest] = Vector(val)
     return out
-
-
-def _products(left: dict, right: dict) -> set:
-    """Key pairs (a, b) where left[a] @ right[b] can be nonzero.
-
-    left and right map keys to Matrices: the product is zero unless
-    right[b] has a nonzero entry in a row m where left[a] has a nonzero
-    column m.
-    """
-    by_column = {}
-    for a, op in left.items():
-        for (_, m), _ in op.items():
-            by_column.setdefault(m, set()).add(a)
-    return {
-        (a, b)
-        for b, op in right.items()
-        for (m, _), _ in op.items()
-        for a in by_column.get(m, ())
-    }
-
-
-def _compose(left: dict, right: dict) -> dict:
-    """{a + b: left[a] @ right[b]} on the operator pairs that can compose
-    to nonzero."""
-    return {a + b: left[a] @ right[b] for a, b in _products(left, right)}
 
 
 class _relabel:

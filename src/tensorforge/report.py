@@ -7,13 +7,14 @@ distinct verdict from failure, and every refusal goes through a report: a
 checker gates on a precondition report with `Report.gate`, and a builder
 raises through `Report.require`. One runner, `Report.law`, checks every law:
 it takes the two sides as sums of sparse term tables and compares them
-key by key.
+key by key; an operator law compares its operators column by column.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .multilinear import _sum
+from .linalg import Matrix, Vector
+from .multilinear import _from_columns, _sum
 
 PASS = "pass"
 FAIL = "fail"
@@ -131,16 +132,39 @@ class Report:
         and show(rhs); show and where run only on failing tuples. Off the
         keys every term is zero, so both sides are zero and equal there.
 
+        A Matrix `zero` marks column tables, op e_c at key t + (c,) (see
+        `multilinear._columns`): the columns are compared, `keep` sees t,
+        and a failing t gets one witness, which shows the whole operators.
+
         The keys are walked in sorted order. Every scope in use is scanned
         in lexicographic order, so the witnesses come out as a scan of the
         whole scope would give them.
         """
         line = self.line(name, scope)
+        shape = zero if isinstance(zero, Matrix) else None
+        if shape is not None:
+            zero, in_scope = Vector.zero(shape.nrows), keep
+            keep = in_scope and (lambda t: in_scope(t[:-1]))
         left, right = _sum(lhs, keep), _sum(rhs, keep)
-        for t in sorted(left.keys() | right.keys()):
+        failing = [
+            t
+            for t in sorted(left.keys() | right.keys())
+            if left.get(t, zero) != right.get(t, zero)
+        ]
+        if shape is not None and failing:  # the failing operators, whole
+            failing = dict.fromkeys(t[:-1] for t in failing)
+            left, right = (
+                _from_columns(
+                    {t: v for t, v in side.items() if t[:-1] in failing},
+                    shape.nrows,
+                    shape.ncols,
+                )
+                for side in (left, right)
+            )
+            zero = shape
+        for t in failing:
             a, b = left.get(t, zero), right.get(t, zero)
-            if a != b:
-                line.add_failure(one_based(t), where(t), show(a), show(b))
+            line.add_failure(one_based(t), where(t), show(a), show(b))
         line.checked = count
         return line
 

@@ -159,6 +159,20 @@ def test_rat_is_an_int_exactly_when_the_value_is_integral():
         assert type(value) is int
 
 
+def test_vector_arithmetic_keeps_integral_scalars_ints():
+    half = Fraction(1, 2)
+    for v in (
+        Vector([half]) + Vector([half]),
+        Vector([Fraction(3, 2)]) - Vector([half]),
+        Vector([half]).scale(2),
+        -Vector([Fraction(-2, 2)]),
+        Vector([Fraction(4, 2), "6/3", True]),
+    ):
+        assert all(type(a) is int for a in v), v.entries
+    assert (Vector([half]) + Vector([half])).entries == (1,)
+    assert type(Vector([half]).scale(3)[0]) is Fraction
+
+
 def test_fmt_rat_round_trips():
     assert fmt_rat(Fraction(1, 2)) == "1/2"
     assert fmt_rat(Fraction(-8, 4)) == "-2"

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensorforge import (
     AlternatingTrilinearTable,
@@ -25,7 +25,13 @@ from tensorforge import (
     Vector,
     WedgePairBasis,
 )
-from tensorforge.multilinear import _feed, format_matrix, format_vector, sort3
+from tensorforge.multilinear import (
+    _columns,
+    _feed,
+    format_matrix,
+    format_vector,
+    sort3,
+)
 
 from oracles import rand_matrix, rand_vector, ref_feed
 
@@ -261,24 +267,27 @@ mixed = st.sampled_from([
 
 @st.composite
 def feed_cases(draw):
-    """(outer, slot, inner): an outer table of Vector or Matrix values with
-    keys of one to three indices below n, a slot, and an inner table of
+    """(outer, slot, inner): an outer table of dimension-3 vectors with keys
+    of one to three indices below n, a slot, and an inner table of
     dimension-n vectors."""
     n, arity = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        def value():
-            return Matrix([[draw(mixed) for _ in range(2)] for _ in range(2)])
-    else:
-        def value():
-            return Vector([draw(mixed) for _ in range(3)])
     index = st.integers(0, n - 1)
     keys = draw(st.sets(st.tuples(*[index] * arity), max_size=10))
-    outer = {key: value() for key in sorted(keys)}
+    outer = {key: Vector([draw(mixed) for _ in range(3)]) for key in sorted(keys)}
     inner_keys = draw(st.sets(st.tuples(st.integers(0, 2)), max_size=3))
     inner = {key: Vector([draw(mixed) for _ in range(n)]) for key in sorted(inner_keys)}
     outer = {key: val for key, val in outer.items() if not val.is_zero()}
     inner = {key: val for key, val in inner.items() if not val.is_zero()}
     return outer, draw(st.integers(0, arity - 1)), inner
+
+
+def _no_zero_and_no_integral_fraction(table):
+    assert all(not val.is_zero() for val in table.values())
+    # values are divided once, through `_div`: integral means int
+    assert not [
+        a for val in table.values()
+        for a in val if type(a) is Fraction and a.denominator == 1
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,21 +296,49 @@ def test_feed_matches_the_scale_and_add_reference(case):
     outer, slot, inner = case
     fed = _feed(outer, slot, inner)
     assert fed == ref_feed(outer, slot, inner)
-    assert all(not val.is_zero() for val in fed.values())
-    # vector values are divided once, through `_div`: integral means int
-    assert not [
-        a for val in fed.values() if isinstance(val, Vector)
-        for a in val if type(a) is Fraction and a.denominator == 1
-    ]
+    _no_zero_and_no_integral_fraction(fed)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [Vector([1, Fraction(1, 2), 0]), Matrix([[Fraction(-3, 2), 2], [0, 1]])],
-    ids=["vector", "matrix"],
-)
+@pytest.mark.parametrize("value", [Vector([1, Fraction(1, 2), 0])], ids=["vector"])
 def test_feed_drops_a_key_whose_terms_cancel(value):
     # key (5, 0) gets 2 * value - 1 * (2 * value) = 0; key (5, 1) gets -value
     outer = {(0, 0): value, (1, 0): value.scale(2), (1, 1): value}
     inner = {(5,): Vector([2, -1])}
     assert _feed(outer, 0, inner) == ref_feed(outer, 0, inner) == {(5, 1): -value}
+
+
+@st.composite
+def operator_tables(draw):
+    """(left, right): tables of operators, left's p x m and right's m x q,
+    with keys of zero to two indices; either may be empty."""
+    p, m, q = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def table(nrows, ncols):
+        arity = draw(st.integers(0, 2))
+        keys = draw(st.sets(st.tuples(*[st.integers(0, 2)] * arity), max_size=4))
+        return {
+            key: Matrix([[draw(mixed) for _ in range(ncols)] for _ in range(nrows)])
+            for key in sorted(keys)
+        }
+
+    return table(p, m), table(m, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_tables())
+# products that cancel: [1 1] [1 -1]^T = 0, and a nilpotent operator squared
+@example(({(0,): Matrix([[1, 1]])}, {(): Matrix([[1], [-1]])}))
+@example(({(0,): Matrix([[0, 1], [0, 0]])}, {(1,): Matrix([[0, 2], [0, 0]])}))
+@example(({}, {(0,): Matrix([[1]])}))
+def test_feeding_column_tables_composes_the_operators(tables):
+    """_feed(left columns, len(a), right columns) holds left[a] right[b] e_c
+    at key b + (c,) + a."""
+    left, right = tables
+    la = len(next(iter(left), ()))
+    lb = len(next(iter(right), ()))
+    fed = _feed(_columns(left), la, _columns(right))
+    composed = {t[lb + 1 :] + t[:lb] + t[lb : lb + 1]: v for t, v in fed.items()}
+    assert composed == _columns(
+        {a + b: x.mul(y) for a, x in left.items() for b, y in right.items()}
+    )
+    _no_zero_and_no_integral_fraction(fed)

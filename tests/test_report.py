@@ -1,7 +1,10 @@
 """The law runner: sums of term tables, tuple counts, witness order and lazy
 formatting."""
 
-from tensorforge import Report
+from fractions import Fraction
+
+from tensorforge import Matrix, Report, Vector
+from tensorforge.multilinear import _columns, format_matrix
 
 
 def test_witnesses_follow_the_tuple_order():
@@ -107,3 +110,64 @@ def test_witness_cap_split_is_shared_by_text_and_json():
     assert "witness (" not in text and "... 6 more witnesses omitted" in text
     doc = rep.to_json(2)["checks"][0]
     assert len(doc["witnesses"]) == 2 and doc["omitted_witnesses"] == 4
+
+
+# -- operator laws: column tables, one witness per operator ---------------------
+
+A = Matrix([[1, 0], [0, 2]])
+B = Matrix([[1, Fraction(1, 2)], [3, 2]])
+
+
+def _operator_law(rep, lhs, rhs, keep=None):
+    return rep.law(
+        "ops", "pairs", 4, lhs, rhs, Matrix.zeros(2, 2), format_matrix,
+        lambda t: f"at {t}", keep=keep,
+    )
+
+
+def test_an_operator_law_gives_one_witness_per_failing_operator():
+    """Two failing columns of one operator make one witness, and it shows
+    the whole operators as format_matrix does."""
+    rep = Report("ops")
+    line = _operator_law(rep, [_columns({(0, 1): A})], [_columns({(0, 1): B})])
+    assert [(f.indices, f.where, f.lhs, f.rhs) for f in line.failures] == [
+        ((1, 2), "at (0, 1)", format_matrix(A), format_matrix(B))
+    ]
+    assert line.checked == 4
+    # one failing column: the witness still shows both operators whole
+    C = Matrix([[1, 0], [0, 3]])
+    line = _operator_law(rep, [_columns({(0, 1): A})], [_columns({(0, 1): C})])
+    assert [(f.lhs, f.rhs) for f in line.failures] == [
+        ("[1,1]=1, [2,2]=2", "[1,1]=1, [2,2]=3")
+    ]
+
+
+def test_keep_sees_an_operator_key_without_its_column():
+    seen = []
+
+    def keep(t):
+        seen.append(t)
+        return t[0] < t[1]
+
+    rep = Report("keep")
+    line = _operator_law(rep, [_columns({(0, 1): A, (1, 0): A})], [], keep)
+    assert set(seen) == {(0, 1), (1, 0)}
+    assert [f.indices for f in line.failures] == [(1, 2)]
+
+
+def test_operator_witnesses_come_out_in_sorted_key_order():
+    rep = Report("order")
+    ops = {(1, 0): A, (0, 1): B, (0, 0): A}
+    line = _operator_law(rep, [_columns(ops)], [])
+    assert [f.indices for f in line.failures] == [(1, 1), (1, 2), (2, 1)]
+    assert [f.lhs for f in line.failures] == [
+        format_matrix(A), format_matrix(B), format_matrix(A)
+    ]
+    assert {f.rhs for f in line.failures} == {"0"}
+
+
+def test_an_operator_column_whose_terms_cancel_reads_as_zero():
+    rep = Report("cancel")
+    col = Vector([1, Fraction(-1, 2)])
+    line = _operator_law(rep, [{(0, 1, 0): col}, {(0, 1, 0): -col}], [{}])
+    assert line.passed and line.checked == 4

@@ -71,6 +71,7 @@ from tensorforge.actions import _braces, _descendent_table
 from tensorforge.cohomology import _induced_rep_unchecked
 from tensorforge.deformations import _is_bracket_derivation, _witness_side_conditions
 from tensorforge.induced_lie import _ternary_from_binary
+from tensorforge.multilinear import _columns
 
 import oracles
 from oracles import (
@@ -318,17 +319,23 @@ def _problem_pairs(seed, kind):
     # the side conditions of an equivalence witness
     pieces = [(rand_vector(rng, 4), rand_vector(rng, 4)) for _ in range(2)]
     op = rand_matrix(rng, 4, 4)
-    for check, reference, args in (
-        (_witness_side_conditions, oracles.ref_witness_side_conditions, (p, pieces)),
+    for check, args, reference, ref_args in (
+        (
+            _witness_side_conditions,
+            (p, pieces),
+            oracles.ref_witness_side_conditions,
+            (p, pieces),
+        ),
         (
             _is_bracket_derivation,
+            ("derivation", p.h_bracket, _columns({(): op})),
             oracles.ref_is_bracket_derivation,
             ("derivation", p.h_bracket, op),
         ),
     ):
         fast = Report("side conditions")
         check(fast, *args)
-        pairs.append((fast, partial(_built, reference, args)))
+        pairs.append((fast, partial(_built, reference, ref_args)))
     # Lie-level structures, and a map that breaks the bracket
     lie_rng = random.Random(seed + 1)
     net, sigma_l, sigma_h = random_lie_net(lie_rng)
@@ -445,14 +452,25 @@ def _sparse_bracket(n, entries, seed):
 
 def _recorded(monkeypatch):
     """Every Report.law call from now on, as (scope, count, kept keys, size):
-    the keys of its term tables that lie in the scope, and the total size
-    of the tables."""
+    the keys of its term tables that lie in the scope, less the column index
+    of an operator law's keys, and the total size of the tables. Every value
+    of a term table must be a vector, but for a trace's scalars and
+    graph-check's point pairs."""
     calls = []
     original = Report.law
 
     def law(self, name, scope, count, lhs, rhs, zero, show, where, keep=None):
-        entries = [t for table in list(lhs) + list(rhs) for t, _ in table.items()]
-        keys = {t for t in entries if keep is None or keep(t)}
+        entries = [(t, v) for table in [*lhs, *rhs] for t, v in table.items()]
+        if isinstance(zero, (Vector, Matrix)):
+            kind = Vector
+        elif isinstance(zero, tuple):
+            kind = tuple
+        else:
+            kind = (int, Fraction)
+        assert all(isinstance(v, kind) for _, v in entries), name
+        operator = isinstance(zero, Matrix)
+        keys = {t[:-1] if operator else t for t, _ in entries}
+        keys = {t for t in keys if keep is None or keep(t)}
         calls.append((scope, count, keys, len(entries)))
         return original(self, name, scope, count, lhs, rhs, zero, show, where, keep)
 
