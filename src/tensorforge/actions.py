@@ -35,7 +35,6 @@ from .multilinear import (
     _columns,
     _family,
     _feed,
-    _ordered_pairs,
     _relabel,
     _substitute,
     _sum,
@@ -60,7 +59,7 @@ def check_representation(r: RepresentationData) -> Report:
         gate, "acting algebra", "acting algebra fails the fundamental identity"
     ):
         space = r.algebra.space
-        cols = _columns(_ordered_pairs(r.rho.coords))  # rho(i, j) e_c
+        cols = _columns(r.rho.expand_ordered())  # rho(i, j) e_c
         bracket = r.algebra.bracket.expand_ordered()
         into_first = _feed(cols, 0, bracket)  # rho([l1, l2, l3], l4)
         # rho(i, j) rho(k, l) e_c, keyed (k, l, c, i, j)
@@ -181,7 +180,7 @@ def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
     terms = [
         _feed(into_l, 0, c.algebra.bracket.expand_ordered()),
         _relabel(
-            _feed(into_h, 0, _columns(_ordered_pairs(c.rho.coords))),
+            _feed(into_h, 0, _columns(c.rho.expand_ordered())),
             lambda i, j, k: (i, j, ldim + k),
         ),
         _relabel(
@@ -246,7 +245,7 @@ def _bracket_of(p: EmbeddingTensorProblem, x, y, z) -> dict:
 def _action_of(p: EmbeddingTensorProblem, x, y) -> dict:
     """{(i, j, k): rho(X_i, Y_j) e_k}, for two lists of L-vectors indexed by
     a basis; k runs over the basis of H."""
-    columns = _columns(_ordered_pairs(p.rho.coords))
+    columns = _columns(p.rho.expand_ordered())
     return _substitute(columns, [x, y, _basis(p.h_space)])
 
 
@@ -415,7 +414,7 @@ def check_net_hom(h: NetHomomorphism) -> Report:
         lambda t: f"({hspace_src.label(t[0])})",
     )
     # rho_dst(f_L e_i, f_L e_j) e_c, keyed (i, j, c)
-    pushed = _substitute(_columns(_ordered_pairs(dst.rho.coords)), [fl_cols, fl_cols])
+    pushed = _substitute(_columns(dst.rho.expand_ordered()), [fl_cols, fl_cols])
     act = rep.law(
         "action intertwining",
         "increasing algebra pairs (operator identity)",

@@ -36,10 +36,10 @@ from .multilinear import (
     Space,
     TrilinearTable,
     _Frozen,
+    _Multilinear,
     _columns,
     _family,
     _feed,
-    _ordered_pairs,
     _relabel,
     _sparse_table,
     _substitute,
@@ -78,8 +78,10 @@ class ThreeLeibnizAlgebra:
         return self.bracket.eval(x, y, z)
 
 
-class LieAlgebra:
+class LieAlgebra(_Multilinear):
     """Binary bracket stored on increasing pairs."""
+
+    increasing = True
 
     def __init__(self, space: Space, coords: dict):
         self.space = space
@@ -87,25 +89,8 @@ class LieAlgebra:
             coords, "Lie bracket", (space.dim,) * 2, (space.dim,), True
         )
 
-    def value(self, i: int, j: int) -> Vector | None:
-        if i == j:
-            return None
-        if i < j:
-            return self.coords.get((i, j))
-        vec = self.coords.get((j, i))
-        return None if vec is None else -vec
-
-    def eval(self, x: Vector, y: Vector) -> Vector:
-        acc = Vector.zero(self.space.dim)
-        xe, ye = x.entries, y.entries
-        for (i, j), vec in self.coords.items():
-            c = xe[i] * ye[j] - xe[j] * ye[i]
-            if c:
-                acc = acc + vec.scale(c)
-        return acc
-
-    def items(self):
-        return sorted(self.coords.items())
+    def _zero(self) -> Vector:
+        return self.space.zero()
 
 
 class LeibnizLieAlgebra:
@@ -514,7 +499,7 @@ def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
 def check_lie(a: LieAlgebra) -> Report:
     """Jacobi identity on increasing basis triples."""
     space = a.space
-    bracket = _ordered_pairs(a.coords)
+    bracket = a.expand_ordered()
     nested = _feed(bracket, 0, bracket)  # [[i, j], k]
     rep = Report(f"Lie axioms on {space.name}")
     rep.law(
@@ -538,7 +523,7 @@ def check_lie(a: LieAlgebra) -> Report:
 def check_leibniz_lie(a: LeibnizLieAlgebra) -> Report:
     """Verify the product laws of a Lie algebra with a compatible product."""
     space = a.space
-    prod, lie = a.triangle, _ordered_pairs(a.lie.coords)
+    prod, lie = a.triangle, a.lie.expand_ordered()
     rep = Report(f"Leibniz-Lie axioms on {space.name}")
     jac = check_lie(a.lie)
     rep.absorb(jac, "underlying Lie algebra")
@@ -657,13 +642,6 @@ _HOM_SCOPES = {
 }
 
 
-def _ordered(table) -> dict:
-    """A bracket's values on every ordered basis tuple."""
-    if isinstance(table, LieAlgebra):
-        return _ordered_pairs(table.coords)
-    return table.expand_ordered()
-
-
 def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
     """Verify that f carries the source structure constants to the target.
 
@@ -685,7 +663,7 @@ def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
             scope,
             count(space.dim),
             [_feed(_family(images), 0, part(src).coords)],
-            [_substitute(_ordered(part(dst)), [images] * arity)],
+            [_substitute(part(dst).expand_ordered(), [images] * arity)],
             dst.space.zero(),
             partial(format_vector, dst.space),
             partial(tuple_label, space),

@@ -135,13 +135,11 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.coords
 
+    def _dims(self) -> tuple:
+        return (self.degree, self.pair_dim, self.in_dim, self.out_dim)
+
     def _combine(self, other: "Cochain", sign: int) -> "Cochain":
-        if (self.degree, self.pair_dim, self.in_dim, self.out_dim) != (
-            other.degree,
-            other.pair_dim,
-            other.in_dim,
-            other.out_dim,
-        ):
+        if self._dims() != other._dims():
             raise InputError("cochain shape mismatch")
         theirs = {key: vec.scale(sign) for key, vec in other.coords.items()}
         return Cochain(
@@ -167,7 +165,7 @@ class Cochain:
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
-            and self.degree == other.degree
+            and self._dims() == other._dims()
             and self.coords == other.coords
         )
 

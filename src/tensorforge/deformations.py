@@ -30,7 +30,6 @@ from .multilinear import (
     _columns,
     _family,
     _feed,
-    _ordered_pairs,
     _relabel,
     _sum,
     format_matrix,
@@ -287,7 +286,7 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
     """Structural properties of the witness, reported as notes only."""
     ldim, hdim = p.l_space.dim, p.h_space.dim
     rho = _columns(p.rho.coords)  # rho(i, j) e_c on increasing pairs
-    ops = _columns(_ordered_pairs(p.rho.coords))
+    ops = _columns(p.rho.expand_ordered())
     # the columns of d_l, the sum of [a1, a2, -], and of d_h, the sum of
     # rho(a1, a2), keyed (c,)
     d_l, d_h = (

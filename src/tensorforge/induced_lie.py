@@ -36,7 +36,6 @@ from .multilinear import (
     _columns,
     _family,
     _feed,
-    _ordered_pairs,
     _relabel,
     _substitute,
     _sum,
@@ -98,7 +97,7 @@ def _scaled(t: TraceMap, table: dict) -> dict:
 def _ternary_from_binary(lie: LieAlgebra, t: TraceMap) -> AlternatingTrilinearTable:
     """t(e_i) [e_j, e_k] + t(e_j) [e_k, e_i] + t(e_k) [e_i, e_j] on
     increasing triples."""
-    cycled = _scaled(t, _ordered_pairs(lie.coords))  # t(e_i) [e_j, e_k]
+    cycled = _scaled(t, lie.expand_ordered())  # t(e_i) [e_j, e_k]
     terms = [
         cycled,
         _relabel(cycled, lambda j, k, i: (i, j, k)),
@@ -137,7 +136,7 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     lspace = a.lie.space
     hspace = a.carrier.space
     ldim, hdim = lspace.dim, hspace.dim
-    bracket = _ordered_pairs(a.carrier.coords)
+    bracket = a.carrier.expand_ordered()
     columns = _columns(a.rho)  # rho(i) e_h, keyed (i, h)
     products = _feed(columns, 1, columns)  # rho(i) rho(j) e_c, keyed (j, c, i)
 
@@ -219,13 +218,13 @@ def check_lie_net(n: LieNet) -> Report:
     # rho(T e_i) e_j + [e_i, e_j], keyed (i, j)
     inner = [
         _feed(_columns(a.rho), 0, tensor),
-        _ordered_pairs(a.carrier.coords),
+        a.carrier.expand_ordered(),
     ]
     rep.law(
         "embedding-tensor condition",
         "all ordered carrier pairs",
         hspace.dim**2,
-        [_substitute(_ordered_pairs(a.lie.coords), [cols, cols])],
+        [_substitute(a.lie.expand_ordered(), [cols, cols])],
         [_feed(tensor, 0, table) for table in inner],
         a.lie.space.zero(),
         partial(format_vector, a.lie.space),

@@ -57,6 +57,12 @@ def rat(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact(a: Scalar) -> Scalar:
+    """A computed scalar as the package stores it, an `int` when it is
+    integral, as `Vector` stores its entries."""
+    return a if type(a) is int else rat(a)
+
+
 def _div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b, an `int` when it is integral; the only
     division in the package, since `/` on two ints gives a float."""
@@ -213,7 +219,7 @@ class Matrix:
         out = {}
         for j, c in enumerate(cols):
             if isinstance(c, dict):
-                col = {i: a for i, a in c.items() if a}
+                col = {i: _exact(a) for i, a in c.items() if a}
             else:
                 entries = (c if isinstance(c, Vector) else Vector(c)).entries
                 if nrows is None:
@@ -288,7 +294,7 @@ class Matrix:
             for m, b in ocol.items():
                 for i, a in left.get(m, _EMPTY).items():
                     acc[i] = acc.get(i, ZERO) + a * b
-            col = {i: a for i, a in acc.items() if a}
+            col = {i: _exact(a) for i, a in acc.items() if a}
             if col:
                 out[j] = col
         return Matrix._of(self.nrows, other.ncols, out)
@@ -309,7 +315,7 @@ class Matrix:
                 a = col.get(i, ZERO)
                 a = a + b if sign > 0 else a - b
                 if a:
-                    col[i] = a
+                    col[i] = _exact(a)
                 else:
                     del col[i]
             if col:
@@ -334,7 +340,10 @@ class Matrix:
         return Matrix._of(
             self.nrows,
             self.ncols,
-            {j: {i: c * a for i, a in col.items()} for j, col in self._cols.items()},
+            {
+                j: {i: _exact(c * a) for i, a in col.items()}
+                for j, col in self._cols.items()
+            },
         )
 
     def transpose(self) -> "Matrix":
@@ -378,7 +387,7 @@ def _kron(*factors: Matrix) -> Matrix:
     for f in factors:
         cols = {
             j * f.ncols + fj: {
-                i * f.nrows + fi: a * b
+                i * f.nrows + fi: _exact(a * b)
                 for i, a in col.items()
                 for fi, b in fcol.items()
             }

@@ -2,11 +2,13 @@
 
 Tables store structure constants sparsely (absent key = zero value) with
 0-based indices internally; the file format and all reports use 1-based
-indices. Alternating tables keep only increasing keys and recover every
-other slot order through permutation signs. Operators are sparse `Matrix`
-values. Every container checks and cleans its table with one constructor,
-`_sparse_table`: keys in range (and increasing, where only those are
-stored), values of the declared shape, zeros dropped.
+indices. The stored maps (trilinear tables, pair actions, Lie brackets)
+share one base, `_Multilinear`, the one place that holds the
+increasing-key rule: an alternating map keeps only increasing keys and
+recovers every other slot order through permutation signs. Operators are
+sparse `Matrix` values. Every container checks and cleans its table with
+one constructor, `_sparse_table`: keys in range (and increasing, where
+only those are stored), values of the declared shape, zeros dropped.
 
 Every law the package checks, and every structure it builds, is a sum of
 contractions of these tables, and each term is computed as a sparse term
@@ -20,6 +22,9 @@ law's tables are its support. `_sum` adds the terms of one side key by key.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
+from math import prod
 
 from .errors import InputError
 from .linalg import Matrix, Vector, ZERO, _cleared, _div, fmt_rat
@@ -261,34 +266,63 @@ def _sparse_table(
     return out
 
 
-def _ordered_pairs(coords: dict) -> dict:
-    """An alternating table stored on increasing pairs, on every ordered
-    pair."""
-    out = dict(coords)
-    out.update(((j, i), -val) for (i, j), val in coords.items())
-    return out
-
-
-def sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
-    """Sort a triple of indices; returns (sorted, sign) or None when repeated."""
-    if i == j or j == k or i == k:
+def _sorted_sign(key: tuple) -> tuple[tuple, int] | None:
+    """(key sorted, the sign of the permutation that sorts it), or None
+    when an index repeats."""
+    if len(set(key)) < len(key):
         return None
-    sign = 1
-    a, b, c = i, j, k
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return (a, b, c), sign
+    inversions = sum(a > b for n, a in enumerate(key) for b in key[n + 1 :])
+    return tuple(sorted(key)), -1 if inversions % 2 else 1
 
 
-class TrilinearTable:
+class _Multilinear:
+    """A multilinear map stored sparsely in `coords`, `{basis tuple: Vector
+    or Matrix}`; a subclass builds `coords` and gives its `_zero()`. With
+    `increasing` the map is alternating and only increasing keys are
+    stored: another order of a key's indices carries the sign of its
+    permutation, and a repeated index gives zero."""
+
+    increasing = False
+
+    def value(self, *key):
+        """Value on the basis vectors e_key; None means zero."""
+        sign = 1
+        if self.increasing:
+            found = _sorted_sign(key)
+            if found is None:
+                return None
+            key, sign = found
+        val = self.coords.get(key)
+        return -val if sign < 0 and val is not None else val
+
+    def eval(self, *vectors):
+        """Value on vectors, by multilinearity."""
+        acc = self._zero()
+        for key, val in self.expand_ordered().items():
+            c = prod(v[i] for v, i in zip(vectors, key))
+            if c:
+                acc = acc + val.scale(c)
+        return acc
+
+    def expand_ordered(self) -> dict:
+        """Values on every ordered basis tuple, as a fresh dict."""
+        if not self.increasing:
+            return dict(self.coords)
+        out = {}
+        for key, val in self.coords.items():
+            neg = -val
+            for perm in permutations(key):
+                out[perm] = val if _sorted_sign(perm)[1] > 0 else neg
+        return out
+
+    def items(self):
+        return sorted(self.coords.items())
+
+
+class TrilinearTable(_Multilinear):
     """Trilinear map V x V x V -> W from structure constants, no symmetry."""
 
     kind = "general"
-    increasing = False
 
     def __init__(self, domain: Space, codomain: Space, coords: dict):
         self.domain = domain
@@ -298,25 +332,8 @@ class TrilinearTable:
             (codomain.dim,), self.increasing,
         )
 
-    def value(self, i: int, j: int, k: int) -> Vector | None:
-        """Value on basis vectors (e_i, e_j, e_k); None means zero."""
-        return self.coords.get((i, j, k))
-
-    def eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        acc = [ZERO] * self.codomain.dim
-        for (i, j, k), vec in self.coords.items():
-            c = x[i] * y[j] * z[k]
-            if c:
-                for t, a in vec.iter_nonzero():
-                    acc[t] += c * a
-        return Vector(acc)
-
-    def items(self):
-        return sorted(self.coords.items())
-
-    def expand_ordered(self) -> dict:
-        """Values on every ordered basis triple, as a plain dict."""
-        return dict(self.coords)
+    def _zero(self) -> Vector:
+        return self.codomain.zero()
 
     def __eq__(self, other):
         return (
@@ -336,50 +353,12 @@ class AlternatingTrilinearTable(TrilinearTable):
     kind = "alternating"
     increasing = True
 
-    def value(self, i: int, j: int, k: int) -> Vector | None:
-        sorted_sign = sort3(i, j, k)
-        if sorted_sign is None:
-            return None
-        key, sign = sorted_sign
-        vec = self.coords.get(key)
-        if vec is None:
-            return None
-        return vec if sign == 1 else -vec
 
-    def eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        acc = [ZERO] * self.codomain.dim
-        xe, ye, ze = x.entries, y.entries, z.entries
-        for (i, j, k), vec in self.coords.items():
-            # 3x3 minor of the coordinate rows at columns (i, j, k)
-            c = (
-                xe[i] * (ye[j] * ze[k] - ye[k] * ze[j])
-                - xe[j] * (ye[i] * ze[k] - ye[k] * ze[i])
-                + xe[k] * (ye[i] * ze[j] - ye[j] * ze[i])
-            )
-            if c:
-                for t, a in vec.iter_nonzero():
-                    acc[t] += c * a
-        return Vector(acc)
+class PairAction(_Multilinear):
+    """Bilinear alternating assignment of operators, (x, y) -> End(target),
+    stored on increasing source pairs."""
 
-    def expand_ordered(self) -> dict:
-        out = {}
-        for (i, j, k), vec in self.coords.items():
-            out[(i, j, k)] = vec
-            out[(j, k, i)] = vec
-            out[(k, i, j)] = vec
-            neg = -vec
-            out[(j, i, k)] = neg
-            out[(i, k, j)] = neg
-            out[(k, j, i)] = neg
-        return out
-
-
-class PairAction:
-    """Bilinear alternating assignment of operators: (x, y) -> End(target).
-
-    Stored on increasing source pairs; swapped pairs negate, repeated
-    indices give zero.
-    """
+    increasing = True
 
     def __init__(self, source: Space, target: Space, coords: dict):
         self.source = source
@@ -388,39 +367,18 @@ class PairAction:
             coords, "pair action", (source.dim,) * 2, (target.dim,) * 2, True
         )
 
+    def _zero(self) -> Matrix:
+        return Matrix.zeros(self.target.dim, self.target.dim)
+
     def at(self, i: int, j: int) -> Matrix | None:
         """Operator for basis pair (e_i, e_j); None means zero."""
-        if i == j:
-            return None
-        if i < j:
-            return self.coords.get((i, j))
-        mat = self.coords.get((j, i))
-        return None if mat is None else -mat
-
-    def eval(self, x: Vector, y: Vector) -> Matrix:
-        acc = Matrix.zeros(self.target.dim, self.target.dim)
-        xe, ye = x.entries, y.entries
-        for (i, j), mat in self.coords.items():
-            c = xe[i] * ye[j] - xe[j] * ye[i]
-            if c:
-                acc = acc + mat.scale(c)
-        return acc
+        return self.value(i, j)
 
     def apply(self, x: Vector, y: Vector, h: Vector) -> Vector:
-        acc = Vector.zero(self.target.dim)
-        xe, ye = x.entries, y.entries
-        for (i, j), mat in self.coords.items():
-            c = xe[i] * ye[j] - xe[j] * ye[i]
-            if c:
-                acc = acc + mat.mul_vec(h).scale(c)
-        return acc
+        return self.eval(x, y).mul_vec(h)
 
     def apply_pair(self, i: int, j: int, h: Vector) -> Vector:
-        mat = self.at(i, j)
-        return Vector.zero(self.target.dim) if mat is None else mat.mul_vec(h)
-
-    def items(self):
-        return sorted(self.coords.items())
+        return (self.value(i, j) or self._zero()).mul_vec(h)
 
     def __eq__(self, other):
         return (

@@ -616,6 +616,40 @@ def ref_feed(outer: dict, slot: int, inner: dict) -> dict:
     return out
 
 
+def ref_trilinear_eval(coords: dict, zero, x, y, z):
+    """A general trilinear table on vectors: each stored value times
+    x_i y_j z_k, the loop `TrilinearTable.eval` ran before every stored
+    map shared one evaluator."""
+    acc = zero
+    for (i, j, k), val in coords.items():
+        c = x[i] * y[j] * z[k]
+        if c:
+            acc = acc + val.scale(c)
+    return acc
+
+
+def ref_minor_eval(coords: dict, zero, *vectors):
+    """An alternating map stored on increasing keys, on two or three
+    vectors: each stored value times the 2x2 or 3x3 minor of the vectors'
+    coordinates at its key, the loops the Lie bracket, the pair action and
+    the alternating trilinear table ran before they shared one."""
+    acc = zero
+    for key, val in coords.items():
+        if len(key) == 2:
+            (i, j), (x, y) = key, vectors
+            c = x[i] * y[j] - x[j] * y[i]
+        else:
+            (i, j, k), (x, y, z) = key, vectors
+            c = (
+                x[i] * (y[j] * z[k] - y[k] * z[j])
+                - x[j] * (y[i] * z[k] - y[k] * z[i])
+                + x[k] * (y[i] * z[j] - y[j] * z[i])
+            )
+        if c:
+            acc = acc + val.scale(c)
+    return acc
+
+
 def ref_ternary_from_binary(lie, t) -> AlternatingTrilinearTable:
     """t(e_i) [e_j, e_k] + t(e_j) [e_k, e_i] + t(e_k) [e_i, e_j]."""
     space = lie.space

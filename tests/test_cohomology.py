@@ -180,6 +180,19 @@ def test_cochain_keys_outside_the_basis_are_rejected(key):
         Cochain(2, 6, 4, 4, {key: Vector((1, 0, 0, 0))})
 
 
+def test_cochains_of_other_shapes_are_unequal():
+    """Cochains that cannot be added do not compare equal: equality takes
+    the degree and all three dimensions, as the sum does."""
+    x = {((0,), 0): Vector((1, 0, 0))}
+    wide, narrow = Cochain(2, 10, 5, 3, x), Cochain(2, 1, 5, 3, x)
+    with pytest.raises(InputError, match="cochain shape mismatch"):
+        wide + narrow
+    assert wide != narrow
+    assert wide == Cochain(2, 10, 5, 3, x)
+    assert Cochain(1, 10, 5, 5, {}) != Cochain(1, 1, 1, 1, {})
+    assert Cochain(1, 10, 5, 5, {}) == Cochain(1, 10, 5, 5, {})
+
+
 def test_degree_five_is_refused_by_its_work_estimate(adjoint_problem):
     # P = 6 pairs and |D|, |L|, |F|, |Omega| = 3, 3, 18, 6 block entries:
     # rows 6^5*16, columns 6^4*16, 5^2 slot loops, and the entries written

@@ -1,6 +1,6 @@
 """Lint: every module of the package uses each name it imports, every
 function it defines is referenced somewhere, and the one division is
-`linalg._div`."""
+`linalg._div`; one class holds the increasing-key rule of the stored maps."""
 
 import ast
 import re
@@ -215,3 +215,36 @@ def test_refusals_go_through_report():
     assert outside == ["actions.check_net_hom"], (
         "refuse called by hand: " + ", ".join(outside)
     )
+
+
+def test_one_sign_rule_for_the_stored_maps():
+    """`multilinear._Multilinear` recovers every key order of a stored map,
+    with its permutation sign, and evaluates it; it is the only class that
+    defines `expand_ordered`, and no class built on it defines any of
+    `value`, `eval` or `expand_ordered` again."""
+    bases, defines = {}, {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                name = f"{path.stem}.{cls.name}"
+                bases[cls.name] = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+                defines[name] = {
+                    fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                }
+    expanders = [name for name, fns in defines.items() if "expand_ordered" in fns]
+    assert expanders == ["multilinear._Multilinear"], (
+        "expand_ordered defined in: " + ", ".join(expanders)
+    )
+    built_on = {"_Multilinear"}
+    while grown := {c for c, b in bases.items() if b & built_on} - built_on:
+        built_on |= grown
+    stored = {"TrilinearTable", "AlternatingTrilinearTable", "PairAction", "LieAlgebra"}
+    assert stored <= built_on
+    again = [
+        f"{name}.{fn}"
+        for name, fns in defines.items()
+        if name.split(".")[1] in built_on - {"_Multilinear"}
+        for fn in fns & {"value", "eval", "expand_ordered"}
+    ]
+    assert not again, "sign rule or evaluator defined again: " + ", ".join(again)

@@ -3,7 +3,8 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,12 +29,14 @@ from tensorforge import (
 from tensorforge.multilinear import (
     _columns,
     _feed,
+    _sorted_sign,
     format_matrix,
     format_vector,
-    sort3,
 )
 
-from oracles import rand_matrix, rand_vector, ref_feed
+from oracles import (
+    rand_matrix, rand_vector, ref_feed, ref_minor_eval, ref_trilinear_eval,
+)
 
 V3 = Space("V", 3)
 V4 = Space("V", 4, ("a", "b", "c", "d"))
@@ -57,13 +60,16 @@ def test_space_defaults_and_validation():
         Space("bad", 2, ("x", "x"))
 
 
-def test_sort3_signs_and_repeats():
-    assert sort3(0, 1, 2) == ((0, 1, 2), 1)
-    assert sort3(1, 0, 2) == ((0, 1, 2), -1)
-    assert sort3(2, 0, 1) == ((0, 1, 2), 1)
-    assert sort3(2, 1, 0) == ((0, 1, 2), -1)
-    assert sort3(0, 0, 1) is None
-    assert sort3(1, 2, 1) is None
+def test_sorted_sign_signs_and_repeats():
+    assert _sorted_sign((0, 1, 2)) == ((0, 1, 2), 1)
+    assert _sorted_sign((1, 0, 2)) == ((0, 1, 2), -1)
+    assert _sorted_sign((2, 0, 1)) == ((0, 1, 2), 1)
+    assert _sorted_sign((2, 1, 0)) == ((0, 1, 2), -1)
+    assert _sorted_sign((0, 0, 1)) is None
+    assert _sorted_sign((1, 2, 1)) is None
+    assert _sorted_sign((3, 1)) == ((1, 3), -1)
+    assert _sorted_sign((1, 3)) == ((1, 3), 1)
+    assert _sorted_sign((2, 2)) is None
 
 
 def test_trilinear_table_stores_any_order_and_drops_zeros():
@@ -342,3 +348,51 @@ def test_feeding_column_tables_composes_the_operators(tables):
         {a + b: x.mul(y) for a, x in left.items() for b, y in right.items()}
     )
     _no_zero_and_no_integral_fraction(fed)
+
+
+@st.composite
+def stored_maps(draw):
+    """(map, n, arity, zero): a Lie bracket, a pair action, a trilinear table
+    or an alternating one, on a space of dimension 1 to 4, with mixed
+    scalars; alternating maps get increasing keys only."""
+    kind = draw(st.sampled_from(
+        [LieAlgebra, PairAction, TrilinearTable, AlternatingTrilinearTable]
+    ))
+    n = draw(st.integers(1, 4))
+    space = Space("V", n)
+    arity = 2 if kind in (LieAlgebra, PairAction) else 3
+    keys = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity), max_size=8))
+    if kind is not TrilinearTable:
+        keys = {key for key in keys if list(key) == sorted(set(key))}
+    if kind is PairAction:
+        zero = Matrix.zeros(2, 2)
+        coords = {
+            key: Matrix([[draw(mixed) for _ in range(2)] for _ in range(2)])
+            for key in sorted(keys)
+        }
+        return PairAction(space, W2, coords), n, arity, zero
+    coords = {key: Vector([draw(mixed) for _ in range(n)]) for key in sorted(keys)}
+    if kind is LieAlgebra:
+        return LieAlgebra(space, coords), n, arity, space.zero()
+    return kind(space, space, coords), n, arity, space.zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored_maps(), st.data())
+def test_every_stored_map_answers_one_way(case, data):
+    """value, expand_ordered and eval agree on every ordered key, repeats
+    included, and eval matches the per-class loops the maps ran before they
+    shared one base."""
+    stored, n, arity, zero = case
+    ordered = stored.expand_ordered()
+    basis = [Vector.unit(n, i) for i in range(n)]
+    for key in product(range(n), repeat=arity):
+        val = stored.value(*key)
+        assert val == ordered.get(key)
+        assert stored.eval(*(basis[i] for i in key)) == (zero if val is None else val)
+    vectors = [Vector([data.draw(mixed) for _ in range(n)]) for _ in range(arity)]
+    ref = ref_minor_eval if stored.increasing else ref_trilinear_eval
+    assert stored.eval(*vectors) == ref(stored.coords, zero, *vectors)
+    ordered.clear()  # each call gives a dict of its own
+    copies = factorial(arity) if stored.increasing else 1
+    assert len(stored.expand_ordered()) == copies * len(stored.coords)

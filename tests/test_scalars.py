@@ -115,3 +115,23 @@ def test_every_scalar_is_an_int_or_a_fraction(fixture, monkeypatch):
     assert int in types or fixture == "abelian.json", "no scalar was reached"
     odd = {t.__name__: argv for t, argv in types.items() if t not in (int, Fraction)}
     assert not odd, f"scalars of other types, first seen in: {odd}"
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Matrix([[HALF]]).scale(2),
+        lambda: Matrix([[HALF]]) + Matrix([[HALF]]),
+        lambda: Matrix([[HALF]]).mul(Matrix([[2]])),
+        lambda: linalg._kron(Matrix([[HALF]]), Matrix([[2]])),
+        lambda: Matrix.from_cols([{0: Fraction(2, 2)}], nrows=1),
+    ],
+    ids=["scale", "sum", "product", "kronecker", "dict column"],
+)
+def test_matrix_entries_are_ints_where_integral(make):
+    """Matrix arithmetic stores an integral result as an `int`, as `Vector`
+    does: each of these matrices is [[1]]."""
+    assert [(key, type(a)) for key, a in make().items()] == [((0, 0), int)]
