@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from importlib import import_module
+from operator import attrgetter
 
 from .errors import InputError, PreconditionError
 from .linalg import rat
@@ -97,9 +98,7 @@ def _trace_on_space(doc: Document, space, name, flag: str):
             )
         return trace
     matching = {
-        known: t
-        for known, t in doc.entries["traces"].items()
-        if t.space == space
+        known: t for known, t in doc.entries["traces"].items() if t.space == space
     }
     if not matching:
         raise InputError(
@@ -113,52 +112,70 @@ def _trace_on_space(doc: Document, space, name, flag: str):
     return next(iter(matching.values()))
 
 
-# --- check commands ---------------------------------------------------------
+# --- check and builder commands ------------------------------------------------
 
 
-def _check(kind: str, module: str, check: str):
+def _check(kind: str, module: str, check: str, **options):
     """The handler of a command that runs the checker `check` of `module` on
-    an entry of `kind`. It looks the checker up in its module when it runs,
-    so that rebinding it there (the tests and the perfbench tracer do)
-    reaches the command."""
+    an entry of `kind`, passing it each keyword of `options` as the value of
+    the option it names (`mode="triples"` passes `--triples` as `mode`). It
+    looks the checker up in its module when it runs, so that rebinding it
+    there (the tests and the perfbench tracer do) reaches the command."""
 
     def handler(args) -> int:
         doc = _load(args)
         checker = getattr(import_module(f".{module}", __package__), check)
-        return _print_report(checker(doc.resolve(kind, args.name)), args)
+        keywords = {key: getattr(args, dest) for key, dest in options.items()}
+        return _print_report(checker(doc.resolve(kind, args.name), **keywords), args)
 
     return handler
 
 
-def _cmd_check_net(args) -> int:
-    from .actions import check_net
+def _build(kind=None, module=None, builder=None, title=None, outputs=(), traces=()):
+    """The handler of a command that runs the builder `builder` of `module`,
+    looked up as `_check` does, on an entry of `kind` and the trace each
+    `(flag, path)` of `traces` picks on the entry's space at `path`. It
+    emits a document titled `title` holding, for each `(kind, name, path)`
+    of `outputs`, the result's attribute at `path` ("" for the result).
+    Without a `kind` it emits the document it read."""
 
-    doc = _load(args)
-    problem = doc.resolve("nets", args.name)
-    return _print_report(check_net(problem, mode=args.triples), args)
+    def handler(args) -> int:
+        doc = _load(args)
+        if kind is not None:
+            entry = doc.resolve(kind, args.name)
+            picked = [
+                _trace_on_space(
+                    doc, attrgetter(path)(entry),
+                    getattr(args, flag[2:].replace("-", "_")), flag,
+                )
+                for flag, path in traces
+            ]
+            build = getattr(import_module(f".{module}", __package__), builder)
+            result = build(entry, *picked)
+            doc = Document(title)
+            for out_kind, name, path in outputs:
+                doc.add(out_kind, name, attrgetter(path)(result) if path else result)
+        return _emit_output(doc, args)
+
+    return handler
 
 
 def _cmd_check_trace(args) -> int:
-    from .algebras import LeibnizLieAlgebra
     from .induced_lie import check_trace
 
     doc = _load(args)
     trace = doc.resolve("traces", args.name)
-    candidates = {}
-    for kind in ("lie", "leibniz_lie"):
-        for name, obj in doc.entries[kind].items():
-            if obj.space == trace.space:
-                candidates[(kind, name)] = obj
     # A Leibniz-Lie entry subsumes the check of its own underlying bracket.
     subsumed = {
         id(obj.lie)
-        for obj in candidates.values()
-        if isinstance(obj, LeibnizLieAlgebra)
+        for obj in doc.entries["leibniz_lie"].values()
+        if obj.space == trace.space
     }
     candidates = {
-        key: obj
-        for key, obj in candidates.items()
-        if not (key[0] == "lie" and id(obj) in subsumed)
+        (kind, name): obj
+        for kind in ("lie", "leibniz_lie")
+        for name, obj in doc.entries[kind].items()
+        if obj.space == trace.space and not (kind == "lie" and id(obj) in subsumed)
     }
     if args.algebra is not None:
         candidates = {
@@ -237,22 +254,14 @@ def _cmd_cohomology(args) -> int:
     problem = doc.resolve("nets", args.name)
     degrees = _parse_degrees(args.degrees)
     complex_ = _complex_of(problem)
+    header = ("degree", "cochains", "cocycles", "coboundaries", "classes")
     rows = []
     for n in degrees:
         z, b, h = complex_.cohomology_dims(n)
-        rows.append(
-            {
-                "degree": n,
-                "cochains": complex_.cochain_dim(n),
-                "cocycles": z,
-                "coboundaries": b,
-                "classes": h,
-            }
-        )
+        rows.append(dict(zip(header, (n, complex_.cochain_dim(n), z, b, h))))
     if args.json:
         print(json.dumps({"cohomology": rows}, indent=2))
         return 0
-    header = ("degree", "cochains", "cocycles", "coboundaries", "classes")
     table = [header] + [
         tuple(str(row[key]) for key in header) for row in rows
     ]
@@ -294,129 +303,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# --- builder commands ---------------------------------------------------------
-
-
-def _cmd_hemisemidirect(args) -> int:
-    from .actions import hemisemidirect
-
-    doc = _load(args)
-    action = doc.resolve("actions", args.name)
-    combined = hemisemidirect(action)
-    out = Document(title="hemisemidirect product")
-    out.add("three_leibniz", "hemisemidirect", combined)
-    return _emit_output(out, args)
-
-
-def _cmd_descendent(args) -> int:
-    from .actions import descendent
-
-    doc = _load(args)
-    problem = doc.resolve("nets", args.name)
-    derived = descendent(problem)
-    out = Document(title="descendent bracket")
-    out.add("three_leibniz", "descendent", derived)
-    return _emit_output(out, args)
-
-
-def _cmd_induce_3ll(args) -> int:
-    from .actions import induced_3ll
-
-    doc = _load(args)
-    problem = doc.resolve("nets", args.name)
-    derived = induced_3ll(problem)
-    out = Document(title="induced bracket-and-braces structure")
-    out.add("three_lie", "carrier_bracket", derived.lie3)
-    out.add("three_leibniz_lie", "induced_structure", derived)
-    return _emit_output(out, args)
-
-
-def _cmd_induced_rep(args) -> int:
-    from .cohomology import induced_rep
-
-    doc = _load(args)
-    problem = doc.resolve("nets", args.name)
-    derived = induced_rep(problem)
-    out = Document(title="induced representation on the target algebra")
-    out.add("three_leibniz", "descendent", derived.algebra)
-    out.add("three_leibniz_reps", "induced_rep", derived)
-    return _emit_output(out, args)
-
-
-def _cmd_lie_to_3lie(args) -> int:
-    from .induced_lie import threelie_from_lie
-
-    doc = _load(args)
-    algebra = doc.resolve("lie", args.name)
-    trace = _trace_on_space(doc, algebra.space, args.trace, "--trace")
-    derived = threelie_from_lie(algebra, trace)
-    out = Document(title="ternary bracket induced by a trace")
-    out.add("three_lie", "ternary", derived)
-    return _emit_output(out, args)
-
-
-def _cmd_rho_sigma(args) -> int:
-    from .algebras import CoherentActionData, RepresentationData
-    from .induced_lie import check_lie_coherent, rho_sigma, threelie_from_lie
-
-    doc = _load(args)
-    action = doc.resolve("lie_actions", args.name)
-    check_lie_coherent(action).require("the binary action is not coherent")
-    trace_l = _trace_on_space(doc, action.lie.space, args.trace_l, "--trace-l")
-    trace_h = _trace_on_space(
-        doc, action.carrier.space, args.trace_h, "--trace-h"
-    )
-    acting = threelie_from_lie(action.lie, trace_l)
-    carrier3 = threelie_from_lie(action.carrier, trace_h)
-    pair_action = rho_sigma(action, trace_l)
-    rep_data = RepresentationData(acting, action.carrier.space, pair_action)
-    coherent = CoherentActionData(rep_data, carrier3.bracket)
-    out = Document(title="pair action induced by traces")
-    out.add("three_lie", "acting_algebra", acting)
-    out.add("representations", "induced_representation", rep_data)
-    out.add("actions", "induced_action", coherent)
-    return _emit_output(out, args)
-
-
-def _cmd_lift_net(args) -> int:
-    from .induced_lie import lift_net
-
-    doc = _load(args)
-    net = doc.resolve("lie_nets", args.name)
-    trace_l = _trace_on_space(doc, net.action.lie.space, args.trace_l, "--trace-l")
-    trace_h = _trace_on_space(
-        doc, net.action.carrier.space, args.trace_h, "--trace-h"
-    )
-    problem = lift_net(net, trace_l, trace_h)
-    out = Document(title="ternary embedding tensor lifted along traces")
-    out.add("three_lie", "acting_algebra", problem.action.algebra)
-    out.add("representations", "induced_representation", problem.action.rep)
-    out.add("actions", "induced_action", problem.action)
-    out.add("nets", "lifted_tensor", problem)
-    return _emit_output(out, args)
-
-
-def _cmd_leibnizlie_to_3ll(args) -> int:
-    from .induced_lie import three_ll_from_leibniz_lie
-
-    doc = _load(args)
-    algebra = doc.resolve("leibniz_lie", args.name)
-    trace = _trace_on_space(doc, algebra.space, args.trace, "--trace")
-    derived = three_ll_from_leibniz_lie(algebra, trace)
-    out = Document(title="ternary structure induced by a trace")
-    out.add("three_lie", "ternary_bracket", derived.lie3)
-    out.add("three_leibniz_lie", "induced_structure", derived)
-    return _emit_output(out, args)
-
-
-def _cmd_emit(args) -> int:
-    doc = _load(args)
-    return _emit_output(doc, args)
-
-
 # --- parser ------------------------------------------------------------------
 
 
+_TRACE = ("--trace", {"help": "which trace to use"})
 _TRACE_PAIR = (
     ("--trace-l", {"help": "trace on the acting algebra"}),
     ("--trace-h", {"help": "trace on the carrier algebra"}),
@@ -424,7 +314,10 @@ _TRACE_PAIR = (
 
 # command -> (help, output, handler, the options of its own as (flag,
 # keywords)...), in the order the help lists them. The output is a law
-# "report" with witnesses, a "table" of numbers, or a "document".
+# "report" with witnesses, a "table" of numbers, or a "document". A check
+# command's handler is a `_check` of its entry kind, module and checker; a
+# builder's is a `_build` that adds the title, the output entries and the
+# traces.
 _COMMANDS = {
     "check-3lie": (
         "verify the alternating ternary bracket laws", "report",
@@ -461,7 +354,7 @@ _COMMANDS = {
         _check("nets", "actions", "graph_check")),
     "check-net": (
         "verify the ternary embedding-tensor condition", "report",
-        _cmd_check_net,
+        _check("nets", "actions", "check_net", mode="triples"),
         ("--triples", {"choices": ("all", "increasing"), "default": "all",
                        "help": "basis triples to test (default: all ordered)"})),
     "check-trace": (
@@ -488,33 +381,61 @@ _COMMANDS = {
         _cmd_classify),
     "hemisemidirect": (
         "combined ternary bracket on the sum of the two spaces", "document",
-        _cmd_hemisemidirect),
+        _build("actions", "actions", "hemisemidirect", "hemisemidirect product",
+               [("three_leibniz", "hemisemidirect", "")])),
     "descendent": (
         "ternary Leibniz bracket induced on the carrier", "document",
-        _cmd_descendent),
+        _build("nets", "actions", "descendent", "descendent bracket",
+               [("three_leibniz", "descendent", "")])),
     "induce-3ll": (
         "bracket-and-braces structure induced on the carrier", "document",
-        _cmd_induce_3ll),
+        _build("nets", "actions", "induced_3ll",
+               "induced bracket-and-braces structure",
+               [("three_lie", "carrier_bracket", "lie3"),
+                ("three_leibniz_lie", "induced_structure", "")])),
     "induced-rep": (
         "representation induced on the target algebra", "document",
-        _cmd_induced_rep),
+        _build("nets", "cohomology", "induced_rep",
+               "induced representation on the target algebra",
+               [("three_leibniz", "descendent", "algebra"),
+                ("three_leibniz_reps", "induced_rep", "")])),
     "emit": (
         "re-serialize a document in canonical form", "document",
-        _cmd_emit),
+        _build()),
     "lie-to-3lie": (
         "ternary bracket induced by a trace", "document",
-        _cmd_lie_to_3lie,
-        ("--trace", {"help": "which trace to use"})),
+        _build("lie", "induced_lie", "threelie_from_lie",
+               "ternary bracket induced by a trace",
+               [("three_lie", "ternary", "")], [("--trace", "space")]),
+        _TRACE),
     "rho-sigma": (
         "ternary pair action induced by traces", "document",
-        _cmd_rho_sigma, *_TRACE_PAIR),
+        _build("lie_actions", "induced_lie", "_lift_action",
+               "pair action induced by traces",
+               [("three_lie", "acting_algebra", "algebra"),
+                ("representations", "induced_representation", "rep"),
+                ("actions", "induced_action", "")],
+               [("--trace-l", "lie.space"), ("--trace-h", "carrier.space")]),
+        *_TRACE_PAIR),
     "lift-net": (
         "lift a binary embedding tensor to a ternary one", "document",
-        _cmd_lift_net, *_TRACE_PAIR),
+        _build("lie_nets", "induced_lie", "lift_net",
+               "ternary embedding tensor lifted along traces",
+               [("three_lie", "acting_algebra", "action.algebra"),
+                ("representations", "induced_representation", "action.rep"),
+                ("actions", "induced_action", "action"),
+                ("nets", "lifted_tensor", "")],
+               [("--trace-l", "action.lie.space"),
+                ("--trace-h", "action.carrier.space")]),
+        *_TRACE_PAIR),
     "leibnizlie-to-3ll": (
         "ternary bracket-and-braces from a trace", "document",
-        _cmd_leibnizlie_to_3ll,
-        ("--trace", {"help": "which trace to use"})),
+        _build("leibniz_lie", "induced_lie", "three_ll_from_leibniz_lie",
+               "ternary structure induced by a trace",
+               [("three_lie", "ternary_bracket", "lie3"),
+                ("three_leibniz_lie", "induced_structure", "")],
+               [("--trace", "space")]),
+        _TRACE),
 }
 
 

@@ -45,7 +45,7 @@ from .algebras import (
     ThreeLeibnizAlgebra,
     ThreeLeibnizRep,
 )
-from .errors import InputError, PreconditionError
+from .errors import _WORK_BUDGET, InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
     WedgePairBasis,
@@ -57,13 +57,6 @@ from .multilinear import (
     _sparse_table,
     _sum,
 )
-
-# The largest work estimate `delta_matrix` takes on. On a 2-vCPU Xeon with
-# Python 3.11, degree 4 of the dim-4 example (about 70 000) takes 0.04 s to
-# assemble and 0.2 s of rank, and degree 1 of a sparse dim-26 net (about
-# 230 000) fits too; degree 5 of the example (about 530 000) would take
-# 0.4 s to assemble, 6 s of rank and 130 MB.
-_WORK_BUDGET = 400_000
 
 
 def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:

@@ -204,6 +204,20 @@ def rho_sigma(a: LieCoherentAction, t: TraceMap) -> PairAction:
     return PairAction(a.lie.space, a.carrier.space, _sum(terms, keep=_increasing))
 
 
+def _lift_action(a: LieCoherentAction, sigma_l, sigma_h, gated=True):
+    """The ternary action that `a` lifts to along a trace on each side: both
+    brackets cycled out of their traces, and `rho_sigma`. Gated, it requires
+    a coherent action and traces that vanish on brackets; `lift_net` runs
+    its own gates instead."""
+    if gated:
+        check_lie_coherent(a).require("the binary action is not coherent")
+        for t, lie in ((sigma_l, a.lie), (sigma_h, a.carrier)):
+            check_trace(t, lie).require("the functional must vanish on brackets")
+    acting = ThreeLieAlgebra(a.lie.space, _ternary_from_binary(a.lie, sigma_l))
+    rep = RepresentationData(acting, a.carrier.space, rho_sigma(a, sigma_l))
+    return CoherentActionData(rep, _ternary_from_binary(a.carrier, sigma_h))
+
+
 def check_lie_net(n: LieNet) -> Report:
     """Verify the binary embedding-tensor condition on all ordered pairs."""
     rep = Report("Lie embedding tensor check")
@@ -263,15 +277,9 @@ def lift_net(
         lambda t: hspace.label(t[0]),
     )
     compat.require("the traces disagree through the tensor")
-
-    l3 = ThreeLieAlgebra(
-        n.action.lie.space, _ternary_from_binary(n.action.lie, sigma_l)
+    return EmbeddingTensorProblem(
+        _lift_action(n.action, sigma_l, sigma_h, gated=False), n.tensor
     )
-    h3_table = _ternary_from_binary(n.action.carrier, sigma_h)
-    pair_action = rho_sigma(n.action, sigma_l)
-    rep_data = RepresentationData(l3, hspace, pair_action)
-    action = CoherentActionData(rep_data, h3_table)
-    return EmbeddingTensorProblem(action, n.tensor)
 
 
 def three_ll_from_leibniz_lie(

@@ -275,6 +275,10 @@ def _sorted_sign(key: tuple) -> tuple[tuple, int] | None:
     return tuple(sorted(key)), -1 if inversions % 2 else 1
 
 
+# each order of the slots of an alternating map, with its sign, by arity
+_ORDERS = {k: [(p, _sorted_sign(p)[1]) for p in permutations(range(k))] for k in (2, 3)}
+
+
 class _Multilinear:
     """A multilinear map stored sparsely in `coords`, `{basis tuple: Vector
     or Matrix}`; a subclass builds `coords` and gives its `_zero()`. With
@@ -296,10 +300,17 @@ class _Multilinear:
         return -val if sign < 0 and val is not None else val
 
     def eval(self, *vectors):
-        """Value on vectors, by multilinearity."""
+        """Value on vectors, by multilinearity: per stored key, the signed
+        coordinate products over its orderings, summed, scale its value."""
+        k = len(vectors)
+        orders = _ORDERS[k] if self.increasing else [(tuple(range(k)), 1)]
+        entries = [tuple(v) for v in vectors]
         acc = self._zero()
-        for key, val in self.expand_ordered().items():
-            c = prod(v[i] for v, i in zip(vectors, key))
+        for key, val in self.coords.items():
+            rows = [[e[i] for i in key] for e in entries]
+            if not all(map(any, rows)):  # some slot's vector misses the key
+                continue
+            c = sum(s * prod(map(list.__getitem__, rows, p)) for p, s in orders)
             if c:
                 acc = acc + val.scale(c)
         return acc

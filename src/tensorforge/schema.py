@@ -41,7 +41,7 @@ from .algebras import (
     ThreeLieAlgebra,
     TraceMap,
 )
-from .errors import InputError
+from .errors import _WORK_BUDGET, InputError
 from .linalg import Matrix, Scalar, Vector, rat
 from .multilinear import (
     AlternatingTrilinearTable,
@@ -645,6 +645,11 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
             {"labels": (*_LIST, None)},
         )
         name = _parse_name(fields["name"], f"{path}.name")
+        if fields["dim"] > _WORK_BUDGET:
+            raise InputError(
+                f"{path}: space {name!r} has dimension {fields['dim']}, "
+                f"above the work budget of {_WORK_BUDGET}"
+            )
         labels = fields["labels"]
         if labels is not None:
             labels = tuple(

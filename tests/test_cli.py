@@ -345,6 +345,21 @@ def test_checker_refusals_report_the_gate_lines(
     assert (rc, data["verdict"], data["refusal_reason"]) == (3, "refused", reason)
 
 
+def test_builders_pick_their_traces_before_any_gate(run, fixtures_dir, tmp_path):
+    """A trace that cannot be picked is an input error even where the
+    action would be refused too: every builder picks its traces first."""
+
+    def edit(s):
+        _incoherent(s)
+        s["traces"] = []
+
+    path = _variant(fixtures_dir, tmp_path, "heisenberg_e4.json", edit)
+    for command in ("rho-sigma", "lift-net"):
+        assert run(command, path) == (
+            2, "", "input error: the document declares no trace on space 'L'\n"
+        )
+
+
 def test_traces_are_chosen_by_name_or_by_space(run, fixtures_dir, tmp_path):
     heisenberg = fixtures_dir / "heisenberg_e4.json"
     for command, flags in (
@@ -425,6 +440,35 @@ def test_a_deeply_nested_document_exits_two(run, tmp_path):
     path.write_text("[" * 100_000)
     err = _assert_input_error(run("emit", path))
     assert err.startswith("input error: document is not valid JSON: ")
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", ["check-3lie", "emit"])
+def test_a_space_above_the_work_budget_exits_two(tmp_path, command):
+    """A huge declared dimension is refused as unusable input before any
+    basis is built, within a 1 GB address space, not left to run out of
+    memory."""
+    from tensorforge.errors import _WORK_BUDGET
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "format": "tensorforge/1",
+        "spaces": [{"name": "V", "dim": 100_000_000}],
+        "structures": {"three_lie": [{"name": "big", "space": "V", "brackets": {}}]},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorforge", command, str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert "'V'" in proc.stderr and str(_WORK_BUDGET) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_internal_errors_exit_four(run, adjoint_file, monkeypatch):

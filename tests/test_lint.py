@@ -248,3 +248,44 @@ def test_one_sign_rule_for_the_stored_maps():
         for fn in fns & {"value", "eval", "expand_ordered"}
     ]
     assert not again, "sign rule or evaluator defined again: " + ", ".join(again)
+
+
+def test_one_budget_constant():
+    """One module of the package assigns the work budget, and the modules
+    that refuse by it, `cohomology` and `schema`, import it from there."""
+    owners, importers = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                else []
+            )
+            owners += [
+                f"{path.stem}.{t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.endswith("_BUDGET")
+            ]
+        importers |= {
+            path.stem
+            for name, _ in _imported(tree)
+            if name.endswith("_BUDGET")
+        }
+    assert len(owners) == 1, "budget constants: " + ", ".join(owners)
+    assert {"cohomology", "schema"} <= importers, sorted(importers)
+
+
+def test_builders_emit_in_one_place():
+    """Every builder command emits its document through one handler: one
+    function of `cli.py` constructs a `Document`."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    builders = _sites(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Document",
+    )
+    assert len(set(builders)) == 1 and len(builders) == 1, (
+        "Document constructed in: " + ", ".join(builders)
+    )
