@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
+from itertools import product
 from math import comb
 
 from .algebras import (
@@ -215,7 +216,6 @@ def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
     rep = Report("embedding tensor check")
     gate = check_coherent_action(p.action)
     if rep.gate(gate, "coherent action", "the action is not coherent"):
-        lam_cols = p.tensor_columns()
         n = p.h_space.dim
         if mode == "all":
             scope, count, keep = "all ordered carrier triples", n**3, None
@@ -225,8 +225,7 @@ def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
             "embedding-tensor condition",
             scope,
             count,
-            [_bracket_of(p, lam_cols, lam_cols, lam_cols)],
-            [_feed(_family(lam_cols), 0, _descendent(p))],
+            *_order(p, [], 0),
             p.l_space.zero(),
             partial(format_vector, p.l_space),
             partial(tuple_label, p.h_space),
@@ -247,6 +246,23 @@ def _action_of(p: EmbeddingTensorProblem, x, y) -> dict:
     a basis; k runs over the basis of H."""
     columns = _columns(p.rho.expand_ordered())
     return _substitute(columns, [x, y, _basis(p.h_space)])
+
+
+def _order(p: EmbeddingTensorProblem, M: list, k: int) -> tuple:
+    """The t^k coefficient of the tensor condition of T + tM, for the tensor
+    T and a direction M given by their columns, as (lhs, rhs) lists of term
+    tables keyed (a, b, c): lhs [X e_a, Y e_b, Z e_c] and rhs
+    S rho(X e_a, Y e_b) e_c, over the choices of T or M for X, Y, Z and for
+    S, X, Y that take M k times. The choice S; T, T feeds S into the
+    descendent bracket, so that term holds S [e_a, e_b, e_c] too."""
+    maps = (p.tensor_columns(), M)
+    picks = [pick for pick in product((0, 1), repeat=3) if sum(pick) == k]
+    lhs = [_bracket_of(p, *(maps[c] for c in pick)) for pick in picks]
+    rhs = []
+    for s, a, b in picks:
+        acted = _descendent(p) if a == b == 0 else _action_of(p, maps[a], maps[b])
+        rhs.append(_feed(_family(maps[s]), 0, acted))
+    return lhs, rhs
 
 
 # The point of the tensor's graph over an H-part; it equals any (L-part,
@@ -429,7 +445,6 @@ def check_net_hom(h: NetHomomorphism) -> Report:
 
     if inter.passed and act.passed:
         images = [dst.tensor.apply(v) for v in fh_cols]
-        src_cols = src.tensor_columns()
         laws = (
             (
                 "descendent bracket preserved",
@@ -438,7 +453,7 @@ def check_net_hom(h: NetHomomorphism) -> Report:
             ),
             (
                 "induced braces preserved",
-                _feed(fh, 0, _action_of(src, src_cols, src_cols)),
+                _feed(fh, 0, _braces(src)),
                 _relabel(  # rho(images_i, images_j) f_H e_k
                     _feed(_action_of(dst, images, images), 2, fh),
                     lambda k, i, j: (i, j, k),

@@ -25,7 +25,7 @@ from operator import attrgetter
 from .errors import InputError, PreconditionError
 from .linalg import rat
 from .multilinear import format_matrix
-from .schema import Document, emit_document, load_document
+from .schema import Document, _positive, emit_document, load_document
 
 
 def __getattr__(name):
@@ -235,16 +235,13 @@ def _cmd_deform_equiv(args) -> int:
 
 
 def _parse_degrees(raw: str) -> list[int]:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part.isdecimal() or int(part) < 1:
-            raise InputError(
-                f"--degrees expects a comma-separated list of degrees >= 1, "
-                f"got {raw!r}"
-            )
-        out.append(int(part))
-    return out
+    degrees = [_positive(part) for part in raw.split(",")]
+    if None in degrees:
+        raise InputError(
+            f"--degrees expects a comma-separated list of degrees >= 1, "
+            f"got {raw!r}"
+        )
+    return degrees
 
 
 def _cmd_cohomology(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 from math import comb
 
-from .actions import _action_of, _bracket_of, check_net
+from .actions import _order, check_net
 from .algebras import Deformation, EmbeddingTensorProblem, LinearMap, _increasing
 from .cohomology import _complex_of
 from .errors import InputError
@@ -28,7 +28,6 @@ from .linalg import (
 )
 from .multilinear import (
     _columns,
-    _family,
     _feed,
     _relabel,
     _sum,
@@ -77,23 +76,14 @@ def check_infinitesimal(d: Deformation) -> Report:
 
     p = d.problem
     hspace = p.h_space
-    L = p.tensor_columns()
     M = [d.direction.column(i) for i in range(hspace.dim)]
-    minus_l, minus_m = _family([-v for v in L]), _family([-v for v in M])
+    lhs, rhs = _order(p, M, 1)
     # the degree-one part of the tensor condition, as one side
     line = rep.law(
         "first-order tensor condition",
         "all ordered basis triples",
         hspace.dim**3,
-        [
-            _bracket_of(p, M, L, L),
-            _bracket_of(p, L, M, L),
-            _bracket_of(p, L, L, M),
-            _feed(minus_m, 0, _action_of(p, L, L)),
-            _feed(minus_l, 0, _action_of(p, M, L)),
-            _feed(minus_l, 0, _action_of(p, L, M)),
-            _feed(minus_m, 0, p.h_bracket.expand_ordered()),
-        ],
+        lhs + [_relabel(term, lambda *t: t, -1) for term in rhs],
         [],
         p.l_space.zero(),
         partial(format_vector, p.l_space),
@@ -139,29 +129,13 @@ def check_higher_order(d: Deformation) -> Report:
 
     p = d.problem
     hspace = p.h_space
-    L = p.tensor_columns()
     M = [d.direction.column(i) for i in range(hspace.dim)]
-    lam, lam1 = _family(L), _family(M)
-    mm = _action_of(p, M, M)
-    laws = (
-        (
-            "second-order condition",
-            [_bracket_of(p, M, M, L), _bracket_of(p, M, L, M), _bracket_of(p, L, M, M)],
-            [
-                _feed(lam1, 0, _action_of(p, M, L)),
-                _feed(lam1, 0, _action_of(p, L, M)),
-                _feed(lam, 0, mm),
-            ],
-        ),
-        ("third-order condition", [_bracket_of(p, M, M, M)], [_feed(lam1, 0, mm)]),
-    )
-    for name, lhs, rhs in laws:
+    for k, name in ((2, "second-order condition"), (3, "third-order condition")):
         rep.law(
             name,
             "all ordered basis triples",
             hspace.dim**3,
-            lhs,
-            rhs,
+            *_order(p, M, k),
             p.l_space.zero(),
             partial(format_vector, p.l_space),
             partial(tuple_label, hspace),

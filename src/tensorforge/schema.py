@@ -215,21 +215,28 @@ def _parse_parameter_name(raw, path: str) -> str:
     return name
 
 
+def _positive(text: str) -> int | None:
+    """The positive integer that `text` spells in decimal digits, blanks
+    around them allowed, or None; None too when the digits are more than
+    Python converts to an int."""
+    text = text.strip()
+    try:
+        n = int(text) if text.isdecimal() else 0
+    except ValueError:  # above the int-string conversion limit
+        return None
+    return n if n >= 1 else None
+
+
 def _parse_key(raw: str, arity: int, path: str) -> tuple:
     parts = raw.split(",")
     if len(parts) != arity:
         raise InputError(
             f"{path}: key {raw!r} must hold {arity} comma-separated indices"
         )
-    out = []
-    for part in parts:
-        part = part.strip()
-        if not part.isdecimal() or int(part) < 1:
-            raise InputError(
-                f"{path}: key {raw!r} must hold positive 1-based indices"
-            )
-        out.append(int(part) - 1)
-    return tuple(out)
+    indices = [_positive(part) for part in parts]
+    if None in indices:
+        raise InputError(f"{path}: key {raw!r} must hold positive 1-based indices")
+    return tuple(i - 1 for i in indices)
 
 
 def _parse_sparse_vector(raw, space: Space, scalars, path: str) -> Vector:
@@ -237,12 +244,12 @@ def _parse_sparse_vector(raw, space: Space, scalars, path: str) -> Vector:
     entries = [0] * space.dim
     seen = set()
     for key, value in raw.items():
-        key_text = key.strip()
-        if not key_text.isdecimal() or int(key_text) < 1:
+        index = _positive(key)
+        if index is None:
             raise InputError(
                 f"{path}: component key {key!r} must be a positive 1-based index"
             )
-        index = int(key_text) - 1
+        index -= 1
         if index >= space.dim:
             raise InputError(
                 f"{path}: component {key!r} exceeds the dimension "
@@ -305,22 +312,12 @@ def _parse_table(raw, arity: int, space: Space, parse_value, path: str) -> dict:
     return out
 
 
-def _space_ref(doc: Document, raw, path: str) -> Space:
-    name = _expect(raw, str, path, "a space name")
-    if name not in doc.spaces:
-        available = ", ".join(sorted(doc.spaces)) or "none"
-        raise InputError(f"{path}: unknown space {name!r} (available: {available})")
-    return doc.spaces[name]
-
-
-def _entry_ref(doc: Document, kind: str, raw, path: str):
-    name = _expect(raw, str, path, f"a {kind} entry name")
-    registry = doc.entries[kind]
+def _ref(registry: dict, what: str, raw, path: str):
+    """The value that `raw`, the name of a `what`, names in `registry`."""
+    name = _expect(raw, str, path, f"a {what} name")
     if name not in registry:
         available = ", ".join(sorted(registry)) or "none"
-        raise InputError(
-            f"{path}: unknown {kind} entry {name!r} (available: {available})"
-        )
+        raise InputError(f"{path}: unknown {what} {name!r} (available: {available})")
     return registry[name]
 
 
@@ -348,17 +345,10 @@ def _emit_matrix(m: Matrix) -> list:
     return [[_emit_scalar(c) for c in row] for row in m.rows]
 
 
-def _emit_vector_table(items) -> dict:
+def _emit_table(items, emit_value) -> dict:
     return {
-        ",".join(str(x + 1) for x in key): _emit_sparse_vector(vec)
-        for key, vec in sorted(items)
-    }
-
-
-def _emit_matrix_table(items) -> dict:
-    return {
-        ",".join(str(x + 1) for x in key): _emit_matrix(mat)
-        for key, mat in sorted(items)
+        ",".join(str(x + 1) for x in key): emit_value(value)
+        for key, value in sorted(items)
     }
 
 
@@ -395,7 +385,7 @@ def _emit_space(space: Space, doc, note) -> str:
 
 _SPACE = _Codec(
     _STR,
-    lambda raw, doc, scalars, prior, path: _space_ref(doc, raw, path),
+    lambda raw, doc, scalars, prior, path: _ref(doc.spaces, "space", raw, path),
     _emit_space,
 )
 
@@ -404,49 +394,42 @@ def _entry(kind: str) -> _Codec:
     """A reference by name to an entry of `kind` parsed before this one."""
     return _Codec(
         _STR,
-        lambda raw, doc, scalars, prior, path: _entry_ref(doc, kind, raw, path),
+        lambda raw, doc, scalars, prior, path: _ref(
+            doc.entries[kind], f"{kind} entry", raw, path
+        ),
         lambda obj, doc, note: doc.name_of(kind, obj),
     )
 
 
-def _vectors(arity: int, space_of, table=None) -> _Codec:
-    """Sparse vectors keyed by `arity`-tuples, on the space `space_of(*prior)`;
-    `table(space, space, coords)` wraps the coordinates when given."""
-
-    def parse(raw, doc, scalars, prior, path):
-        space = space_of(*prior)
-        coords = _parse_table(
-            raw, arity, space,
-            lambda value, at: _parse_sparse_vector(value, space, scalars, at),
-            path,
-        )
-        return coords if table is None else table(space, space, coords)
-
-    return _Codec(
-        (*_TABLE, {}), parse,
-        lambda value, doc, note: _emit_vector_table(value.items()),
-    )
+# How one value of a keyed table is read on its target space and written:
+# a sparse vector, or a square matrix.
+_SPARSE = (_parse_sparse_vector, _emit_sparse_vector)
+_SQUARE = (
+    lambda raw, space, scalars, path: _parse_matrix(
+        raw, space.dim, space.dim, scalars, path
+    ),
+    _emit_matrix,
+)
 
 
-def _operators(arity: int, spaces_of, table=None) -> _Codec:
-    """Square matrices on a target space keyed by `arity`-tuples of a source
-    space, where `spaces_of(*prior)` is (source, target); `table(source,
-    target, coords)` wraps the operators when given."""
+def _table(arity: int, spaces_of, value, wrap=None) -> _Codec:
+    """Values keyed by `arity`-tuples of a source space, each `_SPARSE` or
+    `_SQUARE` on a target space, where `spaces_of(*prior)` is (source,
+    target); `wrap(source, target, coords)` wraps the table when given."""
+    parse_value, emit_value = value
 
     def parse(raw, doc, scalars, prior, path):
         source, target = spaces_of(*prior)
         coords = _parse_table(
             raw, arity, source,
-            lambda value, at: _parse_matrix(
-                value, target.dim, target.dim, scalars, at
-            ),
+            lambda item, at: parse_value(item, target, scalars, at),
             path,
         )
-        return coords if table is None else table(source, target, coords)
+        return coords if wrap is None else wrap(source, target, coords)
 
     return _Codec(
         (*_TABLE, {}), parse,
-        lambda value, doc, note: _emit_matrix_table(value.items()),
+        lambda value, doc, note: _emit_table(value.items(), emit_value),
     )
 
 
@@ -513,36 +496,36 @@ def _acting_on_carrier(algebra, carrier, *tables):
 _KINDS = {
     "lie": _Kind(
         LieAlgebra, lambda o: (o.space, o.coords),
-        space=_SPACE, brackets=_vectors(2, lambda space: space),
+        space=_SPACE, brackets=_table(2, lambda s: (s, s), _SPARSE),
     ),
     "three_lie": _Kind(
         ThreeLieAlgebra, lambda o: (o.space, o.bracket),
         space=_SPACE,
-        brackets=_vectors(3, lambda space: space, AlternatingTrilinearTable),
+        brackets=_table(3, lambda s: (s, s), _SPARSE, AlternatingTrilinearTable),
     ),
     "three_leibniz": _Kind(
         ThreeLeibnizAlgebra, lambda o: (o.space, o.bracket),
-        space=_SPACE, brackets=_vectors(3, lambda space: space, TrilinearTable),
+        space=_SPACE, brackets=_table(3, lambda s: (s, s), _SPARSE, TrilinearTable),
     ),
     "leibniz_lie": _Kind(
         LeibnizLieAlgebra, lambda o: (o.lie, o.triangle),
-        lie=_entry("lie"), products=_vectors(2, lambda lie: lie.space),
+        lie=_entry("lie"), products=_table(2, lambda lie: (lie.space,) * 2, _SPARSE),
     ),
     "three_leibniz_lie": _Kind(
         ThreeLeibnizLieAlgebra, lambda o: (o.lie3, o.braces),
         three_lie=_entry("three_lie"),
-        braces=_vectors(3, lambda lie3: lie3.space, TrilinearTable),
+        braces=_table(3, lambda lie3: (lie3.space,) * 2, _SPARSE, TrilinearTable),
     ),
     "representations": _Kind(
         RepresentationData, lambda o: (o.algebra, o.carrier, o.rho),
         algebra=_entry("three_lie"), carrier=_SPACE,
-        operators=_operators(2, _acting_on_carrier, PairAction),
+        operators=_table(2, _acting_on_carrier, _SQUARE, PairAction),
     ),
     "actions": _Kind(
         CoherentActionData, lambda o: (o.rep, o.target_bracket),
         representation=_entry("representations"),
-        carrier_brackets=_vectors(
-            3, lambda rep: rep.carrier, AlternatingTrilinearTable
+        carrier_brackets=_table(
+            3, lambda rep: (rep.carrier,) * 2, _SPARSE, AlternatingTrilinearTable
         ),
     ),
     "nets": _Kind(
@@ -554,14 +537,14 @@ _KINDS = {
         ThreeLeibnizRep,
         lambda o: (o.algebra, o.carrier, o.l_act, o.m_act, o.r_act),
         algebra=_entry("three_leibniz"), carrier=_SPACE,
-        left=_operators(2, _acting_on_carrier),
-        middle=_operators(2, _acting_on_carrier),
-        right=_operators(2, _acting_on_carrier),
+        left=_table(2, _acting_on_carrier, _SQUARE),
+        middle=_table(2, _acting_on_carrier, _SQUARE),
+        right=_table(2, _acting_on_carrier, _SQUARE),
     ),
     "lie_actions": _Kind(
         LieCoherentAction, lambda o: (o.lie, o.carrier, o.rho),
         algebra=_entry("lie"), carrier=_entry("lie"),
-        operators=_operators(1, lambda lie, carrier: (lie.space, carrier.space)),
+        operators=_table(1, lambda lie, carrier: (lie.space, carrier.space), _SQUARE),
     ),
     "lie_nets": _Kind(
         LieNet, lambda o: (o.action, o.tensor),
@@ -601,7 +584,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
             parse_constant=lambda s: _reject_float(s),
             object_pairs_hook=_object,
         )
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an over-long int
         raise InputError(f"document is not valid JSON: {exc}") from None
     _expect(data, dict, "document", "a JSON object")
 

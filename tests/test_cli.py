@@ -442,6 +442,35 @@ def test_a_deeply_nested_document_exits_two(run, tmp_path):
     assert err.startswith("input error: document is not valid JSON: ")
 
 
+_LONG = "1" * 4301  # one digit above Python's int-string conversion limit
+
+
+def _with_long_integer(fixture: Path, where: str) -> str:
+    """example_2_8 with a 4 301-digit integer as a space's dimension, as an
+    index of a table key, or as a sparse-vector component key."""
+    if where == "dim":
+        return fixture.read_text().replace('"dim": 4', f'"dim": {_LONG}', 1)
+    body = json.loads(fixture.read_text())
+    key, component = ("1,2," + _LONG, "4") if where == "key" else ("1,2,3", _LONG)
+    body["structures"]["three_lie"][0]["brackets"] = {key: {component: 1}}
+    return json.dumps(body)
+
+
+@pytest.mark.parametrize("command", ["emit", "check-3lie"])
+@pytest.mark.parametrize("where", ["dim", "key", "component"])
+def test_an_over_long_integer_in_a_document_exits_two(
+    run, adjoint_file, tmp_path, where, command
+):
+    path = tmp_path / "long.json"
+    path.write_text(_with_long_integer(adjoint_file, where))
+    _assert_input_error(run(command, path))
+
+
+def test_an_over_long_degree_exits_two(run, adjoint_file):
+    err = _assert_input_error(run("cohomology", adjoint_file, "--degrees", _LONG))
+    assert err.startswith("input error: --degrees expects")
+
+
 def _limit_memory():
     import resource
 

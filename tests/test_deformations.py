@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from tensorforge import (
     CochainComplex,
     Deformation,
+    EmbeddingTensorProblem,
     InputError,
     LinearMap,
     Matrix,
@@ -16,11 +18,13 @@ from tensorforge import (
     check_infinitesimal,
     classify,
 )
+from tensorforge.actions import _order
 
 from oracles import (
     example_problem,
     oracle_class_representatives,
     rand_matrix,
+    rand_scalar,
     rand_unimodular,
     rand_vector,
     random_valid_problem,
@@ -184,3 +188,58 @@ def test_deformation_direction_shape_is_validated(adjoint_problem):
             adjoint_problem,
             LinearMap(odd, adjoint_problem.l_space, Matrix.zeros(4, 3)),
         )
+
+
+def _defect(p, t):
+    """The tensor condition's lhs less its rhs on the basis triple t,
+    evaluated vector by vector."""
+    cols = p.tensor_columns()
+    i, j, k = t
+    inner = p.rho.apply(cols[i], cols[j], p.h_space.basis_vector(k))
+    bracket = p.h_bracket.value(i, j, k)
+    if bracket is not None:
+        inner = inner + bracket
+    return p.l_bracket.eval(cols[i], cols[j], cols[k]) - p.tensor.apply(inner)
+
+
+def _fixture_and_random_directions(adjoint_doc):
+    for name in ("d_zero", "d_cocycle", "d_coboundary"):
+        yield adjoint_doc.resolve("deformations", name)
+    rng = random.Random(20261020)
+    for _ in range(3):
+        p = random_valid_problem(rng)
+        yield direction(p, rand_matrix(rng, p.l_space.dim, p.h_space.dim))
+
+
+def _coefficient(p, M, k) -> dict:
+    """The lhs less the rhs of `_order(p, M, k)`, summed key by key."""
+    lhs, rhs = _order(p, M, k)
+    out = {}
+    for sign, terms in ((1, lhs), (-1, rhs)):
+        for term in terms:
+            for key, v in term.items():
+                v = v.scale(sign)
+                out[key] = out[key] + v if key in out else v
+    return out
+
+
+def test_the_orders_are_the_taylor_expansion(adjoint_doc):
+    """Summed with the powers of a random rational t, the coefficients that
+    `_order` gives for k = 0..3 are the defect of the tensor T + tM on every
+    ordered triple: a term missing from, or added to, any order breaks it."""
+    rng = random.Random(7)
+    for d in _fixture_and_random_directions(adjoint_doc):
+        p = d.problem
+        M = [d.direction.column(i) for i in range(p.h_space.dim)]
+        coefficients = [_coefficient(p, M, k) for k in range(4)]
+        zero = p.l_space.zero()
+        for _ in range(2):
+            t = rand_scalar(rng, nonzero=True)
+            moved = p.tensor.matrix + d.direction.matrix.scale(t)
+            moved = LinearMap(p.h_space, p.l_space, moved)
+            pt = EmbeddingTensorProblem(p.action, moved)
+            for triple in product(range(p.h_space.dim), repeat=3):
+                expanded = zero
+                for k, coefficient in enumerate(coefficients):
+                    expanded = expanded + coefficient.get(triple, zero).scale(t**k)
+                assert expanded == _defect(pt, triple), (d.direction, t, triple)

@@ -276,16 +276,35 @@ def test_one_budget_constant():
     assert {"cohomology", "schema"} <= importers, sorted(importers)
 
 
+def _calls(names):
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in names
+    )
+
+
 def test_builders_emit_in_one_place():
     """Every builder command emits its document through one handler: one
     function of `cli.py` constructs a `Document`."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    builders = _sites(
-        tree,
-        lambda node: isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "Document",
-    )
+    builders = _sites(tree, _calls({"Document"}))
     assert len(set(builders)) == 1 and len(builders) == 1, (
         "Document constructed in: " + ", ".join(builders)
     )
+
+
+def test_deformations_take_the_tensor_condition_from_one_expansion():
+    """The orders of the tensor condition of T + tM come from
+    `actions._order`: deformations builds none of their terms itself."""
+    tree = ast.parse((PACKAGE / "deformations.py").read_text())
+    sites = _sites(tree, _calls({"_bracket_of", "_action_of"}))
+    assert not sites, "terms of the tensor condition built in: " + ", ".join(sites)
+
+
+def test_one_keyed_table_codec():
+    """Every keyed table of a document, of vectors or of operators, is read
+    by one codec: one function of schema calls `_parse_table`."""
+    tree = ast.parse((PACKAGE / "schema.py").read_text())
+    sites = set(_sites(tree, _calls({"_parse_table"})))
+    assert len(sites) == 1, "_parse_table called from: " + ", ".join(sorted(sites))

@@ -154,6 +154,15 @@ def test_key_validation():
         parse_document(_lie_doc({"1,2": {"9": 1}}))
 
 
+def test_non_ascii_decimal_digits_read_as_digits_and_emit_in_ascii():
+    """Indices and scalars take any Unicode decimal digits, as `int` does
+    (here Arabic-Indic ones); emission writes them back in ASCII."""
+    doc = parse_document(_lie_doc({"١,2": {"٣": "١/2"}}))
+    assert doc.resolve("lie").coords == {(0, 1): Vector((0, 0, Fraction(1, 2)))}
+    brackets = json.loads(emit_document(doc))["structures"]["lie"][0]["brackets"]
+    assert brackets == {"1,2": {"3": "1/2"}}
+
+
 def test_alternating_keys_must_increase():
     body = {
         "format": "tensorforge/1",
