@@ -34,6 +34,7 @@ from .multilinear import (
     TrilinearTable,
     _basis,
     _columns,
+    _derivation,
     _family,
     _feed,
     _relabel,
@@ -120,34 +121,13 @@ def check_coherent_action(c: CoherentActionData) -> Report:
         target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
         rep.absorb(target_gate, "carrier bracket")
 
-        hb = c.target_bracket.expand_ordered()
-        columns = _columns(c.rho.coords)  # rho(i, j) e_h, keyed (i, j, h)
-        moved = _relabel(  # [rho(i, j) h1, h2, h3]
-            _feed(hb, 0, columns), lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))
+        # each rho(i, j), keyed (i, j, h), a derivation of the carrier bracket
+        lhs, rhs = (
+            [_relabel(t, lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))) for t in side]
+            for side in _derivation(_columns(c.rho.coords), 2, c.target_bracket)
         )
-        laws = (
-            (
-                "derivation law",
-                [
-                    _relabel(
-                        _feed(columns, 2, hb),
-                        lambda h1, h2, h3, i, j: ((i, j), (h1, h2, h3)),
-                    )
-                ],
-                [
-                    moved,
-                    _relabel(
-                        _feed(hb, 1, columns),
-                        lambda i, j, h2, h1, h3: ((i, j), (h1, h2, h3)),
-                    ),
-                    _relabel(
-                        _feed(hb, 2, columns),
-                        lambda i, j, h3, h1, h2: ((i, j), (h1, h2, h3)),
-                    ),
-                ],
-            ),
-            ("annihilation law", [moved], []),
-        )
+        # the annihilation law is [rho(i, j) h1, h2, h3] = 0, the slot-0 term
+        laws = (("derivation law", lhs, rhs), ("annihilation law", rhs[:1], []))
         for name, lhs, rhs in laws:
             rep.law(
                 name,
@@ -244,8 +224,7 @@ def _bracket_of(p: EmbeddingTensorProblem, x, y, z) -> dict:
 def _action_of(p: EmbeddingTensorProblem, x, y) -> dict:
     """{(i, j, k): rho(X_i, Y_j) e_k}, for two lists of L-vectors indexed by
     a basis; k runs over the basis of H."""
-    columns = _columns(p.rho.expand_ordered())
-    return _substitute(columns, [x, y, _basis(p.h_space)])
+    return _substitute(_columns(p.rho.expand_ordered()), [x, y])
 
 
 def _order(p: EmbeddingTensorProblem, M: list, k: int) -> tuple:

@@ -38,8 +38,10 @@ from .multilinear import (
     _Frozen,
     _Multilinear,
     _columns,
+    _derivation,
     _family,
     _feed,
+    _increasing,
     _relabel,
     _sparse_table,
     _substitute,
@@ -81,7 +83,7 @@ class ThreeLeibnizAlgebra:
 class LieAlgebra(_Multilinear):
     """Binary bracket stored on increasing pairs."""
 
-    increasing = True
+    increasing, arity = True, 2
 
     def __init__(self, space: Space, coords: dict):
         self.space = space
@@ -345,55 +347,26 @@ class Deformation:
         self.direction = direction
 
 
-def _increasing(t) -> bool:
-    return all(a < b for a, b in zip(t, t[1:]))
-
-
-def _fundamental_terms(coords: dict) -> tuple:
-    """Term tables of [b1, b2, [c, d, e]] = [[b1, b2, c], d, e]
-    + [c, [b1, b2, d], e] + [c, d, [b1, b2, e]] on ordered 5-tuples, for a
-    table of values on ordered triples."""
-    inner_last = _feed(coords, 2, coords)
-    lhs = [_relabel(inner_last, lambda c, d, e, b1, b2: (b1, b2, c, d, e))]
-    rhs = [
-        _feed(coords, 0, coords),
-        _relabel(_feed(coords, 1, coords), lambda b1, b2, d, c, e: (b1, b2, c, d, e)),
-        _relabel(inner_last, lambda b1, b2, e, c, d: (b1, b2, c, d, e)),
-    ]
-    return lhs, rhs
-
-
 def check_3lie(a: ThreeLieAlgebra) -> Report:
-    """Verify the fundamental identity of an alternating ternary bracket.
+    """Verify the fundamental identity of an alternating ternary bracket:
+    each ad(b1, b2) = [b1, b2, -] is a derivation of the bracket.
 
     Both sides are alternating in the outer pair and in the inner triple, so
-    checking increasing pairs against increasing triples is exhaustive. The
-    three right-hand terms all come from one table, T = [[b1, b2, x], y, z]
-    with b1 < b2 and y < z: [c, [b1, b2, d], e] = -[[b1, b2, d], c, e] and
-    [c, d, [b1, b2, e]] = [[b1, b2, e], c, d].
+    checking increasing pairs against increasing triples is exhaustive.
     """
     space = a.space
-    n = space.dim
-    ordered = a.bracket.expand_ordered()
-    pair_first = {k: v for k, v in ordered.items() if k[0] < k[1]}
-    pair_last = {k: v for k, v in ordered.items() if k[1] < k[2]}
-    nested = _feed(pair_last, 0, pair_first)
+    ad = {}  # [b1, b2, c] with b1 < b2, from each stored key i < j < l
+    for (i, j, l), v in a.bracket.coords.items():
+        ad[i, j, l], ad[i, l, j], ad[j, l, i] = v, -v, v
     rep = Report(f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",
         "increasing pairs x increasing triples",
-        comb(n, 2) * comb(n, 3),
-        [
-            _relabel(
-                _feed(pair_first, 2, a.bracket.coords),
-                lambda c, d, e, b1, b2: ((b1, b2), (c, d, e)),
-            )
-        ],
-        [
-            _relabel(nested, lambda b1, b2, c, d, e: ((b1, b2), (c, d, e))),
-            _relabel(nested, lambda b1, b2, d, c, e: ((b1, b2), (c, d, e)), -1),
-            _relabel(nested, lambda b1, b2, e, c, d: ((b1, b2), (c, d, e))),
-        ],
+        comb(space.dim, 2) * comb(space.dim, 3),
+        *(
+            [_relabel(t, lambda b1, b2, c, d, e: ((b1, b2), (c, d, e))) for t in side]
+            for side in _derivation(ad, 2, a.bracket, True)
+        ),
         space.zero(),
         partial(format_vector, space),
         lambda t: f"pair {tuple_label(space, t[0])}, "
@@ -411,7 +384,7 @@ def check_3leibniz(a: ThreeLeibnizAlgebra) -> Report:
         "fundamental identity",
         "all ordered basis 5-tuples",
         space.dim**5,
-        *_fundamental_terms(a.bracket.expand_ordered()),
+        *_derivation(a.bracket.expand_ordered(), 2, a.bracket),
         space.zero(),
         partial(format_vector, space),
         partial(tuple_label, space),
@@ -576,13 +549,9 @@ def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
 
     brace = a.braces.expand_ordered()
     bracket = a.lie3.bracket.expand_ordered()
-    lhs, rhs = _fundamental_terms(brace)
-    rhs += [
-        _feed(brace, 0, bracket),  # {[h1, h2, h3], h4, h5}
-        _relabel(  # {h3, [h1, h2, h4], h5}
-            _feed(brace, 1, bracket), lambda h1, h2, h4, h3, h5: (h1, h2, h3, h4, h5)
-        ),
-    ]
+    lhs, rhs = _derivation(brace, 2, a.braces)
+    # {[h1, h2, h3], h4, h5} and {h3, [h1, h2, h4], h5}
+    rhs += _derivation(bracket, 2, a.braces)[1][:2]
     laws = (
         ("brace compatibility law", lhs, rhs),
         (

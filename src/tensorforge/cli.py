@@ -23,7 +23,7 @@ from importlib import import_module
 from operator import attrgetter
 
 from .errors import InputError, PreconditionError
-from .linalg import rat
+from .linalg import fmt_rat
 from .multilinear import format_matrix
 from .schema import Document, _positive, emit_document, load_document
 
@@ -44,10 +44,8 @@ def _parse_param_flags(values) -> dict:
     for item in values or ():
         name, sep, raw = item.partition("=")
         if not sep or not name:
-            raise InputError(
-                f"--param expects NAME=RATIONAL, got {item!r}"
-            )
-        out[name] = rat(raw)
+            raise InputError(f"--param expects NAME=RATIONAL, got {item!r}")
+        out[name] = raw  # read as a document scalar by parse_document
     return out
 
 
@@ -283,7 +281,7 @@ def _cmd_classify(args) -> int:
                     "coboundary_dim": result.coboundary_dim,
                     "class_dim": result.class_dim,
                     "representatives": [
-                        [[str(c) for c in row] for row in lm.matrix.rows]
+                        [[fmt_rat(c) for c in row] for row in lm.matrix.rows]
                         for lm in result.representatives
                     ],
                 },

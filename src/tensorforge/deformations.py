@@ -23,11 +23,13 @@ from .linalg import (
     ZERO,
     _div,
     _rref,
+    fmt_rat,
     kernel_basis,
     solve_membership,
 )
 from .multilinear import (
     _columns,
+    _derivation,
     _feed,
     _relabel,
     _sum,
@@ -112,7 +114,7 @@ def check_infinitesimal(d: Deformation) -> Report:
 
 
 def format_vector_raw(v: Vector) -> str:
-    parts = [f"[{i + 1}]={c}" for i, c in v.iter_nonzero()]
+    parts = [f"[{i + 1}]={fmt_rat(c)}" for i, c in v.iter_nonzero()]
     return ", ".join(parts) if parts else "0"
 
 
@@ -172,17 +174,11 @@ def _is_bracket_derivation(rep: Report, name: str, bracket, images: dict) -> Non
     """Check the derivation law for an operator, given as its columns keyed
     (c,), against one bracket, as a line of rep."""
     space = bracket.domain
-    ordered = bracket.expand_ordered()
     rep.law(
         name,
         "increasing basis triples",
         comb(space.dim, 3),
-        [_feed(images, 0, bracket.coords)],
-        [
-            _feed(ordered, 0, images),
-            _relabel(_feed(ordered, 1, images), lambda j, i, k: (i, j, k)),
-            _relabel(_feed(ordered, 2, images), lambda k, i, j: (i, j, k)),
-        ],
+        *_derivation(images, 0, bracket, True),
         space.zero(),
         partial(format_vector, space),
         partial(tuple_label, space),

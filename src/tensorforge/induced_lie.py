@@ -34,6 +34,7 @@ from .multilinear import (
     PairAction,
     TrilinearTable,
     _columns,
+    _derivation,
     _family,
     _feed,
     _relabel,
@@ -136,7 +137,6 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
     lspace = a.lie.space
     hspace = a.carrier.space
     ldim, hdim = lspace.dim, hspace.dim
-    bracket = a.carrier.expand_ordered()
     columns = _columns(a.rho)  # rho(i) e_h, keyed (i, h)
     products = _feed(columns, 1, columns)  # rho(i) rho(j) e_c, keyed (j, c, i)
 
@@ -154,28 +154,25 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
         partial(tuple_label, lspace),
         keep=_increasing,
     )
-    moved = _relabel(_feed(bracket, 0, columns), lambda i, h1, h2: (i, (h1, h2)))
+    # each rho(i), keyed (i, h), a derivation of the carrier bracket
+    lhs, rhs = (
+        [_relabel(t, lambda i, h1, h2: (i, (h1, h2))) for t in side]
+        for side in _derivation(columns, 1, a.carrier, True)
+    )
     laws = (
         (
             "derivation law",
             "basis operators x increasing carrier pairs",
             ldim * comb(hdim, 2),
-            [
-                _relabel(
-                    _feed(columns, 1, a.carrier.coords), lambda h1, h2, i: (i, (h1, h2))
-                )
-            ],
-            [
-                moved,
-                _relabel(_feed(bracket, 1, columns), lambda i, h2, h1: (i, (h1, h2))),
-            ],
+            lhs,
+            rhs,
             lambda t: t[1][0] < t[1][1],
         ),
-        (
+        (  # [rho(i) h1, h2] = 0, the slot-0 term, on every ordered pair
             "annihilation law",
             "basis operators x all ordered carrier pairs",
             ldim * hdim**2,
-            [moved],
+            rhs[:1],
             [],
             None,
         ),

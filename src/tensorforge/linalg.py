@@ -82,8 +82,13 @@ def _cleared(values):
 
 
 def fmt_rat(q: Scalar) -> str:
-    # str of an int or a Fraction is already the canonical "p/q" (or "p") form
-    return str(q)
+    """q as "p/q" (or "p"). Every writer prints scalars through here: a
+    numerator or denominator of more than 4 300 digits, Python's limit on
+    converting an int to digits, is an input error (exit 2)."""
+    try:
+        return str(q)
+    except ValueError:
+        raise InputError("a value to print has more than 4 300 digits") from None
 
 
 class Vector:

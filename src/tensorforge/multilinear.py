@@ -11,14 +11,14 @@ one constructor, `_sparse_table`: keys in range (and increasing, where
 only those are stored), values of the declared shape, zeros dropped.
 
 Every law the package checks, and every structure it builds, is a sum of
-contractions of these tables, and each term is computed as a sparse term
-table, `{basis tuple: vector}`, by two combinators that touch only nonzero
-entries: `_feed` puts one table's vectors into a slot of another, and
-`_relabel` puts a term's indices in the order of the law's scope. An
-operator enters as its nonzero columns, `{key + (c,): op e_c}`
-(`_columns`), and feeding into the column slot composes operators. A
-term's table holds a key only where the term is nonzero, so the keys of a
-law's tables are its support. `_sum` adds the terms of one side key by key.
+contractions of these tables, each term a sparse term table, `{basis tuple:
+vector}`, made by two combinators that touch only nonzero entries: `_feed`
+puts one table's vectors into a slot of another, and `_relabel` puts a
+term's indices in the order of the law's scope. An operator enters as its
+nonzero columns, `{key + (c,): op e_c}` (`_columns`); feeding into the
+column slot composes operators, and `_derivation` builds every law that an
+operator is a derivation. A term's table holds a key only where it is
+nonzero, so a law's keys are its support. `_sum` adds up a side.
 """
 
 from __future__ import annotations
@@ -190,6 +190,40 @@ def _sum(tables, keep=None) -> dict:
     return out
 
 
+def _increasing(t) -> bool:
+    return all(a < b for a, b in zip(t, t[1:]))
+
+
+def _derivation(ops, k: int, bracket, increasing: bool = False) -> tuple:
+    """(lhs, rhs) of the law that D is a derivation of bracket, of arity n,
+    for ops a column table holding D e_c at key + (c,), the key of length k:
+    D [x1, ..., xn] and the n terms [x1, ..., D xs, ..., xn], as term tables
+    keyed key + (x1, ..., xn).
+
+    On an alternating bracket one feed, of D into slot 0, serves every
+    slot: the slot-s term is (-1)^s [D xs, x1, ..., xn without xs]. With
+    `increasing` (a law on increasing tuples of an alternating bracket),
+    the lhs is fed the stored keys and that one feed the keys whose other
+    indices increase (all, when n = 2); the law's `keep` drops the rest.
+    """
+    n, ordered = bracket.arity, bracket.expand_ordered()
+    lhs = _feed(ops, k, bracket.coords if increasing else ordered)
+    if bracket.increasing:
+        if increasing:
+            ordered = {t: v for t, v in ordered.items() if _increasing(t[1:])}
+        one = _feed(ordered, 0, ops)
+        fed = [(one, (-1) ** s) for s in range(n)]
+    else:
+        fed = [(_feed(ordered, s, ops), 1) for s in range(n)]
+
+    def put(s):  # key + (xs,) + the others -> key + (x1, ..., xn)
+        j = k + 1 + s
+        return lambda *t: t[:k] + t[k + 1 : j] + t[k : k + 1] + t[j:]
+
+    rhs = [_relabel(table, put(s), sign) for s, (table, sign) in enumerate(fed)]
+    return [_relabel(lhs, lambda *t: t[n:] + t[:n])], rhs
+
+
 def _family(vectors) -> dict:
     """A list of vectors as a table keyed by its one index."""
     return {(i,): v for i, v in enumerate(vectors)}
@@ -334,6 +368,7 @@ class TrilinearTable(_Multilinear):
     """Trilinear map V x V x V -> W from structure constants, no symmetry."""
 
     kind = "general"
+    arity = 3
 
     def __init__(self, domain: Space, codomain: Space, coords: dict):
         self.domain = domain

@@ -42,7 +42,7 @@ from .algebras import (
     TraceMap,
 )
 from .errors import _WORK_BUDGET, InputError
-from .linalg import Matrix, Scalar, Vector, rat
+from .linalg import Matrix, Scalar, Vector, fmt_rat, rat
 from .multilinear import (
     AlternatingTrilinearTable,
     PairAction,
@@ -58,11 +58,20 @@ _SCALAR_RE = re.compile(
 )
 
 
-def _reject_float(text: str):
+def _reject_float(text: str, where: str = "in document"):
     raise InputError(
-        f"non-integer number {text!r} in document: floats are not exact, "
+        f"non-integer number {text!r} {where}: floats are not exact, "
         "write rationals as strings like \"1/2\""
     )
+
+
+def _float_hint(raw: str, path: str):
+    """The float error, for a scalar string that reads as a float."""
+    try:
+        float(raw)
+    except ValueError:
+        return
+    _reject_float(raw, f"at {path}")
 
 
 def _object(pairs) -> dict:
@@ -97,6 +106,7 @@ class _ScalarParser:
         text = raw.strip()
         m = _SCALAR_RE.match(text)
         if not m or (m.group(2) is None and m.group(3) is None):
+            _float_hint(raw, path)
             raise InputError(f"{path}: cannot read scalar {raw!r}")
         sign = -1 if m.group(1) == "-" else 1
         try:
@@ -106,6 +116,7 @@ class _ScalarParser:
         name = m.group(3)
         if name is not None:
             if name not in self.values:
+                _float_hint(raw, path)  # "1e3", "nan", unless a parameter
                 available = ", ".join(sorted(self.values)) or "none declared"
                 raise InputError(
                     f"{path}: undefined parameter {name!r} "
@@ -330,7 +341,8 @@ _STR = (str, "a string")
 
 
 def _emit_scalar(q: Scalar):
-    return int(q) if q.denominator == 1 else str(q)
+    text = fmt_rat(q)  # an input error past the digits a reader converts
+    return int(q) if q.denominator == 1 else text
 
 
 def _emit_sparse_vector(v: Vector) -> dict:
@@ -616,7 +628,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
                 f"cannot set parameter {name!r}: the document declares "
                 f"{available}"
             )
-        doc.parameters[name] = rat(raw)
+        doc.parameters[name] = plain.parse(raw, f"--param {name}")
     scalars = _ScalarParser(doc.parameters)
 
     for index, body in enumerate(top["spaces"]):

@@ -471,6 +471,86 @@ def test_an_over_long_degree_exits_two(run, adjoint_file):
     assert err.startswith("input error: --degrees expects")
 
 
+_SEVENS = "7" * 3000  # as k, example_2_8's failing witness has about 6 000 digits
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("check-net", "--param", f"k={_SEVENS}"), "4 300 digits"),
+        (("check-net", "--json", "--param", f"k={_SEVENS}"), "4 300 digits"),
+        (("descendent", "--param", f"k={_SEVENS}"), "4 300 digits"),
+        (("deform-check", "--name", "d_cocycle", "--param", f"k={_SEVENS}"), "4 300 digits"),
+        (("emit", "--param", "k=" + "9" * 4300), "4 300 digits"),  # 2k: 4 301 digits
+        (("check-net", "--param", "k=1e100000"), "floats are not exact"),
+        (("check-net", "--param", "k=1e3"), "floats are not exact"),
+        (("check-net", "--param", "k=1.5"), "floats are not exact"),
+    ],
+    ids=["witness", "witness-json", "builder", "deform", "emit", "1e100000", "1e3", "1.5"],
+)
+def test_large_or_float_scalars_exit_two(run, adjoint_file, argv, reason):
+    """A value too long to print is refused as input, naming the limit,
+    and a --param float gets the float hint; neither is an internal error."""
+    err = _assert_input_error(run(argv[0], adjoint_file, *argv[1:]))
+    assert reason in err and "internal error" not in err
+
+
+def test_emitted_long_scalars_read_back(run, adjoint_file, tmp_path):
+    """Scalars of up to 4 300 digits are printed exactly, and the emitted
+    document reads back to itself."""
+    for k in ("-" + "4" * 4300, "1/" + "3" * 4300):
+        rc, out, err = run("emit", adjoint_file, "--param", f"k={k}")
+        assert (rc, err) == (0, "")
+        path = tmp_path / "long.json"
+        path.write_text(out)
+        assert run("emit", path) == (0, out, "")
+
+
+_BRACKET = ("structures", "three_lie", 0, "brackets", "1,2,3", "4")
+_TENSOR = ("structures", "nets", 0, "tensor")
+# (fixture, the keys down to one value, the value put there, the JSON path
+# that the error names)
+_MALFORMED = {
+    "null scalar": ("example_2_8.json", _BRACKET, None,
+                    "document.structures.three_lie[0].brackets.1,2,3.4: "),
+    "list scalar": ("example_2_8.json", _BRACKET, [1],
+                    "document.structures.three_lie[0].brackets.1,2,3.4: "),
+    "power": ("example_2_8.json", _TENSOR + (2, 2), "2**k",
+              "document.structures.nets[0].tensor[2][2]: "),
+    "zero denominator": ("example_2_8.json", _TENSOR + (2, 2), "1/0*k",
+                         "document.structures.nets[0].tensor[2][2]: "),
+    "spaces object": ("example_2_8.json", ("spaces",), {}, "document.spaces: "),
+    "string dim": ("example_2_8.json", ("spaces", 0, "dim"), "3",
+                   "document.spaces[0].dim: "),
+    "blank-edged name": ("example_2_8.json", ("spaces", 0, "name"), " V",
+                         "document.spaces[0].name: "),
+    "parameter name": ("example_2_8.json", ("parameters",), {"1k": 1},
+                       "document.parameters: "),
+    "covector length": ("heisenberg_e4.json", ("structures", "traces", 0, "covector"),
+                        [0, 1], "document.structures.traces[0].covector: "),
+    "tensor rows": ("example_2_8.json", _TENSOR, [[1, 0, 0, 0]] * 3,
+                    "document.structures.nets[0].tensor: "),
+    "tensor row width": ("example_2_8.json", _TENSOR + (1,), [0, 1, 0],
+                         "document.structures.nets[0].tensor[1]: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_documents_exit_two_naming_the_json_path(
+    run, fixtures_dir, tmp_path, case
+):
+    fixture, keys, value, where = _MALFORMED[case]
+    body = json.loads((fixtures_dir / fixture).read_text())
+    parent = body
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    err = _assert_input_error(run("emit", path))
+    assert err.startswith("input error: " + where), err
+
+
 def _limit_memory():
     import resource
 

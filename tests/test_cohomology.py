@@ -291,9 +291,21 @@ def test_cochain_maps_equal_the_loop_references(adjoint_doc, adjoint_problem):
             assert pushforward_matrix(h, n) == ref_pushforward_matrix(h, n), n
 
 
-def test_pushforward_equals_the_loop_reference_with_dense_maps(adjoint_problem):
+def test_pushforward_equals_the_loop_reference_with_dense_maps(
+    adjoint_problem, monkeypatch
+):
     """Transporting one cochain applies the Kronecker factors of Psi_n to its
-    coordinates one at a time; forming Psi_4 for dense maps took seconds."""
+    coordinates one at a time; forming Psi_4 for dense maps took seconds.
+    It never forms the Kronecker product, and the CPU bound is on the least
+    of three calls, so that one slow spell of a shared host does not fail
+    it."""
+    from tensorforge import cohomology, linalg
+
+    def formed(*factors):
+        raise AssertionError("pushforward formed a Kronecker product")
+
+    monkeypatch.setattr(linalg, "_kron", formed)
+    monkeypatch.setattr(cohomology, "_kron", formed)
     rng = random.Random(11)
     p = adjoint_problem
     h = NetHomomorphism(
@@ -309,9 +321,12 @@ def test_pushforward_equals_the_loop_reference_with_dense_maps(adjoint_problem):
             for _ in range(2)
         ]
         phi = Cochain(n, pair_dim, hdim, ldim, {k: rand_vector(rng, ldim) for k in keys})
-        start = time.process_time()
-        got = pushforward(h, phi)
-        spent = time.process_time() - start
+        spent = []
+        for _ in range(3):
+            start = time.process_time()
+            got = pushforward(h, phi)
+            spent.append(time.process_time() - start)
+        spent = min(spent)
         assert got == ref_pushforward(h, phi), n
         assert len(got.coords) > 1, n
         if n == 4:

@@ -308,3 +308,34 @@ def test_one_keyed_table_codec():
     tree = ast.parse((PACKAGE / "schema.py").read_text())
     sites = set(_sites(tree, _calls({"_parse_table"})))
     assert len(sites) == 1, "_parse_table called from: " + ", ".join(sorted(sites))
+
+
+def test_derivation_laws_take_their_tables_from_one_builder():
+    """Every law that operators act as derivations is built by
+    `multilinear._derivation`: each function that declares a fundamental
+    identity (Jacobi's aside), a derivation law or the brace compatibility
+    law calls it, and so does the witness check `_is_bracket_derivation`.
+    The hand-written `_fundamental_terms` is gone."""
+    laws = {"fundamental identity", "derivation law", "brace compatibility law"}
+    declaring, callers = set(), set()
+    for path in MODULES:
+        text = path.read_text()
+        assert "_fundamental_terms" not in text, path.name
+        for fn in ast.walk(ast.parse(text, filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            site, nodes = f"{path.stem}.{fn.name}", list(ast.walk(fn))
+            if any(isinstance(n, ast.Constant) and n.value in laws for n in nodes):
+                declaring.add(site)
+            if any(map(_calls({"_derivation"}), nodes)):
+                callers.add(site)
+    assert declaring == {
+        "actions.check_coherent_action",
+        "algebras.check_3leibniz",
+        "algebras.check_3lie",
+        "algebras.check_3ll",
+        "induced_lie.check_lie_coherent",
+    }
+    missing = declaring - callers
+    assert not missing, "derivation laws built by hand in: " + ", ".join(sorted(missing))
+    assert "deformations._is_bracket_derivation" in callers

@@ -28,8 +28,11 @@ from tensorforge import (
 )
 from tensorforge.multilinear import (
     _columns,
+    _derivation,
     _feed,
+    _increasing,
     _sorted_sign,
+    _sum,
     format_matrix,
     format_vector,
 )
@@ -396,3 +399,56 @@ def test_every_stored_map_answers_one_way(case, data):
     ordered.clear()  # each call gives a dict of its own
     copies = factorial(arity) if stored.increasing else 1
     assert len(stored.expand_ordered()) == copies * len(stored.coords)
+
+
+@st.composite
+def derivation_cases(draw):
+    """(ops, k, bracket, n, arity): a Lie bracket, a trilinear table or an
+    alternating one on a space of dimension 1 to 3, with mixed scalars, and
+    a table of operators D on that space keyed by tuples of length k, k in
+    {0, 1, 2}; either may be empty."""
+    kind = draw(st.sampled_from([LieAlgebra, TrilinearTable, AlternatingTrilinearTable]))
+    n = draw(st.integers(1, 3))
+    space = Space("V", n)
+    arity = 2 if kind is LieAlgebra else 3
+    keys = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity), max_size=8))
+    if kind is not TrilinearTable:
+        keys = {key for key in keys if list(key) == sorted(set(key))}
+    coords = {key: Vector([draw(mixed) for _ in range(n)]) for key in sorted(keys)}
+    if kind is LieAlgebra:
+        bracket = LieAlgebra(space, coords)
+    else:
+        bracket = kind(space, space, coords)
+    k = draw(st.integers(0, 2))
+    op_keys = draw(st.sets(st.tuples(*[st.integers(0, 2)] * k), max_size=3))
+    ops = {
+        key: Matrix([[draw(mixed) for _ in range(n)] for _ in range(n)])
+        for key in sorted(op_keys)
+    }
+    return ops, k, bracket, n, arity
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivation_cases(), st.booleans())
+def test_derivation_matches_direct_evaluation(case, increasing):
+    """On every ordered tuple x (with `increasing`, every increasing one),
+    the two sides differ by D [x1, ..., xn] - sum_s [x1, ..., D xs, ..., xn],
+    evaluated vector by vector."""
+    ops, k, bracket, n, arity = case
+    increasing = increasing and bracket.increasing
+    lhs, rhs = _derivation(_columns(ops), k, bracket, increasing)
+    left, right = _sum(lhs), _sum(rhs)
+    assert {t[:k] for t in left.keys() | right.keys()} <= set(ops)
+    basis = [Vector.unit(n, i) for i in range(n)]
+    zero = Vector.zero(n)
+    for key, op in ops.items():
+        for x in product(range(n), repeat=arity):
+            if increasing and not _increasing(x):
+                continue
+            xs = [basis[i] for i in x]
+            want = op.mul_vec(bracket.eval(*xs))
+            for s in range(arity):
+                moved = xs[:s] + [op.mul_vec(xs[s])] + xs[s + 1 :]
+                want = want - bracket.eval(*moved)
+            got = left.get(key + x, zero) - right.get(key + x, zero)
+            assert got == want, (key, x)
