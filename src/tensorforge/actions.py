@@ -32,7 +32,6 @@ from .linalg import Matrix
 from .multilinear import (
     Space,
     TrilinearTable,
-    _basis,
     _columns,
     _derivation,
     _family,
@@ -156,7 +155,7 @@ def hemisemidirect_table(c: CoherentActionData) -> ThreeLeibnizAlgebra:
         f"h_{s}" for s in hspace.basis_labels
     )
     total = Space(f"{lspace.name}(+){hspace.name}", ldim + hdim, labels)
-    basis = _basis(total)
+    basis = [total.basis_vector(i) for i in range(total.dim)]
     into_l, into_h = _family(basis[:ldim]), _family(basis[ldim:])
     terms = [
         _feed(into_l, 0, c.algebra.bracket.expand_ordered()),

@@ -551,7 +551,10 @@ def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
     bracket = a.lie3.bracket.expand_ordered()
     lhs, rhs = _derivation(brace, 2, a.braces)
     # {[h1, h2, h3], h4, h5} and {h3, [h1, h2, h4], h5}
-    rhs += _derivation(bracket, 2, a.braces)[1][:2]
+    rhs += [
+        _feed(brace, 0, bracket),
+        _relabel(_feed(brace, 1, bracket), lambda a, b, d, c, e: (a, b, c, d, e)),
+    ]
     laws = (
         ("brace compatibility law", lhs, rhs),
         (

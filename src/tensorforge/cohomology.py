@@ -32,13 +32,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .actions import (
-    NetHomomorphism,
-    _action_of,
-    _bracket_of,
-    _descendent_table,
-    check_net,
-)
+from .actions import NetHomomorphism, _descendent_table, check_net
 from .algebras import (
     EmbeddingTensorProblem,
     LinearMap,
@@ -49,12 +43,13 @@ from .errors import _WORK_BUDGET, InputError, PreconditionError
 from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
     WedgePairBasis,
-    _basis,
+    _columns,
     _family,
     _feed,
     _from_columns,
     _relabel,
     _sparse_table,
+    _substitute,
     _sum,
 )
 
@@ -62,8 +57,10 @@ from .multilinear import (
 def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
     """The canonical representation of the descendent bracket on L.
 
-    Refuses when the tensor condition fails. The three families are built
-    from the L-bracket and the action, with the tensor folded in.
+    Refuses when the tensor condition fails. The L-bracket and the action
+    are alternating, so the three families come from two term tables,
+    B(i, j) e_c = [Ti, Tj, e_c] and A(i, j) e_c = T rho(Ti, e_c) e_j for T
+    the tensor: l = B, r = B + A and m = -r.
     """
     check_net(p, mode="all").require(
         "the induced representation requires a valid embedding tensor"
@@ -72,37 +69,17 @@ def induced_rep(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
 
 
 def _induced_rep_unchecked(p: EmbeddingTensorProblem) -> ThreeLeibnizRep:
-    """The three families, each operator's column c built from term tables:
-    l(i, j) e_c = [Ti, Tj, e_c], m(i, j) e_c = [Ti, e_c, Tj] - T rho(Ti, e_c) e_j
-    and r(i, j) e_c = [e_c, Ti, Tj] - T rho(e_c, Ti) e_j, for T the tensor."""
-    lspace = p.l_space
-    lam_cols = p.tensor_columns()
-    basis = _basis(lspace)
-    minus_lam = _family([-v for v in lam_cols])
-    families = (
-        [_bracket_of(p, lam_cols, lam_cols, basis)],  # keyed (i, j, c)
-        [  # keyed (i, c, j)
-            _bracket_of(p, lam_cols, basis, lam_cols),
-            _feed(minus_lam, 0, _action_of(p, lam_cols, basis)),
-        ],
-        [  # keyed (c, i, j)
-            _bracket_of(p, basis, lam_cols, lam_cols),
-            _feed(minus_lam, 0, _action_of(p, basis, lam_cols)),
-        ],
-    )
-    keyed = (  # each family's keys put in the order (i, j, c)
-        lambda i, j, c: (i, j, c),
-        lambda i, c, j: (i, j, c),
-        lambda c, i, j: (i, j, c),
-    )
-    acts = [
-        _from_columns(
-            _sum(_relabel(table, f) for table in tables), lspace.dim, lspace.dim
-        )
-        for tables, f in zip(families, keyed)
-    ]
+    """The families l(i, j) e_c = [Ti, Tj, e_c], m(i, j) e_c = [Ti, e_c, Tj]
+    - T rho(Ti, e_c) e_j and r(i, j) e_c = [e_c, Ti, Tj] - T rho(e_c, Ti) e_j,
+    from the tables B and A of `induced_rep`."""
+    ldim, lam = p.l_space.dim, p.tensor_columns()
+    B = _substitute(p.l_bracket.expand_ordered(), [lam, lam])  # keyed (i, j, c)
+    # keyed (i, c, j)
+    A = _feed(_family(lam), 0, _substitute(_columns(p.rho.expand_ordered()), [lam]))
+    r = _from_columns(_sum([B, _relabel(A, lambda i, c, j: (i, j, c))]), ldim, ldim)
+    m = {key: -op for key, op in r.items()}
     desc = ThreeLeibnizAlgebra(p.h_space, _descendent_table(p))
-    return ThreeLeibnizRep(desc, lspace, *acts)
+    return ThreeLeibnizRep(desc, p.l_space, _from_columns(B, ldim, ldim), m, r)
 
 
 class Cochain:
@@ -393,10 +370,13 @@ class CochainComplex:
     def _delta0(self) -> Matrix:
         """Column (a, b), a < b: u -> T rho(e_a, e_b) e_u - [e_a, e_b, T e_u]."""
         p, ldim = self.problem, self.ldim
-        lam, basis = p.tensor_columns(), _basis(self.lspace)
+        lam = p.tensor_columns()
         terms = [
-            _feed(_family(lam), 0, _action_of(p, basis, basis)),
-            _bracket_of(p, basis, basis, [-v for v in lam]),
+            _feed(_family(lam), 0, _columns(p.rho.expand_ordered())),
+            _relabel(  # [-T e_u, e_a, e_b] = -[e_a, e_b, T e_u]
+                _substitute(p.l_bracket.expand_ordered(), [[-v for v in lam]]),
+                lambda u, a, b: (a, b, u),
+            ),
         ]
         cols = [{} for _ in self.lwedge.pairs]
         for (a, b, u), vec in _sum(terms, keep=lambda t: t[0] < t[1]).items():

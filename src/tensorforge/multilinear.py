@@ -229,10 +229,6 @@ def _family(vectors) -> dict:
     return {(i,): v for i, v in enumerate(vectors)}
 
 
-def _basis(space: Space) -> list:
-    return [space.basis_vector(i) for i in range(space.dim)]
-
-
 def _substitute(table: dict, families) -> dict:
     """{(i, j, ...): table(X_i, Y_j, ...)}: one list of vectors X, Y, ...
     per slot of table, each fed into its slot."""

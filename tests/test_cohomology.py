@@ -8,6 +8,7 @@ recompute both sides on every run.
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from tensorforge import (
 from tensorforge.cli import main
 
 from oracles import (
+    example_problem,
     oracle_rank,
     rand_invertible,
     rand_unimodular,
@@ -264,10 +266,16 @@ def _fixture_nets():
 
 def test_cochain_maps_equal_the_loop_references(adjoint_doc, adjoint_problem):
     """delta_0..delta_3 and Psi_1..Psi_3 equal the per-cochain loops they
-    replaced, built column by column from the unit cochains."""
+    replaced, built column by column from the unit cochains. Some of the
+    nets are written in a basis of L with fractional entries, so that the
+    induced representation has dense fractional coordinates."""
     rng = random.Random(2024)
     problems = list(_fixture_nets()) + [random_valid_problem(rng) for _ in range(10)]
     assert len(problems) >= 12
+    basis_rng = random.Random(23)
+    for k in (0, 0, Fraction(1, 2), Fraction(1, 2)):
+        gl, gh = rand_invertible(basis_rng, 4), rand_unimodular(basis_rng, 4)
+        problems.append(transport_problem(example_problem(k), gl, gh))
     for p in problems:
         cx, rep = CochainComplex(p), ref_induced_rep(p)
         for n in range(4):

@@ -302,6 +302,22 @@ def test_deformations_take_the_tensor_condition_from_one_expansion():
     assert not sites, "terms of the tensor condition built in: " + ", ".join(sites)
 
 
+def test_the_complex_feeds_no_basis_family():
+    """The induced representation and delta_0 are built from rho's columns
+    and the L-bracket with the tensor fed in: no function of `cohomology`
+    feeds a basis of L through `_bracket_of`, `_action_of` or
+    `basis_vector`."""
+    fed = {"_bracket_of", "_action_of", "basis_vector"}
+
+    def feeds(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) in fed
+
+    sites = _sites(ast.parse((PACKAGE / "cohomology.py").read_text()), feeds)
+    assert not sites, "basis families fed in: " + ", ".join(sites)
+
+
 def test_one_keyed_table_codec():
     """Every keyed table of a document, of vectors or of operators, is read
     by one codec: one function of schema calls `_parse_table`."""
