@@ -355,9 +355,8 @@ def check_3lie(a: ThreeLieAlgebra) -> Report:
     checking increasing pairs against increasing triples is exhaustive.
     """
     space = a.space
-    ad = {}  # [b1, b2, c] with b1 < b2, from each stored key i < j < l
-    for (i, j, l), v in a.bracket.coords.items():
-        ad[i, j, l], ad[i, l, j], ad[j, l, i] = v, -v, v
+    # ad(b1, b2) = [b1, b2, -] with b1 < b2
+    ad = {t: v for t, v in a.bracket.expand_ordered().items() if t[0] < t[1]}
     rep = Report(f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",

@@ -244,10 +244,10 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Dense view: a tuple of row tuples."""
+        """Dense view: a tuple of row tuples, filled from `transpose`."""
         dense = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for j, col in self._cols.items():
-            for i, a in col.items():
+        for i, row in self.transpose()._cols.items():
+            for j, a in row.items():
                 dense[i][j] = a
         return tuple(map(tuple, dense))
 
@@ -352,11 +352,12 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        out = {}
+        rows = [{} for _ in range(self.nrows)]
         for j, col in self._cols.items():
             for i, a in col.items():
-                out.setdefault(i, {})[j] = a
-        return Matrix._of(self.ncols, self.nrows, out)
+                rows[i][j] = a
+        nonzero = {i: row for i, row in enumerate(rows) if row}
+        return Matrix._of(self.ncols, self.nrows, nonzero)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
@@ -441,12 +442,9 @@ def _kron_apply(factors: list[Matrix], v: Vector) -> Vector:
 
 
 def _row_dicts(m: Matrix) -> list[dict]:
-    """One fresh `{col: value}` dict of nonzeros per row of m."""
-    rows = [{} for _ in range(m.nrows)]
-    for j, col in m._cols.items():
-        for i, a in col.items():
-            rows[i][j] = a
-    return rows
+    """A fresh `{col: value}` dict of nonzeros per row of m, from its transpose."""
+    rows = m.transpose()._cols
+    return [rows.get(i) or {} for i in range(m.nrows)]
 
 
 def _cancel(row: dict, f: int, prow: dict, p: int, i: int, where: list) -> None:

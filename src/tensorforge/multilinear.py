@@ -259,8 +259,11 @@ def _from_columns(table: dict, nrows: int, ncols: int) -> dict:
     }
 
 
-def _one_based(key) -> tuple:
-    return tuple(i + 1 for i in key)
+def one_based(indices):
+    """A (possibly nested) index tuple shifted to 1-based, as shown to users."""
+    return tuple(
+        one_based(x) if isinstance(x, tuple) else x + 1 for x in indices
+    )
 
 
 def _sparse_table(
@@ -278,17 +281,17 @@ def _sparse_table(
     for key, val in coords.items():
         if len(key) != len(dims) or not all(0 <= i < n for i, n in zip(key, dims)):
             raise InputError(
-                f"{what} key {_one_based(key)} out of range for dimensions "
+                f"{what} key {one_based(key)} out of range for dimensions "
                 + "x".join(map(str, dims))
             )
         if increasing and any(a >= b for a, b in zip(key, key[1:])):
-            raise InputError(f"{what} key {_one_based(key)} must be increasing")
+            raise InputError(f"{what} key {one_based(key)} must be increasing")
         if not isinstance(val, kind):
             val = kind(val)
         got = (val.dim,) if kind is Vector else (val.nrows, val.ncols)
         if got != shape:
             raise InputError(
-                f"{what} value at {_one_based(key)} has shape "
+                f"{what} value at {one_based(key)} has shape "
                 f"{'x'.join(map(str, got))}, expected {'x'.join(map(str, shape))}"
             )
         if not val.is_zero():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .linalg import Matrix, Vector
-from .multilinear import _from_columns, _sum
+from .multilinear import _from_columns, _sum, one_based
 
 PASS = "pass"
 FAIL = "fail"
@@ -235,10 +235,3 @@ class Report:
 def tuple_label(space, indices) -> str:
     """Labels for a flat tuple of 0-based basis indices."""
     return "(" + ", ".join(space.label(i) for i in indices) + ")"
-
-
-def one_based(indices):
-    """Recursively shift a (possibly nested) index tuple to 1-based."""
-    return tuple(
-        one_based(x) if isinstance(x, tuple) else x + 1 for x in indices
-    )

@@ -692,31 +692,21 @@ def load_document(path: str, overrides: dict | None = None) -> Document:
 
 def emit_document(doc: Document) -> str:
     """Serialize to canonical text: sorted names, materialized scalars."""
-    pool: dict[str, Space] = {}
-
-    def note_space(space: Space):
-        known = pool.get(space.name)
-        if known is None:
-            pool[space.name] = space
-        elif known != space:
-            raise InputError(
-                f"two different spaces are both named {space.name!r}"
-            )
-
+    pool = Document()  # every space written, one per name
     for space in doc.spaces.values():
-        note_space(space)
+        pool.add_space(space)
     structures: dict = {}
     for kind, spec in _KINDS.items():
         registry = doc.entries[kind]
         if registry:
             structures[kind] = [
-                spec.emit(doc, name, registry[name], note_space)
+                spec.emit(doc, name, registry[name], pool.add_space)
                 for name in sorted(registry)
             ]
 
     out: dict = {"format": FORMAT}
     if doc.title is not None:
         out["title"] = doc.title
-    out["spaces"] = [_space_entry(pool[name]) for name in sorted(pool)]
+    out["spaces"] = [_space_entry(pool.spaces[name]) for name in sorted(pool.spaces)]
     out["structures"] = structures
     return json.dumps(out, indent=2) + "\n"

@@ -1,6 +1,8 @@
 """Lint: every module of the package uses each name it imports, every
 function it defines is referenced somewhere, and the one division is
-`linalg._div`; one class holds the increasing-key rule of the stored maps."""
+`linalg._div`; one class holds the increasing-key rule of the stored maps,
+and each basis rule (the space-name check, the shift to 1-based indices,
+the walk of a matrix's columns into rows) has one owner."""
 
 import ast
 import re
@@ -355,3 +357,98 @@ def test_derivation_laws_take_their_tables_from_one_builder():
     missing = declaring - callers
     assert not missing, "derivation laws built by hand in: " + ", ".join(sorted(missing))
     assert "deformations._is_bracket_derivation" in callers
+
+
+
+def _raises_space_name_check(node):
+    return isinstance(node, ast.Constant) and "both named" in str(node.value)
+
+
+def test_the_space_name_check_lives_in_add_space():
+    """`Document.add_space` keeps one space per name, when a document is
+    parsed and when one is emitted: no other function raises its message."""
+    tree = ast.parse((PACKAGE / "schema.py").read_text())
+    sites = _sites(tree, _raises_space_name_check)
+    assert sites == ["Document.add_space"], "space-name check in: " + ", ".join(sites)
+
+
+def _names(target):
+    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _shifts_up(node):
+    """`tuple(...)` over a generator whose element adds 1 to its variable."""
+    if not (_calls({"tuple"})(node) and node.args):
+        return False
+    gen = node.args[0]
+    if not isinstance(gen, ast.GeneratorExp):
+        return False
+    names = {name for g in gen.generators for name in _names(g.target)}
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Add)
+        and getattr(n.left, "id", None) in names
+        and getattr(n.right, "value", None) == 1
+        for n in ast.walk(gen.elt)
+    )
+
+
+def test_one_function_shifts_indices_to_one_based():
+    """Reports and error messages show basis tuples 1-based through
+    `multilinear.one_based`: it is the one function that builds a tuple of
+    indices plus one."""
+    sites = [
+        f"{path.stem}.{site}"
+        for path in MODULES
+        for site in _sites(ast.parse(path.read_text()), _shifts_up)
+    ]
+    assert sites == ["multilinear.one_based"], "1-based tuples in: " + ", ".join(sites)
+
+
+def _walks_columns_into_rows(loop):
+    """`for j, col in m._cols.items()` around a loop `for i, a in ...` that
+    stores at [i][j] or at `.setdefault(i, ...)[j]`: the column storage read
+    out row by row."""
+    if not (
+        isinstance(loop, ast.For)
+        and ast.unparse(loop.iter).endswith("._cols.items()")
+    ):
+        return False
+    j = _names(loop.target)[0]
+    for inner in ast.walk(loop):
+        if inner is loop or not isinstance(inner, ast.For):
+            continue
+        i = _names(inner.target)[0]
+        row = re.compile(rf"(\[{i}\]|\.setdefault\({i}, .*\))\[{j}\]$")
+        if any(
+            isinstance(n, ast.Subscript)
+            and isinstance(n.ctx, ast.Store)
+            and row.search(ast.unparse(n))
+            for n in ast.walk(inner)
+        ):
+            return True
+    return False
+
+
+def test_only_transpose_walks_columns_into_rows():
+    """`Matrix` stores columns; `Matrix.transpose` is the one walk of that
+    storage into rows, and the dense view and elimination's row dicts take
+    their rows from it."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    sites = _sites(tree, _walks_columns_into_rows)
+    assert sites == ["Matrix.transpose"], "columns walked in: " + ", ".join(sites)
+
+
+def test_check_3lie_writes_no_signed_keys():
+    """The sign of an alternating bracket's permuted keys lives in
+    `multilinear._Multilinear`: `check_3lie` takes its ad table from
+    `expand_ordered` and stores or negates nothing by hand."""
+    tree = ast.parse((PACKAGE / "algebras.py").read_text())
+    fn = next(f for f in tree.body if getattr(f, "name", None) == "check_3lie")
+    hand = [
+        f"line {n.lineno}"
+        for n in ast.walk(fn)
+        if (isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store))
+        or (isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub))
+    ]
+    assert not hand, "check_3lie writes signed keys at " + ", ".join(hand)

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from tensorforge import (
+    AlternatingTrilinearTable,
     Document,
     InputError,
     Space,
+    ThreeLieAlgebra,
     TraceMap,
     Vector,
     emit_document,
@@ -76,6 +78,23 @@ def test_emission_materializes_parameter_templates(fixtures_dir):
     data = json.loads(text)
     tensor = data["structures"]["nets"][0]["tensor"]
     assert tensor[2][2] == 1 and tensor[3][3] == "1/2"
+
+
+def test_emission_refuses_two_spaces_of_one_name():
+    """Entries built in code may sit on different spaces of one name, which
+    a document cannot name apart: emission refuses them."""
+    doc = Document()
+    for name, dim in (("a", 3), ("b", 4)):
+        space = Space("V", dim)
+        bracket = AlternatingTrilinearTable(space, space, {})
+        doc.add("three_lie", name, ThreeLieAlgebra(space, bracket))
+    with pytest.raises(InputError, match="two different spaces are both named 'V'"):
+        emit_document(doc)
+    shared = Document()
+    shared.add_space(Space("V", 4, ("x", "y", "z", "w")))
+    shared.add("three_lie", "b", doc.entries["three_lie"]["b"])
+    with pytest.raises(InputError, match="two different spaces are both named 'V'"):
+        emit_document(shared)
 
 
 def test_parameter_overrides():
