@@ -422,29 +422,17 @@ def check_net_hom(h: NetHomomorphism) -> Report:
     )
 
     if inter.passed and act.passed:
-        images = [dst.tensor.apply(v) for v in fh_cols]
         laws = (
-            (
-                "descendent bracket preserved",
-                _feed(fh, 0, _descendent(src)),
-                _substitute(_descendent(dst), [fh_cols] * 3),
-            ),
-            (
-                "induced braces preserved",
-                _feed(fh, 0, _braces(src)),
-                _relabel(  # rho(images_i, images_j) f_H e_k
-                    _feed(_action_of(dst, images, images), 2, fh),
-                    lambda k, i, j: (i, j, k),
-                ),
-            ),
+            ("descendent bracket preserved", _descendent),
+            ("induced braces preserved", _braces),
         )
-        for name, lhs, rhs in laws:
+        for name, table in laws:
             rep.law(
                 name,
                 "all ordered carrier triples",
                 hspace_src.dim**3,
-                [lhs],
-                [rhs],
+                [_feed(fh, 0, table(src))],
+                [_substitute(table(dst), [fh_cols] * 3)],
                 dst.h_space.zero(),
                 partial(format_vector, dst.h_space),
                 partial(tuple_label, hspace_src),

@@ -52,24 +52,13 @@ from .multilinear import (
 from .report import Report, tuple_label
 
 
-class ThreeLieAlgebra:
-    def __init__(self, space: Space, bracket: AlternatingTrilinearTable):
-        if bracket.domain.dim != space.dim or bracket.codomain.dim != space.dim:
-            raise InputError("3-Lie bracket must map the space into itself")
-        self.space = space
-        self.bracket = bracket
+class _TernaryAlgebra:
+    """A space with a ternary bracket that maps it into itself; a subclass
+    names its bracket in `_what`, for the error."""
 
-    def value(self, i: int, j: int, k: int) -> Vector | None:
-        return self.bracket.value(i, j, k)
-
-    def eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
-        return self.bracket.eval(x, y, z)
-
-
-class ThreeLeibnizAlgebra:
     def __init__(self, space: Space, bracket: TrilinearTable):
         if bracket.domain.dim != space.dim or bracket.codomain.dim != space.dim:
-            raise InputError("ternary bracket must map the space into itself")
+            raise InputError(f"{self._what} must map the space into itself")
         self.space = space
         self.bracket = bracket
 
@@ -78,6 +67,14 @@ class ThreeLeibnizAlgebra:
 
     def eval(self, x: Vector, y: Vector, z: Vector) -> Vector:
         return self.bracket.eval(x, y, z)
+
+
+class ThreeLieAlgebra(_TernaryAlgebra):
+    _what = "3-Lie bracket"
+
+
+class ThreeLeibnizAlgebra(_TernaryAlgebra):
+    _what = "ternary bracket"
 
 
 class LieAlgebra(_Multilinear):

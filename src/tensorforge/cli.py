@@ -163,27 +163,21 @@ def _cmd_check_trace(args) -> int:
 
     doc = _load(args)
     trace = doc.resolve("traces", args.name)
-    # A Leibniz-Lie entry subsumes the check of its own underlying bracket.
-    subsumed = {
-        id(obj.lie)
-        for obj in doc.entries["leibniz_lie"].values()
-        if obj.space == trace.space
-    }
     candidates = {
         (kind, name): obj
         for kind in ("lie", "leibniz_lie")
         for name, obj in doc.entries[kind].items()
-        if obj.space == trace.space and not (kind == "lie" and id(obj) in subsumed)
+        if obj.space == trace.space and args.algebra in (None, name)
     }
-    if args.algebra is not None:
-        candidates = {
-            key: obj for key, obj in candidates.items() if key[1] == args.algebra
-        }
-        if not candidates:
-            raise InputError(
-                f"no Lie or Leibniz-Lie entry named {args.algebra!r} "
-                f"on space {trace.space.name!r}"
-            )
+    if len(candidates) > 1:
+        # A Leibniz-Lie entry subsumes the check of its own underlying bracket.
+        wrapped = {id(obj.lie) for obj in doc.entries["leibniz_lie"].values()}
+        candidates = {k: obj for k, obj in candidates.items() if id(obj) not in wrapped}
+    if args.algebra is not None and not candidates:
+        raise InputError(
+            f"no Lie or Leibniz-Lie entry named {args.algebra!r} "
+            f"on space {trace.space.name!r}"
+        )
     if not candidates:
         raise InputError(
             f"the document declares no Lie or Leibniz-Lie algebra "

@@ -29,7 +29,7 @@ which needs none of this module.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 from .actions import NetHomomorphism, _descendent_table, check_net
@@ -277,15 +277,14 @@ class CochainComplex:
             for (t, c), a in op.items()
         ]
 
-        def wedge(i, j):  # e_i ^ e_j, for i != j, as (pair, sign)
-            return (position(i, j), 1) if i < j else (position(j, i), -1)
-
+        ordered = permutations(range(hdim), 2)
+        signed = {(x, w): self.wedge.signed(x, w) for x, w in ordered}
         # the pair s = {x, w} gets sign_s * e_x ^ d(q, e_w) from D's entry
         omega = {}
         for q, w, m, a in D:
             for x in range(hdim):
                 if x != w and x != m:
-                    (s, sign_s), (r, sign_r) = wedge(x, w), wedge(x, m)
+                    (s, sign_s), (r, sign_r) = signed[x, w], signed[x, m]
                     omega[q, s, r] = omega.get((q, s, r), ZERO) + sign_s * sign_r * a
         return D, L, F, [(q, s, r, a) for (q, s, r), a in omega.items() if a]
 

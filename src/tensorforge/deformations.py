@@ -20,7 +20,6 @@ from .errors import InputError
 from .linalg import (
     Matrix,
     Vector,
-    ZERO,
     _div,
     _rref,
     fmt_rat,
@@ -28,6 +27,7 @@ from .linalg import (
     solve_membership,
 )
 from .multilinear import (
+    WedgePairBasis,
     _columns,
     _derivation,
     _feed,
@@ -93,16 +93,15 @@ def check_infinitesimal(d: Deformation) -> Report:
     )
 
     complex_ = _complex_of(p)
-    phi = complex_.cochain_from_linear_map(d.direction)
     cocycle = rep.line("cocycle condition", "degree-1 differential")
     cocycle.checked += 1
-    image = complex_.apply_delta(phi)
+    direction = complex_.vec(complex_.cochain_from_linear_map(d.direction))
+    image = complex_.delta_matrix(1).mul_vec(direction)
     if not image.is_zero():
-        vec = complex_.vec(image)
         cocycle.add_failure(
             (1,),
             "differential of the direction",
-            format_vector_raw(vec),
+            format_vector_raw(image),
             "0",
         )
     agree = line.passed == cocycle.passed
@@ -145,29 +144,21 @@ def check_higher_order(d: Deformation) -> Report:
     return rep
 
 
-def _decompose_wedge(x_entries: list, dim: int) -> list:
-    """Peel an antisymmetric coefficient matrix into decomposable wedges."""
-    X = [row[:] for row in x_entries]
+def _decompose_wedge(w: Vector, basis: WedgePairBasis) -> list:
+    """Peel a 2-vector into decomposable wedges a1 ^ a2: at the first
+    nonzero pair (i, j), with coefficient c, a1 is column i and a2 column j
+    over c of its antisymmetric matrix, and w loses a1 ^ a2."""
     pieces = []
     while True:
-        pivot = None
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if X[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        first = next(w.iter_nonzero(), None)
+        if first is None:
             return pieces
-        i, j = pivot
-        c = X[i][j]
-        a1 = Vector([X[r][i] for r in range(dim)])
-        a2 = Vector([_div(X[r][j], c) for r in range(dim)])
+        pos, c = first
+        i, j = basis.pairs[pos]
+        a1 = basis.column(w, i)
+        a2 = Vector([_div(x, c) for x in basis.column(w, j)])
         pieces.append((a1, a2))
-        for r in range(dim):
-            for s in range(dim):
-                X[r][s] -= a1[r] * a2[s] - a2[r] * a1[s]
+        w = w - basis.wedge_expand(a1, a2)
 
 
 def _is_bracket_derivation(rep: Report, name: str, bracket, images: dict) -> None:
@@ -217,27 +208,15 @@ def are_equivalent(d1: Deformation, d2: Deformation):
         )
         return False, None, rep
 
-    ldim = p.l_space.dim
-    X = [[ZERO] * ldim for _ in range(ldim)]
-    for pos, (a, b) in enumerate(complex_.lwedge.pairs):
-        c = solution[pos]
-        X[a][b] = X[a][b] + c
-        X[b][a] = X[b][a] - c
-    pieces = _decompose_wedge(X, ldim)
+    lwedge = complex_.lwedge
+    pieces = _decompose_wedge(solution, lwedge)
     witness = EquivalenceWitness(pieces)
 
     # re-derive the coboundary from the pieces and compare exactly
     verify = rep.line("witness reproduces the difference", "exact recomputation")
     verify.checked += 1
-    acc = None
-    for a1, a2 in pieces:
-        term = complex_.delta0_cochain(a1, a2)
-        acc = term if acc is None else acc + term
-    rebuilt = (
-        complex_.vec(acc)
-        if acc is not None
-        else Vector.zero(complex_.cochain_dim(1))
-    )
+    wedges = (lwedge.wedge_expand(a1, a2) for a1, a2 in pieces)
+    rebuilt = complex_.delta_matrix(0).mul_vec(sum(wedges, Vector.zero(lwedge.dim)))
     if rebuilt != target:
         verify.add_failure(
             (1,),

@@ -452,6 +452,24 @@ class WedgePairBasis:
             raise InputError(f"not an increasing pair: {(i + 1, j + 1)}")
         return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
+    def signed(self, i: int, j: int) -> tuple[int, int]:
+        """(position, sign) of e_i ^ e_j: a swapped pair is -1 times its
+        increasing one, and `position` refuses i = j."""
+        (a, b), sign = _sorted_sign((i, j)) or ((i, j), 1)
+        return self.position(a, b), sign
+
+    def column(self, w: Vector, j: int) -> Vector:
+        """Column j of the antisymmetric matrix of the 2-vector w: entry r
+        is the coordinate of e_r ^ e_j in w, and entry j is zero."""
+        if w.dim != self.dim:
+            raise InputError("column: vector dimension mismatch")
+        col = [ZERO] * self.space.dim
+        for r in range(self.space.dim):
+            if r != j:
+                pos, sign = self.signed(r, j)
+                col[r] = sign * w[pos]
+        return Vector(col)
+
     def wedge_expand(self, u: Vector, v: Vector) -> Vector:
         """Coordinates of u wedge v: entry (i, j) is u_i v_j - u_j v_i."""
         if u.dim != self.space.dim or v.dim != self.space.dim:

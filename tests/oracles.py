@@ -945,6 +945,48 @@ def ref_pushforward_matrix(h, n):
 
 
 # ---------------------------------------------------------------------------
+# wedge references: a 2-vector as its dense antisymmetric matrix
+
+
+def ref_wedge_matrix(w: Vector, dim: int) -> list:
+    """The antisymmetric matrix X of a 2-vector w, whose coordinates run
+    over the increasing pairs of range(dim) in lexicographic order:
+    X[i][j] = w_ij = -X[j][i]."""
+    X = [[Fraction(0)] * dim for _ in range(dim)]
+    for (i, j), c in zip(combinations(range(dim), 2), w, strict=True):
+        X[i][j], X[j][i] = c, -c
+    return X
+
+
+def ref_decompose_wedge(x_entries: list, dim: int) -> list:
+    """`deformations._decompose_wedge` as it was before it read columns off
+    the 2-vector: it peels the dense antisymmetric matrix, at its first
+    nonzero entry (i, j) above the diagonal, with coefficient c, into
+    a1 = column i and a2 = column j / c, and subtracts a1 a2^T - a2 a1^T."""
+    X = [row[:] for row in x_entries]
+    pieces = []
+    while True:
+        pivot = None
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if X[i][j]:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            return pieces
+        i, j = pivot
+        c = X[i][j]
+        a1 = Vector([X[r][i] for r in range(dim)])
+        a2 = Vector([Fraction(X[r][j]) / c for r in range(dim)])
+        pieces.append((a1, a2))
+        for r in range(dim):
+            for s in range(dim):
+                X[r][s] -= a1[r] * a2[s] - a2[r] * a1[s]
+
+
+# ---------------------------------------------------------------------------
 # full-scan law references
 #
 # Each reference evaluates both sides of a law on every tuple of its scope,

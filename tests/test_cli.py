@@ -413,6 +413,28 @@ def test_check_trace_chooses_the_algebra(run, fixtures_dir, tmp_path):
         assert rc == 0 and "PASS" in out, name
 
 
+def test_check_trace_algebra_may_name_a_wrapped_lie_entry(run, fixtures_dir, tmp_path):
+    """Without --algebra the Leibniz-Lie entry q subsumes the Lie entry g it
+    wraps; --algebra g checks g alone."""
+    leibniz = fixtures_dir / "leibniz_lie_e3.json"
+    brackets = "  vanishes on brackets [increasing basis pairs]: 3 checked, ok\n"
+    products = "  vanishes on products [all ordered basis pairs]: 9 checked, ok\n"
+    for argv, expected in (((), brackets + products), (("--algebra", "g"), brackets)):
+        assert run("check-trace", leibniz, *argv) == (
+            0, "trace check: PASS\n" + expected, ""
+        ), argv
+
+    # a name shared by a Lie entry and the Leibniz-Lie entry that wraps it
+    # picks the Leibniz-Lie entry
+    path = _variant(
+        fixtures_dir, tmp_path, "leibniz_lie_e3.json",
+        lambda s: s["leibniz_lie"][0].update(name="g"),
+    )
+    assert run("check-trace", path, "--algebra", "g") == (
+        0, "trace check: PASS\n" + brackets + products, ""
+    )
+
+
 def _assert_input_error(result):
     rc, out, err = result
     assert (rc, out) == (2, "")

@@ -2,7 +2,8 @@
 function it defines is referenced somewhere, and the one division is
 `linalg._div`; one class holds the increasing-key rule of the stored maps,
 and each basis rule (the space-name check, the shift to 1-based indices,
-the walk of a matrix's columns into rows) has one owner."""
+the walk of a matrix's columns into rows, the sign of a swapped wedge
+pair) has one owner."""
 
 import ast
 import re
@@ -452,3 +453,53 @@ def test_check_3lie_writes_no_signed_keys():
         or (isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub))
     ]
     assert not hand, "check_3lie writes signed keys at " + ", ".join(hand)
+
+
+def _signs(node):
+    """The signs +1 and -1 that `node` writes as literals."""
+    negated = {
+        id(n.operand)
+        for n in ast.walk(node)
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+    }
+    return {
+        -1 if id(n) in negated else 1
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and type(n.value) is int and n.value == 1
+    }
+
+
+def _signs_by_order(node):
+    """`... 1 ... if i < j else ... -1 ...`: a sign chosen by comparing two
+    indices."""
+    if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)):
+        return False
+    test, body, orelse = node.test, _signs(node.body), _signs(node.orelse)
+    return (
+        len(test.ops) == 1
+        and isinstance(test.ops[0], (ast.Lt, ast.Gt, ast.LtE, ast.GtE))
+        and all(isinstance(n, ast.Name) for n in (test.left, *test.comparators))
+        and (1 in body and -1 in orelse or -1 in body and 1 in orelse)
+    )
+
+
+def _stores_in_a_matrix(node):
+    """`X[a][b] = ...`: a store into a nested subscript."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Subscript)
+    )
+
+
+@pytest.mark.parametrize("module", ["cohomology", "deformations"])
+def test_wedge_coordinates_are_signed_in_one_place(module):
+    """The sign of a swapped pair of wedge^2 lives in
+    `WedgePairBasis.signed`, and the antisymmetric matrix of a 2-vector in
+    `WedgePairBasis.column`: the complex and the deformations choose no
+    sign by the order of two indices and build no dense matrix by hand."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    hand = sorted(
+        n.lineno for n in ast.walk(tree) if _signs_by_order(n) or _stores_in_a_matrix(n)
+    )
+    assert not hand, f"wedge signs or dense matrices by hand in {module}.py at {hand}"

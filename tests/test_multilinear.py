@@ -26,6 +26,7 @@ from tensorforge import (
     Vector,
     WedgePairBasis,
 )
+from tensorforge.deformations import _decompose_wedge
 from tensorforge.multilinear import (
     _columns,
     _derivation,
@@ -38,7 +39,8 @@ from tensorforge.multilinear import (
 )
 
 from oracles import (
-    rand_matrix, rand_vector, ref_feed, ref_minor_eval, ref_trilinear_eval,
+    rand_matrix, rand_vector, ref_decompose_wedge, ref_feed, ref_minor_eval,
+    ref_trilinear_eval, ref_wedge_matrix,
 )
 
 V3 = Space("V", 3)
@@ -233,6 +235,52 @@ def test_wedge_pair_basis_positions_and_expand():
     assert w.wedge_expand(x, x).is_zero()
     assert w.wedge_expand(x, y) == -w.wedge_expand(y, x)
     assert w.label(0) == "a^b"
+    with pytest.raises(InputError):
+        w.signed(2, 2)
+    with pytest.raises(InputError):
+        w.column(x, 0)  # x is a vector of V4, not of wedge^2 V4
+
+
+@st.composite
+def wedge_vectors(draw):
+    """(dim, w): a rational 2-vector on a space of dimension 0-7, its
+    coordinates zero about half the time."""
+    dim = draw(st.integers(0, 7))
+    n = dim * (dim - 1) // 2
+    coeff = st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7))
+    return dim, Vector(draw(st.lists(coeff, min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_vectors())
+def test_wedge_columns_are_the_antisymmetric_matrix(case):
+    dim, w = case
+    basis = WedgePairBasis(Space("V", dim))
+    X = ref_wedge_matrix(w, dim)
+    cols = [basis.column(w, j) for j in range(dim)]
+    for j, col in enumerate(cols):
+        assert col == Vector([X[r][j] for r in range(dim)])
+        assert col[j] == 0
+        assert all(col[r] == -cols[r][j] for r in range(dim))
+    for i, j in product(range(dim), repeat=2):
+        if i != j:
+            (pos, sign), (back, back_sign) = basis.signed(i, j), basis.signed(j, i)
+            assert pos == back == basis.position(min(i, j), max(i, j))
+            assert sign == -back_sign == (1 if i < j else -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wedge_vectors())
+@example((4, Vector([1, 0, 0, 0, 0, 1])))  # e1^e2 + e3^e4 needs two pieces
+@example((3, Vector([0, 0, 2])))  # its first nonzero pair is not (1, 2)
+def test_decompose_wedge_matches_the_dense_reference(case):
+    dim, w = case
+    basis = WedgePairBasis(Space("V", dim))
+    pieces = _decompose_wedge(w, basis)
+    assert pieces == ref_decompose_wedge(ref_wedge_matrix(w, dim), dim)
+    wedges = [basis.wedge_expand(a1, a2) for a1, a2 in pieces]
+    assert sum(wedges, Vector.zero(basis.dim)) == w
+    assert len(pieces) <= dim // 2
 
 
 def test_format_helpers():
