@@ -36,6 +36,7 @@ from .multilinear import (
     _derivation,
     _family,
     _feed,
+    _fits,
     _relabel,
     _substitute,
     _sum,
@@ -346,14 +347,8 @@ class NetHomomorphism:
         f_l: LinearMap,
         f_h: LinearMap,
     ):
-        if f_l.source.dim != source.l_space.dim:
-            raise InputError("f_L source dimension mismatch")
-        if f_l.target.dim != target.l_space.dim:
-            raise InputError("f_L target dimension mismatch")
-        if f_h.source.dim != source.h_space.dim:
-            raise InputError("f_H source dimension mismatch")
-        if f_h.target.dim != target.h_space.dim:
-            raise InputError("f_H target dimension mismatch")
+        _fits("f_L", f_l.shape, (target.l_space.dim, source.l_space.dim))
+        _fits("f_H", f_h.shape, (target.h_space.dim, source.h_space.dim))
         self.source = source
         self.target = target
         self.f_l = f_l

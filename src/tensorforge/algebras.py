@@ -11,8 +11,8 @@ The algebras, all given by structure constants over exact rationals:
 - ThreeLeibnizLieAlgebra: a 3-Lie bracket plus ternary braces obeying a
   five-term compatibility law and two vanishing laws.
 
-The data built on them is here too, each class an `__init__` with shape
-checks: representations, coherent actions and embedding-tensor problems,
+The data built on them is here too, each class an `__init__` checking shapes
+by `_fits`: representations, coherent actions and embedding-tensor problems,
 three-operator representations, traces, Lie-level actions and tensors, and
 deformation directions. The laws of a three-operator representation are
 checked here, next to the ternary Leibniz identity they extend; the other
@@ -41,6 +41,7 @@ from .multilinear import (
     _derivation,
     _family,
     _feed,
+    _fits,
     _increasing,
     _relabel,
     _sparse_table,
@@ -57,8 +58,7 @@ class _TernaryAlgebra:
     names its bracket in `_what`, for the error."""
 
     def __init__(self, space: Space, bracket: TrilinearTable):
-        if bracket.domain.dim != space.dim or bracket.codomain.dim != space.dim:
-            raise InputError(f"{self._what} must map the space into itself")
+        _fits(self._what, (bracket.domain.dim, bracket.codomain.dim), (space.dim,) * 2)
         self.space = space
         self.bracket = bracket
 
@@ -71,6 +71,11 @@ class _TernaryAlgebra:
 
 class ThreeLieAlgebra(_TernaryAlgebra):
     _what = "3-Lie bracket"
+
+    def __init__(self, space: Space, bracket: AlternatingTrilinearTable):
+        if not bracket.increasing:
+            raise InputError("3-Lie bracket must be an alternating table")
+        super().__init__(space, bracket)
 
 
 class ThreeLeibnizAlgebra(_TernaryAlgebra):
@@ -112,8 +117,8 @@ class ThreeLeibnizLieAlgebra:
     """A 3-Lie bracket plus ternary braces (a general trilinear table)."""
 
     def __init__(self, lie3: ThreeLieAlgebra, braces: TrilinearTable):
-        if braces.domain.dim != lie3.space.dim or braces.codomain.dim != lie3.space.dim:
-            raise InputError("braces must map the space into itself")
+        shape = (braces.domain.dim, braces.codomain.dim)
+        _fits("braces", shape, (lie3.space.dim,) * 2)
         self.lie3 = lie3
         self.space = lie3.space
         self.braces = braces
@@ -126,11 +131,7 @@ class LinearMap:
     """
 
     def __init__(self, source: Space, target: Space, matrix: Matrix):
-        if (matrix.nrows, matrix.ncols) != (target.dim, source.dim):
-            raise InputError(
-                f"linear map matrix is {matrix.nrows}x{matrix.ncols}, "
-                f"expected {target.dim}x{source.dim}"
-            )
+        _fits("linear map", (matrix.nrows, matrix.ncols), (target.dim, source.dim))
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -143,6 +144,10 @@ class LinearMap:
             and self.matrix == other.matrix
         )
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.target.dim, self.source.dim
+
     def apply(self, v: Vector) -> Vector:
         return self.matrix.mul_vec(v)
 
@@ -150,8 +155,7 @@ class LinearMap:
         return self.matrix.col(i)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
-        if inner.target.dim != self.source.dim:
-            raise InputError("composition dimension mismatch")
+        _fits("inner map", inner.shape, (self.source.dim, inner.source.dim))
         return LinearMap(inner.source, self.target, self.matrix.mul(inner.matrix))
 
     @classmethod
@@ -180,10 +184,7 @@ class RepresentationData(_Frozen):
     """
 
     def __init__(self, algebra: ThreeLieAlgebra, carrier: Space, rho: PairAction):
-        if rho.source.dim != algebra.space.dim:
-            raise InputError("action source must be the acting algebra's space")
-        if rho.target.dim != carrier.dim:
-            raise InputError("action target must be the carrier space")
+        _fits("rho", (rho.source.dim, rho.target.dim), (algebra.space.dim, carrier.dim))
         vars(self).update(algebra=algebra, carrier=carrier, rho=rho, _verified=None)
 
 
@@ -196,8 +197,8 @@ class CoherentActionData(_Frozen):
     def __init__(
         self, rep: RepresentationData, target_bracket: AlternatingTrilinearTable
     ):
-        if target_bracket.domain.dim != rep.carrier.dim:
-            raise InputError("target bracket must live on the carrier space")
+        shape = (target_bracket.domain.dim, target_bracket.codomain.dim)
+        _fits("target bracket", shape, (rep.carrier.dim,) * 2)
         vars(self).update(rep=rep, target_bracket=target_bracket, _verified=None)
 
     @property
@@ -221,10 +222,7 @@ class EmbeddingTensorProblem(_Frozen):
     """
 
     def __init__(self, action: CoherentActionData, tensor: LinearMap):
-        if tensor.source.dim != action.carrier.dim:
-            raise InputError("tensor source must be the carrier space")
-        if tensor.target.dim != action.algebra.space.dim:
-            raise InputError("tensor target must be the acting algebra's space")
+        _fits("tensor", tensor.shape, (action.algebra.space.dim, action.carrier.dim))
         vars(self).update(action=action, tensor=tensor, _net_reports={}, _complex=None)
 
     @property
@@ -283,8 +281,7 @@ class TraceMap:
     """
 
     def __init__(self, space: Space, covector: Vector):
-        if covector.dim != space.dim:
-            raise InputError("trace coefficient count must match the space")
+        _fits("trace covector", (covector.dim,), (space.dim,))
         self.space = space
         self.covector = covector
 
@@ -336,10 +333,8 @@ class Deformation:
     """A tensor problem together with one deformation direction H -> L."""
 
     def __init__(self, problem: EmbeddingTensorProblem, direction: LinearMap):
-        if direction.source.dim != problem.h_space.dim:
-            raise InputError("direction source must match the carrier H")
-        if direction.target.dim != problem.l_space.dim:
-            raise InputError("direction target must match the algebra L")
+        want = (problem.l_space.dim, problem.h_space.dim)
+        _fits("direction", direction.shape, want)
         self.problem = problem
         self.direction = direction
 
@@ -348,8 +343,9 @@ def check_3lie(a: ThreeLieAlgebra) -> Report:
     """Verify the fundamental identity of an alternating ternary bracket:
     each ad(b1, b2) = [b1, b2, -] is a derivation of the bracket.
 
-    Both sides are alternating in the outer pair and in the inner triple, so
-    checking increasing pairs against increasing triples is exhaustive.
+    `ThreeLieAlgebra` holds only alternating brackets, so both sides are
+    alternating in the outer pair and in the inner triple, and checking
+    increasing pairs against increasing triples is exhaustive.
     """
     space = a.space
     # ad(b1, b2) = [b1, b2, -] with b1 < b2
@@ -617,8 +613,7 @@ def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
     canonical ones for the stored symmetry of that kind.
     """
     rep = Report(f"structure map check ({kind})")
-    if f.source.dim != src.space.dim or f.target.dim != dst.space.dim:
-        raise InputError("map endpoints do not match the given structures")
+    _fits("structure map", f.shape, (dst.space.dim, src.space.dim))
     laws = _HOM_LAWS.get(kind)
     if laws is None:
         raise InputError(f"unknown structure kind {kind!r}")

@@ -46,6 +46,7 @@ from .multilinear import (
     _columns,
     _family,
     _feed,
+    _fits,
     _from_columns,
     _relabel,
     _sparse_table,
@@ -226,8 +227,7 @@ class CochainComplex:
         return unvec_cochain(n, self.pair_dim, self.hdim, self.ldim, v)
 
     def cochain_from_linear_map(self, lm: LinearMap) -> Cochain:
-        if lm.source.dim != self.hdim or lm.target.dim != self.ldim:
-            raise InputError("expected a linear map from H to L")
+        _fits("linear map", lm.shape, (self.ldim, self.hdim))
         coords = {((), u): lm.column(u) for u in range(self.hdim)}
         return Cochain(1, self.pair_dim, self.hdim, self.ldim, coords)
 

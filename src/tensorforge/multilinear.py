@@ -266,6 +266,16 @@ def one_based(indices):
     )
 
 
+def _fits(what: str, got: tuple, want: tuple, key: tuple | None = None):
+    """Refuse a part `what` of a container, or its value at key, whose shape,
+    got, is not the declared one, want. A map's shape is its matrix's (dim
+    target, dim source) and a trilinear table's is (dim domain, dim codomain)."""
+    if got != want:
+        where = "" if key is None else f" value at {one_based(key)}"
+        got, want = ("x".join(map(str, shape)) for shape in (got, want))
+        raise InputError(f"{what}{where} has shape {got}, expected {want}")
+
+
 def _sparse_table(
     coords: dict, what: str, dims: tuple, shape: tuple, increasing: bool = False
 ) -> dict:
@@ -289,11 +299,7 @@ def _sparse_table(
         if not isinstance(val, kind):
             val = kind(val)
         got = (val.dim,) if kind is Vector else (val.nrows, val.ncols)
-        if got != shape:
-            raise InputError(
-                f"{what} value at {one_based(key)} has shape "
-                f"{'x'.join(map(str, got))}, expected {'x'.join(map(str, shape))}"
-            )
+        _fits(what, got, shape, key)
         if not val.is_zero():
             out[key] = val
     return out

@@ -6,15 +6,24 @@ import pytest
 
 from tensorforge import (
     AlternatingTrilinearTable,
+    CochainComplex,
+    CoherentActionData,
+    Deformation,
+    EmbeddingTensorProblem,
     InputError,
     LeibnizLieAlgebra,
     LieAlgebra,
     LinearMap,
     Matrix,
+    NetHomomorphism,
+    PairAction,
     PreconditionError,
+    RepresentationData,
     Space,
+    ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
+    TraceMap,
     TrilinearTable,
     Vector,
     check_3leibniz,
@@ -163,3 +172,83 @@ def test_lie_algebra_value_signs():
     assert v12 is not None
     assert lie.value(1, 0) == -v12
     assert lie.value(1, 1) is None
+
+
+def test_a_3lie_algebra_refuses_a_bracket_that_is_not_alternating():
+    """The fundamental identity is checked on increasing pairs and triples
+    only, which is exhaustive for an alternating bracket alone: this table,
+    symmetric in its first pair, fails the ordered ternary Leibniz check."""
+    space = Space("V", 3)
+    e1 = space.basis_vector(0)
+    table = TrilinearTable(space, space, {(0, 1, 2): e1, (1, 0, 2): e1})
+    assert not check_3leibniz(ThreeLeibnizAlgebra(space, table)).ok
+    with pytest.raises(InputError, match="alternating"):
+        ThreeLieAlgebra(space, table)
+
+
+L3, H3, W2, W5 = Space("L", 3), Space("H", 3), Space("W", 2), Space("W", 5)
+
+
+def _zero3(space):
+    return ThreeLieAlgebra(space, AlternatingTrilinearTable(space, space, {}))
+
+
+def _abelian_problem():
+    """Zero brackets, zero operators and the zero tensor H -> L: valid."""
+    rep = RepresentationData(_zero3(L3), H3, PairAction(L3, H3, {}))
+    action = CoherentActionData(rep, AlternatingTrilinearTable(H3, H3, {}))
+    return EmbeddingTensorProblem(action, LinearMap(H3, L3, Matrix.zeros(3, 3)))
+
+
+def _wrong_map(source=H3, target=W2):
+    return LinearMap(source, target, Matrix.zeros(target.dim, source.dim))
+
+
+SHAPE_CASES = {
+    "table value": lambda: AlternatingTrilinearTable(
+        L3, L3, {(0, 1, 2): W2.basis_vector(0)}
+    ),
+    "ternary bracket": lambda: ThreeLeibnizAlgebra(L3, TrilinearTable(L3, W2, {})),
+    "3-Lie bracket": lambda: ThreeLieAlgebra(L3, AlternatingTrilinearTable(W5, W5, {})),
+    "braces": lambda: ThreeLeibnizLieAlgebra(_zero3(L3), TrilinearTable(L3, W2, {})),
+    "linear map": lambda: LinearMap(H3, W2, Matrix.zeros(3, 3)),
+    "composition": lambda: LinearMap.identity(L3).compose(_wrong_map()),
+    "representation": lambda: RepresentationData(
+        _zero3(L3), H3, PairAction(L3, W2, {})
+    ),
+    # a bracket on H's basis with values in a 5-dimensional W: its codomain,
+    # not only its domain, must be H
+    "coherent action": lambda: CoherentActionData(
+        RepresentationData(_zero3(L3), H3, PairAction(L3, H3, {})),
+        AlternatingTrilinearTable(H3, W5, {(0, 1, 2): W5.basis_vector(4)}),
+    ),
+    "tensor problem": lambda: EmbeddingTensorProblem(
+        _abelian_problem().action, _wrong_map()
+    ),
+    "trace": lambda: TraceMap(L3, Vector.zero(2)),
+    "deformation": lambda: Deformation(_abelian_problem(), _wrong_map()),
+    "structure map": lambda: check_hom("3lie", _wrong_map(L3), _zero3(L3), _zero3(L3)),
+    "net homomorphism": lambda: NetHomomorphism(
+        _abelian_problem(), _abelian_problem(), LinearMap.identity(L3), _wrong_map()
+    ),
+    "cochain of a map": lambda: CochainComplex(
+        _abelian_problem()
+    ).cochain_from_linear_map(_wrong_map()),
+}
+
+
+@pytest.mark.parametrize("build", SHAPE_CASES.values(), ids=SHAPE_CASES)
+def test_containers_refuse_parts_of_the_wrong_shape(build):
+    with pytest.raises(InputError, match="has shape .*, expected"):
+        build()
+
+
+def test_the_shape_message_names_both_shapes():
+    with pytest.raises(InputError) as err:
+        SHAPE_CASES["coherent action"]()
+    assert str(err.value) == "target bracket has shape 3x5, expected 3x3"
+    with pytest.raises(InputError) as err:
+        SHAPE_CASES["table value"]()
+    assert str(err.value) == (
+        "alternating trilinear table value at (1, 2, 3) has shape 2, expected 3"
+    )

@@ -3,7 +3,7 @@ function it defines is referenced somewhere, and the one division is
 `linalg._div`; one class holds the increasing-key rule of the stored maps,
 and each basis rule (the space-name check, the shift to 1-based indices,
 the walk of a matrix's columns into rows, the sign of a swapped wedge
-pair) has one owner."""
+pair, the shape check of a container) has one owner."""
 
 import ast
 import re
@@ -371,6 +371,43 @@ def test_the_space_name_check_lives_in_add_space():
     tree = ast.parse((PACKAGE / "schema.py").read_text())
     sites = _sites(tree, _raises_space_name_check)
     assert sites == ["Document.add_space"], "space-name check in: " + ", ".join(sites)
+
+
+SIZES = {"dim", "nrows", "ncols"}
+
+
+def _raises_on_a_size(node):
+    """`if ...x.dim... : raise InputError(...)`: a shape check by hand."""
+    return (
+        isinstance(node, ast.If)
+        and any(
+            isinstance(n, ast.Attribute) and n.attr in SIZES
+            for c in ast.walk(node.test)
+            if isinstance(c, ast.Compare)
+            for n in ast.walk(c)
+        )
+        and any(
+            isinstance(n, ast.Raise) and "InputError" in ast.unparse(n)
+            for stmt in node.body
+            for n in ast.walk(stmt)
+        )
+    )
+
+
+def test_one_shape_rule_for_every_container():
+    """Each container and table refuses a part of the wrong shape through
+    `multilinear._fits`: no other function of the modules that define them
+    raises on a comparison of `.dim`, `.nrows` or `.ncols`. The operand
+    checks of `WedgePairBasis`, which compare two vectors, stand apart."""
+    sites = [
+        f"{name}.{site}"
+        for name in ("algebras", "actions", "multilinear")
+        for site in _sites(
+            ast.parse((PACKAGE / f"{name}.py").read_text()), _raises_on_a_size
+        )
+        if not site.startswith("WedgePairBasis.")
+    ]
+    assert not sites, "shape checks by hand in: " + ", ".join(sites)
 
 
 def _names(target):
