@@ -6,22 +6,24 @@ maps (wedge^2 H)^(n-1) x H -> L; a cochain's coordinates run over its pair
 slots (lexicographic), then its final index, then the coordinate of its
 value.
 
-The differential out of degree n >= 1 is a signed sum of four small blocks,
-each placed with the identity on the pair slots it leaves alone: D
-substitutes the bracket of a new pair into the final slot, L acts on the
-value by the left operator of a new pair, Omega substitutes the bracket of
-a pair into a later pair slot, and F acts on the value by the middle and
-right operators of the last pair. The blocks are built once per complex,
-and each differential is one sparse `Matrix` summed from their placed
-entries; the degree-0 differential comes from the term tables of the
-tensor condition, and each is applied as one matrix-vector product. The
-transport along a map of tensors is a Kronecker product, which `pushforward`
-applies to one cochain factor by factor without forming it.
+The differential out of degree n >= 1 is delta_n = Z_n - I_P (x) delta_(n-1)
+for P pairs: a term whose new pair is past the first pair slot is minus a term
+of delta_(n-1), that slot carried along. Z_n places four small blocks with the
+new pair in the first slot and the identity on the slots they leave alone: D
+substitutes its bracket into the final slot, L acts on the value by its left
+operator, Omega substitutes its bracket into a later pair slot, and F (degree
+1 only) acts on the value by the middle and right operators of the pair. The
+blocks are built once per complex, and each differential is one sparse
+`Matrix` summed from their entries and P copies of delta_(n-1)'s; the degree-0
+differential comes from the term tables of the tensor condition, and each is
+applied as one matrix-vector product. The transport along a map of tensors is
+a Kronecker product, which `pushforward` applies to one cochain factor by
+factor without forming it.
 
-Before a differential is assembled, the blocks count its work: rows,
-columns, the entries the placement writes and the runs of its slot loops.
-A degree whose work estimate exceeds `_WORK_BUDGET` is refused rather than
-left to grind.
+Before a differential is assembled, the blocks count its work: rows, columns,
+the entries the placement writes and n^2 for the slot loops it once ran. A
+degree whose work estimate exceeds `_WORK_BUDGET` is refused rather than left
+to grind.
 
 The representation built here is checked by `algebras.check_3leibniz_rep`,
 which needs none of this module.
@@ -29,7 +31,7 @@ which needs none of this module.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import count, permutations, product
 from math import comb
 
 from .actions import NetHomomorphism, _descendent_table, check_net
@@ -40,7 +42,9 @@ from .algebras import (
     ThreeLeibnizRep,
 )
 from .errors import _WORK_BUDGET, InputError, PreconditionError
-from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
+from .linalg import (
+    Matrix, Vector, ZERO, _kron, _kron_apply, _row_dicts, kernel_basis, rank
+)
 from .multilinear import (
     WedgePairBasis,
     _columns,
@@ -165,17 +169,16 @@ def vec_cochain(phi: Cochain) -> Vector:
 def unvec_cochain(
     n: int, pair_dim: int, in_dim: int, out_dim: int, v: Vector
 ) -> Cochain:
+    if n < 1:
+        raise InputError("cochain degree must be at least 1")
     expected = pair_dim ** (n - 1) * in_dim * out_dim
     if v.dim != expected:
         raise InputError(
             f"vector of dimension {v.dim} cannot be a degree-{n} cochain "
             f"(expected {expected})"
         )
-    coords = {}
-    pos = 0
-    for key in iter_cochain_keys(n, pair_dim, in_dim):
-        coords[key] = Vector(v.entries[pos : pos + out_dim])
-        pos += out_dim
+    keys = zip(count(0, out_dim), iter_cochain_keys(n, pair_dim, in_dim))
+    coords = {key: Vector(v.entries[t : t + out_dim]) for t, key in keys}
     return Cochain(n, pair_dim, in_dim, out_dim, coords)
 
 
@@ -208,7 +211,6 @@ class CochainComplex:
         self.lwedge = WedgePairBasis(self.lspace)
         self.pair_dim = self.wedge.dim
         self.rep = _induced_rep_unchecked(p)
-        self.desc = self.rep.algebra.bracket
         self._blocks = self._build_blocks()
         self._matrices: dict[int, Matrix] = {}
         self._ranks: dict[int, int] = {}
@@ -216,6 +218,8 @@ class CochainComplex:
     # -- basis bookkeeping ------------------------------------------------
 
     def cochain_dim(self, n: int) -> int:
+        if n < 0:
+            raise InputError("cochain degree must be nonnegative")
         if n == 0:
             return self.lwedge.dim
         return self.pair_dim ** (n - 1) * self.hdim * self.ldim
@@ -247,26 +251,31 @@ class CochainComplex:
     def _build_blocks(self):
         """The nonzero entries of the blocks of the differential, with pairs
         given by their position q in the pair basis and d the descendent
-        bracket. D (q, w, m) is coordinate m of d(q, e_w), L (q, t, c) entry
-        (t, c) of the left operator l(q) and Omega (q, s, r) coordinate r of
-        e_s1 ^ d(q, e_s2) + d(q, e_s1) ^ e_s2. F (q, w, m, t, c) is entry
-        (t, c) of the middle operator m(q_u, w) when m = q_v and of the
-        right operator r(q_v, w) when m = q_u; it is stored as (q, row,
-        column, value), its row (w, t) and its column (m, c).
+        bracket. DL (q, row, column, value) is D and L, which enter only
+        together, with their sign in the first differential: its entry
+        ((w, c), (m, c)) is minus coordinate m of d(q, e_w) and ((m, t),
+        (m, c)) entry (t, c) of the left operator l(q). Omega (q, s, r) is
+        coordinate r of e_s1 ^ d(q, e_s2) + d(q, e_s1) ^ e_s2. F (q, w, m,
+        t, c) is entry (t, c) of the middle operator m(q_u, w) when m = q_v
+        and of the right operator r(q_v, w) when m = q_u; it is stored as
+        (q, row, column, value), its row (w, t) and its column (m, c).
         """
         hdim, ldim, rep = self.hdim, self.ldim, self.rep
         position = self.wedge.position
         D = [
             (position(i, j), w, m, a)
-            for (i, j, w), vec in self.desc.coords.items()
+            for (i, j, w), vec in self.rep.algebra.bracket.coords.items()
             if i < j
             for m, a in vec.iter_nonzero()
         ]
-        L = [
-            (position(i, j), t, c, a)
+        DL = [
+            (q, w * ldim + c, m * ldim + c, -a) for q, w, m, a in D for c in range(ldim)
+        ] + [
+            (position(i, j), m * ldim + t, m * ldim + c, a)
             for (i, j), op in rep.l_act.items()
             if i < j
             for (t, c), a in op.items()
+            for m in range(hdim)
         ]
         F = [
             (q, w * ldim + t, m * ldim + c, a)
@@ -286,84 +295,59 @@ class CochainComplex:
                 if x != w and x != m:
                     (s, sign_s), (r, sign_r) = signed[x, w], signed[x, m]
                     omega[q, s, r] = omega.get((q, s, r), ZERO) + sign_s * sign_r * a
-        return D, L, F, [(q, s, r, a) for (q, s, r), a in omega.items() if a]
+        return DL, F, [(q, s, r, a) for (q, s, r), a in omega.items() if a]
 
     def _work(self, n: int) -> int:
-        """The work estimate of the differential out of degree n: its rows
-        and columns, the n^2 runs of its slot loops and the entries its
-        placement writes, n P^(n-1) (|D| ldim + |L| hdim) + P^(n-1) |F|
-        + C(n, 2) P^(n-2) |Omega| hdim ldim for P pairs. When the slot loops
-        alone exceed the budget they are the estimate, so that no P**n is
-        formed for a huge n."""
+        """The work estimate of the differential out of degree n, kept as it
+        was when each block was placed at every slot: its rows and columns,
+        n^2 for the slot loops and the entries, n P^(n-1) |DL| + P^(n-1) |F|
+        + C(n, 2) P^(n-2) |Omega| hdim ldim for P pairs, which bound those
+        the recursion of `_assemble` writes in degree n. When n^2 alone
+        exceeds the budget it is the estimate, so that no P**n is formed."""
         if n * n > _WORK_BUDGET:
             return n * n
         work = n * n + self.cochain_dim(n) + self.cochain_dim(n + 1)
         if n:
-            D, L, F, omega = self._blocks
+            DL, F, omega = self._blocks
             P, hdim, ldim = self.pair_dim, self.hdim, self.ldim
-            work += P ** (n - 1) * (n * (len(D) * ldim + len(L) * hdim) + len(F))
+            work += P ** (n - 1) * (n * len(DL) + len(F))
             work += comb(n, 2) * P ** max(n - 2, 0) * len(omega) * hdim * ldim
         return work
 
     def _assemble(self, n: int) -> Matrix:
-        """The differential out of degree n >= 1: each block placed at every
-        tuple of the pair slots it leaves alone, its entries summed per
-        column."""
-        D, L, F, omega = self._blocks
-        P, hdim, ldim = self.pair_dim, self.hdim, self.ldim
-        hl = hdim * ldim
-        place = [hl]  # place[k]: the weight of a pair slot with k slots after it
-        for _ in range(n):
-            place.append(place[-1] * P)
+        """The differential out of degree n >= 1, Z_n - I_P (x) delta_(n-1):
+        a term with its new pair q past the first pair slot is minus a term of
+        delta_(n-1), the first slot carried along. Z_n places DL with q in
+        slot 0, Omega with q bracketed into each old pair slot, and F at
+        degree 1, each once per tuple of the slots it leaves alone."""
+        DL, F, omega = self._blocks
+        P, hl, width = self.pair_dim, self.hdim * self.ldim, self.cochain_dim(n)
+        if n > 1 and not P:  # no pairs: no cochains of degree n >= 2
+            return Matrix.zeros(0, 0)
         cols: dict[int, dict] = {}
+        if n > 1:  # minus I_P (x) delta_(n-1): P shifted copies of each column
+            prev = self.delta_matrix(n - 1)
+            for j, col in enumerate(_row_dicts(prev.transpose())):
+                neg = [(i, -a) for i, a in col.items()]
+                for p in range(P):
+                    cols[p * prev.ncols + j] = {p * width + i: a for i, a in neg}
 
-        def put(runs, entries):
-            """Add the (row, column, value) entries at every tuple of the
-            slots left alone, given as runs (slots, weight of the run's
-            last slot in the column, and in the row)."""
-            if not entries:
-                return
-            offsets = [(0, 0)]
-            for slots, col_w, row_w in runs:
-                offsets = [
-                    (i + g * col_w, o + g * row_w)
-                    for i, o in offsets
-                    for g in range(P**slots)
-                ]
-            for i0, o0 in offsets:
-                for row, col, a in entries:
-                    column = cols.setdefault(i0 + col, {})
-                    column[o0 + row] = column.get(o0 + row, ZERO) + a
+        def put(entries, offsets):
+            """Add the (row, column, value) entries once per offset, which
+            adds a tuple of the slots Z_n leaves alone to row and column."""
+            for o in offsets:
+                for i, j, a in entries:
+                    column = cols.setdefault(o + j, {})
+                    column[o + i] = column.get(o + i, ZERO) + a
 
-        for jj in range(n):
-            # a new pair inserted at slot jj
-            new, sign = place[n - 1 - jj], (-1) ** (jj + 1)
-            head = (jj, new, place[n - jj])
-            entries = [
-                (q * new + w * ldim + c, m * ldim + c, sign * a)
-                for q, w, m, a in D
-                for c in range(ldim)
-            ]
-            entries += [
-                (q * new + m * ldim + t, m * ldim + c, -sign * a)
-                for q, t, c, a in L
-                for m in range(hdim)
-            ]
-            put([head, (n - 1 - jj, hl, hl)], entries)
-            for kk in range(jj + 1, n):
-                # and the old pair r at slot kk - 1 replaced by s at slot kk
-                sub, mid = place[n - 1 - kk], place[n - kk]
-                entries = [
-                    (q * new + s * sub + u, r * sub + u, sign * a)
-                    for q, s, r, a in omega
-                    for u in range(hl)
-                ]
-                put([head, (kk - 1 - jj, mid, mid), (n - 1 - kk, hl, hl)], entries)
-        sign = (-1) ** (n + 1)
-        put([(n - 1, hl, place[1])], [(q * hl + i, j, sign * a) for q, i, j, a in F])
+        first = DL + F if n == 1 else DL  # slot 0 of n pair slots weighs width
+        put([(q * width + i, j, a) for q, i, j, a in first], range(0, width, hl))
+        for k in range(1, n):  # q bracketed into old pair slot k, of weight sub
+            sub = width // P**k
+            entries = [(q * width + s * sub, r * sub, -a) for q, s, r, a in omega]
+            put(entries, [o + u for o in range(0, width, sub * P) for u in range(sub)])
         return Matrix.from_cols(
-            [cols.get(j, {}) for j in range(self.cochain_dim(n))],
-            nrows=self.cochain_dim(n + 1),
+            [cols.get(j, {}) for j in range(width)], nrows=self.cochain_dim(n + 1)
         )
 
     def _delta0(self) -> Matrix:
@@ -410,6 +394,9 @@ class CochainComplex:
                     f"degree {n} has a work estimate of {work}, over the "
                     f"budget of {_WORK_BUDGET}"
                 )
+            # delta_k is built from delta_(k-1): lowest first, no deep recursion
+            for k in range(1, n if self.pair_dim else 1):
+                self.delta_matrix(k)
             self._matrices[n] = self._assemble(n) if n else self._delta0()
         return self._matrices[n]
 
@@ -429,6 +416,8 @@ class CochainComplex:
         return self._ranks[n]
 
     def kernel_cochains(self, n: int) -> list[Cochain]:
+        if n < 1:  # delta_0's kernel lies in wedge^2 L, not among the cochains
+            raise InputError("cochain degree must be at least 1")
         return [
             self.unvec(n, v) for v in kernel_basis(self.delta_matrix(n))
         ]

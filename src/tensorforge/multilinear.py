@@ -329,6 +329,8 @@ class _Multilinear:
 
     def value(self, *key):
         """Value on the basis vectors e_key; None means zero."""
+        if len(key) != self.arity:
+            raise InputError(f"a map of arity {self.arity} got {len(key)} indices")
         sign = 1
         if self.increasing:
             found = _sorted_sign(key)
@@ -342,6 +344,8 @@ class _Multilinear:
         """Value on vectors, by multilinearity: per stored key, the signed
         coordinate products over its orderings, summed, scale its value."""
         k = len(vectors)
+        if k != self.arity:
+            raise InputError(f"a map of arity {self.arity} got {k} vectors")
         orders = _ORDERS[k] if self.increasing else [(tuple(range(k)), 1)]
         entries = [tuple(v) for v in vectors]
         acc = self._zero()
@@ -409,7 +413,7 @@ class PairAction(_Multilinear):
     """Bilinear alternating assignment of operators, (x, y) -> End(target),
     stored on increasing source pairs."""
 
-    increasing = True
+    increasing, arity = True, 2
 
     def __init__(self, source: Space, target: Space, coords: dict):
         self.source = source

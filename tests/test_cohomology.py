@@ -90,11 +90,9 @@ def test_delta_ranks_match_the_independent_oracle(adjoint_complex):
 
 
 def test_consecutive_deltas_compose_to_zero(adjoint_complex):
-    d0 = adjoint_complex.delta_matrix(0)
-    d1 = adjoint_complex.delta_matrix(1)
-    d2 = adjoint_complex.delta_matrix(2)
-    assert d1.mul(d0).is_zero()
-    assert d2.mul(d1).is_zero()
+    deltas = [adjoint_complex.delta_matrix(n) for n in range(5)]
+    for lower, upper in zip(deltas, deltas[1:]):  # through delta_4 delta_3
+        assert upper.mul(lower).is_zero()
 
 
 def test_delta_of_degree_zero_images_vanishes(adjoint_complex, adjoint_problem):
@@ -203,7 +201,7 @@ def test_degree_five_is_refused_by_its_work_estimate(adjoint_problem):
     cx = CochainComplex(adjoint_problem)
     with pytest.raises(PreconditionError, match=f"work estimate of {estimate}"):
         cx.cohomology_dims(5)
-    assert 5 not in cx._matrices
+    assert not cx._matrices  # refused before any degree below it is built
     with pytest.raises(InputError):
         cx.cohomology_dims(0)
 
@@ -215,6 +213,42 @@ def _carrier_of_dim_one(tmp_path):
     path = tmp_path / "carrier_dim_one.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_a_carrier_without_pairs_builds_no_degree_below(tmp_path):
+    """With P = 0 every degree n >= 2 has no cochains: its differential is
+    0x0 and is not built from the one below it."""
+    doc = load_document(str(_carrier_of_dim_one(tmp_path)))
+    cx = CochainComplex(doc.resolve("nets"))
+    assert cx.pair_dim == 0
+    for n in (2, 3):
+        m = cx.delta_matrix(n)
+        assert (m.nrows, m.ncols) == (0, 0)
+    assert 1 not in cx._matrices
+
+
+def test_the_highest_admitted_degree_builds_without_deep_recursion(abelian_problem):
+    """With P = 1 the budget admits degree 632; each differential is built
+    from the one below it, lowest first, so no call recurses through all."""
+    cx = CochainComplex(abelian_problem)
+    assert cx.cohomology_dims(632) == (4, 0, 4)
+    assert sorted(cx._matrices) == list(range(1, 633))
+    with pytest.raises(PreconditionError, match="degree 633 has a work estimate"):
+        cx.cohomology_dims(633)
+
+
+def test_cochain_degrees_outside_their_range_are_refused(abelian_problem, adjoint_complex):
+    """A cochain has degree >= 1, and cochain_dim counts degree 0's pairs of L
+    too; degree 0's differential acts on wedge^2 L, so its kernel holds no
+    cochains. These once gave a bare ValueError, a size of 2.666..., or 4/9."""
+    for cx in (CochainComplex(abelian_problem), adjoint_complex):
+        v = Vector.zero(cx.cochain_dim(1))
+        with pytest.raises(InputError, match="cochain degree must be at least 1"):
+            cx.unvec(0, v)
+        with pytest.raises(InputError, match="cochain degree must be at least 1"):
+            cx.kernel_cochains(0)
+        with pytest.raises(InputError, match="cochain degree must be nonnegative"):
+            cx.cochain_dim(-1)
 
 
 @pytest.mark.parametrize("fixture", ["example_2_8.json", "abelian.json", None])
@@ -265,7 +299,7 @@ def _fixture_nets():
 
 
 def test_cochain_maps_equal_the_loop_references(adjoint_doc, adjoint_problem):
-    """delta_0..delta_3 and Psi_1..Psi_3 equal the per-cochain loops they
+    """delta_0..delta_4 and Psi_1..Psi_3 equal the per-cochain loops they
     replaced, built column by column from the unit cochains. Some of the
     nets are written in a basis of L with fractional entries, so that the
     induced representation has dense fractional coordinates."""
@@ -280,6 +314,11 @@ def test_cochain_maps_equal_the_loop_references(adjoint_doc, adjoint_problem):
         cx, rep = CochainComplex(p), ref_induced_rep(p)
         for n in range(4):
             assert cx.delta_matrix(n) == ref_delta_matrix(p, rep, n), n
+    # delta_4 asked first, so that it builds delta_3, delta_2 and delta_1
+    for p in (example_problem(0), example_problem(Fraction(1, 2))):
+        assert CochainComplex(p).delta_matrix(4) == ref_delta_matrix(
+            p, ref_induced_rep(p), 4
+        )
 
     sigma = adjoint_doc.resolve("maps", "sigma")
     homs = [NetHomomorphism(adjoint_problem, adjoint_problem, sigma, sigma)]

@@ -449,6 +449,29 @@ def test_every_stored_map_answers_one_way(case, data):
     assert len(stored.expand_ordered()) == copies * len(stored.coords)
 
 
+@pytest.mark.parametrize(
+    "kind", [TrilinearTable, AlternatingTrilinearTable, LieAlgebra, PairAction]
+)
+def test_a_stored_map_refuses_a_call_of_another_arity(kind):
+    """eval and value take exactly as many arguments as the map's arity. A
+    short or long call once gave e1 (eval(e1, e2) of a trilinear table), 0,
+    a KeyError, or None from value."""
+    space = Space("V", 3)
+    e1, e2, e3 = (Vector.unit(3, i) for i in range(3))
+    if kind is LieAlgebra:
+        stored, arity = LieAlgebra(space, {(0, 1): e1}), 2
+    elif kind is PairAction:
+        stored, arity = PairAction(space, space, {(0, 1): Matrix.identity(3)}), 2
+    else:
+        stored, arity = kind(space, space, {(0, 1, 2): e1}), 3
+    for count in (1, arity - 1, arity + 1):
+        with pytest.raises(InputError, match=f"arity {arity} got {count} vectors"):
+            stored.eval(*[e1, e2, e3, e1][:count])
+        with pytest.raises(InputError, match=f"arity {arity} got {count} indices"):
+            stored.value(*range(count))
+    assert stored.value(*range(arity)) is not None
+
+
 @st.composite
 def derivation_cases(draw):
     """(ops, k, bracket, n, arity): a Lie bracket, a trilinear table or an
