@@ -40,7 +40,6 @@ from .multilinear import (
     _relabel,
     _substitute,
     _sum,
-    format_matrix,
     format_vector,
 )
 from .report import Report, tuple_label
@@ -97,7 +96,6 @@ def check_representation(r: RepresentationData) -> Report:
                 lhs,
                 rhs,
                 Matrix.zeros(r.carrier.dim, r.carrier.dim),
-                format_matrix,
                 partial(tuple_label, space),
             )
     object.__setattr__(r, "_verified", rep)
@@ -135,8 +133,7 @@ def check_coherent_action(c: CoherentActionData) -> Report:
                 comb(lspace.dim, 2) * hspace.dim**3,
                 lhs,
                 rhs,
-                hspace.zero(),
-                partial(format_vector, hspace),
+                hspace,
                 lambda t: f"pair {tuple_label(lspace, t[0])}, "
                 f"triple {tuple_label(hspace, t[1])}",
             )
@@ -206,8 +203,7 @@ def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
             scope,
             count,
             *_order(p, [], 0),
-            p.l_space.zero(),
-            partial(format_vector, p.l_space),
+            p.l_space,
             partial(tuple_label, p.h_space),
             keep=keep,
         )
@@ -287,8 +283,8 @@ def graph_check(p: EmbeddingTensorProblem) -> Report:
         [points],
         [{t: _OnGraph(p.tensor.apply(h), h) for t, (_, h) in points.items()}],
         zero,
-        show,
         partial(tuple_label, hspace),
+        show=show,
     )
     agreement = check_net(p, mode="all")
     rep.note(
@@ -398,9 +394,8 @@ def check_net_hom(h: NetHomomorphism) -> Report:
         hspace_src.dim,
         [_feed(_family(dst.tensor_columns()), 0, fh)],
         [_feed(_family(fl_cols), 0, _family(src.tensor_columns()))],
-        dst.l_space.zero(),
-        partial(format_vector, dst.l_space),
-        lambda t: f"({hspace_src.label(t[0])})",
+        dst.l_space,
+        partial(tuple_label, hspace_src),
     )
     # rho_dst(f_L e_i, f_L e_j) e_c, keyed (i, j, c)
     pushed = _substitute(_columns(dst.rho.expand_ordered()), [fl_cols, fl_cols])
@@ -411,7 +406,6 @@ def check_net_hom(h: NetHomomorphism) -> Report:
         [_relabel(_feed(fh, 0, _columns(src.rho.coords)), lambda i, j, c: ((i, j), c))],
         [_relabel(_feed(pushed, 2, fh), lambda c, i, j: ((i, j), c))],
         Matrix.zeros(dst.h_space.dim, hspace_src.dim),
-        format_matrix,
         lambda t: f"pair {tuple_label(lspace_src, t[0])}",
         keep=lambda t: t[0][0] < t[0][1],
     )
@@ -428,8 +422,7 @@ def check_net_hom(h: NetHomomorphism) -> Report:
                 hspace_src.dim**3,
                 [_feed(fh, 0, table(src))],
                 [_substitute(table(dst), [fh_cols] * 3)],
-                dst.h_space.zero(),
-                partial(format_vector, dst.h_space),
+                dst.h_space,
                 partial(tuple_label, hspace_src),
             )
     return rep

@@ -47,8 +47,6 @@ from .multilinear import (
     _sparse_table,
     _substitute,
     _sum,
-    format_matrix,
-    format_vector,
 )
 from .report import Report, tuple_label
 
@@ -359,8 +357,7 @@ def check_3lie(a: ThreeLieAlgebra) -> Report:
             [_relabel(t, lambda b1, b2, c, d, e: ((b1, b2), (c, d, e))) for t in side]
             for side in _derivation(ad, 2, a.bracket, True)
         ),
-        space.zero(),
-        partial(format_vector, space),
+        space,
         lambda t: f"pair {tuple_label(space, t[0])}, "
         f"triple {tuple_label(space, t[1])}",
         keep=lambda t: _increasing(t[1]),
@@ -377,8 +374,7 @@ def check_3leibniz(a: ThreeLeibnizAlgebra) -> Report:
         "all ordered basis 5-tuples",
         space.dim**5,
         *_derivation(a.bracket.expand_ordered(), 2, a.bracket),
-        space.zero(),
-        partial(format_vector, space),
+        space,
         partial(tuple_label, space),
     )
     return rep
@@ -455,7 +451,6 @@ def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
             lhs,
             rhs,
             Matrix.zeros(r.carrier.dim, r.carrier.dim),
-            format_matrix,
             partial(tuple_label, space),
         )
     return rep
@@ -477,8 +472,7 @@ def check_lie(a: LieAlgebra) -> Report:
             _relabel(nested, lambda k, i, j: (i, j, k)),
         ],
         [],
-        space.zero(),
-        partial(format_vector, space),
+        space,
         partial(tuple_label, space),
         keep=_increasing,
     )
@@ -518,8 +512,7 @@ def check_leibniz_lie(a: LeibnizLieAlgebra) -> Report:
             space.dim**3,
             lhs,
             rhs,
-            space.zero(),
-            partial(format_vector, space),
+            space,
             partial(tuple_label, space),
         )
     return rep
@@ -563,8 +556,7 @@ def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
             space.dim**5,
             lhs,
             rhs,
-            space.zero(),
-            partial(format_vector, space),
+            space,
             partial(tuple_label, space),
         )
     return rep
@@ -627,8 +619,7 @@ def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
             count(space.dim),
             [_feed(_family(images), 0, part(src).coords)],
             [_substitute(part(dst).expand_ordered(), [images] * arity)],
-            dst.space.zero(),
-            partial(format_vector, dst.space),
+            dst.space,
             partial(tuple_label, space),
             keep=keep,
         )

@@ -42,9 +42,7 @@ from .algebras import (
     ThreeLeibnizRep,
 )
 from .errors import _WORK_BUDGET, InputError, PreconditionError
-from .linalg import (
-    Matrix, Vector, ZERO, _kron, _kron_apply, _row_dicts, kernel_basis, rank
-)
+from .linalg import Matrix, Vector, ZERO, _kron, _kron_apply, kernel_basis, rank
 from .multilinear import (
     WedgePairBasis,
     _columns,
@@ -327,7 +325,7 @@ class CochainComplex:
         cols: dict[int, dict] = {}
         if n > 1:  # minus I_P (x) delta_(n-1): P shifted copies of each column
             prev = self.delta_matrix(n - 1)
-            for j, col in enumerate(_row_dicts(prev.transpose())):
+            for j, col in prev.nonzero_columns():
                 neg = [(i, -a) for i, a in col.items()]
                 for p in range(P):
                     cols[p * prev.ncols + j] = {p * width + i: a for i, a in neg}

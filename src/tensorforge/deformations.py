@@ -87,8 +87,7 @@ def check_infinitesimal(d: Deformation) -> Report:
         hspace.dim**3,
         lhs + [_relabel(term, lambda *t: t, -1) for term in rhs],
         [],
-        p.l_space.zero(),
-        partial(format_vector, p.l_space),
+        p.l_space,
         partial(tuple_label, hspace),
     )
 
@@ -137,8 +136,7 @@ def check_higher_order(d: Deformation) -> Report:
             "all ordered basis triples",
             hspace.dim**3,
             *_order(p, M, k),
-            p.l_space.zero(),
-            partial(format_vector, p.l_space),
+            p.l_space,
             partial(tuple_label, hspace),
         )
     return rep
@@ -170,8 +168,7 @@ def _is_bracket_derivation(rep: Report, name: str, bracket, images: dict) -> Non
         "increasing basis triples",
         comb(space.dim, 3),
         *_derivation(images, 0, bracket, True),
-        space.zero(),
-        partial(format_vector, space),
+        space,
         partial(tuple_label, space),
         keep=_increasing,
     )
@@ -262,7 +259,6 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
             _relabel(_feed(rho, 2, d_h), lambda c, i, j: (i, j, c)),
         ],
         Matrix.zeros(hdim, hdim),
-        format_matrix,
         partial(tuple_label, p.l_space),
         keep=_increasing,
     )

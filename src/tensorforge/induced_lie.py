@@ -40,8 +40,6 @@ from .multilinear import (
     _relabel,
     _substitute,
     _sum,
-    format_matrix,
-    format_vector,
 )
 from .report import Report, tuple_label
 
@@ -79,7 +77,6 @@ def check_trace(t: TraceMap, algebra) -> Report:
             [{pair: t.apply(v) for pair, v in values.items()}],
             [],
             ZERO,
-            str,
             partial(tuple_label, space),
         )
     return rep
@@ -150,7 +147,6 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
             _relabel(products, lambda i, c, j: (i, j, c), -1),
         ],
         Matrix.zeros(hdim, hdim),
-        format_matrix,
         partial(tuple_label, lspace),
         keep=_increasing,
     )
@@ -184,8 +180,7 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
             count,
             lhs,
             rhs,
-            hspace.zero(),
-            partial(format_vector, hspace),
+            hspace,
             lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
             keep=keep,
         )
@@ -237,8 +232,7 @@ def check_lie_net(n: LieNet) -> Report:
         hspace.dim**2,
         [_substitute(a.lie.expand_ordered(), [cols, cols])],
         [_feed(tensor, 0, table) for table in inner],
-        a.lie.space.zero(),
-        partial(format_vector, a.lie.space),
+        a.lie.space,
         partial(tuple_label, hspace),
     )
     return rep
@@ -270,7 +264,6 @@ def lift_net(
         [{(u,): sigma_l.apply(n.tensor.column(u)) for u in range(hspace.dim)}],
         [{(u,): sigma_h.at(u) for u in range(hspace.dim)}],
         ZERO,
-        str,
         lambda t: hspace.label(t[0]),
     )
     compat.require("the traces disagree through the tensor")

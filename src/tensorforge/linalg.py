@@ -257,6 +257,11 @@ class Matrix:
             ((i, j), a) for j, col in self._cols.items() for i, a in col.items()
         )
 
+    def nonzero_columns(self) -> list[tuple[int, dict]]:
+        """The nonzero columns as (col, {row: value}), left to right: the
+        stored dicts themselves, to be read and never written."""
+        return sorted(self._cols.items())
+
     def at(self, i: int, j: int) -> Scalar:
         i, j = range(self.nrows)[i], range(self.ncols)[j]  # IndexError if outside
         return self._cols.get(j, _EMPTY).get(i, ZERO)

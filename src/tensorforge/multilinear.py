@@ -241,9 +241,9 @@ def _substitute(table: dict, families) -> dict:
 def _columns(ops: dict) -> dict:
     """The nonzero columns op e_h of a table of operators, keyed key + (h,)."""
     return {
-        key + (h,): op.col(h)
+        key + (h,): Vector(col.get(i, ZERO) for i in range(op.nrows))
         for key, op in ops.items()
-        for h in {h for (_, h), _ in op.items()}
+        for h, col in op.nonzero_columns()
     }
 
 

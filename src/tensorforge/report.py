@@ -13,8 +13,10 @@ key by key; an operator law compares its operators column by column.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import Matrix, Vector
-from .multilinear import _from_columns, _sum, one_based
+from .linalg import Matrix, Vector, fmt_rat
+from .multilinear import (
+    Space, _from_columns, _sum, format_matrix, format_vector, one_based
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -118,7 +120,8 @@ class Report:
         return check
 
     def law(
-        self, name: str, scope: str, count: int, lhs, rhs, zero, show, where, keep=None
+        self, name: str, scope: str, count: int, lhs, rhs, values, where, keep=None,
+        *, show=None,
     ) -> CheckLine:
         """Check one law given as two sums of term tables.
 
@@ -126,13 +129,17 @@ class Report:
         of them, and that count is what `checked` reports. lhs and rhs are
         lists of term tables, `{tuple: value}`, each holding a term of that
         side on the tuples where it can be nonzero; `keep`, if given, picks
-        the keys that lie in the scope. A key missing from every table of a
-        side reads as `zero`. The law fails on a tuple where the two sums
-        differ, and its witness records one_based(t), where(t), show(lhs)
-        and show(rhs); show and where run only on failing tuples. Off the
-        keys every term is zero, so both sides are zero and equal there.
+        the keys that lie in the scope. `values` says what a side is worth
+        on one tuple, and so the zero a key missing from every table of a
+        side reads as and how a witness prints it: a `Space` (its vectors,
+        by `format_vector`), a zero `Matrix` (operators of its shape, by
+        `format_matrix`), a zero scalar (by `fmt_rat`), or another zero,
+        printed by `show`. The law fails on a tuple where the two sums
+        differ, and its witness records one_based(t), where(t) and both
+        sides printed, work done only on failing tuples. Off the keys every
+        term is zero, so both sides are zero and equal there.
 
-        A Matrix `zero` marks column tables, op e_c at key t + (c,) (see
+        Operators enter as column tables, op e_c at key t + (c,) (see
         `multilinear._columns`): the columns are compared, `keep` sees t,
         and a failing t gets one witness, which shows the whole operators.
 
@@ -141,10 +148,14 @@ class Report:
         whole scope would give them.
         """
         line = self.line(name, scope)
-        shape = zero if isinstance(zero, Matrix) else None
+        shape = values if isinstance(values, Matrix) else None
         if shape is not None:
-            zero, in_scope = Vector.zero(shape.nrows), keep
+            zero, show, in_scope = Vector.zero(shape.nrows), format_matrix, keep
             keep = in_scope and (lambda t: in_scope(t[:-1]))
+        elif isinstance(values, Space):
+            zero, show = values.zero(), lambda v: format_vector(values, v)
+        else:
+            zero, show = values, show or fmt_rat
         left, right = _sum(lhs, keep), _sum(rhs, keep)
         failing = [
             t

@@ -3,7 +3,8 @@ function it defines is referenced somewhere, and the one division is
 `linalg._div`; one class holds the increasing-key rule of the stored maps,
 and each basis rule (the space-name check, the shift to 1-based indices,
 the walk of a matrix's columns into rows, the sign of a swapped wedge
-pair, the shape check of a container) has one owner."""
+pair, the shape check of a container, the printing of a law's values) has
+one owner."""
 
 import ast
 import re
@@ -540,3 +541,51 @@ def test_wedge_coordinates_are_signed_in_one_place(module):
         n.lineno for n in ast.walk(tree) if _signs_by_order(n) or _stores_in_a_matrix(n)
     )
     assert not hand, f"wedge signs or dense matrices by hand in {module}.py at {hand}"
+
+
+PRINTERS = {"format_vector", "format_matrix", "str"}
+
+
+def _law_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "law"
+    )
+
+
+def _passes_a_printer(node):
+    """A `.law(` call with `format_vector`, `format_matrix`, `str` or a
+    `.zero()` call inside one of its arguments."""
+    if not _law_call(node):
+        return False
+    args = [*node.args, *(k.value for k in node.keywords)]
+    return any(
+        (isinstance(n, ast.Name) and n.id in PRINTERS)
+        or (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "zero"
+        )
+        for arg in args
+        for n in ast.walk(arg)
+    )
+
+
+def _passes_show(node):
+    return _law_call(node) and any(k.arg == "show" for k in node.keywords)
+
+
+def test_law_values_are_printed_by_the_runner():
+    """`Report.law` derives a law's zero and witness text from its `values`:
+    no other module passes a printer or a `.zero()` to it, and only
+    `actions.graph_check`, whose points are pairs, passes its own `show`."""
+    printers, shows = [], []
+    for path in MODULES:
+        if path.stem == "report":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        printers += [f"{path.stem}.{s}" for s in _sites(tree, _passes_a_printer)]
+        shows += [f"{path.stem}.{s}" for s in _sites(tree, _passes_show)]
+    assert not printers, "law values printed by the caller in: " + ", ".join(printers)
+    assert shows == ["actions.graph_check"], "show passed in: " + ", ".join(shows)

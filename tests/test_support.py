@@ -459,20 +459,22 @@ def _recorded(monkeypatch):
     calls = []
     original = Report.law
 
-    def law(self, name, scope, count, lhs, rhs, zero, show, where, keep=None):
+    def law(self, name, scope, count, lhs, rhs, values, where, keep=None, **show):
         entries = [(t, v) for table in [*lhs, *rhs] for t, v in table.items()]
-        if isinstance(zero, (Vector, Matrix)):
+        if isinstance(values, (Space, Matrix)):
             kind = Vector
-        elif isinstance(zero, tuple):
+        elif isinstance(values, tuple):
             kind = tuple
         else:
             kind = (int, Fraction)
         assert all(isinstance(v, kind) for _, v in entries), name
-        operator = isinstance(zero, Matrix)
+        operator = isinstance(values, Matrix)
         keys = {t[:-1] if operator else t for t, _ in entries}
         keys = {t for t in keys if keep is None or keep(t)}
         calls.append((scope, count, keys, len(entries)))
-        return original(self, name, scope, count, lhs, rhs, zero, show, where, keep)
+        return original(
+            self, name, scope, count, lhs, rhs, values, where, keep, **show
+        )
 
     monkeypatch.setattr(Report, "law", law)
     return calls
