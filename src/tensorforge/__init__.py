@@ -88,6 +88,7 @@ _EXPORTS = {
     "TrilinearTable": "multilinear",
     "WedgePairBasis": "multilinear",
     "Report": "report",
+    "Scope": "report",
     "Document": "schema",
     "emit_document": "schema",
     "load_document": "schema",

@@ -11,9 +11,7 @@ its graph criterion are both computed exactly.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from itertools import product
-from math import comb
 
 from .algebras import (
     CoherentActionData,
@@ -23,7 +21,6 @@ from .algebras import (
     ThreeLeibnizAlgebra,
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
-    _increasing,
     check_3lie,
     check_hom,
 )
@@ -42,7 +39,7 @@ from .multilinear import (
     _sum,
     format_vector,
 )
-from .report import Report, tuple_label
+from .report import Report, Scope
 
 
 def check_representation(r: RepresentationData) -> Report:
@@ -90,13 +87,8 @@ def check_representation(r: RepresentationData) -> Report:
         )
         for name, lhs, rhs in laws:
             rep.law(
-                name,
-                "all ordered basis 4-tuples",
-                space.dim**4,
-                lhs,
-                rhs,
-                Matrix.zeros(r.carrier.dim, r.carrier.dim),
-                partial(tuple_label, space),
+                name, Scope("all ordered basis 4-tuples", (None, space, 4, False)),
+                lhs, rhs, Matrix.zeros(r.carrier.dim, r.carrier.dim),
             )
     object.__setattr__(r, "_verified", rep)
     return rep
@@ -114,28 +106,23 @@ def check_coherent_action(c: CoherentActionData) -> Report:
     rep = Report("coherent action check")
     gate = check_representation(c.rep)
     if rep.gate(gate, "representation", "representation laws do not hold"):
-        lspace = c.algebra.space
         hspace = c.carrier
         target_gate = check_3lie(ThreeLieAlgebra(hspace, c.target_bracket))
         rep.absorb(target_gate, "carrier bracket")
 
         # each rho(i, j), keyed (i, j, h), a derivation of the carrier bracket
-        lhs, rhs = (
-            [_relabel(t, lambda i, j, h1, h2, h3: ((i, j), (h1, h2, h3))) for t in side]
-            for side in _derivation(_columns(c.rho.coords), 2, c.target_bracket)
-        )
+        lhs, rhs = _derivation(_columns(c.rho.coords), 2, c.target_bracket)
         # the annihilation law is [rho(i, j) h1, h2, h3] = 0, the slot-0 term
         laws = (("derivation law", lhs, rhs), ("annihilation law", rhs[:1], []))
         for name, lhs, rhs in laws:
             rep.law(
                 name,
-                "increasing pairs x all ordered carrier triples",
-                comb(lspace.dim, 2) * hspace.dim**3,
-                lhs,
-                rhs,
-                hspace,
-                lambda t: f"pair {tuple_label(lspace, t[0])}, "
-                f"triple {tuple_label(hspace, t[1])}",
+                Scope(
+                    "increasing pairs x all ordered carrier triples",
+                    ("pair", c.algebra.space, 2, True),
+                    ("triple", hspace, 3, False),
+                ),
+                lhs, rhs, hspace,
             )
     object.__setattr__(c, "_verified", rep)
     return rep
@@ -193,19 +180,12 @@ def check_net(p: EmbeddingTensorProblem, mode: str = "all") -> Report:
     rep = Report("embedding tensor check")
     gate = check_coherent_action(p.action)
     if rep.gate(gate, "coherent action", "the action is not coherent"):
-        n = p.h_space.dim
-        if mode == "all":
-            scope, count, keep = "all ordered carrier triples", n**3, None
-        else:
-            scope, count, keep = "increasing carrier triples", comb(n, 3), _increasing
+        increasing = mode == "increasing"
+        triples = f"{'increasing' if increasing else 'all ordered'} carrier triples"
         rep.law(
             "embedding-tensor condition",
-            scope,
-            count,
-            *_order(p, [], 0),
-            p.l_space,
-            partial(tuple_label, p.h_space),
-            keep=keep,
+            Scope(triples, (None, p.h_space, 3, increasing)),
+            *_order(p, [], 0), p.l_space,
         )
     p._net_reports[mode] = rep
     return rep
@@ -278,12 +258,10 @@ def graph_check(p: EmbeddingTensorProblem) -> Report:
 
     rep.law(
         "graph closure",
-        "all ordered graph-basis triples",
-        hspace.dim**3,
+        Scope("all ordered graph-basis triples", (None, hspace, 3, False)),
         [points],
         [{t: _OnGraph(p.tensor.apply(h), h) for t, (_, h) in points.items()}],
         zero,
-        partial(tuple_label, hspace),
         show=show,
     )
     agreement = check_net(p, mode="all")
@@ -390,24 +368,22 @@ def check_net_hom(h: NetHomomorphism) -> Report:
     fh = _family(fh_cols)
     inter = rep.law(
         "tensor intertwining",
-        "carrier basis vectors",
-        hspace_src.dim,
+        Scope("carrier basis vectors", (None, hspace_src, 1, False)),
         [_feed(_family(dst.tensor_columns()), 0, fh)],
         [_feed(_family(fl_cols), 0, _family(src.tensor_columns()))],
         dst.l_space,
-        partial(tuple_label, hspace_src),
     )
     # rho_dst(f_L e_i, f_L e_j) e_c, keyed (i, j, c)
     pushed = _substitute(_columns(dst.rho.expand_ordered()), [fl_cols, fl_cols])
     act = rep.law(
         "action intertwining",
-        "increasing algebra pairs (operator identity)",
-        comb(lspace_src.dim, 2),
-        [_relabel(_feed(fh, 0, _columns(src.rho.coords)), lambda i, j, c: ((i, j), c))],
-        [_relabel(_feed(pushed, 2, fh), lambda c, i, j: ((i, j), c))],
+        Scope(
+            "increasing algebra pairs (operator identity)",
+            ("pair", lspace_src, 2, True),
+        ),
+        [_feed(fh, 0, _columns(src.rho.coords))],
+        [_relabel(_feed(pushed, 2, fh), lambda c, i, j: (i, j, c))],
         Matrix.zeros(dst.h_space.dim, hspace_src.dim),
-        lambda t: f"pair {tuple_label(lspace_src, t[0])}",
-        keep=lambda t: t[0][0] < t[0][1],
     )
 
     if inter.passed and act.passed:
@@ -418,11 +394,9 @@ def check_net_hom(h: NetHomomorphism) -> Report:
         for name, table in laws:
             rep.law(
                 name,
-                "all ordered carrier triples",
-                hspace_src.dim**3,
+                Scope("all ordered carrier triples", (None, hspace_src, 3, False)),
                 [_feed(fh, 0, table(src))],
                 [_substitute(table(dst), [fh_cols] * 3)],
                 dst.h_space,
-                partial(tuple_label, hspace_src),
             )
     return rep

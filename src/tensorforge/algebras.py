@@ -25,9 +25,6 @@ stored symmetry make that sound; everything else runs over all ordered tuples.
 
 from __future__ import annotations
 
-from functools import partial
-from math import comb
-
 from .errors import InputError
 from .linalg import Matrix, Vector, _rref
 from .multilinear import (
@@ -42,13 +39,12 @@ from .multilinear import (
     _family,
     _feed,
     _fits,
-    _increasing,
     _relabel,
     _sparse_table,
     _substitute,
     _sum,
 )
-from .report import Report, tuple_label
+from .report import Report, Scope
 
 
 class _TernaryAlgebra:
@@ -351,16 +347,13 @@ def check_3lie(a: ThreeLieAlgebra) -> Report:
     rep = Report(f"3-Lie axioms on {space.name}")
     rep.law(
         "fundamental identity",
-        "increasing pairs x increasing triples",
-        comb(space.dim, 2) * comb(space.dim, 3),
-        *(
-            [_relabel(t, lambda b1, b2, c, d, e: ((b1, b2), (c, d, e))) for t in side]
-            for side in _derivation(ad, 2, a.bracket, True)
+        Scope(
+            "increasing pairs x increasing triples",
+            ("pair", space, 2, True),
+            ("triple", space, 3, True),
         ),
+        *_derivation(ad, 2, a.bracket, True),
         space,
-        lambda t: f"pair {tuple_label(space, t[0])}, "
-        f"triple {tuple_label(space, t[1])}",
-        keep=lambda t: _increasing(t[1]),
     )
     return rep
 
@@ -371,11 +364,9 @@ def check_3leibniz(a: ThreeLeibnizAlgebra) -> Report:
     rep = Report(f"ternary Leibniz axioms on {space.name}")
     rep.law(
         "fundamental identity",
-        "all ordered basis 5-tuples",
-        space.dim**5,
+        Scope("all ordered basis 5-tuples", (None, space, 5, False)),
         *_derivation(a.bracket.expand_ordered(), 2, a.bracket),
         space,
-        partial(tuple_label, space),
     )
     return rep
 
@@ -445,13 +436,8 @@ def check_3leibniz_rep(r: ThreeLeibnizRep) -> Report:
         )
     for name, lhs, rhs in laws + expansions:
         rep.law(
-            name,
-            "all ordered basis 4-tuples",
-            space.dim**4,
-            lhs,
-            rhs,
-            Matrix.zeros(r.carrier.dim, r.carrier.dim),
-            partial(tuple_label, space),
+            name, Scope("all ordered basis 4-tuples", (None, space, 4, False)),
+            lhs, rhs, Matrix.zeros(r.carrier.dim, r.carrier.dim),
         )
     return rep
 
@@ -464,8 +450,7 @@ def check_lie(a: LieAlgebra) -> Report:
     rep = Report(f"Lie axioms on {space.name}")
     rep.law(
         "Jacobi identity",
-        "increasing basis triples",
-        comb(space.dim, 3),
+        Scope("increasing basis triples", (None, space, 3, True)),
         [
             nested,
             _relabel(nested, lambda j, k, i: (i, j, k)),
@@ -473,8 +458,6 @@ def check_lie(a: LieAlgebra) -> Report:
         ],
         [],
         space,
-        partial(tuple_label, space),
-        keep=_increasing,
     )
     return rep
 
@@ -507,13 +490,8 @@ def check_leibniz_lie(a: LeibnizLieAlgebra) -> Report:
     )
     for name, lhs, rhs in laws:
         rep.law(
-            name,
-            "all ordered basis triples",
-            space.dim**3,
-            lhs,
-            rhs,
-            space,
-            partial(tuple_label, space),
+            name, Scope("all ordered basis triples", (None, space, 3, False)),
+            lhs, rhs, space,
         )
     return rep
 
@@ -551,13 +529,8 @@ def check_3ll(a: ThreeLeibnizLieAlgebra) -> Report:
     )
     for name, lhs, rhs in laws:
         rep.law(
-            name,
-            "all ordered basis 5-tuples",
-            space.dim**5,
-            lhs,
-            rhs,
-            space,
-            partial(tuple_label, space),
+            name, Scope("all ordered basis 5-tuples", (None, space, 5, False)),
+            lhs, rhs, space,
         )
     return rep
 
@@ -590,12 +563,6 @@ _HOM_LAWS = {
         ("braces preserved", "all ordered basis triples", lambda s: s.braces),
     ),
 }
-# per scope: (arity, tuple count for dimension n, the keys in the scope)
-_HOM_SCOPES = {
-    "increasing basis pairs": (2, lambda n: comb(n, 2), _increasing),
-    "increasing basis triples": (3, lambda n: comb(n, 3), _increasing),
-    "all ordered basis triples": (3, lambda n: n**3, None),
-}
 
 
 def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
@@ -612,15 +579,12 @@ def check_hom(kind: str, f: LinearMap, src, dst) -> Report:
     space = src.space
     images = [f.column(i) for i in range(space.dim)]
     for name, scope, part in laws:
-        arity, count, keep = _HOM_SCOPES[scope]
+        table = part(src)  # its scope: the tuples of its stored keys
         rep.law(
             name,
-            scope,
-            count(space.dim),
-            [_feed(_family(images), 0, part(src).coords)],
-            [_substitute(part(dst).expand_ordered(), [images] * arity)],
+            Scope(scope, (None, space, table.arity, table.increasing)),
+            [_feed(_family(images), 0, table.coords)],
+            [_substitute(part(dst).expand_ordered(), [images] * table.arity)],
             dst.space,
-            partial(tuple_label, space),
-            keep=keep,
         )
     return rep

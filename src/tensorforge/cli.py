@@ -5,7 +5,9 @@ Every command reads one document, resolves the structure it needs (by
 prints a check report or emits a derived document.  Exit statuses: 0 all
 checks passed, 1 some law failed (witnesses printed), 2 malformed input,
 3 a precondition was refused, 4 an internal error (one line on stderr, no
-traceback), 130 interrupted.
+traceback), 130 interrupted, 141 standard output closed by its reader (as
+if killed by SIGPIPE, nothing on stderr). A failed write to standard output,
+such as to a full disk, is status 2, as a failed ``--out`` is.
 
 A command imports the modules it runs when it runs. At start-up this module
 loads only the document reader and what it needs, and the reader builds
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 from operator import attrgetter
@@ -63,27 +66,35 @@ def _witness_cap(args):
     return args.max_witnesses
 
 
+def _write(text: str, path: str | None = None):
+    """Write text to the file at path, or else to standard output, flushed:
+    every command writes through here. A pipe whose reader has gone raises
+    BrokenPipeError, for `main`, and any other failure is an input error.
+    What standard output still buffers then goes to the null device, so
+    that the flush at exit cannot fail."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            if isinstance(exc, BrokenPipeError):
+                raise
+        where = path or "standard output"
+        raise InputError(f"cannot write {where}: {exc.strerror or exc}") from None
+
+
 def _print_report(rep, args) -> int:
     cap = _witness_cap(args)
-    if args.json:
-        print(json.dumps(rep.to_json(cap), indent=2))
-    else:
-        print(rep.render_text(cap))
+    text = json.dumps(rep.to_json(cap), indent=2) if args.json else rep.render_text(cap)
+    _write(text + "\n")
     return rep.exit_status
-
-
-def _emit_output(doc: Document, args) -> int:
-    text = emit_document(doc)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            raise InputError(f"cannot write {args.out}: {reason}") from None
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def _trace_on_space(doc: Document, space, name, flag: str):
@@ -153,7 +164,8 @@ def _build(kind=None, module=None, builder=None, title=None, outputs=(), traces=
             doc = Document(title)
             for out_kind, name, path in outputs:
                 doc.add(out_kind, name, attrgetter(path)(result) if path else result)
-        return _emit_output(doc, args)
+        _write(emit_document(doc), args.out)
+        return 0
 
     return handler
 
@@ -249,15 +261,17 @@ def _cmd_cohomology(args) -> int:
         z, b, h = complex_.cohomology_dims(n)
         rows.append(dict(zip(header, (n, complex_.cochain_dim(n), z, b, h))))
     if args.json:
-        print(json.dumps({"cohomology": rows}, indent=2))
+        _write(json.dumps({"cohomology": rows}, indent=2) + "\n")
         return 0
     table = [header] + [
         tuple(str(row[key]) for key in header) for row in rows
     ]
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-    print("cohomology dimensions")
-    for line in table:
-        print("  " + "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)))
+    out = ["cohomology dimensions"] + [
+        "  " + "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line))
+        for line in table
+    ]
+    _write("\n".join(out) + "\n")
     return 0
 
 
@@ -268,27 +282,27 @@ def _cmd_classify(args) -> int:
     problem = doc.resolve("nets", args.name)
     result = classify(problem)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "cocycle_dim": result.cocycle_dim,
-                    "coboundary_dim": result.coboundary_dim,
-                    "class_dim": result.class_dim,
-                    "representatives": [
-                        [[fmt_rat(c) for c in row] for row in lm.matrix.rows]
-                        for lm in result.representatives
-                    ],
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "cocycle_dim": result.cocycle_dim,
+            "coboundary_dim": result.coboundary_dim,
+            "class_dim": result.class_dim,
+            "representatives": [
+                [[fmt_rat(c) for c in row] for row in lm.matrix.rows]
+                for lm in result.representatives
+            ],
+        }
+        _write(json.dumps(doc, indent=2) + "\n")
         return 0
-    print("first-order deformation classes")
-    print(f"  valid directions (cocycles): {result.cocycle_dim}")
-    print(f"  trivial directions (coboundaries): {result.coboundary_dim}")
-    print(f"  independent classes: {result.class_dim}")
-    for pos, lm in enumerate(result.representatives, start=1):
-        print(f"  representative {pos}: {format_matrix(lm.matrix)}")
+    out = [
+        "first-order deformation classes",
+        f"  valid directions (cocycles): {result.cocycle_dim}",
+        f"  trivial directions (coboundaries): {result.coboundary_dim}",
+        f"  independent classes: {result.class_dim}",
+    ] + [
+        f"  representative {pos}: {format_matrix(lm.matrix)}"
+        for pos, lm in enumerate(result.representatives, start=1)
+    ]
+    _write("\n".join(out) + "\n")
     return 0
 
 
@@ -489,6 +503,8 @@ def main(argv=None) -> int:
         if hasattr(args, "max_witnesses"):
             _witness_cap(args)  # reject a bad cap before any work
         return args.handler(args)
+    except BrokenPipeError:
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

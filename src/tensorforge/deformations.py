@@ -10,11 +10,8 @@ classifies directions modulo trivial ones.
 
 from __future__ import annotations
 
-from functools import partial
-from math import comb
-
 from .actions import _order, check_net
-from .algebras import Deformation, EmbeddingTensorProblem, LinearMap, _increasing
+from .algebras import Deformation, EmbeddingTensorProblem, LinearMap
 from .cohomology import _complex_of
 from .errors import InputError
 from .linalg import (
@@ -36,7 +33,7 @@ from .multilinear import (
     format_matrix,
     format_vector,
 )
-from .report import Report, tuple_label
+from .report import Report, Scope
 
 
 class EquivalenceWitness:
@@ -83,12 +80,10 @@ def check_infinitesimal(d: Deformation) -> Report:
     # the degree-one part of the tensor condition, as one side
     line = rep.law(
         "first-order tensor condition",
-        "all ordered basis triples",
-        hspace.dim**3,
+        Scope("all ordered basis triples", (None, hspace, 3, False)),
         lhs + [_relabel(term, lambda *t: t, -1) for term in rhs],
         [],
         p.l_space,
-        partial(tuple_label, hspace),
     )
 
     complex_ = _complex_of(p)
@@ -132,12 +127,8 @@ def check_higher_order(d: Deformation) -> Report:
     M = [d.direction.column(i) for i in range(hspace.dim)]
     for k, name in ((2, "second-order condition"), (3, "third-order condition")):
         rep.law(
-            name,
-            "all ordered basis triples",
-            hspace.dim**3,
-            *_order(p, M, k),
-            p.l_space,
-            partial(tuple_label, hspace),
+            name, Scope("all ordered basis triples", (None, hspace, 3, False)),
+            *_order(p, M, k), p.l_space,
         )
     return rep
 
@@ -164,13 +155,8 @@ def _is_bracket_derivation(rep: Report, name: str, bracket, images: dict) -> Non
     (c,), against one bracket, as a line of rep."""
     space = bracket.domain
     rep.law(
-        name,
-        "increasing basis triples",
-        comb(space.dim, 3),
-        *_derivation(images, 0, bracket, True),
-        space,
-        partial(tuple_label, space),
-        keep=_increasing,
+        name, Scope("increasing basis triples", (None, space, 3, True)),
+        *_derivation(images, 0, bracket, True), space,
     )
 
 
@@ -230,7 +216,6 @@ def are_equivalent(d1: Deformation, d2: Deformation):
 
 def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
     """Structural properties of the witness, reported as notes only."""
-    ldim, hdim = p.l_space.dim, p.h_space.dim
     rho = _columns(p.rho.coords)  # rho(i, j) e_c on increasing pairs
     ops = _columns(p.rho.expand_ordered())
     # the columns of d_l, the sum of [a1, a2, -], and of d_h, the sum of
@@ -250,17 +235,14 @@ def _witness_side_conditions(rep: Report, p: EmbeddingTensorProblem, pieces):
 
     side.law(
         "action compatibility",
-        "increasing basis pairs",
-        comb(ldim, 2),
+        Scope("increasing basis pairs", (None, p.l_space, 2, True)),
         [_feed(d_h, 0, rho)],
         [
             _feed(ops, 0, d_l),
             _relabel(_feed(ops, 1, d_l), lambda b, a, c: (a, b, c)),
             _relabel(_feed(rho, 2, d_h), lambda c, i, j: (i, j, c)),
         ],
-        Matrix.zeros(hdim, hdim),
-        partial(tuple_label, p.l_space),
-        keep=_increasing,
+        Matrix.zeros(p.h_space.dim, p.h_space.dim),
     )
     for ln in side.checks:
         status = "holds" if ln.passed else "fails"

@@ -9,9 +9,6 @@ algebra lifts the same way to ternary braces.
 
 from __future__ import annotations
 
-from functools import partial
-from math import comb
-
 from .algebras import (
     CoherentActionData,
     EmbeddingTensorProblem,
@@ -23,7 +20,6 @@ from .algebras import (
     ThreeLeibnizLieAlgebra,
     ThreeLieAlgebra,
     TraceMap,
-    _increasing,
     check_leibniz_lie,
     check_lie,
 )
@@ -37,11 +33,12 @@ from .multilinear import (
     _derivation,
     _family,
     _feed,
+    _increasing,
     _relabel,
     _substitute,
     _sum,
 )
-from .report import Report, tuple_label
+from .report import Report, Scope, tuple_label
 
 
 def check_trace(t: TraceMap, algebra) -> Report:
@@ -62,22 +59,13 @@ def check_trace(t: TraceMap, algebra) -> Report:
         raise InputError("trace and algebra live on different spaces")
 
     rep = Report("trace check")
-    space = lie.space
-    n = space.dim
-    laws = [("vanishes on brackets", "increasing basis pairs", lie.coords, comb(n, 2))]
+    laws = [("vanishes on brackets", "increasing", True, lie.coords)]
     if products is not None:
-        laws.append(
-            ("vanishes on products", "all ordered basis pairs", products.triangle, n**2)
-        )
-    for name, scope, values, count in laws:
+        laws.append(("vanishes on products", "all ordered", False, products.triangle))
+    for name, pairs, increasing, values in laws:
         rep.law(
-            name,
-            scope,
-            count,
-            [{pair: t.apply(v) for pair, v in values.items()}],
-            [],
-            ZERO,
-            partial(tuple_label, space),
+            name, Scope(f"{pairs} basis pairs", (None, lie.space, 2, increasing)),
+            [{pair: t.apply(v) for pair, v in values.items()}], [], ZERO,
         )
     return rep
 
@@ -133,56 +121,36 @@ def check_lie_coherent(a: LieCoherentAction) -> Report:
 
     lspace = a.lie.space
     hspace = a.carrier.space
-    ldim, hdim = lspace.dim, hspace.dim
     columns = _columns(a.rho)  # rho(i) e_h, keyed (i, h)
     products = _feed(columns, 1, columns)  # rho(i) rho(j) e_c, keyed (j, c, i)
 
     rep.law(
         "commutator law",
-        "increasing acting pairs",
-        comb(ldim, 2),
+        Scope("increasing acting pairs", (None, lspace, 2, True)),
         [_feed(columns, 0, a.lie.coords)],
         [
             _relabel(products, lambda j, c, i: (i, j, c)),
             _relabel(products, lambda i, c, j: (i, j, c), -1),
         ],
-        Matrix.zeros(hdim, hdim),
-        partial(tuple_label, lspace),
-        keep=_increasing,
+        Matrix.zeros(hspace.dim, hspace.dim),
     )
     # each rho(i), keyed (i, h), a derivation of the carrier bracket
-    lhs, rhs = (
-        [_relabel(t, lambda i, h1, h2: (i, (h1, h2))) for t in side]
-        for side in _derivation(columns, 1, a.carrier, True)
-    )
+    lhs, rhs = _derivation(columns, 1, a.carrier, True)
     laws = (
-        (
-            "derivation law",
-            "basis operators x increasing carrier pairs",
-            ldim * comb(hdim, 2),
-            lhs,
-            rhs,
-            lambda t: t[1][0] < t[1][1],
-        ),
-        (  # [rho(i) h1, h2] = 0, the slot-0 term, on every ordered pair
-            "annihilation law",
-            "basis operators x all ordered carrier pairs",
-            ldim * hdim**2,
-            rhs[:1],
-            [],
-            None,
-        ),
+        ("derivation law", "increasing", True, lhs, rhs),
+        # [rho(i) h1, h2] = 0, the slot-0 term, on every ordered pair
+        ("annihilation law", "all ordered", False, rhs[:1], []),
     )
-    for name, scope, count, lhs, rhs, keep in laws:
+    for name, pairs, increasing, lhs, rhs in laws:
         rep.law(
             name,
-            scope,
-            count,
-            lhs,
-            rhs,
-            hspace,
-            lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
-            keep=keep,
+            Scope(
+                f"basis operators x {pairs} carrier pairs",
+                (None, lspace, 1, False),
+                (None, hspace, 2, increasing),
+                where=lambda t: f"{lspace.label(t[0])} on {tuple_label(hspace, t[1])}",
+            ),
+            lhs, rhs, hspace,
         )
     return rep
 
@@ -228,12 +196,10 @@ def check_lie_net(n: LieNet) -> Report:
     ]
     rep.law(
         "embedding-tensor condition",
-        "all ordered carrier pairs",
-        hspace.dim**2,
+        Scope("all ordered carrier pairs", (None, hspace, 2, False)),
         [_substitute(a.lie.expand_ordered(), [cols, cols])],
         [_feed(tensor, 0, table) for table in inner],
         a.lie.space,
-        partial(tuple_label, hspace),
     )
     return rep
 
@@ -259,12 +225,14 @@ def lift_net(
     hspace = n.action.carrier.space
     compat.law(
         "traces agree through the tensor",
-        "carrier basis vectors",
-        hspace.dim,
+        Scope(
+            "carrier basis vectors",
+            (None, hspace, 1, False),
+            where=lambda t: hspace.label(t[0]),
+        ),
         [{(u,): sigma_l.apply(n.tensor.column(u)) for u in range(hspace.dim)}],
         [{(u,): sigma_h.at(u) for u in range(hspace.dim)}],
         ZERO,
-        lambda t: hspace.label(t[0]),
     )
     compat.require("the traces disagree through the tensor")
     return EmbeddingTensorProblem(

@@ -55,10 +55,12 @@ class Space(_Frozen):
     Spaces are values: equal when name, dimension and labels agree.
     """
 
-    def __init__(self, name: str, dim: int, basis_labels: tuple[str, ...] = ()):
+    def __init__(self, name: str, dim: int, basis_labels=None):
         if dim < 0:
             raise InputError(f"space {name!r} has negative dimension")
-        labels = tuple(basis_labels or (f"e{i + 1}" for i in range(dim)))
+        if basis_labels is None:  # not given, unlike an empty list
+            basis_labels = (f"e{i + 1}" for i in range(dim))
+        labels = tuple(basis_labels)
         if len(labels) != dim:
             raise InputError(
                 f"space {name!r}: {len(labels)} labels for dimension {dim}"

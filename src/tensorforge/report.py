@@ -7,10 +7,15 @@ distinct verdict from failure, and every refusal goes through a report: a
 checker gates on a precondition report with `Report.gate`, and a builder
 raises through `Report.require`. One runner, `Report.law`, checks every law:
 it takes the two sides as sums of sparse term tables and compares them
-key by key; an operator law compares its operators column by column.
+key by key; an operator law compares its operators column by column. A
+law declares the tuples it quantifies over once, as a `Scope`, and the
+runner derives from it the tuple count, which keys are in scope and how a
+witness shows its tuple.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import PreconditionError
 from .linalg import Matrix, Vector, fmt_rat
@@ -120,38 +125,33 @@ class Report:
         return check
 
     def law(
-        self, name: str, scope: str, count: int, lhs, rhs, values, where, keep=None,
-        *, show=None,
+        self, name: str, scope: Scope, lhs, rhs, values, *, show=None
     ) -> CheckLine:
-        """Check one law given as two sums of term tables.
+        """Check one law given as two sums of term tables, over the basis
+        tuples of `scope`; their count is what `checked` reports.
 
-        The scope of a law is every basis tuple it quantifies over, `count`
-        of them, and that count is what `checked` reports. lhs and rhs are
-        lists of term tables, `{tuple: value}`, each holding a term of that
-        side on the tuples where it can be nonzero; `keep`, if given, picks
-        the keys that lie in the scope. `values` says what a side is worth
+        lhs and rhs are lists of term tables, `{flat key: value}`, each
+        holding a term of that side where it can be nonzero; the keys the
+        scope does not keep are dropped. `values` says what a side is worth
         on one tuple, and so the zero a key missing from every table of a
         side reads as and how a witness prints it: a `Space` (its vectors,
         by `format_vector`), a zero `Matrix` (operators of its shape, by
         `format_matrix`), a zero scalar (by `fmt_rat`), or another zero,
-        printed by `show`. The law fails on a tuple where the two sums
-        differ, and its witness records one_based(t), where(t) and both
-        sides printed, work done only on failing tuples. Off the keys every
-        term is zero, so both sides are zero and equal there.
+        printed by `show`. The law fails on a key where the two sums differ;
+        only then are its tuple, labels and sides formatted. Off the keys
+        every term is zero, so both sides are zero and equal there.
 
         Operators enter as column tables, op e_c at key t + (c,) (see
-        `multilinear._columns`): the columns are compared, `keep` sees t,
+        `multilinear._columns`): the columns are compared, the scope sees t,
         and a failing t gets one witness, which shows the whole operators.
-
-        The keys are walked in sorted order. Every scope in use is scanned
-        in lexicographic order, so the witnesses come out as a scan of the
-        whole scope would give them.
+        The keys are walked in sorted order, the scan order of every scope.
         """
-        line = self.line(name, scope)
+        line = self.line(name, scope.text)
         shape = values if isinstance(values, Matrix) else None
+        keep = scope.keep
         if shape is not None:
-            zero, show, in_scope = Vector.zero(shape.nrows), format_matrix, keep
-            keep = in_scope and (lambda t: in_scope(t[:-1]))
+            zero, show = Vector.zero(shape.nrows), format_matrix
+            keep = keep and (lambda t: scope.keep(t[:-1]))
         elif isinstance(values, Space):
             zero, show = values.zero(), lambda v: format_vector(values, v)
         else:
@@ -175,8 +175,10 @@ class Report:
             zero = shape
         for t in failing:
             a, b = left.get(t, zero), right.get(t, zero)
-            line.add_failure(one_based(t), where(t), show(a), show(b))
-        line.checked = count
+            line.add_failure(
+                one_based(scope.shown(t)), scope.where(t), show(a), show(b)
+            )
+        line.checked = scope.count
         return line
 
     def refuse(self, reason: str) -> "Report":
@@ -246,3 +248,39 @@ class Report:
 def tuple_label(space, indices) -> str:
     """Labels for a flat tuple of 0-based basis indices."""
     return "(" + ", ".join(space.label(i) for i in indices) + ")"
+
+
+class Scope:
+    """The basis tuples a law quantifies over, declared once: `text` names
+    them, and each group `(word, space, arity, increasing)` takes the next
+    `arity` slots of the law's flat keys, indices of `space`, in every order
+    or, with `increasing`, increasing. From the groups come `count`, the
+    number of tuples; `keep`, whether a key is in scope (None when no group
+    of two or more slots increases); `shown`, the tuple a witness shows,
+    flat for one unnamed group and otherwise one entry per group, a bare
+    index for a one-slot group; and `where`, its labels: `(labels)` per
+    group after its word, if any, joined by ", ", unless `where` is given.
+    """
+
+    def __init__(self, text: str, *groups, where=None):
+        self.text, self._where = text, where
+        self._flat = len(groups) == 1 and not groups[0][0]
+        self.count, self._parts, steps, at = 1, [], [], 0
+        for word, space, k, increasing in groups:
+            self.count *= comb(space.dim, k) if increasing else space.dim**k
+            steps += range(at, at + k - 1) if increasing else ()
+            cut = slice(at, at + k)
+            self._parts.append((word, space, cut, cut if k > 1 else at))
+            at += k
+        self.keep = (lambda t: all(t[s] < t[s + 1] for s in steps)) if steps else None
+
+    def shown(self, t: tuple) -> tuple:
+        return t if self._flat else tuple(t[pick] for *_, pick in self._parts)
+
+    def where(self, t: tuple) -> str:
+        if self._where is not None:
+            return self._where(self.shown(t))
+        return ", ".join(
+            " ".join(filter(None, (word, tuple_label(space, t[c]))))
+            for word, space, c, _ in self._parts
+        )

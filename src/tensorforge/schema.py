@@ -653,7 +653,7 @@ def parse_document(text: str, overrides: dict | None = None) -> Document:
             )
         if name in doc.spaces:
             raise InputError(f"{path}: duplicate space name {name!r}")
-        doc.add_space(Space(name, fields["dim"], labels or ()))
+        doc.add_space(Space(name, fields["dim"], labels))
 
     structures = top["structures"]
     for kind in structures:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +449,48 @@ def test_an_output_that_cannot_be_written_exits_two(run, adjoint_file, tmp_path,
     target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
     err = _assert_input_error(run("emit", adjoint_file, "--out", target))
     assert err.startswith(f"input error: cannot write {target}: ")
+
+
+# commands that write a report, a document and a table to standard output
+WRITERS = [
+    ("check-net", "example_2_8.json"),
+    ("check-action", "broken_action.json", "--json", "--all-witnesses"),
+    ("emit", "example_2_8.json"),
+    ("cohomology", "example_2_8.json"),
+]
+
+
+def _on_stdout(stdout, fixtures_dir, command, fixture, *flags):
+    """(exit status, standard error) of a command run in a fresh interpreter
+    with `stdout` as its standard output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorforge", command, fixtures_dir / fixture, *flags],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_exits_141_quietly(fixtures_dir, argv):
+    """A pipe whose reader has gone exits 141, 128 + SIGPIPE, as a killed
+    writer would, with nothing on stderr and no complaint at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        assert _on_stdout(write, fixtures_dir, *argv) == (141, "")
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_a_failed_stdout_write_exits_two(fixtures_dir, argv):
+    """A full device on standard output is an input error naming standard
+    output, as a failed `--out` is, and nothing more is said at exit."""
+    with open("/dev/full", "w") as full:
+        rc, err = _on_stdout(full, fixtures_dir, *argv)
+    assert (rc, err) == (
+        2, "input error: cannot write standard output: No space left on device\n"
+    )
 
 
 def test_a_document_that_is_not_utf8_exits_two(run, tmp_path):

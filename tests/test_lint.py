@@ -589,3 +589,39 @@ def test_law_values_are_printed_by_the_runner():
         shows += [f"{path.stem}.{s}" for s in _sites(tree, _passes_show)]
     assert not printers, "law values printed by the caller in: " + ", ".join(printers)
     assert shows == ["actions.graph_check"], "show passed in: " + ", ".join(shows)
+
+
+def _scope_of(node):
+    """Whether a `.law(` call passes a `Scope(...)` call as its scope and
+    neither a `keep=` nor a `where=`."""
+    scope = node.args[1] if len(node.args) > 1 else None
+    return (
+        isinstance(scope, ast.Call)
+        and isinstance(scope.func, ast.Name)
+        and scope.func.id == "Scope"
+        and not any(k.arg in ("keep", "where") for k in node.keywords)
+    )
+
+
+def _calls_comb(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "comb"
+
+
+def test_every_law_declares_its_scope():
+    """Every law declares the tuples it quantifies over once, as a `Scope`
+    of slot groups, and `Report.law` derives from it the tuple count, the
+    keys in scope and the witness labels: no call passes its own, and
+    `comb` is called only by `report` and by the work estimate of the
+    cochain complex."""
+    loose, combs = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loose += [
+            f"{path.stem}.{s}"
+            for s in _sites(tree, lambda n: _law_call(n) and not _scope_of(n))
+        ]
+        if path.stem != "report":
+            combs += [f"{path.stem}.{s}" for s in _sites(tree, _calls_comb)]
+    assert not loose, "laws without a declared scope in: " + ", ".join(loose)
+    called = ", ".join(combs)
+    assert combs == ["cohomology.CochainComplex._work"], "comb called in: " + called

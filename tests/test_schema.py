@@ -153,6 +153,25 @@ def test_missing_required_fields():
         parse_document("{}")
 
 
+def test_an_empty_label_list_lists_no_labels():
+    """Labels default to e1 ... eN only when none are given: `"labels": []`
+    is a list of no labels, an input error on a space of dimension 1 or
+    more, and on dimension 0 it reads and emits back unchanged."""
+    assert Space("V", 2).basis_labels == ("e1", "e2")
+    for dim in (1, 2):
+        with pytest.raises(InputError, match=f"0 labels for dimension {dim}"):
+            Space("V", dim, [])
+        body = json.loads(_lie_doc({}, dim=dim))
+        body["spaces"][0]["labels"] = []
+        with pytest.raises(InputError, match=f"0 labels for dimension {dim}"):
+            parse_document(json.dumps(body))
+    text = _doc(spaces=[{"name": "Z", "dim": 0, "labels": []}], structures={})
+    doc = parse_document(text)
+    assert doc.spaces["Z"] == Space("Z", 0)
+    assert emit_document(parse_document(emit_document(doc))) == emit_document(doc)
+    assert '"labels": []' in emit_document(doc)
+
+
 def test_format_and_json_errors():
     with pytest.raises(InputError, match="expected 'tensorforge/1'"):
         parse_document(_doc(format="tensorforge/9"))

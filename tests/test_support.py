@@ -451,15 +451,15 @@ def _sparse_bracket(n, entries, seed):
 
 
 def _recorded(monkeypatch):
-    """Every Report.law call from now on, as (scope, count, kept keys, size):
-    the keys of its term tables that lie in the scope, less the column index
-    of an operator law's keys, and the total size of the tables. Every value
-    of a term table must be a vector, but for a trace's scalars and
-    graph-check's point pairs."""
+    """Every Report.law call from now on, as (scope text, count, kept keys,
+    size): the keys of its term tables that lie in the scope, less the column
+    index of an operator law's keys, each as its witness shows it, and the
+    total size of the tables. Every value of a term table must be a vector,
+    but for a trace's scalars and graph-check's point pairs."""
     calls = []
     original = Report.law
 
-    def law(self, name, scope, count, lhs, rhs, values, where, keep=None, **show):
+    def law(self, name, scope, lhs, rhs, values, **show):
         entries = [(t, v) for table in [*lhs, *rhs] for t, v in table.items()]
         if isinstance(values, (Space, Matrix)):
             kind = Vector
@@ -470,11 +470,9 @@ def _recorded(monkeypatch):
         assert all(isinstance(v, kind) for _, v in entries), name
         operator = isinstance(values, Matrix)
         keys = {t[:-1] if operator else t for t, _ in entries}
-        keys = {t for t in keys if keep is None or keep(t)}
-        calls.append((scope, count, keys, len(entries)))
-        return original(
-            self, name, scope, count, lhs, rhs, values, where, keep, **show
-        )
+        keys = {scope.shown(t) for t in keys if scope.keep is None or scope.keep(t)}
+        calls.append((scope.text, scope.count, keys, len(entries)))
+        return original(self, name, scope, lhs, rhs, values, **show)
 
     monkeypatch.setattr(Report, "law", law)
     return calls
