@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Every command reads one document, resolves the structure it needs (by
-``--name`` when the document declares several of that kind), and either
-prints a check report or emits a derived document.  Exit statuses: 0 all
-checks passed, 1 some law failed (witnesses printed), 2 malformed input,
-3 a precondition was refused, 4 an internal error (one line on stderr, no
-traceback), 130 interrupted, 141 standard output closed by its reader (as
-if killed by SIGPIPE, nothing on stderr). A failed write to standard output,
-such as to a full disk, is status 2, as a failed ``--out`` is.
+Every command reads one document, resolves the structures it needs through
+``Document.resolve``, and either prints a check report or emits a derived
+document.  Exit statuses: 0 all checks passed, 1 some law failed, 2
+malformed input, 3 a precondition was refused, 4 an internal error (one
+line on stderr, no traceback), 130 interrupted, 141 standard output closed
+by its reader (as if killed by SIGPIPE). Any other failed write to standard
+output, of a report, a document or the help, is status 2, as a failed
+``--out`` is; a failed write to standard error changes no status.
 
 A command imports the modules it runs when it runs. At start-up this module
 loads only the document reader and what it needs, and the reader builds
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from importlib import import_module
 from operator import attrgetter
 
@@ -72,6 +73,8 @@ def _write(text: str, path: str | None = None):
     BrokenPipeError, for `main`, and any other failure is an input error.
     What standard output still buffers then goes to the null device, so
     that the flush at exit cannot fail."""
+    if not path and sys.stdout is None:  # closed when the program started
+        raise InputError("cannot write standard output: it is closed")
     try:
         if path:
             with open(path, "w", encoding="utf-8") as handle:
@@ -97,70 +100,36 @@ def _print_report(rep, args) -> int:
     return rep.exit_status
 
 
-def _trace_on_space(doc: Document, space, name, flag: str):
-    if name is not None:
-        trace = doc.resolve("traces", name, flag)
-        if trace.space != space:
-            raise InputError(
-                f"trace {name!r} lives on space {trace.space.name!r}, "
-                f"but {space.name!r} is needed"
-            )
-        return trace
-    matching = {
-        known: t for known, t in doc.entries["traces"].items() if t.space == space
-    }
-    if not matching:
-        raise InputError(
-            f"the document declares no trace on space {space.name!r}"
-        )
-    if len(matching) > 1:
-        raise InputError(
-            f"{len(matching)} traces live on space {space.name!r}; "
-            f"choose one with {flag}: " + ", ".join(sorted(matching))
-        )
-    return next(iter(matching.values()))
-
-
 # --- check and builder commands ------------------------------------------------
 
 
-def _check(kind: str, module: str, check: str, **options):
-    """The handler of a command that runs the checker `check` of `module` on
-    an entry of `kind`, passing it each keyword of `options` as the value of
-    the option it names (`mode="triples"` passes `--triples` as `mode`). It
-    looks the checker up in its module when it runs, so that rebinding it
-    there (the tests and the perfbench tracer do) reaches the command."""
-
-    def handler(args) -> int:
-        doc = _load(args)
-        checker = getattr(import_module(f".{module}", __package__), check)
-        keywords = {key: getattr(args, dest) for key, dest in options.items()}
-        return _print_report(checker(doc.resolve(kind, args.name), **keywords), args)
-
-    return handler
-
-
-def _build(kind=None, module=None, builder=None, title=None, outputs=(), traces=()):
-    """The handler of a command that runs the builder `builder` of `module`,
-    looked up as `_check` does, on an entry of `kind` and the trace each
-    `(flag, path)` of `traces` picks on the entry's space at `path`. It
-    emits a document titled `title` holding, for each `(kind, name, path)`
-    of `outputs`, the result's attribute at `path` ("" for the result).
-    Without a `kind` it emits the document it read."""
+def _run(kind=None, module=None, function=None, title=None, outputs=(), picks=(),
+         **options):
+    """The handler of a check or builder command. It runs `function` of
+    `module`, looked up when it runs so that rebinding it there (the tests
+    and the perfbench tracer do) reaches the command, on the entry of `kind`
+    that `--name` picks and on the entry each `(kinds, flag, path)` of
+    `picks` picks on the space at `path` of that entry. Each keyword of
+    `options` passes the value of the option it names (`mode="triples"`
+    passes `--triples` as `mode`). Without a `title` it prints the report;
+    with one it emits a document so titled holding, for each `(kind, name,
+    path)` of `outputs`, the result's attribute at `path` ("" for the
+    result). Without a `kind` it emits the document it read."""
 
     def handler(args) -> int:
         doc = _load(args)
         if kind is not None:
             entry = doc.resolve(kind, args.name)
             picked = [
-                _trace_on_space(
-                    doc, attrgetter(path)(entry),
-                    getattr(args, flag[2:].replace("-", "_")), flag,
-                )
-                for flag, path in traces
+                doc.resolve(kinds, getattr(args, flag[2:].replace("-", "_")), flag,
+                            attrgetter(path)(entry))
+                for kinds, flag, path in picks
             ]
-            build = getattr(import_module(f".{module}", __package__), builder)
-            result = build(entry, *picked)
+            run = getattr(import_module(f".{module}", __package__), function)
+            keywords = {key: getattr(args, dest) for key, dest in options.items()}
+            result = run(entry, *picked, **keywords)
+            if title is None:
+                return _print_report(result, args)
             doc = Document(title)
             for out_kind, name, path in outputs:
                 doc.add(out_kind, name, attrgetter(path)(result) if path else result)
@@ -168,52 +137,6 @@ def _build(kind=None, module=None, builder=None, title=None, outputs=(), traces=
         return 0
 
     return handler
-
-
-def _cmd_check_trace(args) -> int:
-    from .induced_lie import check_trace
-
-    doc = _load(args)
-    trace = doc.resolve("traces", args.name)
-    candidates = {
-        (kind, name): obj
-        for kind in ("lie", "leibniz_lie")
-        for name, obj in doc.entries[kind].items()
-        if obj.space == trace.space and args.algebra in (None, name)
-    }
-    if len(candidates) > 1:
-        # A Leibniz-Lie entry subsumes the check of its own underlying bracket.
-        wrapped = {id(obj.lie) for obj in doc.entries["leibniz_lie"].values()}
-        candidates = {k: obj for k, obj in candidates.items() if id(obj) not in wrapped}
-    if args.algebra is not None and not candidates:
-        raise InputError(
-            f"no Lie or Leibniz-Lie entry named {args.algebra!r} "
-            f"on space {trace.space.name!r}"
-        )
-    if not candidates:
-        raise InputError(
-            f"the document declares no Lie or Leibniz-Lie algebra "
-            f"on space {trace.space.name!r}"
-        )
-    if len(candidates) > 1:
-        names = ", ".join(sorted(name for _, name in candidates))
-        raise InputError(
-            f"several algebras live on space {trace.space.name!r}; "
-            f"choose one with --algebra: {names}"
-        )
-    algebra = next(iter(candidates.values()))
-    return _print_report(check_trace(trace, algebra), args)
-
-
-def _cmd_deform_check(args) -> int:
-    from .deformations import check_higher_order, check_infinitesimal
-
-    doc = _load(args)
-    deformation = doc.resolve("deformations", args.name)
-    rep = check_infinitesimal(deformation)
-    if args.higher_order:
-        rep.absorb(check_higher_order(deformation), "higher order")
-    return _print_report(rep, args)
 
 
 def _cmd_deform_equiv(args) -> int:
@@ -263,9 +186,7 @@ def _cmd_cohomology(args) -> int:
     if args.json:
         _write(json.dumps({"cohomology": rows}, indent=2) + "\n")
         return 0
-    table = [header] + [
-        tuple(str(row[key]) for key in header) for row in rows
-    ]
+    table = [header] + [tuple(str(row[key]) for key in header) for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
     out = ["cohomology dimensions"] + [
         "  " + "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line))
@@ -318,55 +239,56 @@ _TRACE_PAIR = (
 # command -> (help, output, handler, the options of its own as (flag,
 # keywords)...), in the order the help lists them. The output is a law
 # "report" with witnesses, a "table" of numbers, or a "document". A check
-# command's handler is a `_check` of its entry kind, module and checker; a
-# builder's is a `_build` that adds the title, the output entries and the
-# traces.
+# or builder command's handler is a `_run` of its entry kind, module and
+# function; a builder's adds the title and the output entries.
 _COMMANDS = {
     "check-3lie": (
         "verify the alternating ternary bracket laws", "report",
-        _check("three_lie", "algebras", "check_3lie")),
+        _run("three_lie", "algebras", "check_3lie")),
     "check-3leibniz": (
         "verify the ternary Leibniz identity", "report",
-        _check("three_leibniz", "algebras", "check_3leibniz")),
+        _run("three_leibniz", "algebras", "check_3leibniz")),
     "check-lie": (
         "verify antisymmetry and the Jacobi identity", "report",
-        _check("lie", "algebras", "check_lie")),
+        _run("lie", "algebras", "check_lie")),
     "check-leibniz-lie": (
         "verify the binary bracket-and-product laws", "report",
-        _check("leibniz_lie", "algebras", "check_leibniz_lie")),
+        _run("leibniz_lie", "algebras", "check_leibniz_lie")),
     "check-3ll": (
         "verify the ternary bracket-and-braces laws", "report",
-        _check("three_leibniz_lie", "algebras", "check_3ll")),
+        _run("three_leibniz_lie", "algebras", "check_3ll")),
     "check-rep": (
         "verify the pair-operator representation laws", "report",
-        _check("representations", "actions", "check_representation")),
+        _run("representations", "actions", "check_representation")),
     "check-action": (
         "verify the coherent action laws", "report",
-        _check("actions", "actions", "check_coherent_action")),
+        _run("actions", "actions", "check_coherent_action")),
     "check-rep-3leibniz": (
         "verify the three-operator representation laws", "report",
-        _check("three_leibniz_reps", "algebras", "check_3leibniz_rep")),
+        _run("three_leibniz_reps", "algebras", "check_3leibniz_rep")),
     "check-lie-action": (
         "verify the binary coherent action laws", "report",
-        _check("lie_actions", "induced_lie", "check_lie_coherent")),
+        _run("lie_actions", "induced_lie", "check_lie_coherent")),
     "check-lie-net": (
         "verify the binary embedding-tensor condition", "report",
-        _check("lie_nets", "induced_lie", "check_lie_net")),
+        _run("lie_nets", "induced_lie", "check_lie_net")),
     "graph-check": (
         "verify closure of the tensor's graph in the combined bracket", "report",
-        _check("nets", "actions", "graph_check")),
+        _run("nets", "actions", "graph_check")),
     "check-net": (
         "verify the ternary embedding-tensor condition", "report",
-        _check("nets", "actions", "check_net", mode="triples"),
+        _run("nets", "actions", "check_net", mode="triples"),
         ("--triples", {"choices": ("all", "increasing"), "default": "all",
                        "help": "basis triples to test (default: all ordered)"})),
     "check-trace": (
         "verify that a functional kills all products", "report",
-        _cmd_check_trace,
+        _run("traces", "induced_lie", "check_trace",
+             picks=[(("lie", "leibniz_lie"), "--algebra", "space")]),
         ("--algebra", {"help": "which algebra to test against"})),
     "deform-check": (
         "verify a first-order deformation direction", "report",
-        _cmd_deform_check,
+        _run("deformations", "deformations", "check_infinitesimal",
+             higher_order="higher_order"),
         ("--higher-order", {"action": "store_true",
                             "help": "also test the order-2 and order-3 conditions"})),
     "deform-equiv": (
@@ -384,69 +306,78 @@ _COMMANDS = {
         _cmd_classify),
     "hemisemidirect": (
         "combined ternary bracket on the sum of the two spaces", "document",
-        _build("actions", "actions", "hemisemidirect", "hemisemidirect product",
-               [("three_leibniz", "hemisemidirect", "")])),
+        _run("actions", "actions", "hemisemidirect", "hemisemidirect product",
+             [("three_leibniz", "hemisemidirect", "")])),
     "descendent": (
         "ternary Leibniz bracket induced on the carrier", "document",
-        _build("nets", "actions", "descendent", "descendent bracket",
-               [("three_leibniz", "descendent", "")])),
+        _run("nets", "actions", "descendent", "descendent bracket",
+             [("three_leibniz", "descendent", "")])),
     "induce-3ll": (
         "bracket-and-braces structure induced on the carrier", "document",
-        _build("nets", "actions", "induced_3ll",
-               "induced bracket-and-braces structure",
-               [("three_lie", "carrier_bracket", "lie3"),
-                ("three_leibniz_lie", "induced_structure", "")])),
+        _run("nets", "actions", "induced_3ll",
+             "induced bracket-and-braces structure",
+             [("three_lie", "carrier_bracket", "lie3"),
+              ("three_leibniz_lie", "induced_structure", "")])),
     "induced-rep": (
         "representation induced on the target algebra", "document",
-        _build("nets", "cohomology", "induced_rep",
-               "induced representation on the target algebra",
-               [("three_leibniz", "descendent", "algebra"),
-                ("three_leibniz_reps", "induced_rep", "")])),
+        _run("nets", "cohomology", "induced_rep",
+             "induced representation on the target algebra",
+             [("three_leibniz", "descendent", "algebra"),
+              ("three_leibniz_reps", "induced_rep", "")])),
     "emit": (
         "re-serialize a document in canonical form", "document",
-        _build()),
+        _run()),
     "lie-to-3lie": (
         "ternary bracket induced by a trace", "document",
-        _build("lie", "induced_lie", "threelie_from_lie",
-               "ternary bracket induced by a trace",
-               [("three_lie", "ternary", "")], [("--trace", "space")]),
+        _run("lie", "induced_lie", "threelie_from_lie",
+             "ternary bracket induced by a trace",
+             [("three_lie", "ternary", "")], [("traces", "--trace", "space")]),
         _TRACE),
     "rho-sigma": (
         "ternary pair action induced by traces", "document",
-        _build("lie_actions", "induced_lie", "_lift_action",
-               "pair action induced by traces",
-               [("three_lie", "acting_algebra", "algebra"),
-                ("representations", "induced_representation", "rep"),
-                ("actions", "induced_action", "")],
-               [("--trace-l", "lie.space"), ("--trace-h", "carrier.space")]),
+        _run("lie_actions", "induced_lie", "_lift_action",
+             "pair action induced by traces",
+             [("three_lie", "acting_algebra", "algebra"),
+              ("representations", "induced_representation", "rep"),
+              ("actions", "induced_action", "")],
+             [("traces", "--trace-l", "lie.space"),
+              ("traces", "--trace-h", "carrier.space")]),
         *_TRACE_PAIR),
     "lift-net": (
         "lift a binary embedding tensor to a ternary one", "document",
-        _build("lie_nets", "induced_lie", "lift_net",
-               "ternary embedding tensor lifted along traces",
-               [("three_lie", "acting_algebra", "action.algebra"),
-                ("representations", "induced_representation", "action.rep"),
-                ("actions", "induced_action", "action"),
-                ("nets", "lifted_tensor", "")],
-               [("--trace-l", "action.lie.space"),
-                ("--trace-h", "action.carrier.space")]),
+        _run("lie_nets", "induced_lie", "lift_net",
+             "ternary embedding tensor lifted along traces",
+             [("three_lie", "acting_algebra", "action.algebra"),
+              ("representations", "induced_representation", "action.rep"),
+              ("actions", "induced_action", "action"),
+              ("nets", "lifted_tensor", "")],
+             [("traces", "--trace-l", "action.lie.space"),
+              ("traces", "--trace-h", "action.carrier.space")]),
         *_TRACE_PAIR),
     "leibnizlie-to-3ll": (
         "ternary bracket-and-braces from a trace", "document",
-        _build("leibniz_lie", "induced_lie", "three_ll_from_leibniz_lie",
-               "ternary structure induced by a trace",
-               [("three_lie", "ternary_bracket", "lie3"),
-                ("three_leibniz_lie", "induced_structure", "")],
-               [("--trace", "space")]),
+        _run("leibniz_lie", "induced_lie", "three_ll_from_leibniz_lie",
+             "ternary structure induced by a trace",
+             [("three_lie", "ternary_bracket", "lie3"),
+              ("three_leibniz_lie", "induced_structure", "")],
+             [("traces", "--trace", "space")]),
         _TRACE),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help is written as a command's output is, so
+    that a help that cannot be written is an error and not lost."""
+
+    def print_help(self, file=None):
+        _write(self.format_help())
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser. For a known `command` it builds that
     command's subparser alone, and otherwise every one, so that the help and
     the errors about a missing or unknown command list them all."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorforge",
         description=(
             "Exact checks and constructions for ternary algebras, "
@@ -464,61 +395,56 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, output, handler, *options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input document (JSON)")
-        p.add_argument(
-            "--param",
-            action="append",
-            metavar="NAME=RATIONAL",
-            help="override a document parameter (repeatable)",
-        )
+        p.add_argument("--param", action="append", metavar="NAME=RATIONAL",
+                       help="override a document parameter (repeatable)")
         p.add_argument("--name", help="which entry to use, when several exist")
         if output == "document":
             p.add_argument("--out", help="write the document here instead of stdout")
         else:
-            p.add_argument(
-                "--json", action="store_true", help="machine-readable report"
-            )
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable report")
         if output == "report":
-            p.add_argument(
-                "--max-witnesses",
-                type=int,
-                default=20,
-                metavar="N",
-                help="failing tuples shown per law (default 20)",
-            )
-            p.add_argument(
-                "--all-witnesses",
-                action="store_true",
-                help="show every failing tuple",
-            )
+            p.add_argument("--max-witnesses", type=int, default=20, metavar="N",
+                           help="failing tuples shown per law (default 20)")
+            p.add_argument("--all-witnesses", action="store_true",
+                           help="show every failing tuple")
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
     return parser
 
 
+def _say(text: str):
+    """Write a line to standard error. A failed write, to a closed or full
+    stream, is let go: the exit status tells the outcome all the same."""
+    with suppress(AttributeError, OSError):  # a stream closed at start is None
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if hasattr(args, "max_witnesses"):
             _witness_cap(args)  # reject a bad cap before any work
         return args.handler(args)
     except BrokenPipeError:
         return 141
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _say(f"input error: {exc}")
         return 2
     except PreconditionError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        _say(f"refused: {exc}")
         if exc.report is not None:
-            print(exc.report.render_text(), file=sys.stderr)
+            _say(exc.report.render_text())
         return 3
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _say("interrupted")
         return 130
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _say(f"internal error: {type(exc).__name__}: {message}")
         return 4
 
 

@@ -62,47 +62,42 @@ def _same_problem(p1: EmbeddingTensorProblem, p2: EmbeddingTensorProblem) -> boo
     )
 
 
-def check_infinitesimal(d: Deformation) -> Report:
+def check_infinitesimal(d: Deformation, higher_order: bool = False) -> Report:
     """Is the direction a first-order deformation of the tensor?
 
     Expands the deformed tensor condition to first order on every ordered
-    basis triple, then cross-checks against the degree-1 differential.
+    basis triple, then cross-checks against the degree-1 differential. With
+    `higher_order` the report also holds the lines of `check_higher_order`,
+    under "higher order".
     """
     rep = Report("first-order deformation check")
     gate = check_net(d.problem, mode="all")
-    if not rep.gate(gate, "base tensor", "the undeformed tensor condition fails"):
-        return rep
-
-    p = d.problem
-    hspace = p.h_space
-    M = [d.direction.column(i) for i in range(hspace.dim)]
-    lhs, rhs = _order(p, M, 1)
-    # the degree-one part of the tensor condition, as one side
-    line = rep.law(
-        "first-order tensor condition",
-        Scope("all ordered basis triples", (None, hspace, 3, False)),
-        lhs + [_relabel(term, lambda *t: t, -1) for term in rhs],
-        [],
-        p.l_space,
-    )
-
-    complex_ = _complex_of(p)
-    cocycle = rep.line("cocycle condition", "degree-1 differential")
-    cocycle.checked += 1
-    direction = complex_.vec(complex_.cochain_from_linear_map(d.direction))
-    image = complex_.delta_matrix(1).mul_vec(direction)
-    if not image.is_zero():
-        cocycle.add_failure(
-            (1,),
-            "differential of the direction",
-            format_vector_raw(image),
-            "0",
+    if rep.gate(gate, "base tensor", "the undeformed tensor condition fails"):
+        p = d.problem
+        hspace = p.h_space
+        M = [d.direction.column(i) for i in range(hspace.dim)]
+        lhs, rhs = _order(p, M, 1)
+        # the degree-one part of the tensor condition, as one side
+        line = rep.law(
+            "first-order tensor condition",
+            Scope("all ordered basis triples", (None, hspace, 3, False)),
+            lhs + [_relabel(term, lambda *t: t, -1) for term in rhs],
+            [], p.l_space,
         )
-    agree = line.passed == cocycle.passed
-    rep.note(
-        "direct expansion and the differential "
-        + ("agree" if agree else "DISAGREE")
-    )
+
+        complex_ = _complex_of(p)
+        cocycle = rep.line("cocycle condition", "degree-1 differential")
+        cocycle.checked += 1
+        direction = complex_.vec(complex_.cochain_from_linear_map(d.direction))
+        image = complex_.delta_matrix(1).mul_vec(direction)
+        if not image.is_zero():
+            cocycle.add_failure(
+                (1,), "differential of the direction", format_vector_raw(image), "0"
+            )
+        agree = "agree" if line.passed == cocycle.passed else "DISAGREE"
+        rep.note(f"direct expansion and the differential {agree}")
+    if higher_order:
+        rep.absorb(check_higher_order(d), "higher order")
     return rep
 
 

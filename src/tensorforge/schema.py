@@ -126,6 +126,13 @@ class _ScalarParser:
         return rat(sign * coeff)
 
 
+# what an entry picked on a space is called, one and several
+_ON_SPACE = {
+    ("traces",): ("trace", "traces"),
+    ("lie", "leibniz_lie"): ("Lie or Leibniz-Lie algebra", "algebras"),
+}
+
+
 class Document:
     """A parsed document: named spaces plus named structures by kind."""
 
@@ -154,24 +161,40 @@ class Document:
         self.entries[kind][name] = obj
         return obj
 
-    def resolve(self, kind: str, name: str | None = None, flag: str = "--name"):
-        """The unique entry of a kind, or the named one when `name` is given."""
-        registry = self.entries[kind]
-        if name is not None:
-            if name not in registry:
-                available = ", ".join(sorted(registry)) or "none"
+    def resolve(self, kinds, name=None, flag: str = "--name", space=None):
+        """The entry of `kinds` (one kind or a tuple of them) that `name`
+        names, or else the only one. With `space`, only the entries on that
+        space are candidates. Of two candidates where one wraps the other (a
+        Leibniz-Lie entry's `lie`), the wrapped one is dropped."""
+        kinds = (kinds,) if isinstance(kinds, str) else kinds
+        found = [(n, e) for kind in kinds for n, e in self.entries[kind].items()]
+        what, whats, on = f"{kinds[0]} entry", f"{kinds[0]} entries", ""
+        if space is not None:
+            (what, whats), on = _ON_SPACE[kinds], f" on space {space.name!r}"
+            elsewhere = [e.space for n, e in found if n == name and e.space != space]
+            found = [(n, e) for n, e in found if e.space == space]
+            if elsewhere and name not in dict(found):
                 raise InputError(
-                    f"no {kind} entry named {name!r} (available: {available})"
+                    f"{what} {name!r} lives on space {elsewhere[0].name!r}, "
+                    f"but {space.name!r} is needed"
                 )
-            return registry[name]
-        if not registry:
-            raise InputError(f"the document declares no {kind} entry")
-        if len(registry) > 1:
+        if name is not None:
+            available = ", ".join(sorted(n for n, _ in found)) or "none"
+            found = [(n, e) for n, e in found if n == name]
+            if not found:
+                raise InputError(
+                    f"no {what} named {name!r}{on} (available: {available})"
+                )
+        wrapped = {id(getattr(e, "lie", None)) for _, e in found}
+        found = [(n, e) for n, e in found if id(e) not in wrapped]
+        if not found:
+            raise InputError(f"the document declares no {what}{on}")
+        if len(found) > 1:
             raise InputError(
-                f"the document declares {len(registry)} {kind} entries; "
-                f"choose one with {flag}: " + ", ".join(sorted(registry))
+                f"the document declares {len(found)} {whats}{on}; "
+                f"choose one with {flag}: " + ", ".join(sorted(n for n, _ in found))
             )
-        return next(iter(registry.values()))
+        return found[0][1]
 
     def name_of(self, kind: str, obj) -> str:
         for name, known in self.entries[kind].items():

@@ -15,7 +15,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: fall back to tomli in the test
     tomllib = None
 
-from tensorforge import algebras, deformations, parse_document
+from tensorforge import InputError, algebras, deformations, parse_document
 from tensorforge.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -379,8 +379,11 @@ def test_traces_are_chosen_by_name_or_by_space(run, fixtures_dir, tmp_path):
     ]
     several = tmp_path / "several.json"
     several.write_text(json.dumps(body))
+    assert run("lie-to-3lie", heisenberg, "--trace", "nosuch") == (
+        2, "",
+        "input error: no trace named 'nosuch' on space 'L' (available: dual_last)\n",
+    )
     for argv, message in (
-        (("lie-to-3lie", heisenberg, "--trace", "nosuch"), "no traces entry named 'nosuch'"),
         (("lie-to-3lie", several, "--trace", "stray"), "lives on space 'M'"),
         (("lift-net", several, "--trace-h", "dual_last", "--trace-l", "stray"),
          "lives on space 'M'"),
@@ -395,8 +398,11 @@ def test_traces_are_chosen_by_name_or_by_space(run, fixtures_dir, tmp_path):
 
 def test_check_trace_chooses_the_algebra(run, fixtures_dir, tmp_path):
     leibniz = fixtures_dir / "leibniz_lie_e3.json"
-    rc, _, err = run("check-trace", leibniz, "--algebra", "nosuch")
-    assert rc == 2 and "no Lie or Leibniz-Lie entry named 'nosuch'" in err
+    assert run("check-trace", leibniz, "--algebra", "nosuch") == (
+        2, "",
+        "input error: no Lie or Leibniz-Lie algebra named 'nosuch' on space 'V' "
+        "(available: g, q)\n",
+    )
 
     # an abelian bracket on the same space as the Leibniz-Lie entry
     path = _variant(
@@ -406,7 +412,7 @@ def test_check_trace_chooses_the_algebra(run, fixtures_dir, tmp_path):
     rc, out, err = run("check-trace", path)
     assert (rc, out) == (2, "")
     assert err == (
-        "input error: several algebras live on space 'V'; "
+        "input error: the document declares 2 algebras on space 'V'; "
         "choose one with --algebra: flat, q\n"
     )
     for name in ("flat", "q"):
@@ -434,6 +440,141 @@ def test_check_trace_algebra_may_name_a_wrapped_lie_entry(run, fixtures_dir, tmp
     assert run("check-trace", path, "--algebra", "g") == (
         0, "trace check: PASS\n" + brackets + products, ""
     )
+
+
+def _add(kind, **entry):
+    return lambda s: s.setdefault(kind, []).append(entry)
+
+
+def _drop(kind, name):
+    return lambda s: s.update({kind: [e for e in s[kind] if e["name"] != name]})
+
+
+_ALL = "d_coboundary, d_cocycle, d_zero"
+
+# flag -> (edit of the document, argv, the input error or None for a run
+# that picks), one row for each of: named and found, name missing, named on
+# another space (flags that pick on a space), no candidate, several
+# candidates. --second has no row without a candidate: --first fails first.
+PICKING = {
+    "--name": [
+        (None, ["check-lie-action", "--name", "zero_action"], None),
+        (None, ["check-lie-action", "--name", "nosuch"],
+         "no lie_actions entry named 'nosuch' (available: zero_action)"),
+        (_drop("lie_actions", "zero_action"), ["check-lie-action"],
+         "the document declares no lie_actions entry"),
+        (_add("lie_actions", name="other", algebra="g", carrier="h", operators={}),
+         ["check-lie-action"],
+         "the document declares 2 lie_actions entries; "
+         "choose one with --name: other, zero_action"),
+    ],
+    "--trace": [
+        (None, ["lie-to-3lie", "--name", "g", "--trace", "dual_last"], None),
+        (None, ["lie-to-3lie", "--name", "g", "--trace", "nosuch"],
+         "no trace named 'nosuch' on space 'L' (available: dual_last)"),
+        (None, ["lie-to-3lie", "--name", "g", "--trace", "m_dual"],
+         "trace 'm_dual' lives on space 'M', but 'L' is needed"),
+        (_drop("traces", "dual_last"), ["lie-to-3lie", "--name", "g"],
+         "the document declares no trace on space 'L'"),
+        (_add("traces", name="second", space="L", covector=[0, 0, 1, 0]),
+         ["lie-to-3lie", "--name", "g"],
+         "the document declares 2 traces on space 'L'; "
+         "choose one with --trace: dual_last, second"),
+    ],
+    "--trace-l": [
+        (None, ["rho-sigma", "--trace-l", "dual_last"], None),
+        (None, ["rho-sigma", "--trace-l", "nosuch"],
+         "no trace named 'nosuch' on space 'L' (available: dual_last)"),
+        (None, ["rho-sigma", "--trace-l", "m_dual"],
+         "trace 'm_dual' lives on space 'M', but 'L' is needed"),
+        (_drop("traces", "dual_last"), ["rho-sigma"],
+         "the document declares no trace on space 'L'"),
+        (_add("traces", name="second", space="L", covector=[0, 0, 1, 0]),
+         ["rho-sigma"],
+         "the document declares 2 traces on space 'L'; "
+         "choose one with --trace-l: dual_last, second"),
+    ],
+    "--trace-h": [
+        (None, ["rho-sigma", "--trace-h", "m_dual"], None),
+        (None, ["rho-sigma", "--trace-h", "nosuch"],
+         "no trace named 'nosuch' on space 'M' (available: m_dual)"),
+        (None, ["rho-sigma", "--trace-h", "dual_last"],
+         "trace 'dual_last' lives on space 'L', but 'M' is needed"),
+        (_drop("traces", "m_dual"), ["rho-sigma"],
+         "the document declares no trace on space 'M'"),
+        (_add("traces", name="second", space="M", covector=[2]), ["rho-sigma"],
+         "the document declares 2 traces on space 'M'; "
+         "choose one with --trace-h: m_dual, second"),
+    ],
+    "--algebra": [
+        (None, ["check-trace", "--name", "dual_last", "--algebra", "g"], None),
+        (None, ["check-trace", "--name", "dual_last", "--algebra", "nosuch"],
+         "no Lie or Leibniz-Lie algebra named 'nosuch' on space 'L' "
+         "(available: g)"),
+        (None, ["check-trace", "--name", "dual_last", "--algebra", "h"],
+         "Lie or Leibniz-Lie algebra 'h' lives on space 'M', but 'L' is needed"),
+        (_add("traces", name="on_h", space="H", covector=[0, 0, 0, 0]),
+         ["check-trace", "--name", "on_h"],
+         "the document declares no Lie or Leibniz-Lie algebra on space 'H'"),
+        (_add("lie", name="flat", space="L", brackets={}),
+         ["check-trace", "--name", "dual_last"],
+         "the document declares 2 algebras on space 'L'; "
+         "choose one with --algebra: flat, g"),
+    ],
+    "--first": [
+        (None, ["deform-equiv", "--first", "d_zero", "--second", "d_cocycle"], None),
+        (None, ["deform-equiv", "--first", "nosuch"],
+         f"no deformations entry named 'nosuch' (available: {_ALL})"),
+        (lambda s: s.pop("deformations"), ["deform-equiv"],
+         "the document declares no deformations entry"),
+        (None, ["deform-equiv"],
+         f"the document declares 3 deformations entries; "
+         f"choose one with --first: {_ALL}"),
+    ],
+    "--second": [
+        (None, ["deform-equiv", "--first", "d_zero", "--second", "d_coboundary"], None),
+        (None, ["deform-equiv", "--first", "d_zero", "--second", "nosuch"],
+         f"no deformations entry named 'nosuch' (available: {_ALL})"),
+        (None, ["deform-equiv", "--first", "d_zero"],
+         f"the document declares 3 deformations entries; "
+         f"choose one with --second: {_ALL}"),
+    ],
+}
+
+
+def _picking_document(fixtures_dir):
+    """The Heisenberg algebra g on L acting by zero on an abelian line h on a
+    space M of its own, a trace on each of L and M, and beside them the
+    3-Lie problem of example 2.8 with its three deformation directions."""
+    body = json.loads((fixtures_dir / "heisenberg_e4.json").read_text())
+    other = json.loads((fixtures_dir / "example_2_8.json").read_text())
+    structures = body["structures"]
+    del structures["lie_nets"]
+    structures["lie"].append({"name": "h", "space": "M", "brackets": {}})
+    structures["lie_actions"][0]["carrier"] = "h"
+    structures["traces"].append({"name": "m_dual", "space": "M", "covector": [1]})
+    body["spaces"] += [{"name": "M", "dim": 1}, *other["spaces"]]
+    body["parameters"] = other["parameters"]
+    structures.update(other["structures"])
+    return body
+
+
+@pytest.mark.parametrize("flag", PICKING)
+def test_every_picking_flag_follows_the_one_rule(run, fixtures_dir, tmp_path, flag):
+    """Each flag that picks an entry uses the named one, or else the only
+    candidate; otherwise it names the entry missing, the space it lives on,
+    or the candidates to choose from, in the words of `Document.resolve`."""
+    for edit, argv, error in PICKING[flag]:
+        body = _picking_document(fixtures_dir)
+        if edit is not None:
+            edit(body["structures"])
+        path = tmp_path / "picking.json"
+        path.write_text(json.dumps(body))
+        rc, out, err = run(argv[0], path, *argv[1:])
+        if error is None:
+            assert rc in (0, 1) and out and err == "", (argv, err)
+        else:
+            assert (rc, out, err) == (2, "", f"input error: {error}\n"), argv
 
 
 def _assert_input_error(result):
@@ -491,6 +632,62 @@ def test_a_failed_stdout_write_exits_two(fixtures_dir, argv):
     assert (rc, err) == (
         2, "input error: cannot write standard output: No space left on device\n"
     )
+
+
+def _fresh(*argv, closed=None, stdout=subprocess.PIPE):
+    """(exit status, stdout, stderr) of a command run in a fresh interpreter,
+    with the descriptor `closed`, if any, closed before it starts."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorforge", *map(str, argv)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=None if closed is None else lambda: os.close(closed),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["check-net", "example_2_8.json"], ["--help"]])
+def test_a_closed_stdout_exits_two(fixtures_dir, argv):
+    """A standard output closed before the start is an input error naming
+    standard output, for a report and for the help alike."""
+    argv = [fixtures_dir / a if a.endswith(".json") else a for a in argv]
+    assert _fresh(*argv, closed=1) == (
+        2, "", "input error: cannot write standard output: it is closed\n"
+    )
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["check-net", "missing.json"], 2),
+    (["check-net", "example_2_8.json", "--param", "k=1/0"], 2),
+    (["hemisemidirect", "broken_action.json"], 3),
+])
+def test_a_closed_stderr_leaves_the_exit_status(fixtures_dir, argv, status):
+    """What a command would say on a closed standard error is lost, but its
+    exit status is what it would be with the stream open."""
+    argv = [fixtures_dir / a if a.endswith(".json") else a for a in argv]
+    assert _fresh(*argv, closed=2) == (status, "", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check-net", "--help"]])
+def test_help_is_written_as_output_is(argv, monkeypatch):
+    """The help goes to a pipe whole, as it goes to any standard output, and
+    a help that cannot be written exits 2 as a report that cannot be written
+    does."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the help to
+    assert _fresh(*argv) == _parse(build_parser(argv[0]).parse_args, argv)
+    with open("/dev/full", "w") as full:
+        assert _fresh(*argv, stdout=full) == (
+            2, None,
+            "input error: cannot write standard output: No space left on device\n",
+        )
+
+
+def test_print_help_raises_what_a_command_write_raises(monkeypatch):
+    """argparse would let a failed help write go; the parser's `print_help`
+    raises the input error that `main` turns into status 2."""
+    monkeypatch.setattr(sys, "stdout", None)
+    closed = "^cannot write standard output: it is closed$"
+    with pytest.raises(InputError, match=closed):
+        build_parser().print_help()
 
 
 def test_a_document_that_is_not_utf8_exits_two(run, tmp_path):

@@ -298,6 +298,26 @@ def test_builders_emit_in_one_place():
     )
 
 
+def _asks_to_choose(node):
+    return isinstance(node, ast.Constant) and "choose one with" in str(node.value)
+
+
+def test_entries_are_picked_in_one_place():
+    """`Document.resolve` picks every entry a command uses, by `--name` or a
+    flag of its own and on a space where one applies: no other function of
+    the package raises its `choose one with` message, and no function of
+    `cli` reads an entry's `.space`."""
+    choosers = {
+        f"{path.stem}.{site}"
+        for path in MODULES
+        for site in _sites(ast.parse(path.read_text()), _asks_to_choose)
+    }
+    assert choosers == {"schema.Document.resolve"}, ", ".join(sorted(choosers))
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    readers = _sites(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "space")
+    assert not readers, "spaces read in cli: " + ", ".join(readers)
+
+
 def test_deformations_take_the_tensor_condition_from_one_expansion():
     """The orders of the tensor condition of T + tM come from
     `actions._order`: deformations builds none of their terms itself."""
